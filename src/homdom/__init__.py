@@ -47,7 +47,6 @@ from .hde import (
     certify_upper,
     compute_hde,
     objective_clique_tree_form,
-    objective_subset_form,
     phi_i,
     psi,
 )

@@ -149,15 +149,19 @@ def check_blakley_roy(G: Graph, k: int) -> CheckReport:
     )
 
 
-def check_walk_inequality(G: Graph, t: int, k: int) -> CheckReport:
-    """w_k^t >= w_t^k, no parity restriction imposed."""
-    t0 = time.perf_counter()
+def _walk_sides(G: Graph, t: int, k: int) -> tuple[Fraction, Fraction]:
+    """(w_k^t, w_t^k) for the walk inequality."""
     if G.n == 0:
         raise EmptyGraph("walk inequality needs at least one vertex")
     if not 1 <= t <= k:
         raise BadIndex(f"need 1 <= t <= k, got t={t}, k={k}")
-    lhs = normalized_walks(G, k) ** t
-    rhs = normalized_walks(G, t) ** k
+    return normalized_walks(G, k) ** t, normalized_walks(G, t) ** k
+
+
+def check_walk_inequality(G: Graph, t: int, k: int) -> CheckReport:
+    """w_k^t >= w_t^k, no parity restriction imposed."""
+    t0 = time.perf_counter()
+    lhs, rhs = _walk_sides(G, t, k)
     verdict = "holds" if lhs >= rhs else "violated"
     return CheckReport(
         "walk-inequality",
@@ -196,23 +200,21 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     t0 = time.perf_counter()
     checked = 0
     violated = 0
-    worst = None  # (margin, witness dict)
+    worst = None  # (margin, graph, lhs, rhs)
     for G in scope:
-        rep = check_walk_inequality(G, t, k)
+        lhs, rhs = _walk_sides(G, t, k)
         checked += 1
-        if rep.verdict == "violated":
+        if lhs < rhs:
             violated += 1
-        lhs = normalized_walks(G, k) ** t
-        rhs = normalized_walks(G, t) ** k
         margin = lhs - rhs
         if worst is None or margin < worst[0]:
-            worst = (margin, rep.witnesses[0])
+            worst = (margin, G, lhs, rhs)
     params = {"t": t, "k": k, "scope": scope.describe(), "checked": checked,
               "violations": violated}
     if worst is not None:
         params["worst_margin"] = _rat(worst[0])
     verdict = "holds" if violated == 0 else "violated"
-    witnesses = (worst[1],) if worst else ()
+    witnesses = (_witness(*worst[1:], "w_k^t >= w_t^k"),) if worst else ()
     return CheckReport("sweep", params, verdict, witnesses, time.perf_counter() - t0)
 
 

@@ -48,6 +48,7 @@ from .checks import (
 
 USAGE_ERROR = 2
 PRECONDITION_ERROR = 3
+LEMMA_SAMPLES = 25  # random polytope vertices per lemma-identity run
 
 _PRECONDITION_ERRORS = (NotChordal, NotSeriesParallel, NoHomomorphism, GroundTooLarge)
 
@@ -95,13 +96,8 @@ def cmd_hde(args) -> int:
     started = time.perf_counter()
     f1 = parse_graph_spec(args.f1)
     f2 = parse_graph_spec(args.f2)
-    result_obj = compute_hde(f1, f2, objective_form=args.objective_form)
-    config = {
-        "subcommand": "hde",
-        "f1": args.f1,
-        "f2": args.f2,
-        "objective_form": args.objective_form,
-    }
+    result_obj = compute_hde(f1, f2)
+    config = {"subcommand": "hde", "f1": args.f1, "f2": args.f2}
     result = {
         "f1": args.f1,
         "f2": args.f2,
@@ -180,9 +176,8 @@ def cmd_verify(args) -> int:
         F2 = path(args.t)
         points = [indicator_point(F2, i) for i in range(args.t + 1)]
         points.append(p_star(args.t))
-        points.extend(
-            random_vertex_point(F2, args.seed + i) for i in range(args.samples or 25)
-        )
+        samples = LEMMA_SAMPLES if args.samples is None else args.samples
+        points.extend(random_vertex_point(F2, args.seed + i) for i in range(samples))
         for p in points:
             reports.append(check_lemma_identity(args.t, p))
         bad = [r for r in reports if r.verdict != "holds"]
@@ -215,7 +210,7 @@ def cmd_verify(args) -> int:
     if mode == "blakley-roy":
         if args.k is None:
             raise MalformedInput("blakley-roy mode needs --k")
-        worst = None
+        worst = None  # (lhs - rhs, report) of the largest violation
         checked = 0
         violations = 0
         for G in _verify_scope(args):
@@ -223,14 +218,17 @@ def cmd_verify(args) -> int:
             checked += 1
             if rep.verdict == "violated":
                 violations += 1
-                worst = worst or rep
+                w = rep.witnesses[0]
+                margin = Fraction(w["lhs"]) - Fraction(w["rhs"])
+                if worst is None or margin < worst[0]:
+                    worst = (margin, rep)
         result = {
             "checked": checked,
             "violations": violations,
             "verdict": "holds" if violations == 0 else "violated",
         }
         if worst:
-            result["witness"] = worst.to_json()
+            result["witness"] = worst[1].to_json()
         _emit(_document(config, result, started), args.out)
         return 0 if violations == 0 else 1
 
@@ -304,6 +302,18 @@ def cmd_dump_polytope(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must not be empty: a verdict over zero
+    graphs or certificates would be vacuous."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 by default; keep that code
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
@@ -317,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hde = sub.add_parser("hde", help="compute a homomorphism domination exponent")
     p_hde.add_argument("--f1", required=True, help="graph spec, e.g. union:2*path:0+1*path:3")
     p_hde.add_argument("--f2", required=True, help="graph spec, e.g. path:1")
-    p_hde.add_argument(
-        "--objective-form", choices=["clique-tree", "subset"], default="clique-tree"
-    )
     p_hde.add_argument("--out")
     p_hde.set_defaults(func=cmd_hde)
 
@@ -345,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--t", type=int)
     p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--exhaustive-n", type=int)
-    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--exhaustive-n", type=_positive_int)
+    p_verify.add_argument("--samples", type=_positive_int)
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--edge-prob", default="1/2")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -360,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         "certificate", help="certify the flagship exponent from both sides"
     )
     p_cert.add_argument("--t", type=int, required=True)
-    p_cert.add_argument("--batch", type=int, default=25)
+    p_cert.add_argument("--batch", type=_positive_int, default=25)
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--out")
     p_cert.set_defaults(func=cmd_certificate)

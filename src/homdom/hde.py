@@ -8,11 +8,13 @@ the LP gets one epigraph variable per distinct component instead of one
 row per global homomorphism (whose number is a product over components
 and must never be expanded).
 
-Two interchangeable objective builders are provided: the subset form
+The functional is read off a clique tree of the source component: one
+positive term per clique, one negative term per separator.  The tree is
+built once per distinct component and shared by all of its
+homomorphisms; ``compute_hde`` and both certificates go through the one
+builder ``objective_clique_tree_form``.  The equivalent subset form
 (alternating sum over sets of maximal cliques with common intersection)
-is the ground truth; the clique-tree form (one positive term per clique,
-one negative term per separator) is the linear-size default, gated by an
-equivalence test in the suite.
+is kept in the test suite as the oracle this builder is checked against.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ from .errors import (
     RatlpError,
 )
 from .graphs import (
+    CliqueTree,
     Graph,
     clique_tree,
     disjoint_union,
     expand_components,
     is_chordal,
     is_series_parallel,
+    # unused here, but bench/spans.py traces calls through this name
     maximal_cliques,
     path,
 )
@@ -51,43 +55,15 @@ class ObjectiveProfile:
     homomorphism; the empty-set variable never appears."""
 
     terms: tuple[tuple[int, Fraction], ...]  # (target subset mask, coefficient)
-    phi: Homomorphism
-    form: str  # "subset" | "clique-tree"
 
     def evaluate(self, p: SetFunction) -> Fraction:
         return sum((c * p[mask] for mask, c in self.terms), Fraction(0))
 
 
-def _finish_profile(acc: dict[int, int], phi: Homomorphism, form: str) -> ObjectiveProfile:
-    terms = tuple((mask, Fraction(acc[mask])) for mask in sorted(acc) if acc[mask])
-    return ObjectiveProfile(terms, phi, form)
-
-
-def objective_subset_form(F1: Graph, phi: Homomorphism, F2: Graph) -> ObjectiveProfile:
-    """Alternating sum over subsets S of maximal cliques of F1 with
-    nonempty common intersection; sign -(-1)^|S|, coefficients accumulated
-    on the image subset phi(intersection of S)."""
-    cliques = maximal_cliques(F1)
-    acc: dict[int, int] = {}
-    full = (1 << F1.n) - 1
-
-    def rec(start: int, inter: int, size: int):
-        for idx in range(start, len(cliques)):
-            ni = inter & cliques[idx]
-            if not ni:
-                continue  # all supersets share the empty intersection
-            img = phi.image_mask(ni)
-            acc[img] = acc.get(img, 0) + (1 if (size + 1) % 2 else -1)
-            rec(idx + 1, ni, size + 1)
-
-    rec(0, full, 0)
-    return _finish_profile(acc, phi, "subset")
-
-
-def objective_clique_tree_form(F1: Graph, phi: Homomorphism, F2: Graph) -> ObjectiveProfile:
+def objective_clique_tree_form(tree: CliqueTree, phi: Homomorphism) -> ObjectiveProfile:
     """+1 per clique-tree node at the image of its clique, -1 per tree edge
-    at the image of its separator; summed over the forest for unions."""
-    tree = clique_tree(F1)  # raises NotChordal
+    at the image of its separator; ``tree`` is ``clique_tree(phi.source)``
+    (a forest for unions)."""
     acc: dict[int, int] = {}
     for cl in tree.cliques:
         img = phi.image_mask(cl)
@@ -95,13 +71,9 @@ def objective_clique_tree_form(F1: Graph, phi: Homomorphism, F2: Graph) -> Objec
     for sep in tree.separators:
         img = phi.image_mask(sep)
         acc[img] = acc.get(img, 0) - 1
-    return _finish_profile(acc, phi, "clique-tree")
-
-
-_FORMS = {
-    "subset": objective_subset_form,
-    "clique-tree": objective_clique_tree_form,
-}
+    return ObjectiveProfile(
+        tuple((mask, Fraction(acc[mask])) for mask in sorted(acc) if acc[mask])
+    )
 
 
 @dataclass(frozen=True)
@@ -116,7 +88,7 @@ class HdeResult:
     lp_pivots: int
 
 
-def compute_hde(F1: Graph, F2: Graph, objective_form: str = "clique-tree") -> HdeResult:
+def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     """Exact HDE(F1; F2) for chordal F1 and series-parallel F2.
 
     Builds the LP with variables p(A) for nonempty proper subsets A of
@@ -131,14 +103,14 @@ def compute_hde(F1: Graph, F2: Graph, objective_form: str = "clique-tree") -> Hd
         raise NotSeriesParallel("HDE requires a series-parallel F2")
     if F2.n > GROUND_CAP:
         raise GroundTooLarge(f"|V(F2)|={F2.n} exceeds cap {GROUND_CAP}")
-    build = _FORMS[objective_form]
 
     components = expand_components(F1)
     profiles_per_comp = []
     for comp, mult in components:
+        tree = clique_tree(comp)
         by_terms: dict[tuple, list[Homomorphism]] = {}
         for hom in enumerate_homs(comp, F2):
-            prof = build(comp, hom, F2)
+            prof = objective_clique_tree_form(tree, hom)
             by_terms.setdefault(prof.terms, []).append(hom)
         if not by_terms:
             raise NoHomomorphism(
@@ -206,8 +178,7 @@ def compute_hde(F1: Graph, F2: Graph, objective_form: str = "clique-tree") -> Hd
         z_val = outcome.point[z_of[ci]]
         argmax: list[Homomorphism] = []
         for terms, homs in profiles_per_comp[ci].items():
-            prof = ObjectiveProfile(terms, homs[0], objective_form)
-            if prof.evaluate(p_opt) == z_val:
+            if ObjectiveProfile(terms).evaluate(p_opt) == z_val:
                 argmax.extend(homs)
         active.append((comp, mult, tuple(argmax)))
 
@@ -236,17 +207,27 @@ def phi_i(t: int, i: int) -> Homomorphism:
     return Homomorphism(path(t + 2), path(t), mapping)
 
 
-def psi(t: int) -> Homomorphism:
-    """The certificate map from P0^2 P_{t+2}^t onto P_t: the two isolated
-    vertices go to the two path ends, the i-th long-path copy folds via
-    phi_i."""
+def _flagship_source(t: int) -> tuple[tuple[Graph, int], ...]:
+    """The components of P0^2 P_{t+2}^t with their multiplicities."""
     if t < 1 or t % 2 == 0:
         raise BadParity(f"t must be odd and positive, got {t}")
-    F1 = disjoint_union([(path(0), 2), (path(t + 2), t)])
-    mapping = [0, t]
-    for i in range(1, t + 1):
-        mapping.extend(phi_i(t, i).map)
-    return Homomorphism(F1, path(t), tuple(mapping))
+    return ((path(0), 2), (path(t + 2), t))
+
+
+def _psi_parts(t: int) -> list[Homomorphism]:
+    """psi restricted to each component of P0^2 P_{t+2}^t, in the order of
+    ``_flagship_source``: the two isolated vertices go to the two path
+    ends, the i-th long-path copy folds via phi_i."""
+    ends = [Homomorphism(path(0), path(t), (end,)) for end in (0, t)]
+    return ends + [phi_i(t, i) for i in range(1, t + 1)]
+
+
+def psi(t: int) -> Homomorphism:
+    """The certificate map from P0^2 P_{t+2}^t onto P_t, assembled from
+    its per-component parts."""
+    source = _flagship_source(t)
+    mapping = tuple(v for part in _psi_parts(t) for v in part.map)
+    return Homomorphism(disjoint_union(source), path(t), mapping)
 
 
 def certify_upper(t: int) -> Fraction:
@@ -255,28 +236,32 @@ def certify_upper(t: int) -> Fraction:
 
     Certifies HDE <= t+2 (the returned maximum equals t+2).
     """
-    if t < 1 or t % 2 == 0:
-        raise BadParity(f"t must be odd and positive, got {t}")
+    source = _flagship_source(t)
     F2 = path(t)
     star = p_star(t)
     total = Fraction(0)
-    for comp, mult in ((path(0), 2), (path(t + 2), t)):
-        best = None
-        for hom in enumerate_homs(comp, F2):
-            val = objective_subset_form(comp, hom, F2).evaluate(star)
-            if best is None or val > best:
-                best = val
-        total += mult * best
+    for comp, mult in source:
+        tree = clique_tree(comp)
+        total += mult * max(
+            objective_clique_tree_form(tree, hom).evaluate(star)
+            for hom in enumerate_homs(comp, F2)
+        )
     return total
 
 
 def certify_lower(t: int, p: SetFunction) -> Fraction:
     """Objective value of the explicit map psi at an arbitrary polytope
-    member p; equals (t+2) * p(V) = t+2, certifying HDE >= t+2."""
-    if t < 1 or t % 2 == 0:
-        raise BadParity(f"t must be odd and positive, got {t}")
+    member p; equals (t+2) * p(V) = t+2, certifying HDE >= t+2.
+
+    Summed one component of the source at a time, so the union itself
+    (2 + t(t+3) vertices) is never built.
+    """
+    source = _flagship_source(t)
     ok, violated = is_member(p, path(t))
     if not ok:
         raise NotMember(f"p violates {len(violated)} polytope constraints")
-    h = psi(t)
-    return objective_subset_form(h.source, h, path(t)).evaluate(p)
+    trees = {comp: clique_tree(comp) for comp, _ in source}
+    return sum(
+        (objective_clique_tree_form(trees[h.source], h).evaluate(p) for h in _psi_parts(t)),
+        Fraction(0),
+    )

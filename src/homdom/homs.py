@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyGraph, MalformedInput
-from .graphs import Graph, expand_components, path, _bits
+from .graphs import Graph, expand_components, _bits
 
 __all__ = [
     "Homomorphism",
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Homomorphism:
     """Total vertex map source -> target preserving adjacency."""
 
@@ -156,9 +156,3 @@ def average_degree(G: Graph) -> Fraction:
     if G.n == 0:
         raise EmptyGraph("average degree needs at least one vertex")
     return Fraction(2 * G.edge_count, G.n)
-
-
-# convenience: the walk oracle stated as a homomorphism count
-def path_hom_count(G: Graph, k: int) -> int:
-    """|Hom(P_k; G)| via the backtracking engine (cross-check oracle)."""
-    return sum(1 for _ in _enumerate_maps(path(k), G))

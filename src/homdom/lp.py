@@ -328,7 +328,7 @@ def _split_col_count(lp: LinearProgram) -> int:
 
 
 def _should_dualize(lp: LinearProgram, nrows: int) -> bool:
-    return nrows >= 100 and nrows >= 2 * _split_col_count(lp)
+    return nrows >= 2 * _split_col_count(lp)
 
 
 def solve(lp: LinearProgram, side: str = "auto") -> LpOutcome:

@@ -3,10 +3,12 @@
 Subsets of the ground set V(F2) are bitmasks; the set-function value
 vector is indexed by mask.  Constraints: zero at the empty set, one at
 the full set, monotone, submodular, and modular (equality) on every
-incomparable pair whose intersection separates the two differences.
-Monotonicity is emitted for covering pairs only and the submodular
-inequality is dropped where the modular equality subsumes it; the pruned
-system defines the same feasible set (tested against the unpruned one).
+incomparable pair (A, B) whose intersection separates A\\B from B\\A in
+the graph sense: every path of F2 from one difference to the other passes
+through A & B.  Monotonicity is emitted for covering pairs only and the
+submodular inequality is dropped where the modular equality subsumes it;
+the pruned system defines the same feasible set (tested against the
+unpruned one).
 """
 
 from __future__ import annotations
@@ -75,13 +77,21 @@ class ConstraintSystem:
 
 
 def separates(F2: Graph, A: int, B: int) -> bool:
-    """True iff no edge of F2 joins A\\B to B\\A (vacuously true when either
-    difference is empty, and also when A and B are disjoint)."""
-    left = A & ~B
+    """True iff A & B separates A\\B from B\\A in F2: no path of F2 that
+    avoids A & B joins the two differences (vacuously true when either
+    difference is empty).  For disjoint A and B this asks that no path
+    join them at all."""
+    cut = A & B
     right = B & ~A
-    for v in _bits(left):
-        if F2.adj[v] & right:
+    reached = frontier = A & ~B
+    while frontier:
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= F2.adj[v]
+        if nxt & right:
             return False
+        frontier = nxt & ~cut & ~reached
+        reached |= frontier
     return True
 
 

@@ -3,7 +3,8 @@
 Every oracle here is deliberately independent of the implementation it
 checks: chordality by chordless-cycle enumeration, series-parallel by
 explicit K4-minor search, LP solving by vertex enumeration over exact
-rational linear algebra.
+rational linear algebra, the HDE objective by its subset form over
+brute-force maximal cliques.
 """
 
 import random
@@ -58,6 +59,45 @@ def brute_force_k4_minor(G: Graph) -> bool:
         return False
 
     return search([], 0, 0)
+
+
+def brute_force_maximal_cliques(G: Graph) -> list[int]:
+    """Every clique lies in the closed neighbourhood of its least vertex:
+    try each subset of the higher neighbours of each vertex, then keep the
+    cliques no other clique contains."""
+    cliques = []
+    for v in range(G.n):
+        higher = bits_of(G.adj[v] >> (v + 1) << (v + 1))
+        for size in range(len(higher) + 1):
+            for rest in combinations(higher, size):
+                verts = (v,) + rest
+                if all(G.has_edge(a, b) for a, b in combinations(verts, 2)):
+                    cliques.append(sum(1 << u for u in verts))
+    return sorted(c for c in cliques if not any(c != d and c & d == c for d in cliques))
+
+
+def objective_subset_form(F1: Graph, phi) -> tuple:
+    """Oracle for the HDE objective of the homomorphism phi: F1 -> F2.
+
+    Alternating sum over the sets S of maximal cliques of F1 with nonempty
+    common intersection, sign -(-1)^|S|, accumulated on the image subset
+    phi(intersection of S).  Returns the nonzero (image mask, coefficient)
+    terms sorted by mask, the shape of ``ObjectiveProfile.terms``.
+    """
+    cliques = brute_force_maximal_cliques(F1)
+    acc = {}
+
+    def rec(start: int, inter: int, size: int):
+        for idx in range(start, len(cliques)):
+            ni = inter & cliques[idx]
+            if not ni:
+                continue  # all supersets share the empty intersection
+            img = sum(1 << w for w in {phi.map[u] for u in bits_of(ni)})
+            acc[img] = acc.get(img, 0) + (1 if (size + 1) % 2 else -1)
+            rec(idx + 1, ni, size + 1)
+
+    rec(0, (1 << F1.n) - 1, 0)
+    return tuple((mask, Fraction(acc[mask])) for mask in sorted(acc) if acc[mask])
 
 
 # -- exact rational linear algebra for the LP oracle ----------------------

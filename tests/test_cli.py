@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from homdom import cli
+from homdom.checks import CheckReport
 from homdom.cli import main
 
 
@@ -155,3 +158,46 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     doc = json.loads(out_path.read_text())
     assert doc["result"]["product"] == "5/1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certificate", "--t", "3", "--batch", "0"],
+        ["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--exhaustive-n", "0"],
+        ["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1",
+         "--c", "1", "--exhaustive-n", "0"],
+        ["verify", "--mode", "lemma-identity", "--t", "2", "--samples", "0"],
+        ["verify", "--mode", "blakley-roy", "--k", "2", "--samples", "-1", "--n", "3"],
+    ],
+)
+def test_empty_scopes_are_usage_errors(capsys, argv):
+    # a verdict over zero graphs or certificates would be vacuous
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_lemma_identity_default_samples(capsys):
+    code, doc = run_json(capsys, "verify", "--mode", "lemma-identity", "--t", "2")
+    assert code == 0
+    assert doc["result"]["checked_points"] == 3 + 1 + cli.LEMMA_SAMPLES
+
+
+def test_blakley_roy_reports_the_largest_violation(capsys, monkeypatch):
+    # the inequality holds on every graph, so violations are simulated
+    margins = iter([Fraction(-1), Fraction(-3), Fraction(-2)])
+
+    def fake_check(G, k):
+        lhs = next(margins)
+        witness = {"graph": "", "lhs": str(lhs), "rhs": "0/1", "relation": "w_k >= d^k"}
+        return CheckReport("blakley-roy", {"k": k, "n": G.n}, "violated", (witness,), 0.0)
+
+    monkeypatch.setattr(cli, "check_blakley_roy", fake_check)
+    code, doc = run_json(
+        capsys, "verify", "--mode", "blakley-roy", "--k", "2", "--exhaustive-n", "2"
+    )
+    assert code == 1
+    assert doc["result"]["violations"] == 3
+    assert doc["result"]["witness"]["witnesses"][0]["lhs"] == "-3"

@@ -13,6 +13,7 @@ from homdom.errors import (
     NotSeriesParallel,
 )
 from homdom.graphs import (
+    clique_tree,
     complete,
     cycle,
     disjoint_union,
@@ -20,6 +21,7 @@ from homdom.graphs import (
     mask_of,
     path,
 )
+from homdom.checks import Scope, check_hde_definition
 from homdom.homs import Homomorphism, enumerate_homs
 from homdom.polytope import SetFunction, build_polytope, indicator_point, is_member, p_star, random_vertex_point
 from homdom.hde import (
@@ -27,22 +29,20 @@ from homdom.hde import (
     certify_upper,
     compute_hde,
     objective_clique_tree_form,
-    objective_subset_form,
     phi_i,
     psi,
 )
+from conftest import objective_subset_form
 
 
 def test_subset_form_single_clique():
     hom = Homomorphism(path(1), path(2), (1, 2))
-    prof = objective_subset_form(path(1), hom, path(2))
-    assert prof.terms == ((mask_of([1, 2]), Fraction(1)),)
+    assert objective_subset_form(path(1), hom) == ((mask_of([1, 2]), Fraction(1)),)
 
 
 def test_subset_form_p2_identity():
     hom = Homomorphism(path(2), path(2), (0, 1, 2))
-    prof = objective_subset_form(path(2), hom, path(2))
-    assert dict(prof.terms) == {
+    assert dict(objective_subset_form(path(2), hom)) == {
         mask_of([0, 1]): 1,
         mask_of([1, 2]): 1,
         mask_of([1]): -1,
@@ -51,14 +51,13 @@ def test_subset_form_p2_identity():
 
 def test_subset_form_psi_t1_cancels_end_vertices():
     h = psi(1)
-    prof = objective_subset_form(h.source, h, path(1))
-    assert dict(prof.terms) == {mask_of([0, 1]): 3}
+    assert dict(objective_subset_form(h.source, h)) == {mask_of([0, 1]): 3}
 
 
 def test_clique_tree_form_path_identity_is_lemma_rhs():
     for t in (1, 2, 3, 4):
         hom = Homomorphism(path(t), path(t), tuple(range(t + 1)))
-        prof = objective_clique_tree_form(path(t), hom, path(t))
+        prof = objective_clique_tree_form(clique_tree(path(t)), hom)
         expected = {mask_of([i, i + 1]): Fraction(1) for i in range(t)}
         for i in range(1, t):
             expected[mask_of([i])] = Fraction(-1)
@@ -67,15 +66,8 @@ def test_clique_tree_form_path_identity_is_lemma_rhs():
 
 def test_clique_tree_form_p0():
     hom = Homomorphism(path(0), path(2), (1,))
-    prof = objective_clique_tree_form(path(0), hom, path(2))
+    prof = objective_clique_tree_form(clique_tree(path(0)), hom)
     assert prof.terms == ((mask_of([1]), Fraction(1)),)
-
-
-def test_clique_tree_form_requires_chordal():
-    c = cycle(4)
-    hom = Homomorphism(c, c, (0, 1, 2, 3))
-    with pytest.raises(NotChordal):
-        objective_clique_tree_form(c, hom, c)
 
 
 def test_form_equivalence_on_the_stated_corpus():
@@ -90,10 +82,11 @@ def test_form_equivalence_on_the_stated_corpus():
     for t in range(1, 5):
         F2 = path(t)
         for F1 in sources:
+            tree = clique_tree(F1)
             for hom in enumerate_homs(F1, F2):
-                a = objective_subset_form(F1, hom, F2)
-                b = objective_clique_tree_form(F1, hom, F2)
-                assert a.terms == b.terms
+                a = objective_subset_form(F1, hom)
+                b = objective_clique_tree_form(tree, hom)
+                assert a == b.terms
                 count += 1
     assert count > 100
 
@@ -112,11 +105,6 @@ def test_compute_hde_identity_case():
     assert compute_hde(path(1), path(1)).value == 1
 
 
-def test_compute_hde_matches_subset_form():
-    f1 = disjoint_union([(path(0), 2), (path(3), 1)])
-    assert compute_hde(f1, path(1), objective_form="subset").value == 3
-
-
 def test_compute_hde_precondition_gates():
     with pytest.raises(NotChordal):
         compute_hde(cycle(4), path(2))
@@ -133,9 +121,8 @@ def test_component_decomposition_matches_expanded_lp():
     res = compute_hde(F1, F2)
 
     comp = path(2)
-    profiles = [
-        objective_clique_tree_form(comp, h, F2) for h in enumerate_homs(comp, F2)
-    ]
+    tree = clique_tree(comp)
+    profiles = [objective_clique_tree_form(tree, h) for h in enumerate_homs(comp, F2)]
     n_sub = 1 << F2.n
     full = n_sub - 1
     var_of = {m: i for i, m in enumerate(range(1, full))}
@@ -220,8 +207,8 @@ def test_psi_assembly_and_coverage():
 
 
 def test_certify_upper_examples():
-    assert certify_upper(1) == 3
-    assert certify_upper(3) == 5
+    for t in range(1, 12, 2):
+        assert certify_upper(t) == t + 2
     with pytest.raises(BadParity):
         certify_upper(4)
 
@@ -232,8 +219,9 @@ def test_certify_upper_is_constant_over_homs_at_p_star():
     star = p_star(t)
     f1_parts = ((path(0), 2), (path(3), t))
     for comp, _ in f1_parts:
+        tree = clique_tree(comp)
         values = {
-            objective_subset_form(comp, h, F2).evaluate(star)
+            objective_clique_tree_form(tree, h).evaluate(star)
             for h in enumerate_homs(comp, F2)
         }
         assert len(values) == 1
@@ -255,15 +243,39 @@ def test_active_witnesses_achieve_the_component_max():
     res = compute_hde(f1, path(1))
     total = Fraction(0)
     for comp, mult, homs in res.active:
-        vals = {
-            objective_clique_tree_form(comp, h, path(1)).evaluate(res.point)
-            for h in homs
-        }
+        tree = clique_tree(comp)
+        vals = {objective_clique_tree_form(tree, h).evaluate(res.point) for h in homs}
         assert len(vals) == 1
         best = max(
-            objective_clique_tree_form(comp, h, path(1)).evaluate(res.point)
+            objective_clique_tree_form(tree, h).evaluate(res.point)
             for h in enumerate_homs(comp, path(1))
         )
         assert vals == {best}
         total += mult * best
     assert total == res.value
+
+
+def test_certify_lower_matches_the_subset_oracle_on_all_of_psi():
+    for t in (1, 3, 5):
+        h = psi(t)
+        terms = objective_subset_form(h.source, h)
+        F2 = path(t)
+        for p in [indicator_point(F2, i) for i in range(t + 1)] + [p_star(t)]:
+            expected = sum((c * p[mask] for mask, c in terms), Fraction(0))
+            assert certify_lower(t, p) == expected == t + 2
+
+
+def test_certify_lower_t7():
+    # the source P0^2 P9^7 has 72 vertices, over the graph cap of 63
+    assert certify_lower(7, p_star(7)) == 9
+    assert certify_lower(7, indicator_point(path(7), 3)) == 9
+
+
+def test_compute_hde_uses_graph_separation():
+    # a polytope that made {0} and {2} of P3 modular overestimated both:
+    # 3/2 for (P4, P2), which K2 refutes, and 25/6 for (P0^2 P16, P3)
+    res = compute_hde(path(4), path(2))
+    assert res.value == 1
+    report = check_hde_definition(path(4), path(2), res.value, Scope.exhaustive_upto(4))
+    assert report.verdict == "holds"
+    assert compute_hde(disjoint_union([(path(0), 2), (path(16), 1)]), path(3)).value == 3

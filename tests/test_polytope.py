@@ -25,7 +25,10 @@ def test_separates_examples():
     P3 = path(3)
     assert separates(P3, mask_of([0, 1, 2]), mask_of([2, 3]))
     assert not separates(P3, mask_of([0, 1]), mask_of([0, 2]))
-    assert separates(P3, mask_of([0]), mask_of([2]))
+    # {0} and {2} are joined through vertex 1, which their (empty)
+    # intersection does not contain; {1} cuts {0} from {2}
+    assert not separates(P3, mask_of([0]), mask_of([2]))
+    assert separates(P3, mask_of([0, 1]), mask_of([1, 2]))
 
 
 def test_build_polytope_p1_exact():
@@ -46,15 +49,20 @@ def test_build_polytope_p1_exact():
 def test_build_polytope_p3_has_the_separation_equality():
     cs = build_polytope(path(3))
     assert cs.n_vars == 16
-    a, b = mask_of([0]), mask_of([2])
-    hits = [
-        c
-        for c in cs.constraints
-        if c.tag == "modular-separation"
-        and dict(c.terms).get(a) == -1
-        and dict(c.terms).get(b) == -1
-    ]
-    assert hits and all(c.rel == "=" for c in hits)
+
+    def rows_on(a, b):
+        return [
+            c
+            for c in cs.constraints
+            if dict(c.terms).get(a) == -1 and dict(c.terms).get(b) == -1
+        ]
+
+    separated = rows_on(mask_of([0, 1]), mask_of([1, 2]))
+    assert separated and all(
+        c.tag == "modular-separation" and c.rel == "=" for c in separated
+    )
+    joined = rows_on(mask_of([0]), mask_of([2]))
+    assert joined and all(c.tag == "submodular" and c.rel == "<=" for c in joined)
 
 
 def test_edgeless_ground_forces_modular_functions():
