@@ -18,6 +18,7 @@ from homdom.polytope import (
     separates,
     system_lp,
     vertex_by_lp,
+    _random_objective,
 )
 
 
@@ -186,3 +187,25 @@ def test_pruning_soundness_vertices_and_optima():
             b = ratlp.solve(system_lp(unpruned, objective))
             assert a.status == b.status == "optimal"
             assert a.value == b.value
+
+
+def test_hull_lift_recovers_polytope_points():
+    # every point of the polytope satisfies the equality rows, so its free
+    # coordinates determine it
+    for F2 in (path(1), path(3), path(5), complete(3)):
+        hull = build_polytope(F2).hull
+        points = [indicator_point(F2, i) for i in range(F2.n)]
+        if F2 == path(F2.n - 1):
+            points.append(p_star(F2.n - 1))
+        for p in points:
+            assert hull.lift([p[mask] for mask in hull.free]) == p.values
+
+
+def test_vertex_by_lp_matches_the_whole_system_lp():
+    for F2 in (path(2), path(3), path(4), complete(3)):
+        for cs in (build_polytope(F2), build_polytope_unpruned(F2)):
+            for seed in range(10):
+                objective = _random_objective(cs.n_vars, seed)
+                whole = ratlp.solve(system_lp(cs, objective))
+                assert whole.status == "optimal"
+                assert vertex_by_lp(cs, seed) == SetFunction(F2.n, whole.point)
