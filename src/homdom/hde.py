@@ -242,10 +242,20 @@ def certify_upper(t: int) -> Fraction:
     total = Fraction(0)
     for comp, mult in source:
         tree = clique_tree(comp)
-        total += mult * max(
-            objective_clique_tree_form(tree, hom).evaluate(star)
-            for hom in enumerate_homs(comp, F2)
-        )
+        # Many homomorphisms share a profile (58,450 of P13 into P11 have
+        # 6,862), so each distinct one is evaluated once.  Profiles are
+        # remembered by a short text key: a set of their Fraction terms
+        # would hold about 9 MB at t = 11.
+        seen: set[str] = set()
+        best = None
+        for hom in enumerate_homs(comp, F2):
+            prof = objective_clique_tree_form(tree, hom)
+            key = " ".join(f"{mask}:{c}" for mask, c in prof.terms)
+            if key not in seen:
+                seen.add(key)
+                value = prof.evaluate(star)
+                best = value if best is None else max(best, value)
+        total += mult * best
     return total
 
 

@@ -1,14 +1,19 @@
 """The polytope of normalized polymatroidal set functions over a graph.
 
 Subsets of the ground set V(F2) are bitmasks; the set-function value
-vector is indexed by mask.  Constraints: zero at the empty set, one at
-the full set, monotone, submodular, and modular (equality) on every
-incomparable pair (A, B) whose intersection separates A\\B from B\\A in
-the graph sense: every path of F2 from one difference to the other passes
-through A & B.  Monotonicity is emitted for covering pairs only and the
-submodular inequality is dropped where the modular equality subsumes it;
-the pruned system defines the same feasible set (tested against the
-unpruned one).
+vector is indexed by mask.  The polytope holds the p with p(empty) = 0,
+p(V) = 1, p monotone, p submodular, and p modular on every pair (A, B)
+whose intersection separates A\\B from B\\A in F2 (every path of F2 from
+one difference to the other passes through A & B).
+
+It is written in Shannon's elemental basis (Yeung, IEEE Trans. IT 1997):
+p(V-i) <= p(V) for each vertex i, and p(C) + p(C+i+j) <= p(C+i) + p(C+j)
+for each pair i < j and each set C of the other vertices, an equality
+exactly when C separates i from j.  That is 2 + n + C(n,2) 2^(n-2) rows.
+Every other monotone, submodular or modular row is a sum of these (chain
+rule), and when A & B separates A\\B from B\\A, each C between A & B and
+A | B that the sum uses separates its own i from its j; the test suite
+checks the result against the system written from the definition.
 
 Vertex LPs run over the free coordinates of the equality rows: solving
 those rows once per system writes every other subset value as an affine
@@ -22,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 from .errors import BadVertex, GroundMismatch, GroundTooLarge, RatlpError
 from .graphs import Graph, subset_label, _bits
@@ -158,7 +164,6 @@ def _hull(system: ConstraintSystem) -> Hull:
     free = tuple(m for m in range(system.n_vars) if m not in pivots)
     index = {mask: k for k, mask in enumerate(free)}
     rows = []
-    shared: dict = {}  # one object per distinct term and rhs: P6 has 5,475 rows
     bounds = [(c.terms, c.rel, c.rhs) for c in system.constraints if c.rel != "="]
     bounds += [(((m, Fraction(1)),), ">=", Fraction(0)) for m in pivots]
     for terms, rel, rhs in bounds:
@@ -168,13 +173,7 @@ def _hull(system: ConstraintSystem) -> Hull:
                 raise RatlpError("polytope LP came back infeasible")
             continue
         terms = sorted((index[f], w) for f, w in coeffs.items())
-        rows.append(
-            ratlp.Row(
-                tuple(shared.setdefault(term, term) for term in terms),
-                rel,
-                shared.setdefault(rhs - const, rhs - const),
-            )
-        )
+        rows.append(ratlp.Row(tuple(terms), rel, rhs - const))
     return Hull(free, pivots, tuple(rows))
 
 
@@ -197,77 +196,35 @@ def separates(F2: Graph, A: int, B: int) -> bool:
     return True
 
 
-def _pair_constraints(F2: Graph):
-    """Submodular / modular constraints over incomparable pairs, in
-    deterministic (A, B) order."""
-    n_sub = 1 << F2.n
-    out = []
-    one, minus, zero = Fraction(1), Fraction(-1), Fraction(0)
-    for A in range(1, n_sub):
-        for B in range(A + 1, n_sub):
-            if not (A & ~B) or not (B & ~A):
-                continue  # comparable: the condition degenerates
-            terms = ((A & B, one), (A | B, one), (A, minus), (B, minus))
-            if separates(F2, A, B):
-                out.append(Constraint("modular-separation", terms, "=", zero))
-            else:
-                out.append(Constraint("submodular", terms, "<=", zero))
-    return out
-
-
-def _monotone_constraints(F2: Graph, covering_only: bool):
-    n_sub = 1 << F2.n
-    one = Fraction(1)
-    out = []
-    for A in range(n_sub):
-        if covering_only:
-            free = (n_sub - 1) & ~A
-            for v in _bits(free):
-                B = A | (1 << v)
-                out.append(
-                    Constraint("monotone", ((A, one), (B, -one)), "<=", Fraction(0))
-                )
-        else:
-            # all strict supersets of A
-            for B in range(A + 1, n_sub):
-                if A & ~B:
-                    continue
-                out.append(
-                    Constraint("monotone", ((A, one), (B, -one)), "<=", Fraction(0))
-                )
-    return out
-
-
-def _assemble(F2: Graph, covering_only: bool) -> ConstraintSystem:
+@lru_cache(maxsize=None)
+def build_polytope(F2: Graph) -> ConstraintSystem:
+    """Constraint system of the polytope in the elemental basis, in
+    deterministic order: normalization, p(V-i) <= p(V) per vertex i, then
+    one row per pair i < j and set C of the other vertices."""
     if F2.n > GROUND_CAP:
         raise GroundTooLarge(f"ground set of {F2.n} vertices exceeds cap {GROUND_CAP}")
     full = (1 << F2.n) - 1
+    one, zero = Fraction(1), Fraction(0)
     cons = [
-        Constraint("normalization", ((0, Fraction(1)),), "=", Fraction(0)),
-        Constraint("normalization", ((full, Fraction(1)),), "=", Fraction(1)),
+        Constraint("normalization", ((0, one),), "=", zero),
+        Constraint("normalization", ((full, one),), "=", one),
     ]
-    cons.extend(_monotone_constraints(F2, covering_only))
-    cons.extend(_pair_constraints(F2))
-    seen = set()
-    dedup = []
-    for c in cons:
-        key = (c.terms, c.rel, c.rhs)
-        if key not in seen:
-            seen.add(key)
-            dedup.append(c)
-    return ConstraintSystem(F2.n, tuple(dedup))
-
-
-@lru_cache(maxsize=None)
-def build_polytope(F2: Graph) -> ConstraintSystem:
-    """Constraint system of the polytope, deduplicated, deterministic order."""
-    return _assemble(F2, covering_only=True)
-
-
-def build_polytope_unpruned(F2: Graph) -> ConstraintSystem:
-    """Reference system with monotonicity over every pair A subset-of B
-    (defines the same feasible set; kept as a pruning-soundness oracle)."""
-    return _assemble(F2, covering_only=False)
+    for i in range(F2.n):
+        cons.append(
+            Constraint("monotone", ((full & ~(1 << i), one), (full, -one)), "<=", zero)
+        )
+    for i, j in combinations(range(F2.n), 2):
+        rest = full & ~(1 << i) & ~(1 << j)
+        for C in range(rest + 1):
+            if C & ~rest:
+                continue
+            A, B = C | 1 << i, C | 1 << j
+            terms = ((C, one), (A | B, one), (A, -one), (B, -one))
+            if separates(F2, A, B):
+                cons.append(Constraint("modular-separation", terms, "=", zero))
+            else:
+                cons.append(Constraint("submodular", terms, "<=", zero))
+    return ConstraintSystem(F2.n, tuple(cons))
 
 
 def is_member(p: SetFunction, F2: Graph):

@@ -4,7 +4,8 @@ Every oracle here is deliberately independent of the implementation it
 checks: chordality by chordless-cycle enumeration, series-parallel by
 explicit K4-minor search, LP solving by vertex enumeration over exact
 rational linear algebra, the HDE objective by its subset form over
-brute-force maximal cliques.
+brute-force maximal cliques, the polytope by one row for every pair of
+subsets with separation found by breadth-first search.
 """
 
 import random
@@ -12,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from homdom.graphs import Graph, bits_of, from_edges
+from homdom.polytope import Constraint, ConstraintSystem
 
 
 def random_graph(n: int, rng: random.Random, edge_prob=Fraction(1, 2)) -> Graph:
@@ -98,6 +100,53 @@ def objective_subset_form(F1: Graph, phi) -> tuple:
 
     rec(0, (1 << F1.n) - 1, 0)
     return tuple((mask, Fraction(acc[mask])) for mask in sorted(acc) if acc[mask])
+
+
+def _separated(F2: Graph, A: int, B: int) -> bool:
+    """Breadth-first search from A\\B through vertices outside A & B;
+    True iff it never reaches B\\A."""
+    cut = A & B
+    queue = list(bits_of(A & ~B))
+    seen = set(queue)
+    while queue:
+        v = queue.pop(0)
+        for u in range(F2.n):
+            if not F2.has_edge(v, u) or cut >> u & 1 or u in seen:
+                continue
+            if B >> u & 1:
+                return False
+            seen.add(u)
+            queue.append(u)
+    return True
+
+
+def build_polytope_unpruned(F2: Graph) -> ConstraintSystem:
+    """Oracle for ``build_polytope``: the polytope from its definition.
+
+    Normalization, a monotone row for every A strictly inside B, and for
+    every incomparable pair (A, B) the submodular row, an equality when
+    A & B separates A\\B from B\\A.  About 4^n rows.
+    """
+    n_sub = 1 << F2.n
+    one, zero = Fraction(1), Fraction(0)
+    cons = [
+        Constraint("normalization", ((0, one),), "=", zero),
+        Constraint("normalization", ((n_sub - 1, one),), "=", one),
+    ]
+    for A in range(n_sub):
+        for B in range(A + 1, n_sub):
+            if not A & ~B:
+                cons.append(Constraint("monotone", ((A, one), (B, -one)), "<=", zero))
+    for A in range(1, n_sub):
+        for B in range(A + 1, n_sub):
+            if not A & ~B or not B & ~A:
+                continue
+            terms = ((A & B, one), (A | B, one), (A, -one), (B, -one))
+            if _separated(F2, A, B):
+                cons.append(Constraint("modular-separation", terms, "=", zero))
+            else:
+                cons.append(Constraint("submodular", terms, "<=", zero))
+    return ConstraintSystem(F2.n, tuple(cons))
 
 
 # -- exact rational linear algebra for the LP oracle ----------------------

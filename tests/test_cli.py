@@ -128,7 +128,7 @@ def test_dump_polytope(capsys):
     code, out, err = run_cli(capsys, "dump-polytope", "--f2", "path:1")
     assert code == 0
     assert out.splitlines()[0] == "normalization: 1/1*p[{}] = 0/1"
-    assert len(out.splitlines()) == 7
+    assert len(out.splitlines()) == 5
 
 
 def test_usage_errors(capsys):

@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from conftest import build_polytope_unpruned
 from homdom import lp as ratlp
 from homdom.errors import BadVertex, GroundMismatch, GroundTooLarge
-from homdom.graphs import complete, from_edges, mask_of, path
+from homdom.graphs import complete, cycle, from_edges, mask_of, path, star
 from homdom.polytope import (
     SetFunction,
     build_polytope,
-    build_polytope_unpruned,
     dump_polytope,
     indicator_point,
     is_member,
@@ -39,12 +40,18 @@ def test_build_polytope_p1_exact():
     assert lines == [
         "normalization: 1/1*p[{}] = 0/1",
         "normalization: 1/1*p[{0,1}] = 1/1",
-        "monotone: 1/1*p[{}] - 1/1*p[{0}] <= 0/1",
-        "monotone: 1/1*p[{}] - 1/1*p[{1}] <= 0/1",
-        "monotone: 1/1*p[{0}] - 1/1*p[{0,1}] <= 0/1",
         "monotone: 1/1*p[{1}] - 1/1*p[{0,1}] <= 0/1",
+        "monotone: 1/1*p[{0}] - 1/1*p[{0,1}] <= 0/1",
         "submodular: 1/1*p[{}] + 1/1*p[{0,1}] - 1/1*p[{0}] - 1/1*p[{1}] <= 0/1",
     ]
+
+
+def test_elemental_row_count():
+    # 2 normalization + n monotone + one row per pair and set of the others
+    for F2 in [path(t) for t in range(1, 7)] + [cycle(5)]:
+        n = F2.n
+        assert len(build_polytope(F2).constraints) == 2 + n + comb(n, 2) * 2 ** (n - 2)
+    assert len(build_polytope(path(6)).constraints) == 681
 
 
 def test_build_polytope_p3_has_the_separation_equality():
@@ -171,12 +178,24 @@ def test_build_determinism_byte_level():
 
 def test_pruning_soundness_vertices_and_optima():
     rng = random.Random(2024)
-    for F2 in (path(2), path(3), complete(3)):
+    grounds = (
+        path(2),
+        path(3),
+        complete(3),
+        cycle(4),
+        cycle(5),
+        from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),  # K_{2,3}
+        star(3),
+        from_edges(3, []),
+        from_edges(4, [(0, 1), (2, 3)]),  # 2K_2
+    )
+    for F2 in grounds:
         pruned = build_polytope(F2)
         unpruned = build_polytope_unpruned(F2)
         for seed in range(50):
             vp = vertex_by_lp(pruned, seed)
             vu = vertex_by_lp(unpruned, seed)
+            assert vp == vu, (F2, seed)
             assert all(c.satisfied_by(vp) for c in unpruned.constraints)
             assert all(c.satisfied_by(vu) for c in pruned.constraints)
         for _ in range(20):
