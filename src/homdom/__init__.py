@@ -26,6 +26,7 @@ from .homs import (
     hom_density,
     normalized_walks,
     walk_count,
+    walk_counts,
 )
 from .polytope import (
     Constraint,

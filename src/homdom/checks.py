@@ -2,9 +2,11 @@
 identities behind the domination-exponent computation.
 
 Every comparison is exact: rationals are compared by integer
-cross-multiplication inside Fraction, fractional exponents are handled by
-raising both sides to the exponent's denominator, and every verdict comes
-with a witness from which the comparison can be reproduced.
+cross-multiplication (inside Fraction, or on the integer margins of a
+sweep), fractional exponents are handled by raising both sides to the
+exponent's denominator, and every verdict comes with a witness from which
+the comparison can be reproduced.  A check over a scope with no graphs
+raises ``EmptyScope`` instead of returning a vacuous "holds".
 """
 
 from __future__ import annotations
@@ -14,9 +16,26 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BadIndex, BadParity, EmptyGraph, HomdomError, NotMember, ScopeTooLarge
+from .errors import (
+    BadIndex,
+    BadParity,
+    EmptyGraph,
+    EmptyScope,
+    HomdomError,
+    NotMember,
+    ScopeTooLarge,
+)
 from .graphs import Graph, from_edges, path, serialize_graph, star
-from .homs import average_degree, count_homs, hom_density, normalized_walks
+# count_homs is not called here; it stays a module attribute so that
+# bench/spans.py can rebind it like from_edges and normalized_walks.
+from .homs import (
+    HomPlan,
+    average_degree,
+    count_homs,
+    hom_density,
+    normalized_walks,
+    walk_counts,
+)
 from .polytope import SetFunction, is_member
 
 EXHAUSTIVE_CAP = 6
@@ -72,7 +91,8 @@ class Scope:
 
     @staticmethod
     def graphs(items) -> "Scope":
-        return Scope("explicit", {"count": len(tuple(items))}, tuple(items))
+        items = tuple(items)
+        return Scope("explicit", {"count": len(items)}, items)
 
     def describe(self) -> dict:
         out = {"kind": self.kind}
@@ -149,13 +169,35 @@ def check_blakley_roy(G: Graph, k: int) -> CheckReport:
     )
 
 
-def _walk_sides(G: Graph, t: int, k: int) -> tuple[Fraction, Fraction]:
-    """(w_k^t, w_t^k) for the walk inequality."""
-    if G.n == 0:
-        raise EmptyGraph("walk inequality needs at least one vertex")
+def _check_indices(t: int, k: int) -> None:
     if not 1 <= t <= k:
         raise BadIndex(f"need 1 <= t <= k, got t={t}, k={k}")
-    return normalized_walks(G, k) ** t, normalized_walks(G, t) ** k
+
+
+def _walk_totals(G: Graph, t: int, k: int) -> tuple[int, int]:
+    """(W_k, W_t): the numbers of walks with k and with t edges in G, both
+    from one walk-count chain."""
+    if G.n == 0:
+        raise EmptyGraph("walk inequality needs at least one vertex")
+    walks = walk_counts(G, (t, k))
+    return walks[k], walks[t]
+
+
+def _margin(n: int, wk: int, wt: int, t: int, k: int) -> tuple[int, int]:
+    """w_k^t - w_t^k, with w_j = W_j / n, as the integer pair
+    (W_k^t * n^(k-t) - W_t^k, n^k)."""
+    return wk**t * n ** (k - t) - wt**k, n**k
+
+
+def _sides(n: int, wk: int, wt: int, t: int, k: int) -> tuple[Fraction, Fraction]:
+    """(w_k^t, w_t^k) from the walk totals."""
+    return Fraction(wk, n) ** t, Fraction(wt, n) ** k
+
+
+def _walk_sides(G: Graph, t: int, k: int) -> tuple[Fraction, Fraction]:
+    """(w_k^t, w_t^k) for the walk inequality."""
+    _check_indices(t, k)
+    return _sides(G.n, *_walk_totals(G, t, k), t, k)
 
 
 def check_walk_inequality(G: Graph, t: int, k: int) -> CheckReport:
@@ -196,25 +238,31 @@ def check_density_form(G: Graph, t: int, k: int) -> CheckReport:
 
 def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     """Run the walk inequality across a scope, keeping the worst-margin
-    witness."""
+    witness (the first graph with the smallest margin).
+
+    Margins stay integer pairs (numerator, denominator) compared by
+    cross-multiplication; only the reported witness gets Fraction sides.
+    """
     t0 = time.perf_counter()
+    _check_indices(t, k)
     checked = 0
     violated = 0
-    worst = None  # (margin, graph, lhs, rhs)
+    worst = None  # (numerator, denominator, graph, W_k, W_t)
     for G in scope:
-        lhs, rhs = _walk_sides(G, t, k)
+        wk, wt = _walk_totals(G, t, k)
+        num, den = _margin(G.n, wk, wt, t, k)
         checked += 1
-        if lhs < rhs:
+        if num < 0:
             violated += 1
-        margin = lhs - rhs
-        if worst is None or margin < worst[0]:
-            worst = (margin, G, lhs, rhs)
+        if worst is None or num * worst[1] < worst[0] * den:
+            worst = (num, den, G, wk, wt)
+    if worst is None:
+        raise EmptyScope("sweep needs at least one graph")
+    num, den, G, wk, wt = worst
     params = {"t": t, "k": k, "scope": scope.describe(), "checked": checked,
-              "violations": violated}
-    if worst is not None:
-        params["worst_margin"] = _rat(worst[0])
+              "violations": violated, "worst_margin": _rat(Fraction(num, den))}
     verdict = "holds" if violated == 0 else "violated"
-    witnesses = (_witness(*worst[1:], "w_k^t >= w_t^k"),) if worst else ()
+    witnesses = (_witness(G, *_sides(G.n, wk, wt, t, k), "w_k^t >= w_t^k"),)
     return CheckReport("sweep", params, verdict, witnesses, time.perf_counter() - t0)
 
 
@@ -227,16 +275,17 @@ def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
     checked = 0
     for G in scope:
         checked += 1
-        lhs = normalized_walks(G, k) ** t
-        rhs = normalized_walks(G, t) ** k
-        if lhs < rhs:
+        wk, wt = _walk_totals(G, t, k)
+        if _margin(G.n, wk, wt, t, k)[0] < 0:
             return CheckReport(
                 "counterexample",
                 {"t": t, "k": k, "scope": scope.describe(), "checked": checked},
                 "counterexample-found",
-                (_witness(G, lhs, rhs, "w_k^t < w_t^k"),),
+                (_witness(G, *_sides(G.n, wk, wt, t, k), "w_k^t < w_t^k"),),
                 time.perf_counter() - t0,
             )
+    if not checked:
+        raise EmptyScope("counterexample search needs at least one graph")
     return CheckReport(
         "counterexample",
         {"t": t, "k": k, "scope": scope.describe(), "checked": checked},
@@ -301,11 +350,12 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
     t0 = time.perf_counter()
     c = Fraction(c)
     a, b = c.numerator, c.denominator
+    plan1, plan2 = HomPlan(F1), HomPlan(F2)
     checked = 0
     for G in scope:
         checked += 1
-        h1 = count_homs(F1, G)
-        h2 = count_homs(F2, G)
+        h1 = plan1.count(G)
+        h2 = plan2.count(G)
         if h1**b < h2**a:
             return CheckReport(
                 "hde-definition",
@@ -321,6 +371,8 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
                 ),
                 time.perf_counter() - t0,
             )
+    if not checked:
+        raise EmptyScope("definition check needs at least one graph")
     return CheckReport(
         "hde-definition",
         {"c": _rat(c), "scope": scope.describe(), "checked": checked},

@@ -24,6 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import (
     BadParity,
+    EmptyScope,
     GroundTooLarge,
     HomdomError,
     MalformedInput,
@@ -388,7 +389,7 @@ def main(argv=None) -> int:
     except _PRECONDITION_ERRORS as exc:
         sys.stderr.write(f"homdom: precondition failed: {exc}\n")
         return PRECONDITION_ERROR
-    except (MalformedInput, BadParity, ScopeTooLarge, FileNotFoundError) as exc:
+    except (MalformedInput, BadParity, EmptyScope, ScopeTooLarge, FileNotFoundError) as exc:
         sys.stderr.write(f"homdom: {exc}\n")
         return USAGE_ERROR
     except HomdomError as exc:

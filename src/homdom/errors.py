@@ -57,5 +57,9 @@ class ScopeTooLarge(HomdomError):
     """Requested exhaustive search scope is beyond desk scale."""
 
 
+class EmptyScope(HomdomError):
+    """A check was given a scope with no graphs: its verdict would be vacuous."""
+
+
 class RatlpError(HomdomError):
     """Internal failure of the exact LP layer."""

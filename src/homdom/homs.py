@@ -18,6 +18,8 @@ __all__ = [
     "Homomorphism",
     "enumerate_homs",
     "count_homs",
+    "HomPlan",
+    "walk_counts",
     "walk_count",
     "normalized_walks",
     "hom_density",
@@ -36,12 +38,23 @@ class Homomorphism:
     def __post_init__(self):
         if len(self.map) != self.source.n:
             raise MalformedInput("map must assign every source vertex")
-        for u, v in self.source.edges():
-            a, b = self.map[u], self.map[v]
-            if a == b or not self.target.has_edge(a, b):
-                raise MalformedInput(
-                    f"map does not preserve edge {{{u},{v}}}: sends it to {{{a},{b}}}"
-                )
+        # Each source edge {u, v}, u < v, is tested once against the target's
+        # row of u's image; targets are loopless, so this also rejects a == b.
+        m, target = self.map, self.target.adj
+        for u, row in enumerate(self.source.adj):
+            row = row >> (u + 1) << (u + 1)
+            if not row:
+                continue
+            a = m[u]
+            image_row = target[a]
+            while row:
+                bit = row & -row
+                row ^= bit
+                v = bit.bit_length() - 1
+                if not image_row >> m[v] & 1:
+                    raise MalformedInput(
+                        f"map does not preserve edge {{{u},{v}}}: sends it to {{{a},{m[v]}}}"
+                    )
 
     def image_mask(self, source_mask: int) -> int:
         """Bitmask of the images of the given source subset."""
@@ -103,39 +116,79 @@ def _is_path_shaped(g: Graph) -> bool:
     return len(g.connected_components()) == 1
 
 
-def _count_connected(F: Graph, G: Graph) -> int:
-    if _is_path_shaped(F):
-        return walk_count(G, F.n - 1)
-    return sum(1 for _ in _enumerate_maps(F, G))
+class HomPlan:
+    """The connected components of a source F, split once into path
+    lengths (counted as walks) and the rest (counted by backtracking), so
+    that |Hom(F; G)| over many targets G does not re-decompose F."""
+
+    __slots__ = ("paths", "others")
+
+    def __init__(self, F: Graph):
+        self.paths: dict[int, int] = {}  # walk length -> multiplicity
+        self.others: list[tuple[Graph, int]] = []
+        for comp, mult in expand_components(F):
+            if _is_path_shaped(comp):
+                k = comp.n - 1
+                self.paths[k] = self.paths.get(k, 0) + mult
+            else:
+                self.others.append((comp, mult))
+
+    def count(self, G: Graph) -> int:
+        """Exact |Hom(F; G)|."""
+        total = 1
+        for k, w in walk_counts(G, self.paths).items():
+            if w == 0:
+                return 0
+            total *= w ** self.paths[k]
+        for comp, mult in self.others:
+            c = sum(1 for _ in _enumerate_maps(comp, G))
+            if c == 0:
+                return 0
+            total *= c**mult
+        return total
 
 
 def count_homs(F: Graph, G: Graph) -> int:
-    """Exact |Hom(F; G)|.
+    """Exact |Hom(F;G)|.
 
     Computed per connected component of F and multiplied; path-shaped
-    components use the walk-count oracle, all others plain backtracking.
+    components use the walk counts, all others plain backtracking.
     """
-    total = 1
-    for comp, mult in expand_components(F):
-        c = _count_connected(comp, G)
-        if c == 0:
-            return 0
-        total *= c**mult
-    return total
+    return HomPlan(F).count(G)
+
+
+def walk_counts(G: Graph, lengths) -> dict[int, int]:
+    """Total number of walks of each given length in G, as exact integers.
+
+    With v_0 = 1, v_1 = the degrees and v_{a+1} = A·v_a, the number of
+    walks with 2a edges is v_a·v_a and with 2a+1 edges v_a·v_{a+1}.  So
+    every length up to k >= 1 comes from one chain of ⌈k/2⌉ − 1 integer
+    matrix-vector products, one per neighbour-tuple pass over the rows.
+    """
+    lengths = sorted(set(lengths))
+    if lengths and lengths[0] < 0:
+        raise MalformedInput("walk length must be non-negative")
+    if not lengths:
+        return {}
+    chain = [[1] * G.n, [row.bit_count() for row in G.adj]]
+    top = (lengths[-1] + 1) // 2
+    if top >= 2:
+        rows = [tuple(_bits(row)) for row in G.adj]
+        while len(chain) <= top:
+            v = chain[-1]
+            chain.append([sum([v[u] for u in row]) for row in rows])
+    out = {}
+    for k in lengths:
+        a, b = chain[k // 2], chain[(k + 1) // 2]
+        out[k] = sum([x * y for x, y in zip(a, b)])
+    return out
 
 
 def walk_count(G: Graph, k: int) -> int:
-    """Total number of walks with k edges in G, as an exact integer.
-
-    Equals the sum of all entries of the k-th adjacency power, computed
-    with k integer matrix-vector products.  walk_count(G, 0) == n.
-    """
-    if k < 0:
-        raise MalformedInput("walk length must be non-negative")
-    vec = [1] * G.n
-    for _ in range(k):
-        vec = [sum(vec[u] for u in _bits(G.adj[v])) for v in range(G.n)]
-    return sum(vec)
+    """Total number of walks with k edges in G, as an exact integer:
+    the sum of all entries of the k-th adjacency power.
+    walk_count(G, 0) == n."""
+    return walk_counts(G, (k,))[k]
 
 
 def normalized_walks(G: Graph, k: int) -> Fraction:

@@ -5,7 +5,8 @@ checks: chordality by chordless-cycle enumeration, series-parallel by
 explicit K4-minor search, LP solving by vertex enumeration over exact
 rational linear algebra, the HDE objective by its subset form over
 brute-force maximal cliques, the polytope by one row for every pair of
-subsets with separation found by breadth-first search.
+subsets with separation found by breadth-first search, walk counts by
+integer adjacency-matrix powers.
 """
 
 import random
@@ -20,6 +21,21 @@ def random_graph(n: int, rng: random.Random, edge_prob=Fraction(1, 2)) -> Graph:
     a, b = edge_prob.numerator, edge_prob.denominator
     edges = [(u, v) for v in range(n) for u in range(v) if rng.randrange(b) < a]
     return from_edges(n, edges)
+
+
+def matrix_walk_counts(n: int, edges, k_max: int) -> list[int]:
+    """Entry sums of A^0, A^1, ..., A^k_max for the adjacency matrix A of
+    the graph on n vertices with the given edges."""
+    A = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        A[u][v] = A[v][u] = 1
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    sums = []
+    for _ in range(k_max + 1):
+        sums.append(sum(map(sum, power)))
+        power = [[sum(power[i][m] * A[m][j] for m in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return sums
 
 
 def _is_connected(G: Graph) -> bool:

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from homdom.errors import BadParity, EmptyGraph, NotMember, ScopeTooLarge
-from homdom.graphs import Graph, complete, disjoint_union, from_edges, path
+from homdom.errors import BadParity, EmptyGraph, EmptyScope, NotMember, ScopeTooLarge
+from homdom.graphs import Graph, complete, disjoint_union, from_edges, path, serialize_graph
 from homdom.polytope import SetFunction, indicator_point, p_star, random_vertex_point
 from homdom.checks import (
     Scope,
@@ -17,6 +17,7 @@ from homdom.checks import (
     labeled_graphs,
     sweep,
 )
+from conftest import matrix_walk_counts
 
 
 def test_blakley_roy_examples():
@@ -76,6 +77,66 @@ def test_sweep_random_scope_is_reproducible():
     b = sweep(1, 3, Scope.random(25, 6, Fraction(1, 3), seed=42))
     assert a.verdict == b.verdict == "holds"
     assert a.witnesses == b.witnesses
+
+
+def test_integer_margin_sweep_matches_fraction_sides():
+    # the sweep compares integer margins; recompute every report field from
+    # Fraction sides over matrix-power walk counts, keeping the first graph
+    # with the smallest margin
+    graphs = list(Scope.exhaustive_upto(5))
+    walks = [matrix_walk_counts(G.n, G.edges(), 5) for G in graphs]
+    first_violation = None
+    for t, k in ((1, 3), (3, 5), (1, 5), (2, 3)):
+        violations = 0
+        worst = None  # (margin, graph, lhs, rhs)
+        for index, (G, W) in enumerate(zip(graphs, walks), 1):
+            lhs, rhs = Fraction(W[k], G.n) ** t, Fraction(W[t], G.n) ** k
+            if lhs < rhs:
+                violations += 1
+                if (t, k) == (2, 3) and first_violation is None:
+                    first_violation = index
+            if worst is None or lhs - rhs < worst[0]:
+                worst = (lhs - rhs, G, lhs, rhs)
+        rep = sweep(t, k, Scope.exhaustive_upto(5))
+        assert rep.verdict == ("holds" if violations == 0 else "violated")
+        assert rep.params["checked"] == len(graphs)
+        assert rep.params["violations"] == violations
+        margin, G, lhs, rhs = worst
+        assert rep.params["worst_margin"] == f"{margin.numerator}/{margin.denominator}"
+        (w,) = rep.witnesses
+        assert w["graph"] == serialize_graph(G)
+        assert (Fraction(w["lhs"]), Fraction(w["rhs"])) == (lhs, rhs)
+    rep = find_counterexample(2, 3, Scope.exhaustive_upto(5))
+    assert rep.verdict == "counterexample-found"
+    assert rep.params["checked"] == first_violation
+
+
+def test_scope_graphs_accepts_a_generator():
+    scope = Scope.graphs(g for g in [path(1), path(2)])
+    assert scope.describe() == {"kind": "explicit", "count": 2}
+    assert list(scope) == [path(1), path(2)]
+    assert sweep(1, 3, scope).params["checked"] == 2
+
+
+EMPTY_SCOPES = [Scope.graphs([]), Scope.random(0, 4, Fraction(1, 2), seed=0)]
+
+
+@pytest.mark.parametrize("scope", EMPTY_SCOPES)
+def test_sweep_refuses_an_empty_scope(scope):
+    with pytest.raises(EmptyScope):
+        sweep(1, 3, scope)
+
+
+@pytest.mark.parametrize("scope", EMPTY_SCOPES)
+def test_find_counterexample_refuses_an_empty_scope(scope):
+    with pytest.raises(EmptyScope):
+        find_counterexample(2, 3, scope)
+
+
+@pytest.mark.parametrize("scope", EMPTY_SCOPES)
+def test_hde_definition_refuses_an_empty_scope(scope):
+    with pytest.raises(EmptyScope):
+        check_hde_definition(path(1), path(1), Fraction(1), scope)
 
 
 def test_scope_caps():

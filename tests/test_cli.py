@@ -179,6 +179,17 @@ def test_empty_scopes_are_usage_errors(capsys, argv):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch):
+    # the library refuses a scope with no graphs; the CLI reports it as bad input
+    monkeypatch.setattr(cli, "_verify_scope", lambda args: cli.Scope.graphs([]))
+    code, out, err = run_cli(
+        capsys, "verify", "--mode", "counterexample", "--t", "2", "--k", "3", "--samples", "1",
+        "--n", "3",
+    )
+    assert code == 2 and out == ""
+    assert "at least one graph" in err
+
+
 def test_lemma_identity_default_samples(capsys):
     code, doc = run_json(capsys, "verify", "--mode", "lemma-identity", "--t", "2")
     assert code == 0

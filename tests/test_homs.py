@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,9 +14,10 @@ from homdom.homs import (
     hom_density,
     normalized_walks,
     walk_count,
+    walk_counts,
 )
 from homdom.checks import labeled_graphs
-from conftest import random_graph
+from conftest import matrix_walk_counts, random_graph
 
 
 def test_homomorphism_validation():
@@ -56,6 +58,39 @@ def test_walk_count_examples():
     for _ in range(20):
         G = random_graph(rng.randint(0, 7), rng)
         assert walk_count(G, 0) == G.n
+
+
+def _walk_counts_agree(n, edges, k_max=9):
+    G = from_edges(n, edges)
+    expected = matrix_walk_counts(n, edges, k_max)
+    assert walk_counts(G, range(k_max + 1)) == dict(enumerate(expected))
+    assert [walk_count(G, k) for k in range(k_max + 1)] == expected
+
+
+def test_walk_counts_match_adjacency_matrix_powers():
+    # every labeled graph with n <= 5, lengths 0..9
+    for n in range(6):
+        slots = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            _walk_counts_agree(n, [slots[b] for b in range(len(slots)) if mask >> b & 1])
+    rng = random.Random(2024)
+    for _ in range(50):
+        n = 8
+        _walk_counts_agree(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
+
+
+def test_walk_counts_edge_cases():
+    empty = Graph(0, ())
+    assert walk_counts(empty, range(4)) == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert walk_count(empty, 0) == 0
+    G = path(3)
+    assert walk_counts(G, ()) == {}
+    assert walk_counts(G, (5, 3, 5)) == {3: walk_count(G, 3), 5: walk_count(G, 5)}
+    assert walk_count(G, 0) == G.n
+    with pytest.raises(MalformedInput):
+        walk_counts(G, (3, -1))
+    with pytest.raises(MalformedInput):
+        walk_count(G, -1)
 
 
 def test_normalized_walks_examples():
