@@ -22,6 +22,7 @@ from .errors import (
     EmptyGraph,
     EmptyScope,
     HomdomError,
+    MalformedInput,
     NotMember,
     ScopeTooLarge,
 )
@@ -80,9 +81,11 @@ class Scope:
 
     @staticmethod
     def random(samples: int, n: int, edge_prob, seed: int) -> "Scope":
+        edge_prob = Fraction(edge_prob)
+        if not 0 <= edge_prob <= 1:
+            raise MalformedInput(f"edge probability must be in [0, 1], got {edge_prob}")
         return Scope(
-            "random",
-            {"samples": samples, "n": n, "edge_prob": Fraction(edge_prob), "seed": seed},
+            "random", {"samples": samples, "n": n, "edge_prob": edge_prob, "seed": seed}
         )
 
     @staticmethod

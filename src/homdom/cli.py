@@ -23,8 +23,12 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import (
+    BadIndex,
     BadParity,
+    BadVertex,
+    EmptyGraph,
     EmptyScope,
+    GraphTooLarge,
     GroundTooLarge,
     HomdomError,
     MalformedInput,
@@ -52,6 +56,8 @@ PRECONDITION_ERROR = 3
 LEMMA_SAMPLES = 25  # random polytope vertices per lemma-identity run
 
 _PRECONDITION_ERRORS = (NotChordal, NotSeriesParallel, NoHomomorphism, GroundTooLarge)
+_USAGE_ERRORS = (MalformedInput, BadParity, BadIndex, BadVertex, EmptyGraph, GraphTooLarge,
+                 EmptyScope, ScopeTooLarge, FileNotFoundError)
 
 
 def _rat(q: Fraction) -> str:
@@ -389,7 +395,7 @@ def main(argv=None) -> int:
     except _PRECONDITION_ERRORS as exc:
         sys.stderr.write(f"homdom: precondition failed: {exc}\n")
         return PRECONDITION_ERROR
-    except (MalformedInput, BadParity, EmptyScope, ScopeTooLarge, FileNotFoundError) as exc:
+    except _USAGE_ERRORS as exc:
         sys.stderr.write(f"homdom: {exc}\n")
         return USAGE_ERROR
     except HomdomError as exc:

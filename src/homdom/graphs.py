@@ -2,14 +2,12 @@
 
 Vertices are 0-based integers 0..n-1.  Row ``adj[v]`` is an integer whose
 bit ``u`` is set iff {u, v} is an edge.  Graphs are immutable; every
-operation returns a fresh Graph.  Disjoint unions remember their
-factorization (``component_spec``) so downstream solvers can exploit it
-without re-decomposing.
+operation returns a fresh Graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GraphTooLarge, MalformedInput, NotChordal
 
@@ -22,9 +20,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    component_spec: tuple[tuple["Graph", int], ...] | None = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self):
         if self.n < 0:
@@ -43,21 +38,6 @@ class Graph:
             for u in range(v):
                 if (self.adj[v] >> u & 1) != (self.adj[u] >> v & 1):
                     raise MalformedInput(f"adjacency not symmetric at {{{u},{v}}}")
-        if self.component_spec is not None:
-            self._check_spec()
-
-    def _check_spec(self):
-        offset = 0
-        for part, mult in self.component_spec:
-            if mult < 0:
-                raise MalformedInput("component multiplicity must be >= 0")
-            for _ in range(mult):
-                for v in range(part.n):
-                    if self.adj[offset + v] != part.adj[v] << offset:
-                        raise MalformedInput("component_spec does not match adjacency")
-                offset += part.n
-        if offset != self.n:
-            raise MalformedInput("component_spec does not cover all vertices")
 
     # -- basic accessors ------------------------------------------------
 
@@ -191,54 +171,26 @@ def complete(k: int) -> Graph:
 
 
 def disjoint_union(parts) -> Graph:
-    """Disjoint union of (graph, multiplicity) parts with shifted labels.
-
-    The factorization is retained on the result as ``component_spec``.
-    """
-    spec = tuple((g, int(m)) for g, m in parts)
+    """Disjoint union of (graph, multiplicity) parts with shifted labels."""
     rows: list[int] = []
     offset = 0
-    for g, m in spec:
+    for g, m in parts:
         if m < 0:
             raise MalformedInput("multiplicity must be >= 0")
         for _ in range(m):
             rows.extend(r << offset for r in g.adj)
             offset += g.n
-    return Graph(offset, tuple(rows), component_spec=spec)
+    return Graph(offset, tuple(rows))
 
 
 def expand_components(G: Graph) -> list[tuple[Graph, int]]:
-    """Connected components with multiplicities, merging equal labeled graphs.
-
-    Uses the recorded factorization when present so union shapes like
-    P0^2 P5^3 never get re-decomposed; otherwise splits by connectivity.
-    """
-    pieces: list[Graph] = []
-
-    def walk(g: Graph, mult: int):
-        if mult == 0:
-            return
-        if g.component_spec is not None:
-            for sub, m in g.component_spec:
-                walk(sub, mult * m)
-        else:
-            comps = g.connected_components()
-            if len(comps) == 1 and g.n > 0:
-                pieces.extend([g] * mult)
-            else:
-                for verts in comps:
-                    pieces.extend([g.induced(verts)] * mult)
-
-    walk(G, 1)
-    grouped: list[tuple[Graph, int]] = []
-    for g in pieces:
-        for i, (h, m) in enumerate(grouped):
-            if h == g:
-                grouped[i] = (h, m + 1)
-                break
-        else:
-            grouped.append((g, 1))
-    return grouped
+    """Connected components with multiplicities, equal labeled graphs
+    merged, in order of their smallest vertex."""
+    counts: dict[Graph, int] = {}
+    for verts in G.connected_components():
+        part = G.induced(verts)
+        counts[part] = counts.get(part, 0) + 1
+    return list(counts.items())
 
 
 # -- cliques and chordality ---------------------------------------------
@@ -383,53 +335,30 @@ def clique_tree(G: Graph) -> CliqueTree:
 def is_series_parallel(G: Graph) -> bool:
     """True iff G has no K4 minor.
 
-    Runs the exhaustive reduction: drop loops, merge parallel edges,
-    delete degree<=1 vertices, suppress degree-2 vertices; G is
-    series-parallel iff this empties the graph.
+    Reduces a copy of the adjacency rows: delete a vertex of degree <= 1,
+    or one of degree 2 after joining its two neighbours.  G is
+    series-parallel iff this empties the graph; once every vertex left
+    has degree >= 3 the graph has a K4 minor.
     """
-    # multigraph state: neighbor multiset per live vertex
-    mult: dict[tuple[int, int], int] = {}
-    nbrs: dict[int, set[int]] = {v: set() for v in range(G.n)}
-    for u, v in G.edges():
-        mult[(u, v)] = 1
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-
-    def drop_edge(a, b):
-        key = (min(a, b), max(a, b))
-        del mult[key]
-        nbrs[a].discard(b)
-        nbrs[b].discard(a)
-
+    rows = list(G.adj)
+    live = (1 << G.n) - 1
     changed = True
-    while changed and nbrs:
+    while live and changed:
         changed = False
-        for key in list(mult):
-            if mult.get(key, 0) > 1:
-                mult[key] = 1
-                changed = True
-        for v in list(nbrs):
-            deg = sum(mult[(min(v, u), max(v, u))] for u in nbrs[v])
-            if deg <= 1:
-                for u in list(nbrs[v]):
-                    drop_edge(v, u)
-                del nbrs[v]
-                changed = True
-            elif deg == 2:
-                ends = []
-                for u in nbrs[v]:
-                    ends.extend([u] * mult[(min(v, u), max(v, u))])
-                a, b = ends
-                for u in list(nbrs[v]):
-                    drop_edge(v, u)
-                del nbrs[v]
-                if a != b:
-                    key = (min(a, b), max(a, b))
-                    mult[key] = mult.get(key, 0) + 1
-                    nbrs[a].add(b)
-                    nbrs[b].add(a)
-                changed = True
-    return not nbrs
+        for v in _bits(live):
+            row = rows[v]
+            degree = row.bit_count()
+            if degree > 2:
+                continue
+            for u in _bits(row):
+                rows[u] &= ~(1 << v)
+            if degree == 2:
+                a, b = _bits(row)
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+            live &= ~(1 << v)
+            changed = True
+    return not live
 
 
 # -- file format and graph-spec mini-language ----------------------------

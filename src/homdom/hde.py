@@ -91,10 +91,11 @@ class HdeResult:
 def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     """Exact HDE(F1; F2) for chordal F1 and series-parallel F2.
 
-    Builds the LP with variables p(A) for nonempty proper subsets A of
-    V(F2) (the empty set is fixed to 0, the full set substituted by 1) and
-    one epigraph variable per distinct connected component of F1, bounded
-    below by the objective of each homomorphism of that component.
+    The LP takes the rows of ``build_polytope(F2)`` verbatim over one
+    variable p(A) per subset mask A of V(F2), plus one epigraph variable
+    per distinct connected component of F1, bounded below by the
+    objective of each distinct profile of that component's
+    homomorphisms.
     """
     ok, _ = is_chordal(F1)
     if not ok:
@@ -118,45 +119,16 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
             )
         profiles_per_comp.append(by_terms)
 
-    n_sub = 1 << F2.n
-    full = n_sub - 1
-    var_of = {}
-    for mask in range(1, full):
-        var_of[mask] = len(var_of)
-    n_p = len(var_of)
-    z_of = [n_p + ci for ci in range(len(components))]
-    n_vars = n_p + len(components)
-
-    rows = []
-    for con in build_polytope(F2).constraints:
-        terms = []
-        rhs = con.rhs
-        for mask, coeff in con.terms:
-            if mask == 0:
-                continue  # p(empty) = 0
-            if mask == full:
-                rhs -= coeff  # p(V) = 1
-                continue
-            terms.append((var_of[mask], coeff))
-        if not terms:
-            satisfied = rhs == 0 if con.rel == "=" else rhs >= 0
-            if not satisfied:  # pragma: no cover - the system is consistent
-                raise RatlpError("polytope constraint became infeasible constant")
-            continue
-        rows.append((terms, con.rel, rhs))
+    n_p = 1 << F2.n
+    rows = [(con.terms, con.rel, con.rhs) for con in build_polytope(F2).constraints]
     for ci, by_terms in enumerate(profiles_per_comp):
         for terms in by_terms:
-            row = [(z_of[ci], Fraction(1))]
-            rhs = Fraction(0)
-            for mask, coeff in terms:
-                if mask == full:
-                    rhs += coeff
-                else:
-                    row.append((var_of[mask], -coeff))
-            rows.append((row, ">=", rhs))
+            row = [(n_p + ci, Fraction(1))] + [(mask, -coeff) for mask, coeff in terms]
+            rows.append((row, ">=", Fraction(0)))
 
-    objective = [(z_of[ci], Fraction(mult)) for ci, (_, mult) in enumerate(components)]
+    objective = [(n_p + ci, Fraction(mult)) for ci, (_, mult) in enumerate(components)]
     bounds = [Fraction(0)] * n_p + [None] * len(components)
+    n_vars = n_p + len(components)
     program = ratlp.make_lp(n_vars, objective, rows, sense="min", lower_bounds=bounds)
     outcome = ratlp.solve(program)
     if outcome.status != "optimal":
@@ -164,18 +136,14 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     if not ratlp.verify(program, outcome):  # pragma: no cover - safety net
         raise RatlpError("HDE LP outcome failed verification")
 
-    values = [Fraction(0)] * n_sub
-    values[full] = Fraction(1)
-    for mask, idx in var_of.items():
-        values[mask] = outcome.point[idx]
-    p_opt = SetFunction(F2.n, tuple(values))
+    p_opt = SetFunction(F2.n, outcome.point[:n_p])
     member, violated = is_member(p_opt, F2)
     if not member:  # pragma: no cover - safety net
         raise RatlpError(f"optimal p violates {len(violated)} polytope constraints")
 
     active = []
     for ci, (comp, mult) in enumerate(components):
-        z_val = outcome.point[z_of[ci]]
+        z_val = outcome.point[n_p + ci]
         argmax: list[Homomorphism] = []
         for terms, homs in profiles_per_comp[ci].items():
             if ObjectiveProfile(terms).evaluate(p_opt) == z_val:

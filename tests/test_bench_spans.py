@@ -1,0 +1,32 @@
+"""The benchmark's tracer rebinds homdom names from outside the package.
+
+``bench/spans.py`` looks each traced name up in the module that calls it;
+a refactor that drops or renames one would otherwise only surface in a
+traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_name():
+    rec = _load_spans().Recorder()
+    rec.install()
+    try:
+        rebound = list(rec._saved)
+        assert rebound
+        for module, attr, original in rebound:
+            assert getattr(module, attr) is not original
+    finally:
+        rec.uninstall()
+    for module, attr, original in rebound:
+        assert getattr(module, attr) is original

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from homdom.errors import BadParity, EmptyGraph, EmptyScope, NotMember, ScopeTooLarge
+from homdom.errors import (
+    BadParity,
+    EmptyGraph,
+    EmptyScope,
+    MalformedInput,
+    NotMember,
+    ScopeTooLarge,
+)
 from homdom.graphs import Graph, complete, disjoint_union, from_edges, path, serialize_graph
 from homdom.polytope import SetFunction, indicator_point, p_star, random_vertex_point
 from homdom.checks import (
@@ -144,6 +151,15 @@ def test_scope_caps():
         Scope.exhaustive(7)
     with pytest.raises(ScopeTooLarge):
         Scope.exhaustive_upto(9)
+
+
+def test_random_scope_edge_probability_range():
+    for bad in (Fraction(3, 2), Fraction(-1, 2), 2):
+        with pytest.raises(MalformedInput):
+            Scope.random(3, 5, bad, seed=0)
+    # the ends of the range are valid: no edges, and the complete graph
+    assert [G.edge_count for G in Scope.random(3, 5, 0, seed=0)] == [0, 0, 0]
+    assert [G.edge_count for G in Scope.random(3, 5, 1, seed=0)] == [10, 10, 10]
 
 
 def test_find_counterexample():

@@ -190,6 +190,36 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch):
     assert "at least one graph" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # BadIndex
+        (["verify", "--mode", "walk-inequality", "--t", "5", "--k", "3", "--exhaustive-n", "3"],
+         "need 1 <= t <= k"),
+        (["verify", "--mode", "walk-inequality", "--t", "0", "--k", "3", "--exhaustive-n", "3"],
+         "need 1 <= t <= k"),
+        # EmptyGraph
+        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
+          "--n", "0"], "at least one vertex"),
+        # GraphTooLarge
+        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
+          "--n", "64"], "exceeds cap of 63"),
+        (["hde", "--f1", "union:70*path:0", "--f2", "path:1"], "exceeds cap of 63"),
+        # BadVertex
+        (["verify", "--mode", "lemma-identity", "--t", "0"], "p* needs t >= 1"),
+        # MalformedInput from Scope.random
+        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
+          "--n", "5", "--edge-prob", "3/2"], "edge probability must be in [0, 1]"),
+    ],
+)
+def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
+    # exit 1 means an unexpected violation; an input outside a command's
+    # domain is a usage error
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_lemma_identity_default_samples(capsys):
     code, doc = run_json(capsys, "verify", "--mode", "lemma-identity", "--t", "2")
     assert code == 0

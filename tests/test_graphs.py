@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -37,7 +39,18 @@ def test_path_basics():
 def test_disjoint_union_counts():
     u = disjoint_union([(path(0), 2), (path(5), 3)])
     assert u.n == 20 and u.edge_count == 15
-    assert u.component_spec is not None
+
+    # splitting a union of connected parts gives back the parts, equal
+    # parts merged, in the order of their first copy
+    rng = random.Random(5)
+    pool = [path(0), path(1), path(3), cycle(3), cycle(4), star(3), complete(4)]
+    for _ in range(300):
+        parts = [(rng.choice(pool), rng.randint(0, 3)) for _ in range(rng.randint(1, 5))]
+        expected = {}
+        for g, m in parts:
+            if m:
+                expected[g] = expected.get(g, 0) + m
+        assert expand_components(disjoint_union(parts)) == list(expected.items())
 
     g = path(4)
     assert disjoint_union([(g, 1)]).adj == g.adj
@@ -50,7 +63,7 @@ def test_expand_components_groups_equal_parts():
     u = disjoint_union([(path(0), 2), (path(3), 1), (path(0), 1)])
     comps = dict((g.n, m) for g, m in expand_components(u))
     assert comps == {1: 3, 4: 1}
-    # plain graph without a spec decomposes by connectivity
+    # components come back relabeled from 0
     g = from_edges(5, [(0, 1), (3, 4)])
     comps = expand_components(g)
     assert sorted(m for _, m in comps) == [1, 2]
@@ -171,11 +184,22 @@ def test_is_series_parallel_examples():
 
 
 def test_is_series_parallel_vs_brute_force():
+    from homdom.checks import labeled_graphs
+
+    verdicts = Counter()
+    for n in range(0, 6):  # every labeled graph with n <= 5: 1,100 graphs
+        for G in labeled_graphs(n):
+            verdict = is_series_parallel(G)
+            verdicts[verdict] += 1
+            assert verdict == (not brute_force_k4_minor(G))
+    assert sum(verdicts.values()) == 1100
     rng = random.Random(46)
-    for _ in range(150):
-        n = rng.randint(1, 6)
-        G = random_graph(n, rng)
-        assert is_series_parallel(G) == (not brute_force_k4_minor(G))
+    for _ in range(200):
+        G = random_graph(7, rng, rng.choice([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
+        verdict = is_series_parallel(G)
+        verdicts[verdict] += 1
+        assert verdict == (not brute_force_k4_minor(G)), G
+    assert min(verdicts.values()) > 100  # both verdicts are exercised
 
 
 def test_parse_serialize_examples():

@@ -279,3 +279,20 @@ def test_compute_hde_uses_graph_separation():
     report = check_hde_definition(path(4), path(2), res.value, Scope.exhaustive_upto(4))
     assert report.verdict == "holds"
     assert compute_hde(disjoint_union([(path(0), 2), (path(16), 1)]), path(3)).value == 3
+
+
+@pytest.mark.parametrize("t", [1, 3, 5])
+def test_hde_program_is_the_polytope_plus_one_row_per_profile(t):
+    # every subset mask is a variable, p(empty) and p(V) included, and the
+    # polytope rows enter unchanged beside one epigraph row per distinct
+    # profile of each source component
+    F2 = path(t)
+    res = compute_hde(disjoint_union([(path(0), 2), (path(t + 2), t)]), F2)
+    assert res.value == t + 2
+    assert res.point == p_star(t)
+    assert res.lp_vars == 2 ** (t + 1) + 2
+    profiles = sum(
+        len({objective_subset_form(comp, h) for h in enumerate_homs(comp, F2)})
+        for comp in (path(0), path(t + 2))
+    )
+    assert res.lp_constraints == len(build_polytope(F2).constraints) + profiles
