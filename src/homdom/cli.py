@@ -387,8 +387,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_edge_prob(argv: list[str]) -> list[str]:
+    """``--edge-prob VALUE`` joined into ``--edge-prob=VALUE``, so that a
+    negative value reaches the range check instead of reading as an
+    option."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg == "--edge-prob" else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_edge_prob(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -15,6 +15,18 @@ homomorphisms; ``compute_hde`` and both certificates go through the one
 builder ``objective_clique_tree_form``.  The equivalent subset form
 (alternating sum over sets of maximal cliques with common intersection)
 is kept in the test suite as the oracle this builder is checked against.
+
+The maximum of that functional at one fixed p needs no enumeration:
+``max_objective`` runs the max-plus form of the tree-decomposition DP of
+Diaz, Serna and Thilikos (Counting H-colorings of partial k-trees, TCS
+2002) over the clique tree, leaves first.  A clique's state is a map of
+its vertices onto a clique of the target; a child passes up its best
+value for each image of the separator it shares with its parent.  The
+cost is one table entry per (clique, state) pair: at most 2|E(F2)|
+states for an edge clique, so O(|V(F1)| |E(F2)|) for a path source,
+against the number of homomorphisms (58,450 of P13 into P11).  The
+upper certificate is this maximum at p*; ``compute_hde`` re-checks
+its optimum with it.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from .errors import (
 from .graphs import (
     CliqueTree,
     Graph,
+    bits_of,
     clique_tree,
     disjoint_union,
     expand_components,
@@ -76,6 +89,87 @@ def objective_clique_tree_form(tree: CliqueTree, phi: Homomorphism) -> Objective
     )
 
 
+def _clique_maps(F2: Graph, size: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every adjacency-preserving map of a clique on ``size`` sorted
+    vertices into the loopless F2, as (images, image mask); each one is
+    injective onto a clique of F2."""
+    maps = [((), 0, (1 << F2.n) - 1)]  # (images, image mask, common neighbours)
+    for _ in range(size):
+        maps = [
+            (img + (v,), mask | 1 << v, common & F2.adj[v])
+            for img, mask, common in maps
+            for v in bits_of(common)
+        ]
+    return [(img, mask) for img, mask, _ in maps]
+
+
+def max_objective(tree: CliqueTree, F2: Graph, p: SetFunction) -> Fraction:
+    """Exact maximum of sum_C p(phi(C)) - sum_S p(phi(S)) over every
+    homomorphism phi of the chordal source of ``tree`` into F2.
+
+    Max-plus DP over each tree of the clique forest, leaves first.  A
+    clique's table holds the best value of its subtree for each map of
+    the clique into F2.  A child's table is reduced to its best value for
+    each image of the separator it shares with its parent, less p of that
+    image; a parent state whose separator image no child state reaches is
+    dropped.  Trees are independent, so their root maxima add up.
+    """
+    links: list[list[tuple[int, int]]] = [[] for _ in tree.cliques]
+    for (i, j), sep in zip(tree.edges, tree.separators):
+        links[i].append((j, sep))
+        links[j].append((i, sep))
+    maps_by_size: dict[int, list] = {}
+    done: set[int] = set()
+
+    def positions(c: int, sep: int) -> list[int]:
+        verts = bits_of(tree.cliques[c])
+        return [verts.index(v) for v in bits_of(sep)]
+
+    def best_by_map(c: int, parent: int) -> dict[tuple[int, ...], Fraction]:
+        """For each map of clique c into F2, the best value of the subtree
+        of c away from ``parent``."""
+        done.add(c)
+        kids = [
+            (positions(c, sep), best_by_separator(d, c, sep))
+            for d, sep in links[c]
+            if d != parent
+        ]
+        size = tree.cliques[c].bit_count()
+        if size not in maps_by_size:
+            maps_by_size[size] = _clique_maps(F2, size)
+        table = {}
+        for img, mask in maps_by_size[size]:
+            value = p[mask]
+            for pos, up in kids:
+                below = up.get(tuple(img[i] for i in pos))
+                if below is None:
+                    break
+                value += below
+            else:
+                table[img] = value
+        return table
+
+    def best_by_separator(c: int, parent: int, sep: int) -> dict[tuple[int, ...], Fraction]:
+        """``best_by_map(c, parent)`` reduced to its best value for each
+        image of ``sep``, less p of that image."""
+        pos = positions(c, sep)
+        best: dict[tuple[int, ...], Fraction] = {}
+        for img, value in best_by_map(c, parent).items():
+            key = tuple(img[i] for i in pos)
+            if key not in best or value > best[key]:
+                best[key] = value
+        return {key: value - p[sum(1 << v for v in key)] for key, value in best.items()}
+
+    total = Fraction(0)
+    for root in range(len(tree.cliques)):
+        if root not in done:
+            table = best_by_map(root, -1)
+            if not table:
+                raise NoHomomorphism("the source admits no homomorphism into the target")
+            total += max(table.values())
+    return total
+
+
 @dataclass(frozen=True)
 class HdeResult:
     """Exact domination exponent plus the certificates behind it."""
@@ -106,9 +200,11 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
         raise GroundTooLarge(f"|V(F2)|={F2.n} exceeds cap {GROUND_CAP}")
 
     components = expand_components(F1)
+    trees = []
     profiles_per_comp = []
     for comp, mult in components:
         tree = clique_tree(comp)
+        trees.append(tree)
         by_terms: dict[tuple, list[Homomorphism]] = {}
         for hom in enumerate_homs(comp, F2):
             prof = objective_clique_tree_form(tree, hom)
@@ -140,6 +236,12 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     member, violated = is_member(p_opt, F2)
     if not member:  # pragma: no cover - safety net
         raise RatlpError(f"optimal p violates {len(violated)} polytope constraints")
+    # The epigraph value of each component must be its true maximum at
+    # p_opt, found without the enumerated profiles: this proves they
+    # covered every homomorphism's objective.
+    for ci, tree in enumerate(trees):
+        if max_objective(tree, F2, p_opt) != outcome.point[n_p + ci]:
+            raise RatlpError(f"component {ci}: epigraph value is not the maximum objective")
 
     active = []
     for ci, (comp, mult) in enumerate(components):
@@ -199,32 +301,23 @@ def psi(t: int) -> Homomorphism:
 
 
 def certify_upper(t: int) -> Fraction:
-    """Maximum objective value at the averaged indicator point, taken over
-    all homomorphisms from P0^2 P_{t+2}^t via component decomposition.
+    """Maximum objective value at the averaged indicator point p*, taken
+    over all homomorphisms from P0^2 P_{t+2}^t, summed over the components
+    with their multiplicities.
 
-    Certifies HDE <= t+2 (the returned maximum equals t+2).
+    Certifies HDE <= t+2 (the returned maximum equals t+2).  Each
+    component's maximum comes from ``max_objective`` on its clique tree,
+    so no homomorphism is enumerated: P_{t+2} has t+2 edge cliques with
+    2t states each, a few hundred table entries at t = 11 where the
+    enumeration would visit 58,450 homomorphisms.
     """
     source = _flagship_source(t)
     F2 = path(t)
     star = p_star(t)
-    total = Fraction(0)
-    for comp, mult in source:
-        tree = clique_tree(comp)
-        # Many homomorphisms share a profile (58,450 of P13 into P11 have
-        # 6,862), so each distinct one is evaluated once.  Profiles are
-        # remembered by a short text key: a set of their Fraction terms
-        # would hold about 9 MB at t = 11.
-        seen: set[str] = set()
-        best = None
-        for hom in enumerate_homs(comp, F2):
-            prof = objective_clique_tree_form(tree, hom)
-            key = " ".join(f"{mask}:{c}" for mask, c in prof.terms)
-            if key not in seen:
-                seen.add(key)
-                value = prof.evaluate(star)
-                best = value if best is None else max(best, value)
-        total += mult * best
-    return total
+    return sum(
+        (mult * max_objective(clique_tree(comp), F2, star) for comp, mult in source),
+        Fraction(0),
+    )
 
 
 def certify_lower(t: int, p: SetFunction) -> Fraction:

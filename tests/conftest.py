@@ -4,14 +4,17 @@ Every oracle here is deliberately independent of the implementation it
 checks: chordality by chordless-cycle enumeration, series-parallel by
 explicit K4-minor search, LP solving by vertex enumeration over exact
 rational linear algebra, the HDE objective by its subset form over
-brute-force maximal cliques, the polytope by one row for every pair of
+brute-force maximal cliques and its maximum by listing every
+homomorphism, the polytope by one row for every pair of
 subsets with separation found by breadth-first search, walk counts by
 integer adjacency-matrix powers.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from types import SimpleNamespace
 
 from homdom.graphs import Graph, bits_of, from_edges
 from homdom.polytope import Constraint, ConstraintSystem
@@ -116,6 +119,30 @@ def objective_subset_form(F1: Graph, phi) -> tuple:
 
     rec(0, (1 << F1.n) - 1, 0)
     return tuple((mask, Fraction(acc[mask])) for mask in sorted(acc) if acc[mask])
+
+
+@lru_cache(maxsize=None)
+def _subset_profiles(F1: Graph, F2: Graph) -> frozenset:
+    """The distinct subset-form objectives of every homomorphism F1 -> F2,
+    the maps grown one source vertex at a time over all target vertices."""
+    maps = [()]
+    for v in range(F1.n):
+        maps = [
+            m + (w,)
+            for m in maps
+            for w in range(F2.n)
+            if all(F2.has_edge(m[u], w) for u in range(v) if F1.has_edge(u, v))
+        ]
+    return frozenset(objective_subset_form(F1, SimpleNamespace(map=m)) for m in maps)
+
+
+def max_objective_by_enumeration(F1: Graph, F2: Graph, p):
+    """Oracle for ``hde.max_objective``: the largest subset-form objective
+    at p over every homomorphism F1 -> F2, or None when there is none."""
+    profiles = _subset_profiles(F1, F2)
+    if not profiles:
+        return None
+    return max(sum((c * p[mask] for mask, c in terms), Fraction(0)) for terms in profiles)
 
 
 def _separated(F2: Graph, A: int, B: int) -> bool:

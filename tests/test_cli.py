@@ -210,6 +210,11 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch):
         # MalformedInput from Scope.random
         (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
           "--n", "5", "--edge-prob", "3/2"], "edge probability must be in [0, 1]"),
+        # a leading minus must not make argparse read the value as an option
+        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
+          "--n", "5", "--edge-prob", "-1/2"], "edge probability must be in [0, 1]"),
+        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
+          "--n", "5", "--edge-prob=-1/2"], "edge probability must be in [0, 1]"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):

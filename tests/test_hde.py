@@ -1,8 +1,10 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from homdom import hde
 from homdom import lp as ratlp
 from homdom.errors import (
     BadIndex,
@@ -11,8 +13,10 @@ from homdom.errors import (
     NotChordal,
     NotMember,
     NotSeriesParallel,
+    RatlpError,
 )
 from homdom.graphs import (
+    bits_of,
     clique_tree,
     complete,
     cycle,
@@ -28,11 +32,12 @@ from homdom.hde import (
     certify_lower,
     certify_upper,
     compute_hde,
+    max_objective,
     objective_clique_tree_form,
     phi_i,
     psi,
 )
-from conftest import objective_subset_form
+from conftest import max_objective_by_enumeration, objective_subset_form
 
 
 def test_subset_form_single_clique():
@@ -207,7 +212,7 @@ def test_psi_assembly_and_coverage():
 
 
 def test_certify_upper_examples():
-    for t in range(1, 12, 2):
+    for t in range(1, 16, 2):
         assert certify_upper(t) == t + 2
     with pytest.raises(BadParity):
         certify_upper(4)
@@ -296,3 +301,68 @@ def test_hde_program_is_the_polytope_plus_one_row_per_profile(t):
         for comp in (path(0), path(t + 2))
     )
     assert res.lp_constraints == len(build_polytope(F2).constraints) + profiles
+
+
+def test_max_objective_matches_enumeration():
+    triangle_pendant = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    sources = [
+        path(0),
+        path(1),
+        path(4),
+        path(7),
+        from_edges(4, [(0, 1), (0, 2), (0, 3)]),  # the 3-star
+        from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)]),
+        complete(3),
+        triangle_pendant,
+        from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]),  # fan
+        from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]),  # bowtie
+    ]
+    targets = [
+        path(3),
+        path(4),
+        cycle(5),
+        triangle_pendant,
+        from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),  # K_{2,3}
+    ]
+    outcomes = Counter()
+    for F2 in targets:
+        points = [indicator_point(F2, i) for i in range(F2.n)]
+        points += [random_vertex_point(F2, seed) for seed in range(4)]
+        for F1 in sources:
+            tree = clique_tree(F1)
+            for p in points:
+                expected = max_objective_by_enumeration(F1, F2, p)
+                if expected is None:
+                    with pytest.raises(NoHomomorphism):
+                        max_objective(tree, F2, p)
+                    outcomes["none"] += 1
+                else:
+                    assert max_objective(tree, F2, p) == expected
+                    outcomes["max"] += 1
+    assert outcomes["max"] > 250 and outcomes["none"] > 50
+    with pytest.raises(NoHomomorphism):
+        max_objective(clique_tree(complete(3)), path(3), indicator_point(path(3), 0))
+
+
+@pytest.mark.parametrize("t", [1, 3, 5, 7])
+def test_max_objective_at_a_modular_point_is_the_best_weight_sum(t):
+    # at p(S) = sum of w_v over S the clique-tree objective of phi is
+    # sum_v w_phi(v): each vertex's subtree of cliques has one more node
+    # than edges, and phi is injective on every clique
+    F2 = path(t)
+    rng = random.Random(t)
+    weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(F2.n)]
+    modular = SetFunction(F2.n, tuple(
+        sum((weights[v] for v in bits_of(mask)), Fraction(0)) for mask in range(1 << F2.n)
+    ))
+    for comp in (path(0), path(t + 2)):
+        tree = clique_tree(comp)
+        best = max(sum((weights[a] for a in h.map), Fraction(0)) for h in enumerate_homs(comp, F2))
+        assert max_objective(tree, F2, modular) == best
+        assert max_objective(tree, F2, p_star(t)) == Fraction(comp.n, t + 1)
+
+
+def test_compute_hde_rechecks_each_epigraph_value(monkeypatch):
+    monkeypatch.setattr(hde, "max_objective", lambda tree, F2, p: Fraction(-1))
+    with pytest.raises(RatlpError, match="epigraph value"):
+        compute_hde(disjoint_union([(path(0), 2), (path(3), 1)]), path(1))
