@@ -14,11 +14,6 @@ Every other monotone, submodular or modular row is a sum of these (chain
 rule), and when A & B separates A\\B from B\\A, each C between A & B and
 A | B that the sum uses separates its own i from its j; the test suite
 checks the result against the system written from the definition.
-
-Vertex LPs run over the free coordinates of the equality rows: solving
-those rows once per system writes every other subset value as an affine
-function of the free ones, so the simplex pivots a far smaller program
-(P6: 27 columns instead of 128) with the same feasible set.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import BadVertex, GroundMismatch, GroundTooLarge, RatlpError
@@ -85,96 +80,6 @@ class ConstraintSystem:
     @property
     def n_vars(self) -> int:
         return 1 << self.ground_size
-
-    @cached_property
-    def hull(self) -> Hull:
-        """The equality rows solved once; cached with the system."""
-        return _hull(self)
-
-
-@dataclass(frozen=True)
-class Hull:
-    """Free coordinates of a system's equality rows.
-
-    ``pivots`` maps each solved subset mask to ``(coeffs, const)`` with
-    p[mask] = const + sum(c * p[f] for f, c in coeffs.items()) over free
-    masks only.  ``rows`` are the system's inequalities plus p[mask] >= 0
-    for every solved mask, rewritten over LP variable k = ``free[k]``; with
-    lower bound 0 on those variables they define the same feasible set as
-    the whole system with every value nonnegative.
-    """
-
-    free: tuple[int, ...]
-    pivots: dict
-    rows: tuple[ratlp.Row, ...]
-
-    def lift(self, z) -> tuple[Fraction, ...]:
-        """Subset values from values of the free coordinates."""
-        values = {mask: z[k] for k, mask in enumerate(self.free)}
-        for mask, (coeffs, const) in self.pivots.items():
-            values[mask] = const + sum(
-                (c * values[f] for f, c in coeffs.items()), Fraction(0)
-            )
-        return tuple(values[mask] for mask in range(len(values)))
-
-
-def _substitute(pivots, terms):
-    """``sum(c * p[mask])`` over solved and free masks, as (coeffs over free
-    masks, constant)."""
-    coeffs: dict[int, Fraction] = {}
-    const = Fraction(0)
-    for mask, c in terms:
-        if mask in pivots:
-            sub, k = pivots[mask]
-            const += c * k
-            for f, w in sub.items():
-                coeffs[f] = coeffs.get(f, 0) + c * w
-        else:
-            coeffs[mask] = coeffs.get(mask, 0) + c
-    return {f: w for f, w in coeffs.items() if w}, const
-
-
-def _hull(system: ConstraintSystem) -> Hull:
-    """Gauss-Jordan over the equality rows in system order, solving each
-    for its smallest remaining mask (which keeps P6's expressions to at
-    most four terms)."""
-    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
-    for c in system.constraints:
-        if c.rel != "=":
-            continue
-        coeffs, const = _substitute(pivots, c.terms)
-        rhs = c.rhs - const
-        if not coeffs:
-            if rhs:
-                raise RatlpError("polytope equality rows are inconsistent")
-            continue
-        mask = min(coeffs)
-        inv = 1 / coeffs.pop(mask)
-        sub = {f: -w * inv for f, w in coeffs.items()}
-        k = rhs * inv
-        for other, (osub, ok) in pivots.items():
-            w = osub.pop(mask, None)
-            if w:
-                for f, v in sub.items():
-                    osub[f] = osub.get(f, 0) + w * v
-                    if not osub[f]:
-                        del osub[f]
-                pivots[other] = (osub, ok + w * k)
-        pivots[mask] = (sub, k)
-    free = tuple(m for m in range(system.n_vars) if m not in pivots)
-    index = {mask: k for k, mask in enumerate(free)}
-    rows = []
-    bounds = [(c.terms, c.rel, c.rhs) for c in system.constraints if c.rel != "="]
-    bounds += [(((m, Fraction(1)),), ">=", Fraction(0)) for m in pivots]
-    for terms, rel, rhs in bounds:
-        coeffs, const = _substitute(pivots, terms)
-        if not coeffs:
-            if not (const <= rhs if rel == "<=" else const >= rhs):
-                raise RatlpError("polytope LP came back infeasible")
-            continue
-        terms = sorted((index[f], w) for f, w in coeffs.items())
-        rows.append(ratlp.Row(tuple(terms), rel, rhs - const))
-    return Hull(free, pivots, tuple(rows))
 
 
 def separates(F2: Graph, A: int, B: int) -> bool:
@@ -264,7 +169,8 @@ def system_lp(system: ConstraintSystem, objective) -> ratlp.LinearProgram:
     All variables get lower bound 0, which the system already implies, so
     basic feasible solutions are vertices of the polytope itself.
     """
-    rows = [(c.terms, c.rel, c.rhs) for c in system.constraints]
+    # the terms are already exact and nonzero; sorting is all make_row adds
+    rows = [ratlp.Row(tuple(sorted(c.terms)), c.rel, c.rhs) for c in system.constraints]
     return ratlp.make_lp(
         system.n_vars,
         objective,
@@ -283,22 +189,11 @@ def _random_objective(n_vars: int, seed: int):
 
 
 def vertex_by_lp(system: ConstraintSystem, seed: int) -> SetFunction:
-    """Minimize a seeded pseudo-random rational objective over the system,
-    pivoting over the free coordinates of its equality rows."""
-    hull = system.hull
-    coeffs, _ = _substitute(hull.pivots, _random_objective(system.n_vars, seed))
-    index = {mask: k for k, mask in enumerate(hull.free)}
-    program = ratlp.make_lp(
-        len(hull.free),
-        [(index[f], w) for f, w in coeffs.items()],
-        hull.rows,
-        sense="min",
-        lower_bounds=[Fraction(0)] * len(hull.free),
-    )
-    outcome = ratlp.solve(program)
+    """Minimize a seeded pseudo-random rational objective over the system."""
+    outcome = ratlp.solve(system_lp(system, _random_objective(system.n_vars, seed)))
     if outcome.status != "optimal":
         raise RatlpError(f"polytope LP came back {outcome.status}")
-    return SetFunction(system.ground_size, hull.lift(outcome.point))
+    return SetFunction(system.ground_size, outcome.point)
 
 
 @lru_cache(maxsize=None)

@@ -366,3 +366,11 @@ def test_compute_hde_rechecks_each_epigraph_value(monkeypatch):
     monkeypatch.setattr(hde, "max_objective", lambda tree, F2, p: Fraction(-1))
     with pytest.raises(RatlpError, match="epigraph value"):
         compute_hde(disjoint_union([(path(0), 2), (path(3), 1)]), path(1))
+
+
+def test_compute_hde_rejects_wrong_equality_duals(monkeypatch):
+    # lp.verify checks the full program, so duals of the eliminated
+    # equality rows that are not the true ones cannot pass
+    monkeypatch.setattr(ratlp, "_equality_duals", lambda steps, excess: [Fraction(0)] * len(steps))
+    with pytest.raises(RatlpError, match="failed verification"):
+        compute_hde(disjoint_union([(path(0), 2), (path(3), 1)]), path(1))

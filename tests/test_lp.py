@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -119,8 +120,8 @@ def test_determinism():
 
 
 def test_equality_only_and_redundant_rows():
-    # x + y = 2 stated twice plus an implied copy: duplicates removed, then
-    # the leftover dependency is handled as a redundant row
+    # x + y = 2 stated twice plus an implied copy: the presolve finds both
+    # copies empty once x is eliminated, and gives them dual 0
     lp = ratlp.make_lp(
         2,
         [(0, 1), (1, 2)],
@@ -176,3 +177,65 @@ def test_dump_format():
     assert lines[1] == "obj: 1/1*x0 + 1/1*x1"
     assert lines[2] == "r0: 1/1*x0 + 2/1*x1 >= 3/1"
     assert lines[3] == "bounds: x0 >= 0/1, x1 >= 0/1"
+
+
+def _equality_lp(rng: random.Random):
+    """A bounded LP whose presolve has work to do.
+
+    Variable 0 is free and leads the first equality row.  The second row
+    is a row led by variable 1, which has a nonzero lower bound, plus a
+    multiple of the first row, so it leads with variable 1 only once
+    variable 0 is eliminated.  The third row is a combination of the two,
+    with its right-hand side off by one in about a quarter of the
+    programs.  The objective weighs every variable, eliminated ones too.
+    """
+    n = rng.randint(3, 4)
+    lower = [None, Fraction(rng.choice([-2, 1]))]
+    lower += [rng.choice([None, Fraction(0), Fraction(-1)]) for _ in range(n - 2)]
+
+    def led_by(first):
+        lead = [(first, Fraction(rng.choice([-2, -1, 1, 3])))]
+        return lead + [(j, Fraction(rng.randint(-2, 2))) for j in range(first + 1, n)]
+
+    def combine(a, row_a, b, row_b):
+        acc = {}
+        for w, (terms, rhs) in ((a, row_a), (b, row_b)):
+            for j, v in terms:
+                acc[j] = acc.get(j, 0) + w * v
+        return list(acc.items()), a * row_a[1] + b * row_b[1]
+
+    first = (led_by(0), Fraction(rng.randint(-3, 3)))
+    second = combine(1, (led_by(1), Fraction(rng.randint(-3, 3))), rng.randint(-2, 2), first)
+    terms, rhs = combine(rng.choice([1, 2]), first, rng.choice([-1, 1]), second)
+    if rng.random() < 0.25:
+        rhs += 1
+    rows = [(t, "=", r) for t, r in (first, second, (terms, rhs))]
+    for _ in range(rng.randint(1, 2)):
+        rows.append(([(j, Fraction(rng.randint(-3, 3))) for j in range(n)],
+                     rng.choice(["<=", ">="]), Fraction(rng.randint(-3, 3))))
+    for j in range(n):  # box keeps every instance bounded
+        rows.append(([(j, Fraction(1))], "<=", Fraction(4)))
+        if lower[j] is None:
+            rows.append(([(j, Fraction(1))], ">=", Fraction(-4)))
+    rng.shuffle(rows)
+    objective = [(j, Fraction(rng.randint(-3, 3))) for j in range(n)]
+    return ratlp.make_lp(n, objective, rows, sense=rng.choice(["min", "max"]), lower_bounds=lower)
+
+
+def test_presolve_against_vertex_enumeration():
+    # the presolved program is pivoted on both sides; the outcome must be
+    # the brute-force optimum and pass verify on the full program, duals
+    # of the eliminated rows and the objective's constant included
+    rng = random.Random(20261018)
+    statuses = Counter()
+    for _ in range(60):
+        lp = _equality_lp(rng)
+        status, value = brute_force_lp(lp)
+        statuses[status] += 1
+        for side in ("primal", "dual"):
+            out = ratlp.solve(lp, side=side)
+            assert out.status == status
+            if status == "optimal":
+                assert out.value == value
+                assert ratlp.verify(lp, out)
+    assert statuses["optimal"] > 25 and statuses["infeasible"] > 10

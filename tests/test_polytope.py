@@ -209,22 +209,34 @@ def test_pruning_soundness_vertices_and_optima():
 
 
 def test_hull_lift_recovers_polytope_points():
-    # every point of the polytope satisfies the equality rows, so its free
-    # coordinates determine it
+    # every point of the polytope satisfies the equality rows; with each
+    # coordinate pinned to the point as one more equality row, the
+    # presolve eliminates them all and must lift the point back, as the
+    # simplex run on the same program without a presolve finds it
     for F2 in (path(1), path(3), path(5), complete(3)):
-        hull = build_polytope(F2).hull
+        cs = build_polytope(F2)
+        whole = system_lp(cs, _random_objective(cs.n_vars, 0))
         points = [indicator_point(F2, i) for i in range(F2.n)]
         if F2 == path(F2.n - 1):
             points.append(p_star(F2.n - 1))
         for p in points:
-            assert hull.lift([p[mask] for mask in hull.free]) == p.values
+            pins = tuple(ratlp.make_row([(mask, 1)], "=", p[mask]) for mask in range(cs.n_vars))
+            pinned = ratlp.make_lp(
+                cs.n_vars, whole.objective, whole.rows + pins, lower_bounds=whole.lower_bounds
+            )
+            lifted = ratlp.solve(pinned)
+            reference = ratlp._pivot(pinned)
+            assert lifted.point == reference.point == p.values
+            assert lifted.value == reference.value
+            assert ratlp.verify(pinned, lifted)
 
 
 def test_vertex_by_lp_matches_the_whole_system_lp():
+    # the reference pivots the whole system with no presolve
     for F2 in (path(2), path(3), path(4), complete(3)):
         for cs in (build_polytope(F2), build_polytope_unpruned(F2)):
             for seed in range(10):
                 objective = _random_objective(cs.n_vars, seed)
-                whole = ratlp.solve(system_lp(cs, objective))
+                whole = ratlp._pivot(system_lp(cs, objective))
                 assert whole.status == "optimal"
                 assert vertex_by_lp(cs, seed) == SetFunction(F2.n, whole.point)
