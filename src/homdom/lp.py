@@ -275,13 +275,21 @@ class _Simplex:
             # artificial stays basic at level zero
 
     def solution(self):
-        return {j: v for j, v in zip(self.basis, self.xb) if j < self.k}
+        vals = {}
+        for i in range(self.m):
+            if self.basis[i] < self.k:
+                vals[self.basis[i]] = self.xb[i]
+        return vals
 
     def duals_for(self, costs):
         return self._duals(lambda j: costs[j] if j < self.k else 0)
 
     def basis_ids(self):
-        return tuple(self.col_ids[j] if j < self.k else ("art", j - self.k) for j in self.basis)
+        out = []
+        for i in range(self.m):
+            j = self.basis[i]
+            out.append(self.col_ids[j] if j < self.k else ("art", j - self.k))
+        return tuple(out)
 
 
 # -- presolve: elimination of the equality rows ---------------------------
@@ -357,10 +365,11 @@ def _substitute(exprs, terms):
     return {f: w for f, w in coeffs.items() if w}, const
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _presolve(rows: tuple[Row, ...], lower: tuple):
-    """The presolve of a program's rows, or None when they are infeasible;
-    cached, as the vertex LPs of one polytope differ only in objective.
+    """The presolve of a program's rows, or None when they are infeasible.
+    The last one is kept: the vertex LPs of a polytope come one after
+    another and differ only in their objective.
 
     Returns the positions of the ``=`` rows, the elimination's steps and
     pivot expressions, the reduced index of each free variable, the rows
@@ -488,7 +497,9 @@ def _solve_primal_side(lp, c):
     """Canonicalize (shift lower bounds, split free variables, add slacks)
     and pivot the primal."""
     lower = lp.lower_bounds
-    col_ids, col_entries, col_cost = [], [], []
+    col_ids = []
+    col_entries = []
+    col_cost = []
 
     def column(col_id, entries, cost) -> int:
         col_ids.append(col_id)
