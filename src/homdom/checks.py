@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import or_
 
 from .errors import (
     BadIndex,
@@ -42,12 +43,35 @@ from .polytope import SetFunction, is_member
 EXHAUSTIVE_CAP = 6
 
 
+def _add_vertex(graphs: list, m: int):
+    """Adjacency rows of every graph on m + 1 vertices, from the rows of
+    every graph on m vertices: vertex m's neighbourhood in the outer loop,
+    the graph on the first m vertices in the inner one."""
+    for nbhd in range(1 << m):
+        new_bit = [(nbhd >> u & 1) << m for u in range(m)]
+        for rows in graphs:
+            yield (*map(or_, rows, new_bit), nbhd)
+
+
 def labeled_graphs(n: int):
-    """All 2^C(n,2) labeled graphs on n vertices, in edge-bitmask order."""
-    slots = [(u, v) for v in range(n) for u in range(v)]
-    for mask in range(1 << len(slots)):
-        edges = [slots[b] for b in range(len(slots)) if mask >> b & 1]
-        yield from_edges(n, edges)
+    """All 2^C(n,2) labeled graphs on n vertices, in edge-bitmask order.
+
+    The edge slots run (u, v) for v in range(n), u < v, so the top n - 1
+    bits of a mask are vertex n - 1's neighbourhood and the low bits are a
+    graph on the first n - 1 vertices.  The graphs are therefore built one
+    vertex at a time: the rows of the graphs on n - 1 vertices are listed
+    once, and for each neighbourhood of the new vertex its bit is ORed into
+    them and the neighbourhood appended as the last row.  Each graph still
+    goes through ``Graph`` validation; only the smaller level is held.
+    """
+    if n == 0:
+        yield Graph(0, ())
+        return
+    graphs = [()]
+    for m in range(n - 1):
+        graphs = list(_add_vertex(graphs, m))
+    for rows in _add_vertex(graphs, n - 1):
+        yield Graph(n, rows)
 
 
 def random_graph(n: int, edge_prob: Fraction, rng: random.Random) -> Graph:

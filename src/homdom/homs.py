@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import EmptyGraph, MalformedInput
 from .graphs import Graph, expand_components, _bits
@@ -157,6 +158,11 @@ def count_homs(F: Graph, G: Graph) -> int:
     return HomPlan(F).count(G)
 
 
+# Neighbour tuples of every adjacency row on the first 8 vertices.
+_TABLE_ROWS = 1 << 8
+_NEIGHBOURS = tuple(tuple(_bits(row)) for row in range(_TABLE_ROWS))
+
+
 def walk_counts(G: Graph, lengths) -> dict[int, int]:
     """Total number of walks of each given length in G, as exact integers.
 
@@ -164,6 +170,9 @@ def walk_counts(G: Graph, lengths) -> dict[int, int]:
     walks with 2a edges is v_a·v_a and with 2a+1 edges v_a·v_{a+1}.  So
     every length up to k >= 1 comes from one chain of ⌈k/2⌉ − 1 integer
     matrix-vector products, one per neighbour-tuple pass over the rows.
+    A row below 2^8 takes its neighbour tuple from a module-level table
+    (every graph of an exhaustive scope has only such rows); a wider row
+    lists its bits.
     """
     lengths = sorted(set(lengths))
     if lengths and lengths[0] < 0:
@@ -173,14 +182,14 @@ def walk_counts(G: Graph, lengths) -> dict[int, int]:
     chain = [[1] * G.n, [row.bit_count() for row in G.adj]]
     top = (lengths[-1] + 1) // 2
     if top >= 2:
-        rows = [tuple(_bits(row)) for row in G.adj]
+        rows = [_NEIGHBOURS[row] if row < _TABLE_ROWS else tuple(_bits(row))
+                for row in G.adj]
         while len(chain) <= top:
-            v = chain[-1]
-            chain.append([sum([v[u] for u in row]) for row in rows])
+            get = chain[-1].__getitem__
+            chain.append([sum(map(get, row)) for row in rows])
     out = {}
     for k in lengths:
-        a, b = chain[k // 2], chain[(k + 1) // 2]
-        out[k] = sum([x * y for x, y in zip(a, b)])
+        out[k] = sum(map(mul, chain[k // 2], chain[(k + 1) // 2]))
     return out
 
 

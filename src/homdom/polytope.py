@@ -196,7 +196,15 @@ def vertex_by_lp(system: ConstraintSystem, seed: int) -> SetFunction:
     return SetFunction(system.ground_size, outcome.point)
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long-lived caller does not keep every vertex it sampled.
+# One CLI run never draws a (graph, seed) twice; the test suite reuses a vertex
+# at most 621 other vertices after drawing it (acceptance draws 100 seeds on
+# each of P_1 ... P_6 and the polytope tests revisit the first 500), so 1024
+# entries keep every reuse.
+VERTEX_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=VERTEX_CACHE_SIZE)
 def random_vertex_point(F2: Graph, seed: int) -> SetFunction:
     """An exact vertex of the polytope, deterministic per seed."""
     p = vertex_by_lp(build_polytope(F2), seed)

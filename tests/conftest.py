@@ -7,7 +7,8 @@ rational linear algebra, the HDE objective by its subset form over
 brute-force maximal cliques and its maximum by listing every
 homomorphism, the polytope by one row for every pair of
 subsets with separation found by breadth-first search, walk counts by
-integer adjacency-matrix powers.
+integer adjacency-matrix powers, labeled graphs by an edge list per
+edge bitmask.
 """
 
 import random
@@ -24,6 +25,15 @@ def random_graph(n: int, rng: random.Random, edge_prob=Fraction(1, 2)) -> Graph:
     a, b = edge_prob.numerator, edge_prob.denominator
     edges = [(u, v) for v in range(n) for u in range(v) if rng.randrange(b) < a]
     return from_edges(n, edges)
+
+
+def labeled_graphs_by_mask(n: int):
+    """All 2^C(n,2) labeled graphs on n vertices, one ``from_edges`` call
+    per edge bitmask, in bitmask order over the slots (u, v), v in range(n),
+    u < v."""
+    slots = [(u, v) for v in range(n) for u in range(v)]
+    for mask in range(1 << len(slots)):
+        yield from_edges(n, [slots[b] for b in range(len(slots)) if mask >> b & 1])
 
 
 def matrix_walk_counts(n: int, edges, k_max: int) -> list[int]:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain, zip_longest
 
 import pytest
 
@@ -24,7 +25,7 @@ from homdom.checks import (
     labeled_graphs,
     sweep,
 )
-from conftest import matrix_walk_counts
+from conftest import labeled_graphs_by_mask, matrix_walk_counts
 
 
 def test_blakley_roy_examples():
@@ -243,6 +244,19 @@ def test_labeled_graph_enumeration_counts():
     assert sum(1 for _ in labeled_graphs(3)) == 8
     assert sum(1 for _ in labeled_graphs(4)) == 64
     assert sum(1 for _ in labeled_graphs(5)) == 1024
+
+
+def _same_sequence(left, right):
+    missing = object()
+    return all(a == b for a, b in zip_longest(left, right, fillvalue=missing))
+
+
+def test_labeled_graphs_follow_edge_bitmask_order():
+    # graph for graph against one from_edges call per bitmask, n = 0 ... 6
+    for n in range(7):
+        assert _same_sequence(labeled_graphs(n), labeled_graphs_by_mask(n)), n
+    by_mask = chain.from_iterable(labeled_graphs_by_mask(n) for n in range(1, 7))
+    assert _same_sequence(Scope.exhaustive_upto(6), by_mask)
 
 
 def test_report_is_reproducible_from_witness():

@@ -77,6 +77,11 @@ def test_walk_counts_match_adjacency_matrix_powers():
     for _ in range(50):
         n = 8
         _walk_counts_agree(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
+    # rows of 2^8 or more list their bits instead of reading the neighbour table
+    for n in (9, 10, 11, 12):
+        for _ in range(5):
+            _walk_counts_agree(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
+    _walk_counts_agree(10, complete(10).edges())
 
 
 def test_walk_counts_edge_cases():

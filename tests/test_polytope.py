@@ -9,6 +9,7 @@ from homdom import lp as ratlp
 from homdom.errors import BadVertex, GroundMismatch, GroundTooLarge
 from homdom.graphs import complete, cycle, from_edges, mask_of, path, star
 from homdom.polytope import (
+    VERTEX_CACHE_SIZE,
     SetFunction,
     build_polytope,
     dump_polytope,
@@ -240,3 +241,13 @@ def test_vertex_by_lp_matches_the_whole_system_lp():
                 whole = ratlp._pivot(system_lp(cs, objective))
                 assert whole.status == "optimal"
                 assert vertex_by_lp(cs, seed) == SetFunction(F2.n, whole.point)
+
+
+def test_vertex_cache_is_bounded():
+    # placed last in the module: sampling past the bound evicts the vertices
+    # that earlier tests share through the cache
+    assert random_vertex_point.cache_info().maxsize == VERTEX_CACHE_SIZE
+    F2 = path(1)
+    for seed in range(10_000, 10_000 + VERTEX_CACHE_SIZE + 50):
+        random_vertex_point(F2, seed)
+    assert random_vertex_point.cache_info().currsize <= VERTEX_CACHE_SIZE
