@@ -373,16 +373,19 @@ def check_lemma_identity(t: int, p: SetFunction) -> CheckReport:
 
 def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> CheckReport:
     """|Hom(F1;G)| >= |Hom(F2;G)|^c over a scope, via integer powering
-    with c = a/b checked as Hom(F1)^b >= Hom(F2)^a."""
+    with c = a/b checked as Hom(F1)^b >= Hom(F2)^a.  Both counts of a
+    graph read one walk-count chain."""
     t0 = time.perf_counter()
     c = Fraction(c)
     a, b = c.numerator, c.denominator
     plan1, plan2 = HomPlan(F1), HomPlan(F2)
+    lengths = plan1.paths.keys() | plan2.paths.keys()
     checked = 0
     for G in scope:
         checked += 1
-        h1 = plan1.count(G)
-        h2 = plan2.count(G)
+        walks = walk_counts(G, lengths)
+        h1 = plan1.count(G, walks)
+        h2 = plan2.count(G, walks)
         if h1**b < h2**a:
             return CheckReport(
                 "hde-definition",

@@ -58,7 +58,7 @@ from .graphs import (
     path,
 )
 from .homs import Homomorphism, enumerate_homs
-from .polytope import GROUND_CAP, SetFunction, build_polytope, is_member, p_star
+from .polytope import GROUND_CAP, SetFunction, build_polytope, is_member
 from . import lp as ratlp
 
 
@@ -103,9 +103,14 @@ def _clique_maps(F2: Graph, size: int) -> list[tuple[tuple[int, ...], int]]:
     return [(img, mask) for img, mask, _ in maps]
 
 
-def max_objective(tree: CliqueTree, F2: Graph, p: SetFunction) -> Fraction:
+def max_objective(tree: CliqueTree, F2: Graph, p) -> Fraction:
     """Exact maximum of sum_C p(phi(C)) - sum_S p(phi(S)) over every
     homomorphism phi of the chordal source of ``tree`` into F2.
+
+    ``p`` is indexed only at clique masks of F2: the image of a clique or
+    separator is a clique, since a homomorphism into the loopless F2 is
+    injective on cliques.  So a ``SetFunction`` or any mapping defined on
+    the nonempty cliques of F2 will do.
 
     Max-plus DP over each tree of the clique forest, leaves first.  A
     clique's table holds the best value of its subtree for each map of
@@ -309,11 +314,14 @@ def certify_upper(t: int) -> Fraction:
     component's maximum comes from ``max_objective`` on its clique tree,
     so no homomorphism is enumerated: P_{t+2} has t+2 edge cliques with
     2t states each, a few hundred table entries at t = 11 where the
-    enumeration would visit 58,450 homomorphisms.
+    enumeration would visit 58,450 homomorphisms.  ``max_objective``
+    reads p* only at the cliques of P_t, its vertices and edges, so p* is
+    given there alone instead of on all 2^(t+1) subsets.
     """
     source = _flagship_source(t)
     F2 = path(t)
-    star = p_star(t)
+    cliques = [1 << v for v in range(F2.n)] + [1 << u | 1 << v for u, v in F2.edges()]
+    star = {mask: Fraction(mask.bit_count(), t + 1) for mask in cliques}
     return sum(
         (mult * max_objective(clique_tree(comp), F2, star) for comp, mult in source),
         Fraction(0),

@@ -134,13 +134,16 @@ class HomPlan:
             else:
                 self.others.append((comp, mult))
 
-    def count(self, G: Graph) -> int:
-        """Exact |Hom(F; G)|."""
+    def count(self, G: Graph, walks: dict[int, int]) -> int:
+        """Exact |Hom(F; G)|, given ``walks``: the walk totals of G for at
+        least the lengths in ``self.paths``, so that one ``walk_counts``
+        chain can serve several plans over the same G."""
         total = 1
-        for k, w in walk_counts(G, self.paths).items():
+        for k, mult in self.paths.items():
+            w = walks[k]
             if w == 0:
                 return 0
-            total *= w ** self.paths[k]
+            total *= w**mult
         for comp, mult in self.others:
             c = sum(1 for _ in _enumerate_maps(comp, G))
             if c == 0:
@@ -155,7 +158,8 @@ def count_homs(F: Graph, G: Graph) -> int:
     Computed per connected component of F and multiplied; path-shaped
     components use the walk counts, all others plain backtracking.
     """
-    return HomPlan(F).count(G)
+    plan = HomPlan(F)
+    return plan.count(G, walk_counts(G, plan.paths))
 
 
 # Neighbour tuples of every adjacency row on the first 8 vertices.

@@ -16,8 +16,9 @@ constant) are rewritten over the free variables, and each eliminated
 variable keeps its lower bound as a row.  The polytope programs are
 mostly equalities (Shannon's elemental basis): on P6, 27 of 128 subset
 values are free.  The reduced program loses its duplicate rows and is
-pivoted on its dual when tall (many more rows than columns); the primal
-optimum and its multipliers are recovered exactly from the dual run.
+pivoted on its dual, which has one line per free variable and one column
+per row; the primal optimum and its multipliers are read exactly off the
+dual run.
 
 Postsolve lifts the point back to every variable and recovers one dual
 per original row.  An eliminated variable's reduced cost in the full
@@ -81,9 +82,10 @@ class LpOutcome:
     ``value``/``point`` are in the program's own sense; ``duals`` (one per
     row) follow the minimization convention (negate the objective of a max
     program to interpret them).  ``basis`` is the final basic index set of
-    the form that was pivoted, and ``pivots`` its pivot count, both of the
-    presolved program; ``via_dual`` records whether that form was the
-    dual.
+    the dual of the presolved program, and ``pivots`` its pivot count.
+    ``via_dual`` is True on every pivoted outcome, since every program is
+    pivoted on its dual, and False only when the presolve alone finds the
+    program infeasible.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -428,23 +430,16 @@ def _min_objective(lp: LinearProgram):
     return c
 
 
-def _should_dualize(lp: LinearProgram) -> bool:
-    """Tall programs: at least twice as many rows as split columns."""
-    return len(lp.rows) >= 2 * sum(2 if lb is None else 1 for lb in lp.lower_bounds)
-
-
 def _shifted_rhs(row: Row, lower) -> Fraction:
     """The row's rhs once every lower-bounded variable is shifted to 0."""
     return row.rhs - sum((a * lower[j] for j, a in row.terms if lower[j]), Fraction(0))
 
 
-def solve(lp: LinearProgram, side: str = "auto") -> LpOutcome:
-    """Exact optimum of ``lp``: presolve, pivot, postsolve.
+def solve(lp: LinearProgram) -> LpOutcome:
+    """Exact optimum of ``lp``: presolve, pivot the dual, postsolve.
 
-    ``side`` selects the form of the presolved program to pivot:
-    "primal", "dual", or "auto" (dualize tall programs).  All choices
-    return the same exact value; points may differ between sides only when
-    the optimum is not unique.
+    Points may differ from another exact solver's only when the optimum
+    is not unique; Bland's rule makes them deterministic.
     """
     c = _min_objective(lp)
     presolved = _presolve(tuple(lp.rows), lp.lower_bounds)
@@ -453,7 +448,7 @@ def solve(lp: LinearProgram, side: str = "auto") -> LpOutcome:
     eq_at, steps, exprs, index, rows, reduced = presolved
     coeffs, offset = _substitute(exprs, enumerate(c))
     bounds = tuple(lp.lower_bounds[j] for j in index)
-    inner = _pivot(LinearProgram(len(index), _over(index, coeffs), "min", tuple(reduced), bounds), side)
+    inner = _pivot(LinearProgram(len(index), _over(index, coeffs), "min", tuple(reduced), bounds))
     if inner.status != "optimal":
         return inner
 
@@ -478,120 +473,72 @@ def solve(lp: LinearProgram, side: str = "auto") -> LpOutcome:
     return LpOutcome("optimal", reported, tuple(x), duals, inner.basis, inner.pivots, inner.via_dual)
 
 
-def _pivot(lp: LinearProgram, side: str = "auto") -> LpOutcome:
-    """Exact optimum of ``lp`` by pivoting it as given: the solve path
-    with no presolve."""
+def _pivot(lp: LinearProgram) -> LpOutcome:
+    """Exact optimum of ``lp`` by pivoting its dual as given: the solve
+    path with no presolve.
+
+    The dual of the lower-shifted minimization form has one line per
+    variable j, ``=`` if j is free and ``<=`` if it is bounded, with
+    right-hand side c[j].  Each row i gives a column signed so that its
+    multiplier is >= 0: a ``<=`` row is negated, and an ``=`` row gives
+    the pair ``("x+", i)``, ``("x-", i)`` of opposite columns.  Each
+    bounded variable j gives a slack ``("s", j)``.  x is read off the
+    run's multipliers and y off its basic values.
+    """
     c = _min_objective(lp)
-    if side == "auto":
-        side = "dual" if _should_dualize(lp) else "primal"
-    pivot_side = _solve_dual_side if side == "dual" else _solve_primal_side
-    status, x, y, basis, pivots = pivot_side(lp, c)
-    if status != "optimal":
-        return LpOutcome(status, None, None, None, None, pivots, side == "dual")
-    value = sum((cj * xj for cj, xj in zip(c, x)), Fraction(0))
-    reported = value if lp.sense == "min" else -value
-    return LpOutcome(status, reported, tuple(x), tuple(y), basis, pivots, side == "dual")
-
-
-def _solve_primal_side(lp, c):
-    """Canonicalize (shift lower bounds, split free variables, add slacks)
-    and pivot the primal."""
     lower = lp.lower_bounds
+    sign = [-1 if row.rel == "<=" else 1 for row in lp.rows]
     col_ids = []
-    col_entries = []
-    col_cost = []
-
-    def column(col_id, entries, cost) -> int:
-        col_ids.append(col_id)
-        col_entries.append(entries)
-        col_cost.append(cost)
-        return len(col_ids) - 1
-
-    rows_by_var = [[] for _ in range(lp.n_vars)]
+    cols = []
+    costs = []
+    first = []  # per row: the index of its (first) column
     for i, row in enumerate(lp.rows):
-        for j, a in row.terms:
-            rows_by_var[j].append((i, a))
-    var_cols = []  # per variable: its column, and the negated one if free
-    for j, entries in enumerate(map(tuple, rows_by_var)):
-        plus = column(("x" if lower[j] is not None else "x+", j), entries, c[j])
-        minus = None
-        if lower[j] is None:
-            minus = column(("x-", j), tuple((i, -a) for i, a in entries), -c[j])
-        var_cols.append((plus, minus))
-    for i, row in enumerate(lp.rows):
-        if row.rel != "=":
-            column(("s", i), ((i, Fraction(1 if row.rel == "<=" else -1)),), 0)
+        first.append(len(cols))
+        entries = tuple((j, sign[i] * a) for j, a in row.terms)
+        cost = -sign[i] * _shifted_rhs(row, lower)
+        if row.rel == "=":
+            col_ids += [("x+", i), ("x-", i)]
+            cols += [entries, tuple((j, -a) for j, a in entries)]
+            costs += [cost, -cost]
+        else:
+            col_ids.append(("x", i))
+            cols.append(entries)
+            costs.append(cost)
+    for j, lb in enumerate(lower):
+        if lb is not None:
+            col_ids.append(("s", j))
+            cols.append(((j, Fraction(1)),))
+            costs.append(0)
 
-    b = [_shifted_rhs(row, lower) for row in lp.rows]
-    spx = _Simplex(len(lp.rows), col_entries, col_ids, b)
-    status = spx.solve_two_phase(col_cost)
+    spx = _Simplex(lp.n_vars, cols, col_ids, c)
+    status = spx.solve_two_phase(costs)
+    pivots = spx.pivots
     if status != "optimal":
-        return status, None, None, None, spx.pivots
+        if status == "unbounded":
+            status = "infeasible"
+        else:
+            # primal is unbounded or infeasible; the dual with zero costs
+            # c is feasible, and bounded exactly when the primal is feasible
+            probe = _Simplex(lp.n_vars, cols, col_ids, [Fraction(0)] * lp.n_vars)
+            status = "unbounded" if probe.solve_two_phase(costs) == "optimal" else "infeasible"
+            pivots += probe.pivots
+        return LpOutcome(status, None, None, None, None, pivots, True)
+
     vals = spx.solution()
     zero = Fraction(0)
-    x = []
-    for j, (plus, minus) in enumerate(var_cols):
-        if minus is None:
-            x.append(lower[j] + vals.get(plus, zero))
+    y = []
+    for i, k in enumerate(first):
+        if lp.rows[i].rel == "=":
+            y.append(vals.get(k, zero) - vals.get(k + 1, zero))
         else:
-            x.append(vals.get(plus, zero) - vals.get(minus, zero))
-    return status, x, spx.duals_for(col_cost), spx.basis_ids(), spx.pivots
-
-
-def _dual_program(lp, c):
-    """Explicit dual of the lower-shifted minimization form.
-
-    Row multiplier signs: >= rows give y >= 0, <= rows y <= 0 (stored
-    negated so every dual variable has lower bound 0), = rows free.
-    """
-    n = lp.n_vars
-    lower = lp.lower_bounds
-    rows = lp.rows
-    sign = [Fraction(-1) if row.rel == "<=" else Fraction(1) for row in rows]
-    dual_rows = []
-    terms_by_var = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, a in row.terms:
-            terms_by_var[j].append((i, sign[i] * a))
-    for j in range(n):
-        rel = "=" if lower[j] is None else "<="
-        dual_rows.append(make_row(terms_by_var[j], rel, c[j]))
-    objective = [(i, sign[i] * _shifted_rhs(row, lower)) for i, row in enumerate(rows)]
-    bounds = [None if rows[i].rel == "=" else Fraction(0) for i in range(len(rows))]
-    return LinearProgram(len(rows), _norm_terms(objective), "max", tuple(dual_rows), tuple(bounds)), sign
-
-
-def _solve_dual_side(lp, c):
-    dual_lp, sign = _dual_program(lp, c)
-    inner = _pivot(dual_lp, side="primal")
-    pivots = inner.pivots
-    if inner.status == "unbounded":
-        return "infeasible", None, None, None, pivots
-    if inner.status == "infeasible":
-        # primal is unbounded or infeasible; decide with the zero-objective dual
-        feas_lp, _ = _dual_program(lp, [Fraction(0)] * lp.n_vars)
-        probe = _pivot(feas_lp, side="primal")
-        pivots += probe.pivots
-        status = "unbounded" if probe.status == "optimal" else "infeasible"
-        return status, None, None, None, pivots
-    # x recovered from the dual multipliers of the dual program (exact),
-    # y from the dual program's own solution
-    lower = lp.lower_bounds
-    x = []
-    for j in range(lp.n_vars):
-        xj = -inner.duals[j]
-        if lower[j] is not None:
-            xj += lower[j]
-        x.append(xj)
-    y = [sign[i] * inner.point[i] for i in range(len(lp.rows))]
+            y.append(sign[i] * vals.get(k, zero))
+    x = [-d if lb is None else lb - d for d, lb in zip(spx.duals_for(costs), lower)]
     value = sum((cj * xj for cj, xj in zip(c, x)), Fraction(0))
-    shift = sum(
-        (cj * lb for cj, lb in zip(c, lower) if lb is not None),
-        Fraction(0),
-    )
-    if value != inner.value + shift:
+    shift = sum((cj * lb for cj, lb in zip(c, lower) if lb is not None), Fraction(0))
+    if value != sum((_shifted_rhs(row, lower) * yi for row, yi in zip(lp.rows, y)), shift):
         raise RatlpError("dual-side recovery produced inconsistent objective values")
-    return "optimal", x, y, inner.basis, pivots
+    reported = value if lp.sense == "min" else -value
+    return LpOutcome("optimal", reported, tuple(x), tuple(y), spx.basis_ids(), pivots, True)
 
 
 # -- independent verification ---------------------------------------------

@@ -8,6 +8,9 @@ traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+from homdom import hde, polytope
+from homdom.graphs import disjoint_union, path
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -30,3 +33,18 @@ def test_tracer_installs_and_restores_every_name():
         rec.uninstall()
     for module, attr, original in rebound:
         assert getattr(module, attr) is original
+
+
+def test_tracer_counts_every_solve_on_the_dual():
+    # the t = 1 flagship exponent and one P_3 vertex, traced end to end
+    polytope.random_vertex_point.cache_clear()
+    rec = _load_spans().Recorder()
+    rec.install()
+    try:
+        flagship = disjoint_union([(path(0), 2), (path(3), 1)])
+        assert hde.compute_hde(flagship, path(1)).value == 3
+        polytope.random_vertex_point(path(3), 0)
+    finally:
+        rec.uninstall()
+    assert rec.counts["lp.solves"] >= 2
+    assert rec.counts["lp.dual_side"] == rec.counts["lp.solves"]

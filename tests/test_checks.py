@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, zip_longest
 
@@ -11,7 +12,8 @@ from homdom.errors import (
     NotMember,
     ScopeTooLarge,
 )
-from homdom.graphs import Graph, complete, disjoint_union, from_edges, path, serialize_graph
+from homdom.graphs import Graph, complete, disjoint_union, from_edges, path, serialize_graph, star
+from homdom.homs import count_homs
 from homdom.polytope import SetFunction, indicator_point, p_star, random_vertex_point
 from homdom.checks import (
     Scope,
@@ -228,6 +230,24 @@ def test_hde_definition_check():
 
     g = path(3)
     assert check_hde_definition(g, g, Fraction(1), Scope.exhaustive_upto(3)).verdict == "holds"
+
+    # a non-path component on both sides, beside path components whose
+    # counts come from one walk-count chain per graph: graph by graph
+    # against count_homs
+    f1 = disjoint_union([(complete(3), 1), (path(2), 2)])
+    f2 = disjoint_union([(star(3), 1), (path(1), 1)])
+    for c in (Fraction(1), Fraction(3, 2)):
+        verdicts = Counter()
+        for G in Scope.exhaustive_upto(4):
+            rep = check_hde_definition(f1, f2, c, Scope.graphs([G]))
+            h1, h2 = count_homs(f1, G), count_homs(f2, G)
+            holds = h1**c.denominator >= h2**c.numerator
+            verdicts[rep.verdict] += 1
+            assert rep.verdict == ("holds" if holds else "violated")
+            assert rep.params["checked"] == 1
+            if not holds:
+                assert (rep.witnesses[0]["hom_f1"], rep.witnesses[0]["hom_f2"]) == (str(h1), str(h2))
+        assert verdicts["holds"] and verdicts["violated"]
 
 
 def test_even_k_regime_holds_at_desk_scale():

@@ -212,7 +212,7 @@ def test_psi_assembly_and_coverage():
 
 
 def test_certify_upper_examples():
-    for t in range(1, 16, 2):
+    for t in range(1, 22, 2):
         assert certify_upper(t) == t + 2
     with pytest.raises(BadParity):
         certify_upper(4)

@@ -104,10 +104,6 @@ def test_random_lps_against_vertex_enumeration():
             solved += 1
             assert out.value == value
             assert ratlp.verify(lp, out)
-            dual_out = ratlp.solve(lp, side="dual")
-            assert dual_out.status == "optimal"
-            assert dual_out.value == value
-            assert ratlp.verify(lp, dual_out)
     assert solved > 50  # the corpus must actually exercise the solver
 
 
@@ -116,7 +112,7 @@ def test_determinism():
     for _ in range(20):
         lp = _random_lp(rng)
         assert ratlp.solve(lp) == ratlp.solve(lp)
-        assert repr(ratlp.solve(lp, side="dual")) == repr(ratlp.solve(lp, side="dual"))
+        assert repr(ratlp.solve(lp)) == repr(ratlp.solve(lp))
 
 
 def test_equality_only_and_redundant_rows():
@@ -139,7 +135,8 @@ def test_equality_only_and_redundant_rows():
 
 
 def test_free_variables_both_sides():
-    # min y s.t. y >= x - 1, y >= -x - 1 with x, y free -> -1
+    # min y s.t. y >= x - 1, y >= -x - 1 with x, y free -> -1; free
+    # variables give = lines of the dual, with and without the presolve
     lp = ratlp.make_lp(
         2,
         [(1, 1)],
@@ -148,19 +145,26 @@ def test_free_variables_both_sides():
             ([(1, 1), (0, 1)], ">=", -1),
         ],
     )
-    for side in ("primal", "dual"):
-        out = ratlp.solve(lp, side=side)
+    for out in (ratlp.solve(lp), ratlp._pivot(lp)):
         assert out.status == "optimal" and out.value == -1
         assert ratlp.verify(lp, out)
 
 
 def test_unbounded_vs_infeasible_via_dual_side():
     unbounded = ratlp.make_lp(1, [(0, -1)], [([(0, 1)], ">=", 0)])
-    assert ratlp.solve(unbounded, side="dual").status == "unbounded"
+    assert ratlp.solve(unbounded).status == "unbounded"
     infeasible = ratlp.make_lp(
         1, [(0, 1)], [([(0, 1)], ">=", 2), ([(0, 1)], "<=", 1)]
     )
-    assert ratlp.solve(infeasible, side="dual").status == "infeasible"
+    assert ratlp.solve(infeasible).status == "infeasible"
+    # = rows pivoted with no presolve: both duals are infeasible, and the
+    # zero-cost probe tells the unbounded program from the infeasible one
+    free_line = ratlp.make_lp(2, [(0, 1)], [([(0, 1), (1, 1)], "=", 1)])
+    clash = ratlp.make_lp(
+        2, [(0, 1), (1, -1)], [([(0, 1), (1, 1)], "=", 1), ([(0, 1), (1, 1)], "=", 2)]
+    )
+    for program, status in ((free_line, "unbounded"), (clash, "infeasible")):
+        assert ratlp.solve(program).status == ratlp._pivot(program).status == status
 
 
 def test_validation_errors():
@@ -223,17 +227,17 @@ def _equality_lp(rng: random.Random):
 
 
 def test_presolve_against_vertex_enumeration():
-    # the presolved program is pivoted on both sides; the outcome must be
-    # the brute-force optimum and pass verify on the full program, duals
-    # of the eliminated rows and the objective's constant included
+    # solved with the presolve, the outcome must be the brute-force optimum
+    # and pass verify on the full program, duals of the eliminated rows and
+    # the objective's constant included; pivoted with no presolve, the =
+    # rows reach the dual as pairs of opposite columns
     rng = random.Random(20261018)
     statuses = Counter()
     for _ in range(60):
         lp = _equality_lp(rng)
         status, value = brute_force_lp(lp)
         statuses[status] += 1
-        for side in ("primal", "dual"):
-            out = ratlp.solve(lp, side=side)
+        for out in (ratlp.solve(lp), ratlp._pivot(lp)):
             assert out.status == status
             if status == "optimal":
                 assert out.value == value
