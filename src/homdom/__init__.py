@@ -40,7 +40,7 @@ from .polytope import (
     random_vertex_point,
     separates,
 )
-from .lp import LinearProgram, LpOutcome, Row, dump_lp, make_lp, make_row, solve, verify
+from .lp import LinearProgram, LpOutcome, Row, make_lp, make_row, solve, verify
 from .hde import (
     HdeResult,
     ObjectiveProfile,

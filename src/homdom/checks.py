@@ -377,6 +377,8 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
     graph read one walk-count chain."""
     t0 = time.perf_counter()
     c = Fraction(c)
+    if c < 0:
+        raise BadIndex(f"need c >= 0, got c={c}")
     a, b = c.numerator, c.denominator
     plan1, plan2 = HomPlan(F1), HomPlan(F2)
     lengths = plan1.paths.keys() | plan2.paths.keys()

@@ -38,7 +38,7 @@ from .errors import (
     ScopeTooLarge,
 )
 from .graphs import parse_graph, parse_graph_spec, path, subset_label
-from .homs import average_degree, normalized_walks, walk_count
+from .homs import average_degree, walk_count
 from .polytope import build_polytope, dump_polytope, random_vertex_point
 from .hde import certify_lower, certify_upper, compute_hde
 from .checks import (
@@ -133,12 +133,14 @@ def cmd_walks(args) -> int:
     with open(args.graph, "r", encoding="utf-8", newline="") as fh:
         G = parse_graph(fh.read())
     config = {"subcommand": "walks", "graph": args.graph, "k": args.k}
+    d = average_degree(G)  # refuses n = 0 before the division below
+    walks = walk_count(G, args.k)
     result = {
         "n": G.n,
         "e": G.edge_count,
-        "d": _rat(average_degree(G)),
-        "walks": str(walk_count(G, args.k)),
-        "w_k": _rat(normalized_walks(G, args.k)),
+        "d": _rat(d),
+        "walks": str(walks),
+        "w_k": _rat(Fraction(walks, G.n)),
     }
     _emit(_document(config, result, started), args.out)
     return 0

@@ -230,7 +230,7 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     objective = [(n_p + ci, Fraction(mult)) for ci, (_, mult) in enumerate(components)]
     bounds = [Fraction(0)] * n_p + [None] * len(components)
     n_vars = n_p + len(components)
-    program = ratlp.make_lp(n_vars, objective, rows, sense="min", lower_bounds=bounds)
+    program = ratlp.make_lp(n_vars, objective, rows, lower_bounds=bounds)
     outcome = ratlp.solve(program)
     if outcome.status != "optimal":
         raise RatlpError(f"HDE linear program came back {outcome.status}")

@@ -2,7 +2,7 @@
 
 Two-phase simplex with Bland's anti-cycling rule over
 ``fractions.Fraction``; every outcome is exact and deterministic given
-the input ordering.
+the input ordering.  Every program is a minimization.
 
 Variables are free by default; an optional exact lower bound may be given
 per variable (upper bounds are not supported; callers encode them as
@@ -28,7 +28,7 @@ equality rows that found a pivot, and the elimination's own triangular
 factors solve it.  An equality row that became empty (a duplicate or a
 combination of earlier ones) gets dual 0; inconsistent equalities make
 the program infeasible.  So ``verify`` checks the full program, while
-``basis`` and ``pivots`` describe the reduced one.
+``pivots`` counts the reduced one's run.
 """
 
 from __future__ import annotations
@@ -55,13 +55,10 @@ class Row:
 class LinearProgram:
     n_vars: int
     objective: tuple[tuple[int, Fraction], ...]
-    sense: str
     rows: tuple[Row, ...]
     lower_bounds: tuple  # one Fraction-or-None per variable
 
     def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise RatlpError(f"bad sense {self.sense!r}")
         if len(self.lower_bounds) != self.n_vars:
             raise RatlpError("one lower bound slot per variable required")
         for j, _ in self.objective:
@@ -79,28 +76,23 @@ class LinearProgram:
 class LpOutcome:
     """Exact solver result.
 
-    ``value``/``point`` are in the program's own sense; ``duals`` (one per
-    row) follow the minimization convention (negate the objective of a max
-    program to interpret them).  ``basis`` is the final basic index set of
-    the dual of the presolved program, and ``pivots`` its pivot count.
-    ``via_dual`` is True on every pivoted outcome, since every program is
-    pivoted on its dual, and False only when the presolve alone finds the
-    program infeasible.
+    ``duals`` has one entry per row.  ``pivots`` is the pivot count of
+    the dual of the presolved program.  ``via_dual`` is True on every
+    pivoted outcome, since every program is pivoted on its dual, and False
+    only when the presolve alone finds the program infeasible.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None
     point: tuple[Fraction, ...] | None
     duals: tuple[Fraction, ...] | None
-    basis: tuple | None
     pivots: int
     via_dual: bool = False
 
 
 def _norm_terms(terms) -> tuple[tuple[int, Fraction], ...]:
     acc: dict[int, Fraction] = {}
-    items = terms.items() if isinstance(terms, dict) else terms
-    for j, v in items:
+    for j, v in terms:
         acc[j] = acc.get(j, Fraction(0)) + Fraction(v)
     return tuple((j, acc[j]) for j in sorted(acc) if acc[j] != 0)
 
@@ -109,34 +101,14 @@ def make_row(terms, rel: str, rhs) -> Row:
     return Row(_norm_terms(terms), rel, Fraction(rhs))
 
 
-def make_lp(n_vars, objective, rows, sense="min", lower_bounds=None) -> LinearProgram:
+def make_lp(n_vars, objective, rows, lower_bounds=None) -> LinearProgram:
     """Build a LinearProgram, normalizing all coefficients to Fraction."""
     lbs = tuple(
         None if lb is None else Fraction(lb)
         for lb in (lower_bounds if lower_bounds is not None else [None] * n_vars)
     )
     built = tuple(r if isinstance(r, Row) else make_row(*r) for r in rows)
-    return LinearProgram(n_vars, _norm_terms(objective), sense, built, lbs)
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text dump: sense line, objective row, then constraint rows."""
-
-    def side(terms):
-        if not terms:
-            return "0/1"
-        return " + ".join(f"{v.numerator}/{v.denominator}*x{j}" for j, v in terms)
-
-    lines = [lp.sense, f"obj: {side(lp.objective)}"]
-    for i, row in enumerate(lp.rows):
-        lines.append(
-            f"r{i}: {side(row.terms)} {row.rel} {row.rhs.numerator}/{row.rhs.denominator}"
-        )
-    bounds = []
-    for j, lb in enumerate(lp.lower_bounds):
-        bounds.append(f"x{j} free" if lb is None else f"x{j} >= {lb.numerator}/{lb.denominator}")
-    lines.append("bounds: " + ", ".join(bounds) if bounds else "bounds:")
-    return "\n".join(lines) + "\n"
+    return LinearProgram(n_vars, _norm_terms(objective), built, lbs)
 
 
 # -- simplex core ---------------------------------------------------------
@@ -150,10 +122,9 @@ class _Simplex:
     basis leaves them.
     """
 
-    def __init__(self, m: int, cols, col_ids, b):
+    def __init__(self, m: int, cols, b):
         self.m = m
         self.cols = cols
-        self.col_ids = col_ids
         self.k = len(cols)
         self.pivots = 0
         sign = [1 if b[i] >= 0 else -1 for i in range(m)]
@@ -286,13 +257,6 @@ class _Simplex:
     def duals_for(self, costs):
         return self._duals(lambda j: costs[j] if j < self.k else 0)
 
-    def basis_ids(self):
-        out = []
-        for i in range(self.m):
-            j = self.basis[i]
-            out.append(self.col_ids[j] if j < self.k else ("art", j - self.k))
-        return tuple(out)
-
 
 # -- presolve: elimination of the equality rows ---------------------------
 
@@ -423,10 +387,10 @@ def _equality_duals(steps, excess) -> list[Fraction]:
 # -- canonical form and the public solver ---------------------------------
 
 
-def _min_objective(lp: LinearProgram):
+def _cost_vector(lp: LinearProgram):
     c = [Fraction(0)] * lp.n_vars
     for j, v in lp.objective:
-        c[j] += v if lp.sense == "min" else -v
+        c[j] += v
     return c
 
 
@@ -441,14 +405,14 @@ def solve(lp: LinearProgram) -> LpOutcome:
     Points may differ from another exact solver's only when the optimum
     is not unique; Bland's rule makes them deterministic.
     """
-    c = _min_objective(lp)
+    c = _cost_vector(lp)
     presolved = _presolve(tuple(lp.rows), lp.lower_bounds)
     if presolved is None:
-        return LpOutcome("infeasible", None, None, None, None, 0)
+        return LpOutcome("infeasible", None, None, None, 0)
     eq_at, steps, exprs, index, rows, reduced = presolved
     coeffs, offset = _substitute(exprs, enumerate(c))
     bounds = tuple(lp.lower_bounds[j] for j in index)
-    inner = _pivot(LinearProgram(len(index), _over(index, coeffs), "min", tuple(reduced), bounds))
+    inner = _pivot(LinearProgram(len(index), _over(index, coeffs), tuple(reduced), bounds))
     if inner.status != "optimal":
         return inner
 
@@ -467,10 +431,8 @@ def solve(lp: LinearProgram) -> LpOutcome:
                 rc[j] -= yi * a
     for (k, _, _, _, _), lam in zip(steps, _equality_duals(steps, rc)):
         y[eq_at[k]] = lam
-    value = inner.value + offset
-    reported = value if lp.sense == "min" else -value
     duals = tuple(y[: len(lp.rows)])
-    return LpOutcome("optimal", reported, tuple(x), duals, inner.basis, inner.pivots, inner.via_dual)
+    return LpOutcome("optimal", inner.value + offset, tuple(x), duals, inner.pivots, inner.via_dual)
 
 
 def _pivot(lp: LinearProgram) -> LpOutcome:
@@ -481,14 +443,13 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
     variable j, ``=`` if j is free and ``<=`` if it is bounded, with
     right-hand side c[j].  Each row i gives a column signed so that its
     multiplier is >= 0: a ``<=`` row is negated, and an ``=`` row gives
-    the pair ``("x+", i)``, ``("x-", i)`` of opposite columns.  Each
-    bounded variable j gives a slack ``("s", j)``.  x is read off the
-    run's multipliers and y off its basic values.
+    a pair of opposite columns.  Each bounded variable j then gives a
+    slack column.  x is read off the run's multipliers and y off its basic
+    values.
     """
-    c = _min_objective(lp)
+    c = _cost_vector(lp)
     lower = lp.lower_bounds
     sign = [-1 if row.rel == "<=" else 1 for row in lp.rows]
-    col_ids = []
     cols = []
     costs = []
     first = []  # per row: the index of its (first) column
@@ -497,20 +458,17 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
         entries = tuple((j, sign[i] * a) for j, a in row.terms)
         cost = -sign[i] * _shifted_rhs(row, lower)
         if row.rel == "=":
-            col_ids += [("x+", i), ("x-", i)]
             cols += [entries, tuple((j, -a) for j, a in entries)]
             costs += [cost, -cost]
         else:
-            col_ids.append(("x", i))
             cols.append(entries)
             costs.append(cost)
     for j, lb in enumerate(lower):
         if lb is not None:
-            col_ids.append(("s", j))
             cols.append(((j, Fraction(1)),))
             costs.append(0)
 
-    spx = _Simplex(lp.n_vars, cols, col_ids, c)
+    spx = _Simplex(lp.n_vars, cols, c)
     status = spx.solve_two_phase(costs)
     pivots = spx.pivots
     if status != "optimal":
@@ -519,10 +477,10 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
         else:
             # primal is unbounded or infeasible; the dual with zero costs
             # c is feasible, and bounded exactly when the primal is feasible
-            probe = _Simplex(lp.n_vars, cols, col_ids, [Fraction(0)] * lp.n_vars)
+            probe = _Simplex(lp.n_vars, cols, [Fraction(0)] * lp.n_vars)
             status = "unbounded" if probe.solve_two_phase(costs) == "optimal" else "infeasible"
             pivots += probe.pivots
-        return LpOutcome(status, None, None, None, None, pivots, True)
+        return LpOutcome(status, None, None, None, pivots, True)
 
     vals = spx.solution()
     zero = Fraction(0)
@@ -537,8 +495,7 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
     shift = sum((cj * lb for cj, lb in zip(c, lower) if lb is not None), Fraction(0))
     if value != sum((_shifted_rhs(row, lower) * yi for row, yi in zip(lp.rows, y)), shift):
         raise RatlpError("dual-side recovery produced inconsistent objective values")
-    reported = value if lp.sense == "min" else -value
-    return LpOutcome("optimal", reported, tuple(x), tuple(y), spx.basis_ids(), pivots, True)
+    return LpOutcome("optimal", value, tuple(x), tuple(y), pivots, True)
 
 
 # -- independent verification ---------------------------------------------
@@ -560,8 +517,7 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
         return False
     x = outcome.point
     y = outcome.duals
-    c = _min_objective(lp)
-    target = outcome.value if lp.sense == "min" else -outcome.value
+    c = _cost_vector(lp)
 
     for j, lb in enumerate(lp.lower_bounds):
         if lb is not None and x[j] < lb:
@@ -576,7 +532,7 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
         if row.rel == "=" and lhs != row.rhs:
             return False
         slacks.append(lhs - row.rhs)
-    if sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)) != target:
+    if sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)) != outcome.value:
         return False
 
     for i, row in enumerate(lp.rows):

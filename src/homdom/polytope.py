@@ -175,7 +175,6 @@ def system_lp(system: ConstraintSystem, objective) -> ratlp.LinearProgram:
         system.n_vars,
         objective,
         rows,
-        sense="min",
         lower_bounds=[Fraction(0)] * system.n_vars,
     )
 

@@ -246,7 +246,6 @@ def brute_force_lp(lp):
     obj = [Fraction(0)] * n
     for j, c in lp.objective:
         obj[j] += c
-    sign = 1 if lp.sense == "min" else -1
 
     def feasible(x):
         for row in lp.rows:
@@ -269,9 +268,9 @@ def brute_force_lp(lp):
         x = solve_square(matrix, rhs)
         if x is None or not feasible(x):
             continue
-        val = sign * sum(c * xi for c, xi in zip(obj, x))
+        val = sum(c * xi for c, xi in zip(obj, x))
         if best is None or val < best:
             best = val
     if best is None:
         return "infeasible", None
-    return "optimal", sign * best
+    return "optimal", best

@@ -5,6 +5,7 @@ from itertools import chain, zip_longest
 import pytest
 
 from homdom.errors import (
+    BadIndex,
     BadParity,
     EmptyGraph,
     EmptyScope,
@@ -230,6 +231,12 @@ def test_hde_definition_check():
 
     g = path(3)
     assert check_hde_definition(g, g, Fraction(1), Scope.exhaustive_upto(3)).verdict == "holds"
+
+    # no count is 0 on a triangle, so a negative exponent would compare
+    # floats there; it is refused before any graph is checked
+    for c in (Fraction(-1), Fraction(-1, 2)):
+        with pytest.raises(BadIndex):
+            check_hde_definition(path(1), path(1), c, Scope.graphs([complete(3)]))
 
     # a non-path component on both sides, beside path components whose
     # counts come from one walk-count chain per graph: graph by graph

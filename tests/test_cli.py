@@ -215,6 +215,11 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch):
           "--n", "5", "--edge-prob", "-1/2"], "edge probability must be in [0, 1]"),
         (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
           "--n", "5", "--edge-prob=-1/2"], "edge probability must be in [0, 1]"),
+        # BadIndex: a negative exponent would compare float powers of 0
+        (["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c", "-1",
+          "--exhaustive-n", "3"], "need c >= 0"),
+        (["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c=-1/2",
+          "--exhaustive-n", "3"], "need c >= 0"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
