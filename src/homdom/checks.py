@@ -166,8 +166,20 @@ class CheckReport:
         }
 
 
+def _decimal(n: int) -> str:
+    """n in decimal at any length.  ``str`` refuses an int of more than
+    4,300 digits by default; rather than lift that interpreter-wide limit,
+    a longer n is written 4,000 digits at a time, split off by divmod."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 13_000:  # n < 2^13000 < 10^3914
+        return str(n)
+    head, low = divmod(n, 10**4000)
+    return _decimal(head) + f"{low:04000}" if head else str(low)
+
+
 def _rat(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
 def _witness(G: Graph, lhs: Fraction, rhs: Fraction, relation: str) -> dict:
@@ -242,7 +254,8 @@ def check_walk_inequality(G: Graph, t: int, k: int) -> CheckReport:
 
 
 def check_density_form(G: Graph, t: int, k: int) -> CheckReport:
-    """t(P_k;G)^t >= t(P_t;G)^k; must agree with the walk form."""
+    """t(P_k;G)^t >= t(P_t;G)^k: the walk inequality divided through by
+    n^(tk), since t(P_j;G) = w_j / n^j."""
     t0 = time.perf_counter()
     if G.n == 0:
         raise EmptyGraph("density form needs at least one vertex")
@@ -251,12 +264,9 @@ def check_density_form(G: Graph, t: int, k: int) -> CheckReport:
     lhs = hom_density(path(k), G) ** t
     rhs = hom_density(path(t), G) ** k
     verdict = "holds" if lhs >= rhs else "violated"
-    walk = check_walk_inequality(G, t, k)
-    if walk.verdict != verdict:  # pragma: no cover - algebraically impossible
-        raise HomdomError("density and walk forms disagree; arithmetic bug")
     return CheckReport(
         "density-form",
-        {"t": t, "k": k, "n": G.n, "agrees_with_walk_form": True},
+        {"t": t, "k": k, "n": G.n},
         verdict,
         (_witness(G, lhs, rhs, "t(P_k)^t >= t(P_t)^k"),),
         time.perf_counter() - t0,
@@ -322,12 +332,8 @@ def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
     )
 
 
-def chain_exponents(t: int, k: int, G: Graph | None = None) -> Fraction:
-    """Telescoping product (t+2)/t * (t+4)/(t+2) * ... * k/(k-2) = k/t.
-
-    With a graph supplied, additionally re-derives the chained inequality
-    t(P_k;G)^t >= t(P_t;G)^k by exact cross-powering.
-    """
+def chain_exponents(t: int, k: int) -> Fraction:
+    """Telescoping product (t+2)/t * (t+4)/(t+2) * ... * k/(k-2) = k/t."""
     if t % 2 == 0 or k % 2 == 0 or t > k:
         raise BadParity(f"need odd t <= odd k, got t={t}, k={k}")
     product = Fraction(1)
@@ -337,13 +343,6 @@ def chain_exponents(t: int, k: int, G: Graph | None = None) -> Fraction:
         step += 2
     if product != Fraction(k, t):  # pragma: no cover - telescoping identity
         raise HomdomError("telescoping product failed to collapse")
-    if G is not None:
-        lhs = hom_density(path(k), G) ** t
-        rhs = hom_density(path(t), G) ** k
-        if lhs < rhs:
-            raise HomdomError(
-                f"chained inequality violated on supplied graph: {lhs} < {rhs}"
-            )
     return product
 
 
@@ -396,8 +395,8 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
                 (
                     {
                         "graph": serialize_graph(G),
-                        "hom_f1": str(h1),
-                        "hom_f2": str(h2),
+                        "hom_f1": _decimal(h1),
+                        "hom_f2": _decimal(h2),
                         "relation": f"hom_f1^{b} < hom_f2^{a}",
                     },
                 ),

@@ -43,6 +43,8 @@ from .polytope import build_polytope, dump_polytope, random_vertex_point
 from .hde import certify_lower, certify_upper, compute_hde
 from .checks import (
     Scope,
+    _decimal,
+    _rat,
     chain_exponents,
     check_blakley_roy,
     check_hde_definition,
@@ -58,10 +60,6 @@ LEMMA_SAMPLES = 25  # random polytope vertices per lemma-identity run
 _PRECONDITION_ERRORS = (NotChordal, NotSeriesParallel, NoHomomorphism, GroundTooLarge)
 _USAGE_ERRORS = (MalformedInput, BadParity, BadIndex, BadVertex, EmptyGraph, GraphTooLarge,
                  EmptyScope, ScopeTooLarge, FileNotFoundError)
-
-
-def _rat(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -139,7 +137,7 @@ def cmd_walks(args) -> int:
         "n": G.n,
         "e": G.edge_count,
         "d": _rat(d),
-        "walks": str(walks),
+        "walks": _decimal(walks),
         "w_k": _rat(Fraction(walks, G.n)),
     }
     _emit(_document(config, result, started), args.out)
@@ -219,28 +217,23 @@ def cmd_verify(args) -> int:
     if mode == "blakley-roy":
         if args.k is None:
             raise MalformedInput("blakley-roy mode needs --k")
-        worst = None  # (lhs - rhs, report) of the largest violation
-        checked = 0
-        violations = 0
-        for G in _verify_scope(args):
-            rep = check_blakley_roy(G, args.k)
-            checked += 1
-            if rep.verdict == "violated":
-                violations += 1
-                w = rep.witnesses[0]
-                margin = Fraction(w["lhs"]) - Fraction(w["rhs"])
-                if worst is None or margin < worst[0]:
-                    worst = (margin, rep)
+        # w_1 = d, so Blakley-Roy is the walk inequality at t = 1; the
+        # sweep's witness is its first graph with the smallest w_k - d^k
+        report = sweep(1, args.k, _verify_scope(args))
+        violations = report.params["violations"]
         result = {
-            "checked": checked,
+            "checked": report.params["checked"],
             "violations": violations,
-            "verdict": "holds" if violations == 0 else "violated",
+            "verdict": report.verdict,
         }
-        if worst:
-            result["witness"] = worst[1].to_json()
+        if violations:
+            worst = parse_graph(report.witnesses[0]["graph"])
+            result["witness"] = check_blakley_roy(worst, args.k).to_json()
         _emit(_document(config, result, started), args.out)
         return 0 if violations == 0 else 1
 
+    # t(P_j;G) = w_j / n^j, so the density form is the walk inequality
+    # divided through by n^(tk) and prints the same sweeps
     if mode in ("walk-inequality", "density-form"):
         if args.t is None or args.k is None:
             raise MalformedInput(f"{mode} mode needs --t and --k")
@@ -251,12 +244,6 @@ def cmd_verify(args) -> int:
             ]
         else:
             reports = [sweep(args.t, args.k, _verify_scope(args))]
-        if mode == "density-form":
-            # confirm verdict agreement on the same scope
-            from .checks import check_density_form
-
-            for G in _verify_scope(args):
-                check_density_form(G, args.t, args.k)
         bad = [r for r in reports if r.verdict != "holds"]
         result = {
             "sweeps": [r.to_json() for r in reports],
@@ -389,21 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_edge_prob(argv: list[str]) -> list[str]:
-    """``--edge-prob VALUE`` joined into ``--edge-prob=VALUE``, so that a
-    negative value reaches the range check instead of reading as an
-    option."""
+def _join_rationals(argv: list[str]) -> list[str]:
+    """``--edge-prob VALUE`` and ``--c VALUE`` joined into
+    ``--edge-prob=VALUE`` and ``--c=VALUE``, so that a negative rational
+    reaches the range check instead of reading as an option."""
     out = []
     args = iter(argv)
     for arg in args:
-        value = next(args, None) if arg == "--edge-prob" else None
+        value = next(args, None) if arg in ("--edge-prob", "--c") else None
         out.append(arg if value is None else f"{arg}={value}")
     return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = _join_edge_prob(sys.argv[1:] if argv is None else list(argv))
+    argv = _join_rationals(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         return args.func(args)

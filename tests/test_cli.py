@@ -1,11 +1,13 @@
 import json
-from fractions import Fraction
+import shlex
+from pathlib import Path
 
 import pytest
 
 from homdom import cli
-from homdom.checks import CheckReport
+from homdom.checks import CheckReport, Scope, check_blakley_roy
 from homdom.cli import main
+from homdom.graphs import from_edges, serialize_graph
 
 
 def run_cli(capsys, *argv):
@@ -179,13 +181,15 @@ def test_empty_scopes_are_usage_errors(capsys, argv):
     assert "at least 1" in capsys.readouterr().err
 
 
-def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "mode_args",
+    [["--mode", "counterexample", "--t", "2", "--k", "3"], ["--mode", "blakley-roy", "--k", "2"]],
+    ids=["counterexample", "blakley-roy"],
+)
+def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_args):
     # the library refuses a scope with no graphs; the CLI reports it as bad input
     monkeypatch.setattr(cli, "_verify_scope", lambda args: cli.Scope.graphs([]))
-    code, out, err = run_cli(
-        capsys, "verify", "--mode", "counterexample", "--t", "2", "--k", "3", "--samples", "1",
-        "--n", "3",
-    )
+    code, out, err = run_cli(capsys, "verify", *mode_args, "--samples", "1", "--n", "3")
     assert code == 2 and out == ""
     assert "at least one graph" in err
 
@@ -220,6 +224,11 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch):
           "--exhaustive-n", "3"], "need c >= 0"),
         (["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c=-1/2",
           "--exhaustive-n", "3"], "need c >= 0"),
+        (["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c", "-1/2",
+          "--exhaustive-n", "3"], "need c >= 0"),
+        # BadIndex: at k = 0 Blakley-Roy compares 1 with 1 on every graph
+        (["verify", "--mode", "blakley-roy", "--k", "0", "--exhaustive-n", "3"],
+         "need 1 <= t <= k"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
@@ -236,19 +245,74 @@ def test_lemma_identity_default_samples(capsys):
     assert doc["result"]["checked_points"] == 3 + 1 + cli.LEMMA_SAMPLES
 
 
-def test_blakley_roy_reports_the_largest_violation(capsys, monkeypatch):
-    # the inequality holds on every graph, so violations are simulated
-    margins = iter([Fraction(-1), Fraction(-3), Fraction(-2)])
-
-    def fake_check(G, k):
-        lhs = next(margins)
-        witness = {"graph": "", "lhs": str(lhs), "rhs": "0/1", "relation": "w_k >= d^k"}
-        return CheckReport("blakley-roy", {"k": k, "n": G.n}, "violated", (witness,), 0.0)
-
-    monkeypatch.setattr(cli, "check_blakley_roy", fake_check)
+@pytest.mark.parametrize("k", range(1, 7))
+def test_blakley_roy_matches_the_per_graph_check(capsys, k):
+    reports = [check_blakley_roy(G, k) for G in Scope.exhaustive_upto(5)]
+    violations = sum(rep.verdict == "violated" for rep in reports)
     code, doc = run_json(
-        capsys, "verify", "--mode", "blakley-roy", "--k", "2", "--exhaustive-n", "2"
+        capsys, "verify", "--mode", "blakley-roy", "--k", str(k), "--exhaustive-n", "5"
+    )
+    assert code == 0
+    assert doc["result"] == {
+        "checked": len(reports),
+        "violations": violations,
+        "verdict": "holds" if violations == 0 else "violated",
+    }
+
+
+def test_blakley_roy_reports_the_largest_violation(capsys, monkeypatch):
+    # the inequality holds on every graph, so a violated sweep is simulated;
+    # its witness graph is the one with the largest violation
+    worst = from_edges(4, [(0, 1), (1, 2), (1, 3)])
+
+    def fake_sweep(t, k, scope):
+        witness = {"graph": serialize_graph(worst), "lhs": "0/1", "rhs": "1/1",
+                   "relation": "w_k^t >= w_t^k"}
+        params = {"t": t, "k": k, "checked": 5, "violations": 3, "worst_margin": "-1/1"}
+        return CheckReport("sweep", params, "violated", (witness,), 0.0)
+
+    monkeypatch.setattr(cli, "sweep", fake_sweep)
+    code, doc = run_json(
+        capsys, "verify", "--mode", "blakley-roy", "--k", "3", "--exhaustive-n", "2"
     )
     assert code == 1
-    assert doc["result"]["violations"] == 3
-    assert doc["result"]["witness"]["witnesses"][0]["lhs"] == "-3"
+    assert doc["result"] == {
+        "checked": 5,
+        "violations": 3,
+        "verdict": "violated",
+        "witness": check_blakley_roy(worst, 3).to_json(),
+    }
+
+
+def test_counts_past_the_integer_conversion_limit(capsys, tmp_path):
+    # 4 * 3^10000 has 4,772 digits, past the 4,300 that str() accepts by default
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, doc = run_json(capsys, "walks", "--graph", str(k4), "--k", "10000")
+    assert code == 0
+    walks = doc["result"]["walks"]
+    assert len(walks) == 4772
+    assert int(walks[:-4000]) * 10**4000 + int(walks[-4000:]) == 4 * 3**10000
+
+    for mode_args in (["--mode", "walk-inequality", "--t", "1"], ["--mode", "blakley-roy"]):
+        code, doc = run_json(capsys, "verify", *mode_args, "--k", "9100", "--samples", "1",
+                             "--n", "4", "--edge-prob", "1")
+        assert code == 0 and doc["result"]["verdict"] == "holds"
+
+
+def _readme_commands():
+    """Every ``homdom ...`` line of README's CLI block, continuations joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("homdom ")]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p2.txt").write_text("3 2\n0 1\n1 2\n")  # as the block's printf writes it
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
