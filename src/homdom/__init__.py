@@ -29,7 +29,6 @@ from .homs import (
     walk_counts,
 )
 from .polytope import (
-    Constraint,
     ConstraintSystem,
     SetFunction,
     build_polytope,
@@ -40,10 +39,9 @@ from .polytope import (
     random_vertex_point,
     separates,
 )
-from .lp import LinearProgram, LpOutcome, Row, make_lp, make_row, solve, verify
+from .lp import LinearProgram, LpOutcome, Row, evaluate, make_lp, make_row, solve, verify
 from .hde import (
     HdeResult,
-    ObjectiveProfile,
     certify_lower,
     certify_upper,
     compute_hde,

@@ -12,7 +12,6 @@ raises ``EmptyScope`` instead of returning a vacuous "holds".
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import or_
@@ -27,7 +26,7 @@ from .errors import (
     NotMember,
     ScopeTooLarge,
 )
-from .graphs import Graph, from_edges, path, serialize_graph, star
+from .graphs import Graph, from_edges, path, serialize_graph
 # count_homs is not called here; it stays a module attribute so that
 # bench/spans.py can rebind it like from_edges and normalized_walks.
 from .homs import (
@@ -113,10 +112,6 @@ class Scope:
         )
 
     @staticmethod
-    def stars_and_paths(n_max: int) -> "Scope":
-        return Scope("stars-and-paths", {"n_max": n_max})
-
-    @staticmethod
     def graphs(items) -> "Scope":
         items = tuple(items)
         return Scope("explicit", {"count": len(items)}, items)
@@ -137,11 +132,6 @@ class Scope:
             rng = random.Random(self.params["seed"])
             for _ in range(self.params["samples"]):
                 yield random_graph(self.params["n"], self.params["edge_prob"], rng)
-        elif self.kind == "stars-and-paths":
-            for n in range(2, self.params["n_max"] + 1):
-                yield path(n - 1)
-                if n >= 3:
-                    yield star(n - 1)
         else:
             yield from self._graphs
 
@@ -155,7 +145,6 @@ class CheckReport:
     params: dict
     verdict: str  # "holds" | "violated" | "counterexample-found"
     witnesses: tuple
-    runtime: float
 
     def to_json(self) -> dict:
         return {
@@ -193,7 +182,6 @@ def _witness(G: Graph, lhs: Fraction, rhs: Fraction, relation: str) -> dict:
 
 def check_blakley_roy(G: Graph, k: int) -> CheckReport:
     """w_k >= d^k with both sides exact."""
-    t0 = time.perf_counter()
     if G.n == 0:
         raise EmptyGraph("Blakley-Roy needs at least one vertex")
     lhs = normalized_walks(G, k)
@@ -204,7 +192,6 @@ def check_blakley_roy(G: Graph, k: int) -> CheckReport:
         {"k": k, "n": G.n},
         verdict,
         (_witness(G, lhs, rhs, "w_k >= d^k"),),
-        time.perf_counter() - t0,
     )
 
 
@@ -241,7 +228,6 @@ def _walk_sides(G: Graph, t: int, k: int) -> tuple[Fraction, Fraction]:
 
 def check_walk_inequality(G: Graph, t: int, k: int) -> CheckReport:
     """w_k^t >= w_t^k, no parity restriction imposed."""
-    t0 = time.perf_counter()
     lhs, rhs = _walk_sides(G, t, k)
     verdict = "holds" if lhs >= rhs else "violated"
     return CheckReport(
@@ -249,14 +235,12 @@ def check_walk_inequality(G: Graph, t: int, k: int) -> CheckReport:
         {"t": t, "k": k, "n": G.n},
         verdict,
         (_witness(G, lhs, rhs, "w_k^t >= w_t^k"),),
-        time.perf_counter() - t0,
     )
 
 
 def check_density_form(G: Graph, t: int, k: int) -> CheckReport:
     """t(P_k;G)^t >= t(P_t;G)^k: the walk inequality divided through by
     n^(tk), since t(P_j;G) = w_j / n^j."""
-    t0 = time.perf_counter()
     if G.n == 0:
         raise EmptyGraph("density form needs at least one vertex")
     if not 1 <= t <= k:
@@ -269,7 +253,6 @@ def check_density_form(G: Graph, t: int, k: int) -> CheckReport:
         {"t": t, "k": k, "n": G.n},
         verdict,
         (_witness(G, lhs, rhs, "t(P_k)^t >= t(P_t)^k"),),
-        time.perf_counter() - t0,
     )
 
 
@@ -280,7 +263,6 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     Margins stay integer pairs (numerator, denominator) compared by
     cross-multiplication; only the reported witness gets Fraction sides.
     """
-    t0 = time.perf_counter()
     _check_indices(t, k)
     checked = 0
     violated = 0
@@ -300,13 +282,12 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
               "violations": violated, "worst_margin": _rat(Fraction(num, den))}
     verdict = "holds" if violated == 0 else "violated"
     witnesses = (_witness(G, *_sides(G.n, wk, wt, t, k), "w_k^t >= w_t^k"),)
-    return CheckReport("sweep", params, verdict, witnesses, time.perf_counter() - t0)
+    return CheckReport("sweep", params, verdict, witnesses)
 
 
 def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
     """Search the odd-k/even-t regime for a violating graph; returns the
     first one found with exact margins."""
-    t0 = time.perf_counter()
     if t % 2 != 0 or k % 2 == 0 or not t < k:
         raise BadParity(f"need t even, k odd, t < k; got t={t}, k={k}")
     checked = 0
@@ -319,7 +300,6 @@ def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
                 {"t": t, "k": k, "scope": scope.describe(), "checked": checked},
                 "counterexample-found",
                 (_witness(G, *_sides(G.n, wk, wt, t, k), "w_k^t < w_t^k"),),
-                time.perf_counter() - t0,
             )
     if not checked:
         raise EmptyScope("counterexample search needs at least one graph")
@@ -328,7 +308,6 @@ def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
         {"t": t, "k": k, "scope": scope.describe(), "checked": checked},
         "holds",
         (),
-        time.perf_counter() - t0,
     )
 
 
@@ -349,7 +328,6 @@ def chain_exponents(t: int, k: int) -> Fraction:
 def check_lemma_identity(t: int, p: SetFunction) -> CheckReport:
     """p(V) equals the sum over path edges minus the sum over inner
     vertices, for any member of the path polytope (t need not be odd)."""
-    t0 = time.perf_counter()
     F2 = path(t)
     ok, violated = is_member(p, F2)
     if not ok:
@@ -366,7 +344,6 @@ def check_lemma_identity(t: int, p: SetFunction) -> CheckReport:
         {"t": t},
         verdict,
         ({"lhs": _rat(lhs), "rhs": _rat(rhs)},),
-        time.perf_counter() - t0,
     )
 
 
@@ -374,7 +351,6 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
     """|Hom(F1;G)| >= |Hom(F2;G)|^c over a scope, via integer powering
     with c = a/b checked as Hom(F1)^b >= Hom(F2)^a.  Both counts of a
     graph read one walk-count chain."""
-    t0 = time.perf_counter()
     c = Fraction(c)
     if c < 0:
         raise BadIndex(f"need c >= 0, got c={c}")
@@ -400,7 +376,6 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
                         "relation": f"hom_f1^{b} < hom_f2^{a}",
                     },
                 ),
-                time.perf_counter() - t0,
             )
     if not checked:
         raise EmptyScope("definition check needs at least one graph")
@@ -409,5 +384,4 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
         {"c": _rat(c), "scope": scope.describe(), "checked": checked},
         "holds",
         (),
-        time.perf_counter() - t0,
     )

@@ -57,9 +57,9 @@ USAGE_ERROR = 2
 PRECONDITION_ERROR = 3
 LEMMA_SAMPLES = 25  # random polytope vertices per lemma-identity run
 
-_PRECONDITION_ERRORS = (NotChordal, NotSeriesParallel, NoHomomorphism, GroundTooLarge)
+_PRECONDITION_ERRORS = (NotChordal, NotSeriesParallel, NoHomomorphism)
 _USAGE_ERRORS = (MalformedInput, BadParity, BadIndex, BadVertex, EmptyGraph, GraphTooLarge,
-                 EmptyScope, ScopeTooLarge, FileNotFoundError)
+                 GroundTooLarge, EmptyScope, ScopeTooLarge, FileNotFoundError)
 
 
 def _parse_fraction(text: str) -> Fraction:

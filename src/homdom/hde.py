@@ -62,21 +62,14 @@ from .polytope import GROUND_CAP, SetFunction, build_polytope, is_member
 from . import lp as ratlp
 
 
-@dataclass(frozen=True)
-class ObjectiveProfile:
-    """Linear functional p -> sum coeff * p(subset) induced by one
-    homomorphism; the empty-set variable never appears."""
-
-    terms: tuple[tuple[int, Fraction], ...]  # (target subset mask, coefficient)
-
-    def evaluate(self, p: SetFunction) -> Fraction:
-        return sum((c * p[mask] for mask, c in self.terms), Fraction(0))
-
-
-def objective_clique_tree_form(tree: CliqueTree, phi: Homomorphism) -> ObjectiveProfile:
-    """+1 per clique-tree node at the image of its clique, -1 per tree edge
-    at the image of its separator; ``tree`` is ``clique_tree(phi.source)``
-    (a forest for unions)."""
+def objective_clique_tree_form(
+    tree: CliqueTree, phi: Homomorphism
+) -> tuple[tuple[int, Fraction], ...]:
+    """The linear functional p -> sum coeff * p(subset) induced by phi, as
+    its nonzero (target subset mask, coefficient) terms sorted by mask: +1
+    per clique-tree node at the image of its clique, -1 per tree edge at
+    the image of its separator.  ``tree`` is ``clique_tree(phi.source)``
+    (a forest for unions); the empty set never appears."""
     acc: dict[int, int] = {}
     for cl in tree.cliques:
         img = phi.image_mask(cl)
@@ -84,9 +77,7 @@ def objective_clique_tree_form(tree: CliqueTree, phi: Homomorphism) -> Objective
     for sep in tree.separators:
         img = phi.image_mask(sep)
         acc[img] = acc.get(img, 0) - 1
-    return ObjectiveProfile(
-        tuple((mask, Fraction(acc[mask])) for mask in sorted(acc) if acc[mask])
-    )
+    return tuple((mask, Fraction(acc[mask])) for mask in sorted(acc) if acc[mask])
 
 
 def _clique_maps(F2: Graph, size: int) -> list[tuple[tuple[int, ...], int]]:
@@ -190,11 +181,11 @@ class HdeResult:
 def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     """Exact HDE(F1; F2) for chordal F1 and series-parallel F2.
 
-    The LP takes the rows of ``build_polytope(F2)`` verbatim over one
+    The LP takes the rows of ``build_polytope(F2)`` as they are over one
     variable p(A) per subset mask A of V(F2), plus one epigraph variable
     per distinct connected component of F1, bounded below by the
     objective of each distinct profile of that component's
-    homomorphisms.
+    homomorphisms: one ``>=`` row tagged ``profile`` per profile.
     """
     ok, _ = is_chordal(F1)
     if not ok:
@@ -212,8 +203,7 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
         trees.append(tree)
         by_terms: dict[tuple, list[Homomorphism]] = {}
         for hom in enumerate_homs(comp, F2):
-            prof = objective_clique_tree_form(tree, hom)
-            by_terms.setdefault(prof.terms, []).append(hom)
+            by_terms.setdefault(objective_clique_tree_form(tree, hom), []).append(hom)
         if not by_terms:
             raise NoHomomorphism(
                 f"component {comp!r} admits no homomorphism into the target"
@@ -221,11 +211,13 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
         profiles_per_comp.append(by_terms)
 
     n_p = 1 << F2.n
-    rows = [(con.terms, con.rel, con.rhs) for con in build_polytope(F2).constraints]
+    rows = list(build_polytope(F2).constraints)
     for ci, by_terms in enumerate(profiles_per_comp):
-        for terms in by_terms:
-            row = [(n_p + ci, Fraction(1))] + [(mask, -coeff) for mask, coeff in terms]
-            rows.append((row, ">=", Fraction(0)))
+        z = ((n_p + ci, Fraction(1)),)
+        rows += (
+            ratlp.Row(tuple((mask, -c) for mask, c in terms) + z, ">=", Fraction(0), "profile")
+            for terms in by_terms
+        )
 
     objective = [(n_p + ci, Fraction(mult)) for ci, (_, mult) in enumerate(components)]
     bounds = [Fraction(0)] * n_p + [None] * len(components)
@@ -253,7 +245,7 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
         z_val = outcome.point[n_p + ci]
         argmax: list[Homomorphism] = []
         for terms, homs in profiles_per_comp[ci].items():
-            if ObjectiveProfile(terms).evaluate(p_opt) == z_val:
+            if ratlp.evaluate(terms, p_opt) == z_val:
                 argmax.extend(homs)
         active.append((comp, mult, tuple(argmax)))
 
@@ -341,6 +333,6 @@ def certify_lower(t: int, p: SetFunction) -> Fraction:
         raise NotMember(f"p violates {len(violated)} polytope constraints")
     trees = {comp: clique_tree(comp) for comp, _ in source}
     return sum(
-        (objective_clique_tree_form(trees[h.source], h).evaluate(p) for h in _psi_parts(t)),
+        (ratlp.evaluate(objective_clique_tree_form(trees[h.source], h), p) for h in _psi_parts(t)),
         Fraction(0),
     )

@@ -42,13 +42,30 @@ from .errors import RatlpError
 RELATIONS = ("<=", "=", ">=")
 
 
+def evaluate(terms, x) -> Fraction:
+    """``sum(a * x[j])`` over sparse terms, at any indexable point x."""
+    return sum((a * x[j] for j, a in terms), Fraction(0))
+
+
 @dataclass(frozen=True)
 class Row:
-    """One linear constraint: sparse terms REL rhs."""
+    """One linear constraint: sparse terms REL rhs.  ``tag`` names where
+    the row comes from (a polytope row family, or ``profile``); the solver
+    never reads it."""
 
     terms: tuple[tuple[int, Fraction], ...]
     rel: str
     rhs: Fraction
+    tag: str = ""
+
+    def holds(self, x) -> bool:
+        """Whether the point x (any indexable) satisfies the row."""
+        lhs = evaluate(self.terms, x)
+        if self.rel == "<=":
+            return lhs <= self.rhs
+        if self.rel == ">=":
+            return lhs >= self.rhs
+        return lhs == self.rhs
 
 
 @dataclass(frozen=True)
@@ -102,7 +119,9 @@ def make_row(terms, rel: str, rhs) -> Row:
 
 
 def make_lp(n_vars, objective, rows, lower_bounds=None) -> LinearProgram:
-    """Build a LinearProgram, normalizing all coefficients to Fraction."""
+    """Build a LinearProgram, normalizing all coefficients to Fraction.
+    A ``Row`` goes in as it is; a (terms, rel, rhs) triple goes through
+    ``make_row``."""
     lbs = tuple(
         None if lb is None else Fraction(lb)
         for lb in (lower_bounds if lower_bounds is not None else [None] * n_vars)
@@ -522,16 +541,8 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     for j, lb in enumerate(lp.lower_bounds):
         if lb is not None and x[j] < lb:
             return False
-    slacks = []
-    for row in lp.rows:
-        lhs = sum((a * x[j] for j, a in row.terms), Fraction(0))
-        if row.rel == "<=" and lhs > row.rhs:
-            return False
-        if row.rel == ">=" and lhs < row.rhs:
-            return False
-        if row.rel == "=" and lhs != row.rhs:
-            return False
-        slacks.append(lhs - row.rhs)
+    if not all(row.holds(x) for row in lp.rows):
+        return False
     if sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)) != outcome.value:
         return False
 
@@ -540,7 +551,7 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
             return False
         if row.rel == ">=" and y[i] < 0:
             return False
-        if y[i] != 0 and slacks[i] != 0:
+        if y[i] != 0 and evaluate(row.terms, x) != row.rhs:
             return False
 
     rc = list(c)

@@ -27,6 +27,7 @@ from itertools import combinations
 from .errors import BadVertex, GroundMismatch, GroundTooLarge, RatlpError
 from .graphs import Graph, subset_label, _bits
 from . import lp as ratlp
+from .lp import Row
 
 GROUND_CAP = 20
 
@@ -53,29 +54,13 @@ class SetFunction:
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """Sparse rational row over subset variables, tagged by provenance."""
-
-    tag: str  # normalization | monotone | submodular | modular-separation
-    terms: tuple[tuple[int, Fraction], ...]  # (subset mask, coefficient)
-    rel: str  # "<=" or "="
-    rhs: Fraction
-
-    def evaluate(self, p: SetFunction) -> Fraction:
-        return sum((c * p[mask] for mask, c in self.terms), Fraction(0))
-
-    def satisfied_by(self, p: SetFunction) -> bool:
-        lhs = self.evaluate(p)
-        return lhs == self.rhs if self.rel == "=" else lhs <= self.rhs
-
-
-@dataclass(frozen=True)
 class ConstraintSystem:
-    """All constraints of the polytope for one ground set; one LP variable
-    per subset bitmask."""
+    """All constraints of the polytope for one ground set, as LP rows tagged
+    normalization, monotone, submodular or modular-separation; one LP
+    variable per subset bitmask."""
 
     ground_size: int
-    constraints: tuple[Constraint, ...]
+    constraints: tuple[Row, ...]
 
     @property
     def n_vars(self) -> int:
@@ -111,13 +96,11 @@ def build_polytope(F2: Graph) -> ConstraintSystem:
     full = (1 << F2.n) - 1
     one, zero = Fraction(1), Fraction(0)
     cons = [
-        Constraint("normalization", ((0, one),), "=", zero),
-        Constraint("normalization", ((full, one),), "=", one),
+        Row(((0, one),), "=", zero, "normalization"),
+        Row(((full, one),), "=", one, "normalization"),
     ]
     for i in range(F2.n):
-        cons.append(
-            Constraint("monotone", ((full & ~(1 << i), one), (full, -one)), "<=", zero)
-        )
+        cons.append(Row(((full & ~(1 << i), one), (full, -one)), "<=", zero, "monotone"))
     for i, j in combinations(range(F2.n), 2):
         rest = full & ~(1 << i) & ~(1 << j)
         for C in range(rest + 1):
@@ -126,9 +109,9 @@ def build_polytope(F2: Graph) -> ConstraintSystem:
             A, B = C | 1 << i, C | 1 << j
             terms = ((C, one), (A | B, one), (A, -one), (B, -one))
             if separates(F2, A, B):
-                cons.append(Constraint("modular-separation", terms, "=", zero))
+                cons.append(Row(terms, "=", zero, "modular-separation"))
             else:
-                cons.append(Constraint("submodular", terms, "<=", zero))
+                cons.append(Row(terms, "<=", zero, "submodular"))
     return ConstraintSystem(F2.n, tuple(cons))
 
 
@@ -138,7 +121,7 @@ def is_member(p: SetFunction, F2: Graph):
         raise GroundMismatch(
             f"set function on {p.ground_size} vertices, graph has {F2.n}"
         )
-    violated = tuple(c for c in build_polytope(F2).constraints if not c.satisfied_by(p))
+    violated = tuple(c for c in build_polytope(F2).constraints if not c.holds(p.values))
     return not violated, violated
 
 
@@ -167,14 +150,13 @@ def system_lp(system: ConstraintSystem, objective) -> ratlp.LinearProgram:
     """LP over the full subset-variable space with the given objective.
 
     All variables get lower bound 0, which the system already implies, so
-    basic feasible solutions are vertices of the polytope itself.
+    basic feasible solutions are vertices of the polytope itself.  The
+    system's rows go to the LP as they are.
     """
-    # the terms are already exact and nonzero; sorting is all make_row adds
-    rows = [ratlp.Row(tuple(sorted(c.terms)), c.rel, c.rhs) for c in system.constraints]
     return ratlp.make_lp(
         system.n_vars,
         objective,
-        rows,
+        system.constraints,
         lower_bounds=[Fraction(0)] * system.n_vars,
     )
 
@@ -219,11 +201,10 @@ def dump_polytope(system: ConstraintSystem) -> str:
     for c in system.constraints:
         parts = []
         for mask, coeff in c.terms:
-            piece = f"{coeff.numerator}/{coeff.denominator}*p[{subset_label(mask)}]"
             if parts:
                 parts.append("+" if coeff >= 0 else "-")
-                piece = f"{abs(coeff).numerator}/{abs(coeff).denominator}*p[{subset_label(mask)}]"
-            parts.append(piece)
+                coeff = abs(coeff)
+            parts.append(f"{coeff.numerator}/{coeff.denominator}*p[{subset_label(mask)}]")
         lhs = " ".join(parts) if parts else "0/1"
         lines.append(f"{c.tag}: {lhs} {c.rel} {c.rhs.numerator}/{c.rhs.denominator}")
     return "\n".join(lines) + "\n"

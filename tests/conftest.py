@@ -18,7 +18,8 @@ from itertools import combinations
 from types import SimpleNamespace
 
 from homdom.graphs import Graph, bits_of, from_edges
-from homdom.polytope import Constraint, ConstraintSystem
+from homdom.lp import Row
+from homdom.polytope import ConstraintSystem
 
 
 def random_graph(n: int, rng: random.Random, edge_prob=Fraction(1, 2)) -> Graph:
@@ -113,7 +114,7 @@ def objective_subset_form(F1: Graph, phi) -> tuple:
     Alternating sum over the sets S of maximal cliques of F1 with nonempty
     common intersection, sign -(-1)^|S|, accumulated on the image subset
     phi(intersection of S).  Returns the nonzero (image mask, coefficient)
-    terms sorted by mask, the shape of ``ObjectiveProfile.terms``.
+    terms sorted by mask, the shape ``objective_clique_tree_form`` returns.
     """
     cliques = brute_force_maximal_cliques(F1)
     acc = {}
@@ -183,22 +184,22 @@ def build_polytope_unpruned(F2: Graph) -> ConstraintSystem:
     n_sub = 1 << F2.n
     one, zero = Fraction(1), Fraction(0)
     cons = [
-        Constraint("normalization", ((0, one),), "=", zero),
-        Constraint("normalization", ((n_sub - 1, one),), "=", one),
+        Row(((0, one),), "=", zero, "normalization"),
+        Row(((n_sub - 1, one),), "=", one, "normalization"),
     ]
     for A in range(n_sub):
         for B in range(A + 1, n_sub):
             if not A & ~B:
-                cons.append(Constraint("monotone", ((A, one), (B, -one)), "<=", zero))
+                cons.append(Row(((A, one), (B, -one)), "<=", zero, "monotone"))
     for A in range(1, n_sub):
         for B in range(A + 1, n_sub):
             if not A & ~B or not B & ~A:
                 continue
             terms = ((A & B, one), (A | B, one), (A, -one), (B, -one))
             if _separated(F2, A, B):
-                cons.append(Constraint("modular-separation", terms, "=", zero))
+                cons.append(Row(terms, "=", zero, "modular-separation"))
             else:
-                cons.append(Constraint("submodular", terms, "<=", zero))
+                cons.append(Row(terms, "<=", zero, "submodular"))
     return ConstraintSystem(F2.n, tuple(cons))
 
 

@@ -174,11 +174,12 @@ def test_random_scope_edge_probability_range():
 
 
 def test_find_counterexample():
-    rep = find_counterexample(2, 3, Scope.stars_and_paths(5))
+    stars_and_paths = Scope.graphs([path(1), path(2), star(2), path(3), star(3), path(4), star(4)])
+    rep = find_counterexample(2, 3, stars_and_paths)
     assert rep.verdict == "counterexample-found"
     assert rep.witnesses[0]["graph"] == "3 2\n0 1\n1 2\n"  # P2 itself
 
-    rep = find_counterexample(2, 5, Scope.stars_and_paths(5))
+    rep = find_counterexample(2, 5, stars_and_paths)
     assert rep.verdict == "counterexample-found"
 
     regular_only = Scope.graphs([complete(2), complete(3), complete(4)])

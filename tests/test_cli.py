@@ -229,6 +229,9 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
         # BadIndex: at k = 0 Blakley-Roy compares 1 with 1 on every graph
         (["verify", "--mode", "blakley-roy", "--k", "0", "--exhaustive-n", "3"],
          "need 1 <= t <= k"),
+        # GroundTooLarge
+        (["hde", "--f1", "path:1", "--f2", "path:21"], "exceeds cap 20"),
+        (["dump-polytope", "--f2", "path:21"], "exceeds cap 20"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
@@ -269,7 +272,7 @@ def test_blakley_roy_reports_the_largest_violation(capsys, monkeypatch):
         witness = {"graph": serialize_graph(worst), "lhs": "0/1", "rhs": "1/1",
                    "relation": "w_k^t >= w_t^k"}
         params = {"t": t, "k": k, "checked": 5, "violations": 3, "worst_margin": "-1/1"}
-        return CheckReport("sweep", params, "violated", (witness,), 0.0)
+        return CheckReport("sweep", params, "violated", (witness,))
 
     monkeypatch.setattr(cli, "sweep", fake_sweep)
     code, doc = run_json(

@@ -66,13 +66,13 @@ def test_clique_tree_form_path_identity_is_lemma_rhs():
         expected = {mask_of([i, i + 1]): Fraction(1) for i in range(t)}
         for i in range(1, t):
             expected[mask_of([i])] = Fraction(-1)
-        assert dict(prof.terms) == expected
+        assert dict(prof) == expected
 
 
 def test_clique_tree_form_p0():
     hom = Homomorphism(path(0), path(2), (1,))
     prof = objective_clique_tree_form(clique_tree(path(0)), hom)
-    assert prof.terms == ((mask_of([1]), Fraction(1)),)
+    assert prof == ((mask_of([1]), Fraction(1)),)
 
 
 def test_form_equivalence_on_the_stated_corpus():
@@ -91,7 +91,7 @@ def test_form_equivalence_on_the_stated_corpus():
             for hom in enumerate_homs(F1, F2):
                 a = objective_subset_form(F1, hom)
                 b = objective_clique_tree_form(tree, hom)
-                assert a == b.terms
+                assert a == b
                 count += 1
     assert count > 100
 
@@ -104,6 +104,40 @@ def test_compute_hde_flagship_t1():
     assert ok
     # every component carries at least one argmax witness
     assert all(homs for _, _, homs in res.active)
+
+
+def test_compute_hde_hands_the_polytope_rows_to_the_lp(monkeypatch):
+    # catch the program on its way through lp.make_lp, as the benchmark's
+    # tracer does
+    programs = []
+
+    def traced(*args, **kwargs):
+        programs.append(make_lp(*args, **kwargs))
+        return programs[-1]
+
+    make_lp = ratlp.make_lp
+    monkeypatch.setattr(ratlp, "make_lp", traced)
+    for t in (1, 3):
+        F1 = disjoint_union([(path(0), 2), (path(t + 2), t)])
+        F2 = path(t)
+        compute_hde(F1, F2)
+        (rows,) = [program.rows for program in programs]
+        programs.clear()
+        polytope_rows = build_polytope(F2).constraints
+        assert all(r is c for r, c in zip(rows, polytope_rows))
+        n_p = 1 << F2.n
+        expected = []
+        for ci, comp in enumerate((path(0), path(t + 2))):
+            tree = clique_tree(comp)
+            profiles = dict.fromkeys(
+                objective_clique_tree_form(tree, h) for h in enumerate_homs(comp, F2)
+            )
+            expected += [
+                (tuple((m, -c) for m, c in terms) + ((n_p + ci, Fraction(1)),), ">=", 0, "profile")
+                for terms in profiles
+            ]
+        profile_rows = rows[len(polytope_rows):]
+        assert [(r.terms, r.rel, r.rhs, r.tag) for r in profile_rows] == expected
 
 
 def test_compute_hde_identity_case():
@@ -148,9 +182,9 @@ def test_component_decomposition_matches_expanded_lp():
     for p1 in profiles:
         for p2 in profiles:
             acc = Counter()
-            for mask, c in p1.terms:
+            for mask, c in p1:
                 acc[mask] += c
-            for mask, c in p2.terms:
+            for mask, c in p2:
                 acc[mask] += c
             row = [(z, Fraction(1))]
             rhs = Fraction(0)
@@ -226,7 +260,7 @@ def test_certify_upper_is_constant_over_homs_at_p_star():
     for comp, _ in f1_parts:
         tree = clique_tree(comp)
         values = {
-            objective_clique_tree_form(tree, h).evaluate(star)
+            ratlp.evaluate(objective_clique_tree_form(tree, h), star)
             for h in enumerate_homs(comp, F2)
         }
         assert len(values) == 1
@@ -249,10 +283,10 @@ def test_active_witnesses_achieve_the_component_max():
     total = Fraction(0)
     for comp, mult, homs in res.active:
         tree = clique_tree(comp)
-        vals = {objective_clique_tree_form(tree, h).evaluate(res.point) for h in homs}
+        vals = {ratlp.evaluate(objective_clique_tree_form(tree, h), res.point) for h in homs}
         assert len(vals) == 1
         best = max(
-            objective_clique_tree_form(tree, h).evaluate(res.point)
+            ratlp.evaluate(objective_clique_tree_form(tree, h), res.point)
             for h in enumerate_homs(comp, path(1))
         )
         assert vals == {best}

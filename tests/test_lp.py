@@ -139,6 +139,39 @@ def test_equality_only_and_redundant_rows():
     assert ratlp.verify(lp, out)
 
 
+def test_row_holds_at_above_and_below_the_rhs():
+    # 2x - y at x = (2, 1) is 3; the rhs is then 3, 4 (above) and 2 (below)
+    x = (Fraction(2), Fraction(1))
+    expected = {
+        "<=": {3: True, 4: True, 2: False},
+        "=": {3: True, 4: False, 2: False},
+        ">=": {3: True, 4: False, 2: True},
+    }
+    for rel, by_rhs in expected.items():
+        for rhs, holds in by_rhs.items():
+            row = ratlp.Row(((0, Fraction(2)), (1, Fraction(-1))), rel, Fraction(rhs), "t")
+            assert row.holds(x) is holds, (rel, rhs)
+            # any indexable point will do
+            assert row.holds(dict(enumerate(x))) is holds
+    assert ratlp.evaluate(((0, Fraction(2)), (1, Fraction(-1))), x) == 3
+    assert ratlp.evaluate((), x) == 0
+
+
+def test_tags_do_not_keep_duplicate_reduced_rows_apart():
+    # two copies of x + y >= 1 under different tags reduce to one row of
+    # the presolved program, as two untagged copies do
+    def program(tags):
+        rows = [ratlp.Row(((0, Fraction(1)), (1, Fraction(1))), ">=", Fraction(1), tag)
+                for tag in tags]
+        return ratlp.make_lp(2, [(0, 1), (1, 2)], rows, lower_bounds=[0, 0])
+
+    tagged, untagged = program(("a", "b")), program(("", ""))
+    for lp in (tagged, untagged):
+        assert len(ratlp._presolve(tuple(lp.rows), lp.lower_bounds)[5]) == 1
+    assert ratlp.solve(tagged) == ratlp.solve(untagged)
+    assert ratlp.verify(tagged, ratlp.solve(tagged))
+
+
 def test_free_variables_both_sides():
     # min y s.t. y >= x - 1, y >= -x - 1 with x, y free -> -1; free
     # variables give = lines of the dual, with and without the presolve

@@ -125,8 +125,20 @@ def test_membership_reports_violations():
     ok, violated = is_member(bad, P1)
     assert not ok
     assert any(c.tag == "normalization" for c in violated)
+    # exactly the rows whose predicate fails, in the system's order
+    cs = build_polytope(P1)
+    assert violated == tuple(c for c in cs.constraints if not c.holds(bad))
+    assert all(c.holds(bad.values) for c in cs.constraints if c not in violated)
     with pytest.raises(GroundMismatch):
         is_member(bad, path(3))
+
+
+def test_system_lp_hands_over_the_rows_themselves():
+    for F2 in (path(1), path(3), cycle(5)):
+        cs = build_polytope(F2)
+        rows = system_lp(cs, _random_objective(cs.n_vars, 0)).rows
+        assert len(rows) == len(cs.constraints)
+        assert all(r is c for r, c in zip(rows, cs.constraints))
 
 
 def test_ground_cap():
@@ -197,8 +209,8 @@ def test_pruning_soundness_vertices_and_optima():
             vp = vertex_by_lp(pruned, seed)
             vu = vertex_by_lp(unpruned, seed)
             assert vp == vu, (F2, seed)
-            assert all(c.satisfied_by(vp) for c in unpruned.constraints)
-            assert all(c.satisfied_by(vu) for c in pruned.constraints)
+            assert all(c.holds(vp) for c in unpruned.constraints)
+            assert all(c.holds(vu) for c in pruned.constraints)
         for _ in range(20):
             objective = [
                 (m, Fraction(rng.randint(-50, 50))) for m in range(pruned.n_vars)
