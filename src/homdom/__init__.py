@@ -39,7 +39,17 @@ from .polytope import (
     random_vertex_point,
     separates,
 )
-from .lp import LinearProgram, LpOutcome, Row, evaluate, make_lp, make_row, solve, verify
+from .lp import (
+    LinearProgram,
+    LpOutcome,
+    Row,
+    evaluate,
+    make_lp,
+    make_row,
+    solve,
+    verify,
+    violated_rows,
+)
 from .hde import (
     HdeResult,
     certify_lower,

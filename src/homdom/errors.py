@@ -10,7 +10,8 @@ class GraphTooLarge(HomdomError):
 
 
 class MalformedInput(HomdomError):
-    """Edge-list text or graph-spec string does not follow the format."""
+    """Edge-list text or graph-spec string does not follow the format, or a
+    set-function value is not an exact rational (an int or a Fraction)."""
 
 
 class NotChordal(HomdomError):

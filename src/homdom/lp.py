@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import RatlpError
 
@@ -45,6 +46,28 @@ RELATIONS = ("<=", "=", ">=")
 def evaluate(terms, x) -> Fraction:
     """``sum(a * x[j])`` over sparse terms, at any indexable point x."""
     return sum((a * x[j] for j, a in terms), Fraction(0))
+
+
+def _over_common_denominator(values) -> tuple[int, list[int]]:
+    """d, the lcm of the denominators of ``values`` (ints or Fractions), and
+    each value times d, as ints."""
+    d = lcm(*[v.denominator for v in values])
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def violated_rows(rows, x) -> tuple[Row, ...]:
+    """The rows that the point x violates, in row order.
+
+    x is a sequence of ints or Fractions, one per variable.  The test is
+    exact and runs in integers: x is brought over its common denominator d
+    once, as the ints X = x * d, and each row is scaled by the lcm s of its
+    coefficient and rhs denominators (1 for the polytope and profile rows).
+    Comparing sum((a * s) * X[j]) with (rhs * s) * d multiplies both sides
+    of the row by s * d > 0, so it decides exactly what the ``Fraction`` sum
+    ``sum(a * x[j]) REL rhs`` decides, with no ``Fraction`` per term.
+    """
+    d, X = _over_common_denominator(x)
+    return tuple(row for row in rows if not row._holds_at(X, d))
 
 
 @dataclass(frozen=True)
@@ -59,13 +82,31 @@ class Row:
     tag: str = ""
 
     def holds(self, x) -> bool:
-        """Whether the point x (any indexable) satisfies the row."""
-        lhs = evaluate(self.terms, x)
+        """Whether the point x satisfies the row: the integer test of
+        ``violated_rows`` for this one row, over the common denominator of
+        the coordinates it reads.  x is any indexable of ints or Fractions,
+        a dict included."""
+        js = [j for j, _ in self.terms]
+        d, X = _over_common_denominator([x[j] for j in js])
+        return self._holds_at(dict(zip(js, X)), d)
+
+    def _holds_at(self, X, d: int) -> bool:
+        """Whether the row holds at the point X / d, for ints X and d > 0."""
+        s = self.rhs.denominator
+        lhs = 0
+        for j, a in self.terms:
+            q = a.denominator
+            if s % q:  # widen s to the lcm of the denominators so far
+                wider = lcm(s, q)
+                lhs *= wider // s
+                s = wider
+            lhs += a.numerator * (s // q) * X[j]
+        rhs = self.rhs.numerator * (s // self.rhs.denominator) * d
         if self.rel == "<=":
-            return lhs <= self.rhs
+            return lhs <= rhs
         if self.rel == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
+            return lhs >= rhs
+        return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -523,10 +564,11 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
 def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     """Exact re-check of an optimal outcome, independent of the solve path.
 
-    Confirms primal feasibility (rows and bounds), the stated objective
-    value, and optimality through the dual values recovered from the final
-    basis: sign feasibility, complementary slackness, and reduced-cost
-    conditions, all over exact rationals.
+    Confirms primal feasibility (the bounds, and every row through the
+    integer test of ``violated_rows``), the stated objective value, and
+    optimality through the dual values recovered from the final basis:
+    sign feasibility, complementary slackness, and reduced-cost
+    conditions, all exact.
     """
     if outcome.status != "optimal":
         return False
@@ -541,7 +583,7 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     for j, lb in enumerate(lp.lower_bounds):
         if lb is not None and x[j] < lb:
             return False
-    if not all(row.holds(x) for row in lp.rows):
+    if violated_rows(lp.rows, x):
         return False
     if sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)) != outcome.value:
         return False

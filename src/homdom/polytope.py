@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import BadVertex, GroundMismatch, GroundTooLarge, RatlpError
+from .errors import BadVertex, GroundMismatch, GroundTooLarge, MalformedInput, RatlpError
 from .graphs import Graph, subset_label, _bits
 from . import lp as ratlp
 from .lp import Row
@@ -34,7 +34,9 @@ GROUND_CAP = 20
 
 @dataclass(frozen=True)
 class SetFunction:
-    """Map from subsets of the ground set (bitmask-indexed) to rationals."""
+    """Map from subsets of the ground set (bitmask-indexed) to rationals.
+    Every value is an int or a ``Fraction``, so that membership is decided
+    exactly."""
 
     ground_size: int
     values: tuple[Fraction, ...]
@@ -44,6 +46,11 @@ class SetFunction:
             raise GroundMismatch(
                 f"need {1 << self.ground_size} values, got {len(self.values)}"
             )
+        for mask, v in enumerate(self.values):
+            if not isinstance(v, (int, Fraction)):
+                raise MalformedInput(
+                    f"value at mask {mask} is a {type(v).__name__}, not an int or a Fraction"
+                )
 
     def __getitem__(self, mask: int) -> Fraction:
         return self.values[mask]
@@ -116,12 +123,14 @@ def build_polytope(F2: Graph) -> ConstraintSystem:
 
 
 def is_member(p: SetFunction, F2: Graph):
-    """Exact membership check; returns (ok, violated constraints)."""
+    """Exact membership check; returns (ok, violated constraints), the
+    violated rows in the system's order.  The rows are checked by
+    ``lp.violated_rows``: in integers, over the common denominator of p."""
     if p.ground_size != F2.n:
         raise GroundMismatch(
             f"set function on {p.ground_size} vertices, graph has {F2.n}"
         )
-    violated = tuple(c for c in build_polytope(F2).constraints if not c.holds(p.values))
+    violated = ratlp.violated_rows(build_polytope(F2).constraints, p.values)
     return not violated, violated
 
 

@@ -6,9 +6,9 @@ explicit K4-minor search, LP solving by vertex enumeration over exact
 rational linear algebra, the HDE objective by its subset form over
 brute-force maximal cliques and its maximum by listing every
 homomorphism, the polytope by one row for every pair of
-subsets with separation found by breadth-first search, walk counts by
-integer adjacency-matrix powers, labeled graphs by an edge list per
-edge bitmask.
+subsets with separation found by breadth-first search, a row at a point
+by its ``Fraction`` sum, walk counts by integer adjacency-matrix powers,
+labeled graphs by an edge list per edge bitmask.
 """
 
 import random
@@ -206,6 +206,17 @@ def build_polytope_unpruned(F2: Graph) -> ConstraintSystem:
 # -- exact rational linear algebra for the LP oracle ----------------------
 
 
+def fraction_violated_rows(rows, x):
+    """The rows that the point x violates, in row order, each decided by
+    its ``Fraction`` sum ``sum(a * x[j]) REL rhs``."""
+
+    def holds(row):
+        lhs = sum((Fraction(a) * x[j] for j, a in row.terms), Fraction(0))
+        return {"<=": lhs <= row.rhs, ">=": lhs >= row.rhs, "=": lhs == row.rhs}[row.rel]
+
+    return tuple(row for row in rows if not holds(row))
+
+
 def solve_square(matrix, rhs):
     """Solve an n x n rational system; None if singular."""
     n = len(rhs)
@@ -249,14 +260,8 @@ def brute_force_lp(lp):
         obj[j] += c
 
     def feasible(x):
-        for row in lp.rows:
-            lhs = sum(a * x[j] for j, a in row.terms)
-            if row.rel == "<=" and lhs > row.rhs:
-                return False
-            if row.rel == ">=" and lhs < row.rhs:
-                return False
-            if row.rel == "=" and lhs != row.rhs:
-                return False
+        if fraction_violated_rows(lp.rows, x):
+            return False
         for j, lb in enumerate(lp.lower_bounds):
             if lb is not None and x[j] < lb:
                 return False

@@ -6,7 +6,7 @@ import pytest
 
 from homdom import lp as ratlp
 from homdom.errors import RatlpError
-from conftest import brute_force_lp
+from conftest import brute_force_lp, fraction_violated_rows
 
 
 def _lp_ex2():
@@ -155,6 +155,84 @@ def test_row_holds_at_above_and_below_the_rhs():
             assert row.holds(dict(enumerate(x))) is holds
     assert ratlp.evaluate(((0, Fraction(2)), (1, Fraction(-1))), x) == 3
     assert ratlp.evaluate((), x) == 0
+
+
+def _rational(rng: random.Random, bits: int) -> Fraction:
+    return Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits))
+
+
+def _point(rng: random.Random, n: int, kind: str):
+    """Plain ints, or Fractions of mixed denominators (small, up to 2^64,
+    2^200 times a small one, and 3^127), negative values included."""
+    if kind == "ints":
+        return [rng.randint(-50, 50) for _ in range(n)]
+    x = []
+    for _ in range(n):
+        den = rng.choice([1, rng.randint(2, 9), rng.randint(1, 1 << 64),
+                          (1 << 200) * rng.randint(1, 9), 3 ** 127])
+        x.append(Fraction(rng.randint(-(1 << 70), 1 << 70), den))
+    return x
+
+
+def _rows_at(rng: random.Random, x, count: int):
+    """Rows over a random subset of x's coordinates, with coefficients and a
+    rhs of denominators up to 2^64; the rhs is drawn at random, or set to
+    the row's value at x, or moved off it by 1/2^64, so that every relation
+    is met both with and without equality and broken on both sides.  Each
+    row's tag is its index."""
+    rows = []
+    for i in range(count):
+        coords = sorted(rng.sample(range(len(x)), rng.randint(0, len(x))))
+        terms = tuple((j, _rational(rng, rng.choice([3, 64]))) for j in coords)
+        value = sum((a * x[j] for j, a in terms), Fraction(0))
+        rhs = rng.choice([_rational(rng, 64), value, value + Fraction(1, 1 << 64),
+                          value - Fraction(1, 1 << 64)])
+        rows.append(ratlp.Row(terms, rng.choice(ratlp.RELATIONS), rhs, str(i)))
+    return rows
+
+
+def test_violated_rows_match_the_fraction_sums():
+    rng = random.Random(20261018)
+    seen = Counter()
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        x = _point(rng, n, rng.choice(["ints", "fractions", "fractions"]))
+        rows = _rows_at(rng, x, 12)
+        expected = fraction_violated_rows(rows, x)
+        got = ratlp.violated_rows(rows, x)
+        # the same rows, in the same order
+        assert [r.tag for r in got] == [r.tag for r in expected], trial
+        for row in rows:
+            holds = row not in expected
+            assert row.holds(x) is holds and row.holds(dict(enumerate(x))) is holds
+            seen[row.rel, holds] += 1
+    # every relation is both met and broken
+    assert all(seen[rel, holds] >= 20 for rel in ratlp.RELATIONS for holds in (True, False))
+
+
+def test_violated_rows_reads_only_the_referenced_coordinates():
+    # a row over x[1] alone holds or not by x[1] alone, whatever the
+    # denominators of the other coordinates
+    half = ratlp.Row(((1, Fraction(2, 3)),), "<=", Fraction(1, 3))
+    for other in (Fraction(1, 3 ** 127), Fraction(-7, 1 << 200), 5):
+        assert ratlp.violated_rows([half], [other, Fraction(1, 2), other]) == ()
+        assert ratlp.violated_rows([half], [other, Fraction(1, 2) + Fraction(1, 1 << 200), other]) == (half,)
+    assert ratlp.violated_rows([], [Fraction(1, 3)]) == ()
+    assert ratlp.violated_rows([ratlp.Row((), ">=", Fraction(1, 1 << 64))], []) != ()
+
+
+def test_verify_rejects_a_point_moved_off_a_row_by_2_to_the_minus_200():
+    # min x1 s.t. 3 x0 = 1, x1 >= 2/7, x0 free and without cost: the
+    # equality's dual is 0, so moving x0 keeps the value, the bounds and
+    # every dual condition, and only the row check can reject the point
+    lp = ratlp.make_lp(2, [(1, 1)], [([(0, 3)], "=", 1), ([(1, 1)], ">=", Fraction(2, 7))])
+    out = ratlp.solve(lp)
+    assert out.point == (Fraction(1, 3), Fraction(2, 7)) and out.duals == (0, 1)
+    assert ratlp.verify(lp, out)
+    for delta in (Fraction(1, 1 << 200), -Fraction(1, 1 << 200)):
+        moved = out.point[0] + delta, out.point[1]
+        assert not ratlp.verify(lp, ratlp.LpOutcome("optimal", out.value, moved, out.duals, out.pivots))
+        assert ratlp.violated_rows(lp.rows, moved) == (lp.rows[0],)
 
 
 def test_tags_do_not_keep_duplicate_reduced_rows_apart():

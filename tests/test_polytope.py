@@ -1,12 +1,13 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from conftest import build_polytope_unpruned
+from conftest import build_polytope_unpruned, fraction_violated_rows
 from homdom import lp as ratlp
-from homdom.errors import BadVertex, GroundMismatch, GroundTooLarge
+from homdom.errors import BadVertex, GroundMismatch, GroundTooLarge, MalformedInput
 from homdom.graphs import complete, cycle, from_edges, mask_of, path, star
 from homdom.polytope import (
     VERTEX_CACHE_SIZE,
@@ -131,6 +132,65 @@ def test_membership_reports_violations():
     assert all(c.holds(bad.values) for c in cs.constraints if c not in violated)
     with pytest.raises(GroundMismatch):
         is_member(bad, path(3))
+
+
+def _moved(p: SetFunction, mask: int, delta: Fraction) -> SetFunction:
+    values = list(p.values)
+    values[mask] += delta
+    return SetFunction(p.ground_size, tuple(values))
+
+
+def test_membership_is_exact_at_the_boundary():
+    # a vertex lies on many rows with equality; moved by 1/2^200 on one
+    # coordinate it must break exactly the rows that the Fraction sums say
+    eps = Fraction(1, 1 << 200)
+    rng = random.Random(13)
+    for F2 in [path(t) for t in range(1, 7)] + [cycle(5)]:
+        rows = build_polytope(F2).constraints
+        p = random_vertex_point(F2, 0)
+        assert is_member(p, F2) == (True, ()) and fraction_violated_rows(rows, p.values) == ()
+        full = (1 << F2.n) - 1
+        masks = {0, full} | {rng.randrange(1, full) for _ in range(3)}
+        for mask in sorted(masks):
+            for delta in (eps, -eps):
+                q = _moved(p, mask, delta)
+                ok, violated = is_member(q, F2)
+                assert violated == fraction_violated_rows(rows, q.values), (F2, mask, delta)
+                assert ok is (not violated)
+                if mask in (0, full):  # a normalization row pins it
+                    assert not ok
+
+
+def test_verify_is_exact_at_the_boundary():
+    # p(empty) carries no cost, so moving it up by 1/2^200 keeps the value
+    # and the bounds: only the row check can reject the moved point
+    eps = Fraction(1, 1 << 200)
+    F2 = path(3)
+    cs = build_polytope(F2)
+    objective = [(j, c) for j, c in _random_objective(cs.n_vars, 5) if j]
+    program = system_lp(cs, objective)
+    out = ratlp.solve(program)
+    assert out.status == "optimal" and ratlp.verify(program, out)
+    for mask in range(cs.n_vars):
+        for delta in (eps, -eps):
+            point = list(out.point)
+            point[mask] += delta
+            moved = ratlp.LpOutcome(out.status, out.value, tuple(point), out.duals, out.pivots)
+            assert not ratlp.verify(program, moved), (mask, delta)
+            assert ratlp.violated_rows(program.rows, point) == fraction_violated_rows(program.rows, point)
+    point = list(out.point)
+    point[0] += eps
+    assert ratlp.violated_rows(program.rows, point)[0] is cs.constraints[0]  # p(empty) = 0
+
+
+def test_set_function_values_must_be_exact_rationals():
+    for bad in (0.5, 1.0, Decimal(1), "1", None):
+        with pytest.raises(MalformedInput):
+            SetFunction(1, (Fraction(0), bad))
+    # plain ints are exact, and membership reads them as such
+    ints = SetFunction(2, (0, 1, 1, 1))
+    assert is_member(ints, path(1)) == (True, ())
+    assert is_member(SetFunction(2, (0, 1, 1, 2)), path(1))[0] is False
 
 
 def test_system_lp_hands_over_the_rows_themselves():
