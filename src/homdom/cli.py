@@ -39,7 +39,7 @@ from .errors import (
 )
 from .graphs import parse_graph, parse_graph_spec, path, subset_label
 from .homs import average_degree, walk_count
-from .polytope import build_polytope, dump_polytope, random_vertex_point
+from .polytope import build_polytope, dump_polytope, indicator_point, p_star, random_vertex_point
 from .hde import certify_lower, certify_upper, compute_hde
 from .checks import (
     Scope,
@@ -59,7 +59,7 @@ LEMMA_SAMPLES = 25  # random polytope vertices per lemma-identity run
 
 _PRECONDITION_ERRORS = (NotChordal, NotSeriesParallel, NoHomomorphism)
 _USAGE_ERRORS = (MalformedInput, BadParity, BadIndex, BadVertex, EmptyGraph, GraphTooLarge,
-                 GroundTooLarge, EmptyScope, ScopeTooLarge, FileNotFoundError)
+                 GroundTooLarge, EmptyScope, ScopeTooLarge, OSError)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -128,8 +128,11 @@ def cmd_hde(args) -> int:
 
 def cmd_walks(args) -> int:
     started = time.perf_counter()
-    with open(args.graph, "r", encoding="utf-8", newline="") as fh:
-        G = parse_graph(fh.read())
+    try:
+        with open(args.graph, "r", encoding="utf-8", newline="") as fh:
+            G = parse_graph(fh.read())
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{args.graph} is not UTF-8 text: {exc.reason}") from None
     config = {"subcommand": "walks", "graph": args.graph, "k": args.k}
     d = average_degree(G)  # refuses n = 0 before the division below
     walks = walk_count(G, args.k)
@@ -178,9 +181,8 @@ def cmd_verify(args) -> int:
         if args.t is None:
             raise MalformedInput("lemma-identity mode needs --t")
         reports = []
-        from .polytope import indicator_point, p_star
-
         F2 = path(args.t)
+        build_polytope(F2)  # refuses a ground set over the cap before any point is built
         points = [indicator_point(F2, i) for i in range(args.t + 1)]
         points.append(p_star(args.t))
         samples = LEMMA_SAMPLES if args.samples is None else args.samples
@@ -237,13 +239,12 @@ def cmd_verify(args) -> int:
     if mode in ("walk-inequality", "density-form"):
         if args.t is None or args.k is None:
             raise MalformedInput(f"{mode} mode needs --t and --k")
+        # every scope is built, and so refused if too large, before any sweep
         if args.exhaustive_n is not None:
-            reports = [
-                sweep(args.t, args.k, Scope.exhaustive(n))
-                for n in range(1, args.exhaustive_n + 1)
-            ]
+            scopes = [Scope.exhaustive(n) for n in range(1, args.exhaustive_n + 1)]
         else:
-            reports = [sweep(args.t, args.k, _verify_scope(args))]
+            scopes = [_verify_scope(args)]
+        reports = [sweep(args.t, args.k, scope) for scope in scopes]
         bad = [r for r in reports if r.verdict != "holds"]
         result = {
             "sweeps": [r.to_json() for r in reports],

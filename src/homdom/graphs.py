@@ -399,7 +399,7 @@ def _split_pair(line: str) -> tuple[int, int]:
         raise MalformedInput(f"expected two fields: {line!r}")
     out = []
     for p in parts:
-        if not p.isdigit() or (len(p) > 1 and p[0] == "0"):
+        if not (p.isascii() and p.isdigit()) or (len(p) > 1 and p[0] == "0"):
             raise MalformedInput(f"not a decimal integer: {p!r}")
         out.append(int(p))
     return out[0], out[1]
@@ -432,6 +432,6 @@ def parse_graph_spec(spec: str) -> Graph:
 
 
 def _spec_int(s: str) -> int:
-    if not s.isdigit():
+    if not (s.isascii() and s.isdigit()):
         raise MalformedInput(f"expected a number in graph spec, got {s!r}")
     return int(s)

@@ -185,7 +185,9 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     variable p(A) per subset mask A of V(F2), plus one epigraph variable
     per distinct connected component of F1, bounded below by the
     objective of each distinct profile of that component's
-    homomorphisms: one ``>=`` row tagged ``profile`` per profile.
+    homomorphisms: one ``>=`` row tagged ``profile`` per profile.  Every
+    variable is free: p >= 0 follows from p(empty) = 0 and the elemental
+    rows, and each epigraph variable is held up by its profile rows.
     """
     ok, _ = is_chordal(F1)
     if not ok:
@@ -220,9 +222,8 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
         )
 
     objective = [(n_p + ci, Fraction(mult)) for ci, (_, mult) in enumerate(components)]
-    bounds = [Fraction(0)] * n_p + [None] * len(components)
     n_vars = n_p + len(components)
-    program = ratlp.make_lp(n_vars, objective, rows, lower_bounds=bounds)
+    program = ratlp.make_lp(n_vars, objective, rows)
     outcome = ratlp.solve(program)
     if outcome.status != "optimal":
         raise RatlpError(f"HDE linear program came back {outcome.status}")

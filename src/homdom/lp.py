@@ -4,30 +4,27 @@ Two-phase simplex with Bland's anti-cycling rule over
 ``fractions.Fraction``; every outcome is exact and deterministic given
 the input ordering.  Every program is a minimization.
 
-Variables are free by default; an optional exact lower bound may be given
-per variable (upper bounds are not supported; callers encode them as
-rows).
+Every variable is free; a bound on a variable is stated as a row.
 
 ``solve`` presolves every program.  Gaussian elimination over the
 equality rows, in order, solves each for its smallest remaining variable;
 back substitution writes every eliminated variable as an affine function
 of the free ones.  The other rows and the objective (keeping its
-constant) are rewritten over the free variables, and each eliminated
-variable keeps its lower bound as a row.  The polytope programs are
-mostly equalities (Shannon's elemental basis): on P6, 27 of 128 subset
-values are free.  The reduced program loses its duplicate rows and is
-pivoted on its dual, which has one line per free variable and one column
-per row; the primal optimum and its multipliers are read exactly off the
-dual run.
+constant) are rewritten over the free variables.  The polytope programs
+are mostly equalities (Shannon's elemental basis): on P6, 27 of 128
+subset values are free.  The reduced program loses its duplicate rows and
+is pivoted on its dual, which has one ``=`` line per remaining variable,
+one column per inequality row and a pair of opposite columns per ``=``
+row, and no slack columns; the primal optimum and its multipliers are
+read exactly off the dual run.
 
 Postsolve lifts the point back to every variable and recovers one dual
 per original row.  An eliminated variable's reduced cost in the full
-program must equal the reduced program's dual on its bound row (0 when
-the variable is free).  That is a square system in the duals of the
-equality rows that found a pivot, and the elimination's own triangular
-factors solve it.  An equality row that became empty (a duplicate or a
-combination of earlier ones) gets dual 0; inconsistent equalities make
-the program infeasible.  So ``verify`` checks the full program, while
+program must be 0, as every variable is free.  That is a square system in
+the duals of the equality rows that found a pivot, and the elimination's
+own triangular factors solve it.  An equality row that became empty (a
+duplicate or a combination of earlier ones) gets dual 0; inconsistent
+equalities make the program infeasible.  So ``verify`` checks the full program, while
 ``pivots`` counts the reduced one's run.
 """
 
@@ -114,11 +111,8 @@ class LinearProgram:
     n_vars: int
     objective: tuple[tuple[int, Fraction], ...]
     rows: tuple[Row, ...]
-    lower_bounds: tuple  # one Fraction-or-None per variable
 
     def __post_init__(self):
-        if len(self.lower_bounds) != self.n_vars:
-            raise RatlpError("one lower bound slot per variable required")
         for j, _ in self.objective:
             if not 0 <= j < self.n_vars:
                 raise RatlpError(f"objective references missing variable {j}")
@@ -159,16 +153,12 @@ def make_row(terms, rel: str, rhs) -> Row:
     return Row(_norm_terms(terms), rel, Fraction(rhs))
 
 
-def make_lp(n_vars, objective, rows, lower_bounds=None) -> LinearProgram:
+def make_lp(n_vars, objective, rows) -> LinearProgram:
     """Build a LinearProgram, normalizing all coefficients to Fraction.
     A ``Row`` goes in as it is; a (terms, rel, rhs) triple goes through
     ``make_row``."""
-    lbs = tuple(
-        None if lb is None else Fraction(lb)
-        for lb in (lower_bounds if lower_bounds is not None else [None] * n_vars)
-    )
     built = tuple(r if isinstance(r, Row) else make_row(*r) for r in rows)
-    return LinearProgram(n_vars, _norm_terms(objective), built, lbs)
+    return LinearProgram(n_vars, _norm_terms(objective), built)
 
 
 # -- simplex core ---------------------------------------------------------
@@ -392,14 +382,13 @@ def _substitute(exprs, terms):
 
 
 @lru_cache(maxsize=1)
-def _presolve(rows: tuple[Row, ...], lower: tuple):
+def _presolve(rows: tuple[Row, ...], n_vars: int):
     """The presolve of a program's rows, or None when they are infeasible.
     The last one is kept: the vertex LPs of a polytope come one after
     another and differ only in their objective.
 
     Returns the positions of the ``=`` rows, the elimination's steps and
-    pivot expressions, the reduced index of each free variable, the rows
-    plus a ``>=`` row for each eliminated variable's lower bound, and each
+    pivot expressions, the reduced index of each free variable, and each
     distinct reduced row mapped to the index of its first source row.
     """
     eq_at = [i for i, row in enumerate(rows) if row.rel == "="]
@@ -407,10 +396,7 @@ def _presolve(rows: tuple[Row, ...], lower: tuple):
     if eliminated is None:
         return None
     steps, exprs = eliminated
-    index = {j: k for k, j in enumerate(j for j in range(len(lower)) if j not in exprs)}
-    rows += tuple(
-        Row(((e, Fraction(1)),), ">=", lower[e]) for _, e, _, _, _ in steps if lower[e] is not None
-    )
+    index = {j: k for k, j in enumerate(j for j in range(n_vars) if j not in exprs)}
     reduced = {}
     for i, row in enumerate(rows):
         if row.rel == "=":
@@ -420,7 +406,7 @@ def _presolve(rows: tuple[Row, ...], lower: tuple):
             reduced.setdefault(Row(_over(index, coeffs), row.rel, row.rhs - const), i)
         elif not (const <= row.rhs if row.rel == "<=" else const >= row.rhs):
             return None
-    return eq_at, steps, exprs, index, rows, reduced
+    return eq_at, steps, exprs, index, reduced
 
 
 def _over(index, coeffs) -> tuple[tuple[int, Fraction], ...]:
@@ -454,11 +440,6 @@ def _cost_vector(lp: LinearProgram):
     return c
 
 
-def _shifted_rhs(row: Row, lower) -> Fraction:
-    """The row's rhs once every lower-bounded variable is shifted to 0."""
-    return row.rhs - sum((a * lower[j] for j, a in row.terms if lower[j]), Fraction(0))
-
-
 def solve(lp: LinearProgram) -> LpOutcome:
     """Exact optimum of ``lp``: presolve, pivot the dual, postsolve.
 
@@ -466,13 +447,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
     is not unique; Bland's rule makes them deterministic.
     """
     c = _cost_vector(lp)
-    presolved = _presolve(tuple(lp.rows), lp.lower_bounds)
+    presolved = _presolve(tuple(lp.rows), lp.n_vars)
     if presolved is None:
         return LpOutcome("infeasible", None, None, None, 0)
-    eq_at, steps, exprs, index, rows, reduced = presolved
+    eq_at, steps, exprs, index, reduced = presolved
     coeffs, offset = _substitute(exprs, enumerate(c))
-    bounds = tuple(lp.lower_bounds[j] for j in index)
-    inner = _pivot(LinearProgram(len(index), _over(index, coeffs), tuple(reduced), bounds))
+    inner = _pivot(LinearProgram(len(index), _over(index, coeffs), tuple(reduced)))
     if inner.status != "optimal":
         return inner
 
@@ -481,34 +461,30 @@ def solve(lp: LinearProgram) -> LpOutcome:
         x[j] = inner.point[k]
     for e, (sub, k) in exprs.items():
         x[e] = k + sum((w * x[f] for f, w in sub.items()), Fraction(0))
-    y = [Fraction(0)] * len(rows)
+    y = [Fraction(0)] * len(lp.rows)
     for i, yi in zip(reduced.values(), inner.duals):
         y[i] = yi
     rc = list(c)
-    for yi, row in zip(y, rows):
+    for yi, row in zip(y, lp.rows):
         if yi:
             for j, a in row.terms:
                 rc[j] -= yi * a
     for (k, _, _, _, _), lam in zip(steps, _equality_duals(steps, rc)):
         y[eq_at[k]] = lam
-    duals = tuple(y[: len(lp.rows)])
-    return LpOutcome("optimal", inner.value + offset, tuple(x), duals, inner.pivots, inner.via_dual)
+    return LpOutcome("optimal", inner.value + offset, tuple(x), tuple(y), inner.pivots, inner.via_dual)
 
 
 def _pivot(lp: LinearProgram) -> LpOutcome:
     """Exact optimum of ``lp`` by pivoting its dual as given: the solve
     path with no presolve.
 
-    The dual of the lower-shifted minimization form has one line per
-    variable j, ``=`` if j is free and ``<=`` if it is bounded, with
-    right-hand side c[j].  Each row i gives a column signed so that its
-    multiplier is >= 0: a ``<=`` row is negated, and an ``=`` row gives
-    a pair of opposite columns.  Each bounded variable j then gives a
-    slack column.  x is read off the run's multipliers and y off its basic
-    values.
+    The dual has one ``=`` line per variable j, with right-hand side
+    c[j].  Each row i gives a column signed so that its multiplier is
+    >= 0: a ``<=`` row is negated, and an ``=`` row gives a pair of
+    opposite columns.  x is read off the run's negated multipliers and y
+    off its basic values.
     """
     c = _cost_vector(lp)
-    lower = lp.lower_bounds
     sign = [-1 if row.rel == "<=" else 1 for row in lp.rows]
     cols = []
     costs = []
@@ -516,17 +492,13 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
     for i, row in enumerate(lp.rows):
         first.append(len(cols))
         entries = tuple((j, sign[i] * a) for j, a in row.terms)
-        cost = -sign[i] * _shifted_rhs(row, lower)
+        cost = -sign[i] * row.rhs
         if row.rel == "=":
             cols += [entries, tuple((j, -a) for j, a in entries)]
             costs += [cost, -cost]
         else:
             cols.append(entries)
             costs.append(cost)
-    for j, lb in enumerate(lower):
-        if lb is not None:
-            cols.append(((j, Fraction(1)),))
-            costs.append(0)
 
     spx = _Simplex(lp.n_vars, cols, c)
     status = spx.solve_two_phase(costs)
@@ -550,10 +522,9 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
             y.append(vals.get(k, zero) - vals.get(k + 1, zero))
         else:
             y.append(sign[i] * vals.get(k, zero))
-    x = [-d if lb is None else lb - d for d, lb in zip(spx.duals_for(costs), lower)]
+    x = [-d for d in spx.duals_for(costs)]
     value = sum((cj * xj for cj, xj in zip(c, x)), Fraction(0))
-    shift = sum((cj * lb for cj, lb in zip(c, lower) if lb is not None), Fraction(0))
-    if value != sum((_shifted_rhs(row, lower) * yi for row, yi in zip(lp.rows, y)), shift):
+    if value != sum((row.rhs * yi for row, yi in zip(lp.rows, y)), Fraction(0)):
         raise RatlpError("dual-side recovery produced inconsistent objective values")
     return LpOutcome("optimal", value, tuple(x), tuple(y), pivots, True)
 
@@ -564,11 +535,11 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
 def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     """Exact re-check of an optimal outcome, independent of the solve path.
 
-    Confirms primal feasibility (the bounds, and every row through the
-    integer test of ``violated_rows``), the stated objective value, and
-    optimality through the dual values recovered from the final basis:
-    sign feasibility, complementary slackness, and reduced-cost
-    conditions, all exact.
+    Confirms primal feasibility (every row, through the integer test of
+    ``violated_rows``), the stated objective value, and optimality through
+    the dual values recovered from the final basis: sign feasibility,
+    complementary slackness, and a zero reduced cost on every variable,
+    all exact.
     """
     if outcome.status != "optimal":
         return False
@@ -580,9 +551,6 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     y = outcome.duals
     c = _cost_vector(lp)
 
-    for j, lb in enumerate(lp.lower_bounds):
-        if lb is not None and x[j] < lb:
-            return False
     if violated_rows(lp.rows, x):
         return False
     if sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)) != outcome.value:
@@ -601,13 +569,4 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
         if y[i]:
             for j, a in row.terms:
                 rc[j] -= y[i] * a
-    for j, lb in enumerate(lp.lower_bounds):
-        if lb is None:
-            if rc[j] != 0:
-                return False
-        else:
-            if rc[j] < 0:
-                return False
-            if x[j] > lb and rc[j] != 0:
-                return False
-    return True
+    return not any(rc)

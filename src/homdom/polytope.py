@@ -14,6 +14,11 @@ Every other monotone, submodular or modular row is a sum of these (chain
 rule), and when A & B separates A\\B from B\\A, each C between A & B and
 A | B that the sum uses separates its own i from its j; the test suite
 checks the result against the system written from the definition.
+
+So p >= 0 needs no row of its own: it follows from p(empty) = 0 and the
+monotone rows that the elemental ones imply.  The rows bound the polytope
+(0 <= p <= p(V) = 1), so an LP over them needs no variable bounds, and
+its basic optima are vertices of the polytope itself.
 """
 
 from __future__ import annotations
@@ -155,21 +160,6 @@ def p_star(t: int) -> SetFunction:
     return SetFunction(t + 1, values)
 
 
-def system_lp(system: ConstraintSystem, objective) -> ratlp.LinearProgram:
-    """LP over the full subset-variable space with the given objective.
-
-    All variables get lower bound 0, which the system already implies, so
-    basic feasible solutions are vertices of the polytope itself.  The
-    system's rows go to the LP as they are.
-    """
-    return ratlp.make_lp(
-        system.n_vars,
-        objective,
-        system.constraints,
-        lower_bounds=[Fraction(0)] * system.n_vars,
-    )
-
-
 def _random_objective(n_vars: int, seed: int):
     rng = random.Random(seed)
     return [
@@ -179,8 +169,10 @@ def _random_objective(n_vars: int, seed: int):
 
 
 def vertex_by_lp(system: ConstraintSystem, seed: int) -> SetFunction:
-    """Minimize a seeded pseudo-random rational objective over the system."""
-    outcome = ratlp.solve(system_lp(system, _random_objective(system.n_vars, seed)))
+    """Minimize a seeded pseudo-random rational objective over the system,
+    one free LP variable per subset, with the system's rows as they are."""
+    objective = _random_objective(system.n_vars, seed)
+    outcome = ratlp.solve(ratlp.make_lp(system.n_vars, objective, system.constraints))
     if outcome.status != "optimal":
         raise RatlpError(f"polytope LP came back {outcome.status}")
     return SetFunction(system.ground_size, outcome.point)

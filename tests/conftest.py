@@ -236,9 +236,9 @@ def solve_square(matrix, rhs):
 
 
 def brute_force_lp(lp):
-    """Enumerate candidate vertices as intersections of n constraint
-    hyperplanes (rows plus lower-bound facets); assumes a bounded feasible
-    region so feasibility is equivalent to having a feasible vertex.
+    """Enumerate candidate vertices as intersections of n row hyperplanes;
+    assumes a bounded feasible region so feasibility is equivalent to
+    having a feasible vertex.
 
     Returns ("optimal", best value) or ("infeasible", None).
     """
@@ -249,30 +249,17 @@ def brute_force_lp(lp):
         for j, a in row.terms:
             coeffs[j] += a
         facets.append((coeffs, row.rhs))
-    for j, lb in enumerate(lp.lower_bounds):
-        if lb is not None:
-            coeffs = [Fraction(0)] * n
-            coeffs[j] = Fraction(1)
-            facets.append((coeffs, lb))
 
     obj = [Fraction(0)] * n
     for j, c in lp.objective:
         obj[j] += c
-
-    def feasible(x):
-        if fraction_violated_rows(lp.rows, x):
-            return False
-        for j, lb in enumerate(lp.lower_bounds):
-            if lb is not None and x[j] < lb:
-                return False
-        return True
 
     best = None
     for subset in combinations(range(len(facets)), n):
         matrix = [facets[i][0] for i in subset]
         rhs = [facets[i][1] for i in subset]
         x = solve_square(matrix, rhs)
-        if x is None or not feasible(x):
+        if x is None or fraction_violated_rows(lp.rows, x):
             continue
         val = sum(c * xi for c, xi in zip(obj, x))
         if best is None or val < best:

@@ -211,12 +211,9 @@ def test_criterion_8_oracle_equivalences():
             rows.append((terms, rel, Fraction(rng.randint(-3, 3))))
         for j in range(n):
             rows.append(([(j, Fraction(1))], "<=", Fraction(4)))
-        lp = ratlp.make_lp(
-            n,
-            [(j, Fraction(rng.randint(-3, 3))) for j in range(n)],
-            rows,
-            lower_bounds=[Fraction(-4)] * n,
-        )
+        objective = [(j, Fraction(rng.randint(-3, 3))) for j in range(n)]
+        rows += [([(j, Fraction(1))], ">=", Fraction(-4)) for j in range(n)]
+        lp = ratlp.make_lp(n, objective, rows)
         status, value = brute_force_lp(lp)
         out = ratlp.solve(lp)
         ok = ok and out.status == status

@@ -232,6 +232,11 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
         # GroundTooLarge
         (["hde", "--f1", "path:1", "--f2", "path:21"], "exceeds cap 20"),
         (["dump-polytope", "--f2", "path:21"], "exceeds cap 20"),
+        # MalformedInput: only ASCII digits are numbers in a graph spec
+        (["hde", "--f1", "path:\u00b2", "--f2", "path:1"], "expected a number in graph spec"),
+        (["hde", "--f1", "union:\u00b2*path:1", "--f2", "path:1"],
+         "expected a number in graph spec"),
+        (["hde", "--f1", "path:\u0663", "--f2", "path:1"], "expected a number in graph spec"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
@@ -240,6 +245,39 @@ def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_unreadable_graph_files_are_usage_errors(capsys, tmp_path):
+    superscript = tmp_path / "superscript.txt"
+    superscript.write_text("2 1\n0 \u00b9\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"2 1\n0 \xff\n")
+    for graph, message in ((superscript, "not a decimal integer"), (tmp_path, "Is a directory"),
+                           (latin1, "not UTF-8 text"), (tmp_path / "missing.txt", "No such file")):
+        code, out, err = run_cli(capsys, "walks", "--graph", str(graph), "--k", "1")
+        assert code == 2 and out == "", graph
+        assert message in err, graph
+
+
+def _must_not_run(*args, **kwargs):
+    pytest.fail("the command started its work before refusing its input")
+
+
+def test_refusals_come_before_the_work(capsys, monkeypatch):
+    # at --t 21 each indicator point holds 2^22 values, and --exhaustive-n 7
+    # would sweep n = 1 ... 6 first: both are refused before any of that
+    monkeypatch.setattr(cli, "indicator_point", _must_not_run)
+    monkeypatch.setattr(cli, "sweep", _must_not_run)
+    for argv, message in (
+        (["--mode", "lemma-identity", "--t", "21", "--samples", "1"], "exceeds cap 20"),
+        (["--mode", "walk-inequality", "--t", "1", "--k", "2", "--exhaustive-n", "7"],
+         "capped at n=6"),
+        (["--mode", "density-form", "--t", "1", "--k", "2", "--exhaustive-n", "7"],
+         "capped at n=6"),
+    ):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert message in err, argv
 
 
 def test_lemma_identity_default_samples(capsys):

@@ -222,6 +222,9 @@ def test_parse_serialize_examples():
         "3 1\n0 1",  # missing trailing newline
         "3 1\n0  1\n",  # double space
         "3 1\n01 2\n",  # leading zero
+        "2 1\n0 \u00b9\n",  # superscript one: str.isdigit accepts it, int does not
+        "\u0663 0\n",  # Arabic-Indic three: int reads it as 3
+        "2 1\n\u0660 1\n",  # Arabic-Indic zero
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -242,7 +245,10 @@ def test_graph_spec_language():
     assert parse_graph_spec("cycle:5") == cycle(5)
     u = parse_graph_spec("union:2*path:0+3*path:5")
     assert u == disjoint_union([(path(0), 2), (path(5), 3)])
-    for bad in ("", "path:", "path:x", "union:", "union:2*cycle:3", "blob"):
+    # non-ASCII digits too: int rejects a superscript two, and reads an
+    # Arabic-Indic three as 3, getting round the no-leading-zero rule
+    for bad in ("", "path:", "path:x", "union:", "union:2*cycle:3", "blob", "path:\u00b2",
+                "union:\u00b2*path:1", "union:1*path:\u00b2", "path:\u0663", "cycle:\u0663"):
         with pytest.raises(MalformedInput):
             parse_graph_spec(bad)
 

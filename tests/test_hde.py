@@ -194,12 +194,8 @@ def test_component_decomposition_matches_expanded_lp():
                 else:
                     row.append((var_of[mask], -c))
             rows.append((row, ">=", rhs))
-    lp = ratlp.make_lp(
-        z + 1,
-        [(z, 1)],
-        rows,
-        lower_bounds=[Fraction(0)] * z + [None],
-    )
+    rows += [([(j, Fraction(1))], ">=", Fraction(0)) for j in range(z)]
+    lp = ratlp.make_lp(z + 1, [(z, 1)], rows)
     out = ratlp.solve(lp)
     assert out.status == "optimal"
     assert out.value == res.value

@@ -9,13 +9,17 @@ from homdom.errors import RatlpError
 from conftest import brute_force_lp, fraction_violated_rows
 
 
+def _bound_rows(lower):
+    """One ``x_j >= lb`` row per variable j with a lower bound lb (not None)."""
+    return [([(j, 1)], ">=", lb) for j, lb in enumerate(lower) if lb is not None]
+
+
 def _lp_ex2():
     # min x+y s.t. x+2y >= 3, x >= 0, y >= 0 -> 3/2 at (0, 3/2)
     return ratlp.make_lp(
         2,
         [(0, 1), (1, 1)],
-        [([(0, 1), (1, 2)], ">=", 3)],
-        lower_bounds=[0, 0],
+        [([(0, 1), (1, 2)], ">=", 3)] + _bound_rows([0, 0]),
     )
 
 
@@ -58,18 +62,20 @@ def test_verify_accepts_and_rejects():
     tampered_row = ratlp.make_lp(
         2,
         [(0, 1), (1, 1)],
-        [([(0, 1), (1, 2)], ">=", 4)],
-        lower_bounds=[0, 0],
+        [([(0, 1), (1, 2)], ">=", 4)] + _bound_rows([0, 0]),
     )
     assert not ratlp.verify(tampered_row, out)
 
+    # feasible, with the right value and one sign-feasible dual per row,
+    # each complementary to its row: only the reduced costs reject it
     suboptimal = ratlp.LpOutcome(
         "optimal",
         Fraction(3),
         (Fraction(3), Fraction(0)),
-        (Fraction(0),),
+        (Fraction(0), Fraction(0), Fraction(0)),
         out.pivots,
     )
+    assert len(suboptimal.duals) == len(lp.rows)
     assert not ratlp.verify(lp, suboptimal)
 
 
@@ -92,9 +98,7 @@ def _random_lp(rng: random.Random):
         rows.append((terms, rel, Fraction(rng.randint(-3, 3))))
     for j in range(n):  # box keeps every instance bounded
         rows.append(([(j, Fraction(1))], "<=", Fraction(4)))
-    return ratlp.make_lp(
-        n, _objective(rng, n), rows, lower_bounds=[Fraction(-4)] * n
-    )
+    return ratlp.make_lp(n, _objective(rng, n), rows + _bound_rows([Fraction(-4)] * n))
 
 
 def test_random_lps_against_vertex_enumeration():
@@ -130,8 +134,8 @@ def test_equality_only_and_redundant_rows():
             ([(0, 1), (1, 1)], "=", 2),
             ([(0, 1), (1, 1)], "=", 2),
             ([(0, 2), (1, 2)], "=", 4),
-        ],
-        lower_bounds=[0, 0],
+        ]
+        + _bound_rows([0, 0]),
     )
     out = ratlp.solve(lp)
     assert out.status == "optimal"
@@ -237,15 +241,16 @@ def test_verify_rejects_a_point_moved_off_a_row_by_2_to_the_minus_200():
 
 def test_tags_do_not_keep_duplicate_reduced_rows_apart():
     # two copies of x + y >= 1 under different tags reduce to one row of
-    # the presolved program, as two untagged copies do
+    # the presolved program, as two untagged copies do; with the two bound
+    # rows, both programs reduce to three rows
     def program(tags):
         rows = [ratlp.Row(((0, Fraction(1)), (1, Fraction(1))), ">=", Fraction(1), tag)
                 for tag in tags]
-        return ratlp.make_lp(2, [(0, 1), (1, 2)], rows, lower_bounds=[0, 0])
+        return ratlp.make_lp(2, [(0, 1), (1, 2)], rows + _bound_rows([0, 0]))
 
     tagged, untagged = program(("a", "b")), program(("", ""))
-    for lp in (tagged, untagged):
-        assert len(ratlp._presolve(tuple(lp.rows), lp.lower_bounds)[5]) == 1
+    counts = [len(ratlp._presolve(tuple(lp.rows), lp.n_vars)[4]) for lp in (tagged, untagged)]
+    assert counts == [3, 3]
     assert ratlp.solve(tagged) == ratlp.solve(untagged)
     assert ratlp.verify(tagged, ratlp.solve(tagged))
 
@@ -294,7 +299,7 @@ def _equality_lp(rng: random.Random):
     """A bounded LP whose presolve has work to do.
 
     Variable 0 is free and leads the first equality row.  The second row
-    is a row led by variable 1, which has a nonzero lower bound, plus a
+    is a row led by variable 1, which has a nonzero lower bound row, plus a
     multiple of the first row, so it leads with variable 1 only once
     variable 0 is eliminated.  The third row is a combination of the two,
     with its right-hand side off by one in about a quarter of the
@@ -329,7 +334,7 @@ def _equality_lp(rng: random.Random):
         if lower[j] is None:
             rows.append(([(j, Fraction(1))], ">=", Fraction(-4)))
     rng.shuffle(rows)
-    return ratlp.make_lp(n, _objective(rng, n), rows, lower_bounds=lower)
+    return ratlp.make_lp(n, _objective(rng, n), rows + _bound_rows(lower))
 
 
 def test_presolve_against_vertex_enumeration():

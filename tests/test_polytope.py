@@ -19,7 +19,6 @@ from homdom.polytope import (
     p_star,
     random_vertex_point,
     separates,
-    system_lp,
     vertex_by_lp,
     _random_objective,
 )
@@ -162,13 +161,13 @@ def test_membership_is_exact_at_the_boundary():
 
 
 def test_verify_is_exact_at_the_boundary():
-    # p(empty) carries no cost, so moving it up by 1/2^200 keeps the value
-    # and the bounds: only the row check can reject the moved point
+    # p(empty) carries no cost, so moving it up by 1/2^200 keeps the value;
+    # with no bounds on the variables, the row check must reject the point
     eps = Fraction(1, 1 << 200)
     F2 = path(3)
     cs = build_polytope(F2)
     objective = [(j, c) for j, c in _random_objective(cs.n_vars, 5) if j]
-    program = system_lp(cs, objective)
+    program = ratlp.make_lp(cs.n_vars, objective, cs.constraints)
     out = ratlp.solve(program)
     assert out.status == "optimal" and ratlp.verify(program, out)
     for mask in range(cs.n_vars):
@@ -193,12 +192,26 @@ def test_set_function_values_must_be_exact_rationals():
     assert is_member(SetFunction(2, (0, 1, 1, 2)), path(1))[0] is False
 
 
-def test_system_lp_hands_over_the_rows_themselves():
+def test_make_lp_hands_over_the_polytope_rows_themselves():
     for F2 in (path(1), path(3), cycle(5)):
         cs = build_polytope(F2)
-        rows = system_lp(cs, _random_objective(cs.n_vars, 0)).rows
+        rows = ratlp.make_lp(cs.n_vars, _random_objective(cs.n_vars, 0), cs.constraints).rows
         assert len(rows) == len(cs.constraints)
         assert all(r is c for r, c in zip(rows, cs.constraints))
+
+
+def test_the_rows_alone_bound_every_subset_value():
+    # every LP variable is free, so p >= 0 must follow from the rows
+    # themselves: min p(S) is 0 below V and max p(S) is 1 above the empty set
+    for F2 in (path(3), cycle(4), complete(3)):
+        for cs in (build_polytope(F2), build_polytope_unpruned(F2)):
+            full = cs.n_vars - 1
+            for S in range(cs.n_vars):
+                for sign, expected in ((1, int(S == full)), (-1, -int(S != 0))):
+                    program = ratlp.make_lp(cs.n_vars, [(S, sign)], cs.constraints)
+                    out = ratlp.solve(program)
+                    assert (out.status, out.value) == ("optimal", expected), (F2, S, sign)
+                    assert ratlp.verify(program, out)
 
 
 def test_ground_cap():
@@ -235,7 +248,7 @@ def test_rigged_objective_recovers_an_indicator_point():
         (mask, Fraction(-1) if mask >> i & 1 else Fraction(1))
         for mask in range(cs.n_vars)
     ]
-    out = ratlp.solve(system_lp(cs, objective))
+    out = ratlp.solve(ratlp.make_lp(cs.n_vars, objective, cs.constraints))
     assert out.status == "optimal"
     assert SetFunction(F2.n, out.point) == indicator_point(F2, i)
 
@@ -275,8 +288,8 @@ def test_pruning_soundness_vertices_and_optima():
             objective = [
                 (m, Fraction(rng.randint(-50, 50))) for m in range(pruned.n_vars)
             ]
-            a = ratlp.solve(system_lp(pruned, objective))
-            b = ratlp.solve(system_lp(unpruned, objective))
+            a = ratlp.solve(ratlp.make_lp(pruned.n_vars, objective, pruned.constraints))
+            b = ratlp.solve(ratlp.make_lp(unpruned.n_vars, objective, unpruned.constraints))
             assert a.status == b.status == "optimal"
             assert a.value == b.value
 
@@ -288,15 +301,13 @@ def test_hull_lift_recovers_polytope_points():
     # simplex run on the same program without a presolve finds it
     for F2 in (path(1), path(3), path(5), complete(3)):
         cs = build_polytope(F2)
-        whole = system_lp(cs, _random_objective(cs.n_vars, 0))
+        objective = _random_objective(cs.n_vars, 0)
         points = [indicator_point(F2, i) for i in range(F2.n)]
         if F2 == path(F2.n - 1):
             points.append(p_star(F2.n - 1))
         for p in points:
             pins = tuple(ratlp.make_row([(mask, 1)], "=", p[mask]) for mask in range(cs.n_vars))
-            pinned = ratlp.make_lp(
-                cs.n_vars, whole.objective, whole.rows + pins, lower_bounds=whole.lower_bounds
-            )
+            pinned = ratlp.make_lp(cs.n_vars, objective, cs.constraints + pins)
             lifted = ratlp.solve(pinned)
             reference = ratlp._pivot(pinned)
             assert lifted.point == reference.point == p.values
@@ -304,13 +315,13 @@ def test_hull_lift_recovers_polytope_points():
             assert ratlp.verify(pinned, lifted)
 
 
-def test_vertex_by_lp_matches_the_whole_system_lp():
+def test_vertex_by_lp_matches_the_whole_system_pivoted():
     # the reference pivots the whole system with no presolve
     for F2 in (path(2), path(3), path(4), complete(3)):
         for cs in (build_polytope(F2), build_polytope_unpruned(F2)):
             for seed in range(10):
                 objective = _random_objective(cs.n_vars, seed)
-                whole = ratlp._pivot(system_lp(cs, objective))
+                whole = ratlp._pivot(ratlp.make_lp(cs.n_vars, objective, cs.constraints))
                 assert whole.status == "optimal"
                 assert vertex_by_lp(cs, seed) == SetFunction(F2.n, whole.point)
 
