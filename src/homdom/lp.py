@@ -1,8 +1,14 @@
 """Exact rational linear programming.
 
-Two-phase simplex with Bland's anti-cycling rule over
-``fractions.Fraction``; every outcome is exact and deterministic given
-the input ordering.  Every program is a minimization.
+Two-phase simplex with Bland's anti-cycling rule; every outcome is exact
+and deterministic given the input ordering.  Every program is a
+minimization.  The simplex core, ``_Simplex``, runs in integers: it keeps
+B^-1 as an integer matrix over one common denominator, |det B|, and
+pivots by exact division (Edmonds 1967, Bareiss 1968).  ``_pivot`` scales
+each column of the dual with its cost to integers on the way in and
+unscales the multipliers on the way out, so ``Fraction``s exist only at
+the core's entry and exit, and the pivots are those of a ``Fraction``
+B^-1.
 
 Every variable is free; a bound on a variable is stated as a row.
 
@@ -165,11 +171,23 @@ def make_lp(n_vars, objective, rows) -> LinearProgram:
 
 
 class _Simplex:
-    """Revised two-phase simplex with Bland's rule on an equality form.
+    """Revised two-phase simplex with Bland's rule on an equality form, in
+    integers.
 
-    ``cols`` are the real columns (sparse (row, value) entries, exact);
-    artificial columns are managed internally and never re-enter once the
-    basis leaves them.
+    ``cols`` are the real columns, as sparse (row, value) entries, and
+    ``b`` the right-hand side; values and costs are ints.  Artificial
+    columns are managed internally and never re-enter once the basis
+    leaves them.
+
+    The state is fraction-free, after Edmonds (J. Res. NBS 71B, 1967) and
+    Bareiss (Math. Comp. 1968): B^-1 = binv / det and x_B = xb / det, with
+    binv and xb ints and det = |det B| > 0.  Prices are y * det = c_B binv,
+    so a column's reduced cost has the sign of c_j det - (c_B binv) a_j,
+    and a ratio test compares xb_i / d_i across rows by cross-multiplying.
+    A pivot divides every updated entry exactly by the old det, so entries
+    stay the size of the basis's minors, with no gcd taken.  These are
+    the choices a ``Fraction`` B^-1 makes, pivot for pivot; ``Fraction``s
+    appear only in ``solution`` and ``duals_for``.
     """
 
     def __init__(self, m: int, cols, b):
@@ -177,62 +195,61 @@ class _Simplex:
         self.cols = cols
         self.k = len(cols)
         self.pivots = 0
-        sign = [1 if b[i] >= 0 else -1 for i in range(m)]
         self.basis = [self.k + i for i in range(m)]  # artificial indices
+        self.det = 1
         self.binv = [[0] * m for _ in range(m)]
         for i in range(m):
-            self.binv[i][i] = sign[i]
+            self.binv[i][i] = 1 if b[i] >= 0 else -1
         self.xb = [abs(b[i]) for i in range(m)]
 
-    def _duals(self, cost):
-        m = self.m
-        y = [Fraction(0)] * m
-        for i in range(m):
-            ci = cost(self.basis[i])
+    def _prices(self, cost) -> list[int]:
+        """y * det for y = c_B B^-1; ``cost`` has one entry per column,
+        artificials last."""
+        y = [0] * self.m
+        for i, row in enumerate(self.binv):
+            ci = cost[self.basis[i]]
             if ci:
-                row = self.binv[i]
-                for t in range(m):
-                    if row[t]:
-                        y[t] += ci * row[t]
+                y = [yt + ci * a for yt, a in zip(y, row)]
         return y
 
-    def _direction(self, j):
-        m = self.m
-        d = [0] * m
-        for r, v in self.cols[j]:  # artificial columns never enter
-            for i in range(m):
-                if self.binv[i][r]:
-                    d[i] += self.binv[i][r] * v
-        return d
+    def _direction(self, j) -> list[int]:
+        """B^-1 a_j times det, for a real column j."""
+        col = self.cols[j]
+        return [sum(row[r] * v for r, v in col) for row in self.binv]
 
     def _pivot(self, r, j, d):
-        binv = self.binv
-        dr = d[r]
-        inv = 1 / dr
-        row = binv[r]
-        for t in range(self.m):
-            if row[t]:
-                row[t] = row[t] * inv
-        theta = self.xb[r] * inv
-        self.xb[r] = theta
+        """Column j enters at row r, where d is its ``_direction``: row r
+        keeps its entries, each other row i becomes
+        (row_i * d_r - d_i * row_r) / det, exactly, and det becomes d_r;
+        all change sign when d_r < 0."""
+        det, dr = self.det, d[r]
+        binv, xb = self.binv, self.xb
+        prow, xr = binv[r], xb[r]
         for i in range(self.m):
-            if i != r and d[i]:
-                f = d[i]
-                tgt = binv[i]
-                for t in range(self.m):
-                    if row[t]:
-                        tgt[t] -= f * row[t]
-                self.xb[i] -= f * theta
+            di = d[i]
+            if i == r or (not di and dr == det):
+                continue
+            if di:
+                binv[i] = [(a * dr - di * p) // det for a, p in zip(binv[i], prow)]
+                xb[i] = (xb[i] * dr - di * xr) // det
+            else:
+                binv[i] = [a * dr // det for a in binv[i]]
+                xb[i] = xb[i] * dr // det
+        if dr < 0:
+            self.binv = [[-a for a in row] for row in binv]
+            self.xb = [-v for v in xb]
+        self.det = abs(dr)
         self.basis[r] = j
         self.pivots += 1
 
     def _iterate(self, cost) -> str:
         """Pivot to optimality of the given cost; Bland's rule throughout."""
         while True:
-            y = self._duals(cost)
+            y = self._prices(cost)
+            det = self.det
             enter = -1
             for j in range(self.k):  # artificials never enter
-                rc = cost(j)
+                rc = cost[j] * det
                 for r, v in self.cols[j]:
                     if y[r]:
                         rc -= y[r] * v
@@ -242,44 +259,31 @@ class _Simplex:
             if enter < 0:
                 return "optimal"
             d = self._direction(enter)
+            xb = self.xb
             leave = -1
-            best = None
             for i in range(self.m):
                 if d[i] > 0:
-                    ratio = self.xb[i] / d[i]
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leave])
-                    ):
-                        best = ratio
+                    if leave < 0:
+                        leave = i
+                        continue
+                    # xb_i / d_i against xb_leave / d_leave
+                    lhs, rhs = xb[i] * d[leave], xb[leave] * d[i]
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
             if leave < 0:
                 return "unbounded"
             self._pivot(leave, enter, d)
 
     def solve_two_phase(self, costs) -> str:
-        m = self.m
-
-        def phase1_cost(j):
-            return 1 if j >= self.k else 0
-
+        m, k = self.m, self.k
         if m:
-            status = self._iterate(phase1_cost)
+            status = self._iterate([0] * k + [1] * m)
             if status != "optimal":  # phase 1 is bounded below by 0
                 raise RatlpError("phase 1 cannot be unbounded")
-            infeas = 0
-            for i in range(m):
-                if self.basis[i] >= self.k:
-                    infeas += self.xb[i]
-            if infeas != 0:
+            if any(self.xb[i] for i in range(m) if self.basis[i] >= k):
                 return "infeasible"
             self._drive_out_artificials()
-
-        def phase2_cost(j):
-            return costs[j] if j < self.k else 0
-
-        return self._iterate(phase2_cost)
+        return self._iterate(list(costs) + [0] * m)
 
     def _drive_out_artificials(self):
         for i in range(self.m):
@@ -287,25 +291,23 @@ class _Simplex:
                 continue
             rho = self.binv[i]
             for j in range(self.k):
-                t = 0
-                for r, v in self.cols[j]:
-                    if rho[r]:
-                        t += rho[r] * v
-                if t != 0:
+                if sum(rho[r] * v for r, v in self.cols[j]):
                     self._pivot(i, j, self._direction(j))
                     break
             # no real column intersects this row: it is redundant and the
             # artificial stays basic at level zero
 
-    def solution(self):
-        vals = {}
-        for i in range(self.m):
-            if self.basis[i] < self.k:
-                vals[self.basis[i]] = self.xb[i]
-        return vals
+    def solution(self) -> dict[int, Fraction]:
+        """The basic real columns' values."""
+        return {
+            j: Fraction(self.xb[i], self.det)
+            for i, j in enumerate(self.basis)
+            if j < self.k
+        }
 
-    def duals_for(self, costs):
-        return self._duals(lambda j: costs[j] if j < self.k else 0)
+    def duals_for(self, costs) -> list[Fraction]:
+        """y = c_B B^-1 for the given real-column costs."""
+        return [Fraction(v, self.det) for v in self._prices(list(costs) + [0] * self.m)]
 
 
 # -- presolve: elimination of the equality rows ---------------------------
@@ -418,15 +420,28 @@ def _equality_duals(steps, excess) -> list[Fraction]:
     """Duals of the pivot rows: solve (L U_E)^T lam = excess, where
     ``excess[e]`` is what pivot variable e's reduced cost must lose.  First
     U_E^T mu = excess forward, then L^T lam = mu backward; both are
-    triangular."""
+    triangular.  Each solve makes one pass over the factors: a solved
+    unknown adds its multiple of its U row (forward) or L row (backward)
+    to the sums that the later unknowns read."""
+    pivot_vars = {e for _, e, _, _, _ in steps}
+    known: dict[int, Fraction] = {}  # per pivot variable: sum over solved U rows
     mu = []
-    for t, (_, e, urow, _, _) in enumerate(steps):
-        known = sum((steps[s][2][e] * mu[s] for s in range(t) if e in steps[s][2]), Fraction(0))
-        mu.append((excess[e] - known) / urow[e])
+    for _, e, urow, _, _ in steps:
+        mu_t = (excess[e] - known.get(e, 0)) / urow[e]
+        mu.append(mu_t)
+        if not mu_t:
+            continue
+        for v, a in urow.items():
+            if v != e and v in pivot_vars:
+                known[v] = known.get(v, 0) + a * mu_t
+    later = [Fraction(0)] * len(steps)  # per step: sum over solved L rows
     lam = [Fraction(0)] * len(steps)
-    for s in reversed(range(len(steps))):
-        later = range(s + 1, len(steps))
-        lam[s] = mu[s] - sum((steps[t][4][s] * lam[t] for t in later if s in steps[t][4]), Fraction(0))
+    for t in reversed(range(len(steps))):
+        lam[t] = mu[t] - later[t]
+        if not lam[t]:
+            continue
+        for s, f in steps[t][4].items():
+            later[s] += f * lam[t]
     return lam
 
 
@@ -483,16 +498,28 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
     >= 0: a ``<=`` row is negated, and an ``=`` row gives a pair of
     opposite columns.  x is read off the run's negated multipliers and y
     off its basic values.
+
+    ``_Simplex`` runs in integers.  Row i's column and cost are scaled
+    together by s_i, the lcm of the denominators of its terms and rhs, and
+    c by L, the lcm of its denominators.  A column scaled by s_i > 0 has
+    its reduced cost scaled by s_i, every ratio of a ratio test is scaled
+    by the same factor, and c_B B^-1 is unchanged, so the run makes the
+    unscaled run's pivots and reads the same x.  Row i's multiplier comes
+    out times L / s_i.
     """
     c = _cost_vector(lp)
+    scale, b = _over_common_denominator(c)
     sign = [-1 if row.rel == "<=" else 1 for row in lp.rows]
     cols = []
     costs = []
     first = []  # per row: the index of its (first) column
+    unit = []  # per row: s_i / L, what one unit of its scaled multiplier is worth
     for i, row in enumerate(lp.rows):
         first.append(len(cols))
-        entries = tuple((j, sign[i] * a) for j, a in row.terms)
-        cost = -sign[i] * row.rhs
+        s, ints = _over_common_denominator([a for _, a in row.terms] + [row.rhs])
+        unit.append(Fraction(s, scale))
+        entries = tuple((j, sign[i] * a) for (j, _), a in zip(row.terms, ints))
+        cost = -sign[i] * ints[-1]
         if row.rel == "=":
             cols += [entries, tuple((j, -a) for j, a in entries)]
             costs += [cost, -cost]
@@ -500,7 +527,7 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
             cols.append(entries)
             costs.append(cost)
 
-    spx = _Simplex(lp.n_vars, cols, c)
+    spx = _Simplex(lp.n_vars, cols, b)
     status = spx.solve_two_phase(costs)
     pivots = spx.pivots
     if status != "optimal":
@@ -509,7 +536,7 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
         else:
             # primal is unbounded or infeasible; the dual with zero costs
             # c is feasible, and bounded exactly when the primal is feasible
-            probe = _Simplex(lp.n_vars, cols, [Fraction(0)] * lp.n_vars)
+            probe = _Simplex(lp.n_vars, cols, [0] * lp.n_vars)
             status = "unbounded" if probe.solve_two_phase(costs) == "optimal" else "infeasible"
             pivots += probe.pivots
         return LpOutcome(status, None, None, None, pivots, True)
@@ -519,9 +546,9 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
     y = []
     for i, k in enumerate(first):
         if lp.rows[i].rel == "=":
-            y.append(vals.get(k, zero) - vals.get(k + 1, zero))
+            y.append((vals.get(k, zero) - vals.get(k + 1, zero)) * unit[i])
         else:
-            y.append(sign[i] * vals.get(k, zero))
+            y.append(sign[i] * vals.get(k, zero) * unit[i])
     x = [-d for d in spx.duals_for(costs)]
     value = sum((cj * xj for cj, xj in zip(c, x)), Fraction(0))
     if value != sum((row.rhs * yi for row, yi in zip(lp.rows, y)), Fraction(0)):

@@ -8,7 +8,8 @@ brute-force maximal cliques and its maximum by listing every
 homomorphism, the polytope by one row for every pair of
 subsets with separation found by breadth-first search, a row at a point
 by its ``Fraction`` sum, walk counts by integer adjacency-matrix powers,
-labeled graphs by an edge list per edge bitmask.
+labeled graphs by an edge list per edge bitmask, and the integer simplex
+core by the ``Fraction`` core it replaced.
 """
 
 import random
@@ -17,6 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
+from homdom.errors import RatlpError
 from homdom.graphs import Graph, bits_of, from_edges
 from homdom.lp import Row
 from homdom.polytope import ConstraintSystem
@@ -267,3 +269,153 @@ def brute_force_lp(lp):
     if best is None:
         return "infeasible", None
     return "optimal", best
+
+
+# -- the Fraction simplex core, the oracle of the integer core --------------
+
+
+class FractionSimplex:
+    """Revised two-phase simplex with Bland's rule on an equality form,
+    over ``Fraction``s: a dense B^-1 and x_B, each entry in lowest terms.
+    It is the core that ``lp._Simplex`` replaced, with the same interface,
+    and the oracle of its pivots, bases and values.
+
+    ``cols`` are the real columns (sparse (row, value) entries, exact);
+    artificial columns are managed internally and never re-enter once the
+    basis leaves them.
+    """
+
+    def __init__(self, m: int, cols, b):
+        self.m = m
+        self.cols = cols
+        self.k = len(cols)
+        self.pivots = 0
+        sign = [1 if b[i] >= 0 else -1 for i in range(m)]
+        self.basis = [self.k + i for i in range(m)]  # artificial indices
+        self.binv = [[0] * m for _ in range(m)]
+        for i in range(m):
+            self.binv[i][i] = sign[i]
+        self.xb = [abs(b[i]) for i in range(m)]
+
+    def _duals(self, cost):
+        m = self.m
+        y = [Fraction(0)] * m
+        for i in range(m):
+            ci = cost(self.basis[i])
+            if ci:
+                row = self.binv[i]
+                for t in range(m):
+                    if row[t]:
+                        y[t] += ci * row[t]
+        return y
+
+    def _direction(self, j):
+        m = self.m
+        d = [0] * m
+        for r, v in self.cols[j]:  # artificial columns never enter
+            for i in range(m):
+                if self.binv[i][r]:
+                    d[i] += self.binv[i][r] * v
+        return d
+
+    def _pivot(self, r, j, d):
+        binv = self.binv
+        dr = d[r]
+        inv = 1 / dr
+        row = binv[r]
+        for t in range(self.m):
+            if row[t]:
+                row[t] = row[t] * inv
+        theta = self.xb[r] * inv
+        self.xb[r] = theta
+        for i in range(self.m):
+            if i != r and d[i]:
+                f = d[i]
+                tgt = binv[i]
+                for t in range(self.m):
+                    if row[t]:
+                        tgt[t] -= f * row[t]
+                self.xb[i] -= f * theta
+        self.basis[r] = j
+        self.pivots += 1
+
+    def _iterate(self, cost) -> str:
+        """Pivot to optimality of the given cost; Bland's rule throughout."""
+        while True:
+            y = self._duals(cost)
+            enter = -1
+            for j in range(self.k):  # artificials never enter
+                rc = cost(j)
+                for r, v in self.cols[j]:
+                    if y[r]:
+                        rc -= y[r] * v
+                if rc < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal"
+            d = self._direction(enter)
+            leave = -1
+            best = None
+            for i in range(self.m):
+                if d[i] > 0:
+                    ratio = self.xb[i] / d[i]
+                    if (
+                        best is None
+                        or ratio < best
+                        or (ratio == best and self.basis[i] < self.basis[leave])
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded"
+            self._pivot(leave, enter, d)
+
+    def solve_two_phase(self, costs) -> str:
+        m = self.m
+
+        def phase1_cost(j):
+            return 1 if j >= self.k else 0
+
+        if m:
+            status = self._iterate(phase1_cost)
+            if status != "optimal":  # phase 1 is bounded below by 0
+                raise RatlpError("phase 1 cannot be unbounded")
+            infeas = 0
+            for i in range(m):
+                if self.basis[i] >= self.k:
+                    infeas += self.xb[i]
+            if infeas != 0:
+                return "infeasible"
+            self._drive_out_artificials()
+
+        def phase2_cost(j):
+            return costs[j] if j < self.k else 0
+
+        return self._iterate(phase2_cost)
+
+    def _drive_out_artificials(self):
+        for i in range(self.m):
+            if self.basis[i] < self.k:
+                continue
+            rho = self.binv[i]
+            for j in range(self.k):
+                t = 0
+                for r, v in self.cols[j]:
+                    if rho[r]:
+                        t += rho[r] * v
+                if t != 0:
+                    self._pivot(i, j, self._direction(j))
+                    break
+            # no real column intersects this row: it is redundant and the
+            # artificial stays basic at level zero
+
+    def solution(self):
+        vals = {}
+        for i in range(self.m):
+            if self.basis[i] < self.k:
+                vals[self.basis[i]] = self.xb[i]
+        return vals
+
+    def duals_for(self, costs):
+        return self._duals(lambda j: costs[j] if j < self.k else 0)

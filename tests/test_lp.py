@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from homdom import hde, polytope
 from homdom import lp as ratlp
 from homdom.errors import RatlpError
-from conftest import brute_force_lp, fraction_violated_rows
+from homdom.graphs import disjoint_union, path
+from conftest import FractionSimplex, brute_force_lp, fraction_violated_rows
 
 
 def _bound_rows(lower):
@@ -354,3 +356,288 @@ def test_presolve_against_vertex_enumeration():
                 assert out.value == value
                 assert ratlp.verify(lp, out)
     assert statuses["optimal"] > 25 and statuses["infeasible"] > 10
+
+
+# -- the integer simplex core against the Fraction core ----------------------
+
+
+def _record_core_runs(monkeypatch, run):
+    """Every ``lp._Simplex`` that ``run()`` builds and solves, in order,
+    with the b and costs it was handed as ``b`` and ``costs``."""
+    runs = []
+
+    class Recording(ratlp._Simplex):
+        def __init__(self, m, cols, b):
+            super().__init__(m, cols, b)
+            self.b = tuple(b)
+
+        def solve_two_phase(self, costs):
+            self.costs = tuple(costs)
+            runs.append(self)
+            return super().solve_two_phase(costs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ratlp, "_Simplex", Recording)
+        run()
+    return runs
+
+
+def _core_run(core, m, cols, b, costs):
+    """``core`` on one program: its status, final basis, pivot count,
+    every pivot's (row, entering column), ``solution()`` and
+    ``duals_for(costs)``."""
+    trace = []
+
+    class Traced(core):
+        def _pivot(self, r, j, d):
+            trace.append((r, j))
+            super()._pivot(r, j, d)
+
+    spx = Traced(m, cols, b)
+    status = spx.solve_two_phase(costs)
+    return status, spx.basis, spx.pivots, trace, spx.solution(), spx.duals_for(costs)
+
+
+def _assert_cores_agree(run):
+    """The integer core and the Fraction core, on the program of a
+    recorded run, make the same pivots and read the same values.  The
+    Fraction core is handed the program as ``Fraction``s."""
+    m, cols, b, costs = run.m, run.cols, run.b, run.costs
+    exact = (
+        m,
+        [tuple((r, Fraction(v)) for r, v in col) for col in cols],
+        [Fraction(v) for v in b],
+        [Fraction(v) for v in costs],
+    )
+    got, expected = _core_run(ratlp._Simplex, m, cols, b, costs), _core_run(FractionSimplex, *exact)
+    assert got == expected, (m, cols, b, costs)
+    return got
+
+
+def _flagship(t):
+    return disjoint_union([(path(0), 2), (path(t + 2), t)])
+
+
+def test_integer_core_matches_the_fraction_core(monkeypatch):
+    # every program the solver hands the core: the random and equality
+    # corpora (presolved, and pivoted with no presolve), the flagship
+    # exponents t = 1, 3, 5, seeded vertex LPs of P_3, P_5 and P_6, and
+    # HDE(P0^2 P16; P3); both cores must take the same pivots in the same
+    # order to the same basis and values, zero-cost probe runs included
+    def run():
+        rng = random.Random(20240812)
+        for _ in range(200):
+            program = _random_lp(rng)
+            ratlp.solve(program)
+            ratlp._pivot(program)
+        rng = random.Random(20261018)
+        for _ in range(60):
+            program = _equality_lp(rng)
+            ratlp.solve(program)
+            ratlp._pivot(program)
+        for t in (1, 3, 5):
+            hde.compute_hde(_flagship(t), path(t))
+        for n, seeds in ((3, range(6)), (5, range(3)), (6, range(2))):
+            for seed in seeds:
+                polytope.vertex_by_lp(polytope.build_polytope(path(n)), seed)
+        hde.compute_hde(disjoint_union([(path(0), 2), (path(16), 1)]), path(3))
+
+    runs = _record_core_runs(monkeypatch, run)
+    statuses = Counter()
+    probes = pivots = 0
+    for spx in runs:
+        status, _, count, _, _, _ = _assert_cores_agree(spx)
+        statuses[status] += 1
+        probes += not any(spx.b)
+        pivots += count
+    # 482 runs, 2,255 pivots: 359 optimal, 123 unbounded, 22 probes
+    assert len(runs) > 450 and pivots > 2000
+    assert statuses["optimal"] > 300 and statuses["unbounded"] > 100 and probes > 15
+
+
+def _fraction_dual(lp):
+    """``lp._pivot`` with no scaling: the dual of ``lp`` over ``Fraction``s,
+    pivoted by the Fraction core.  Returns the status, pivot count and final
+    basis, and on an optimal run x and y as ``lp._pivot`` reads them."""
+    c = [Fraction(0)] * lp.n_vars
+    for j, v in lp.objective:
+        c[j] += v
+    cols, costs, owner = [], [], []  # owner: per column, (row, sign of its multiplier in y)
+    for i, row in enumerate(lp.rows):
+        sign = -1 if row.rel == "<=" else 1
+        entries = tuple((j, sign * a) for j, a in row.terms)
+        cols.append(entries)
+        costs.append(-sign * row.rhs)
+        owner.append((i, sign))
+        if row.rel == "=":
+            cols.append(tuple((j, -a) for j, a in entries))
+            costs.append(sign * row.rhs)
+            owner.append((i, -1))
+    spx = FractionSimplex(lp.n_vars, cols, c)
+    status = spx.solve_two_phase(costs)
+    if status != "optimal":
+        return status, spx.pivots, spx.basis, None, None
+    y = [Fraction(0)] * len(lp.rows)
+    for k, v in spx.solution().items():
+        i, sign = owner[k]
+        y[i] += sign * v
+    return status, spx.pivots, spx.basis, tuple(-v for v in spx.duals_for(costs)), tuple(y)
+
+
+def _box_program(rng: random.Random, n: int):
+    """A feasible, bounded program over n variables whose objective has
+    denominators 3^40 and whose rows' coefficients and rhs have
+    denominators up to 2^64, none divisible by 3: every row holds at a
+    random point, with slack or tight, inside a box of half-width 2^-64
+    times a random factor."""
+    def dyadic(bits):
+        return Fraction(rng.randint(-(1 << bits), 1 << bits), 1 << rng.randint(0, bits))
+
+    x0 = [dyadic(64) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        terms = [(j, dyadic(rng.choice([3, 64]))) for j in range(n)]
+        value = sum((a * x0[j] for j, a in terms), Fraction(0))
+        rel = rng.choice(ratlp.RELATIONS)
+        slack = rng.choice([0, abs(dyadic(64))])
+        rows.append((terms, rel, value + slack if rel == "<=" else value - slack if rel == ">=" else value))
+    for j in range(n):
+        width = abs(dyadic(64)) + Fraction(1, 1 << 64)
+        rows.append(([(j, 1)], "<=", x0[j] + width))
+        rows.append(([(j, 1)], ">=", x0[j] - width))
+    objective = [(j, Fraction(rng.randint(-(3 ** 40), 3 ** 40), 3 ** 40)) for j in range(n)]
+    return ratlp.make_lp(n, objective, rows)
+
+
+def test_scaling_keeps_objective_and_row_denominators_exact(monkeypatch):
+    # the integer core runs on the dual scaled column by column and by one
+    # global factor; it must make the unscaled Fraction run's pivots and read
+    # its point and duals exactly, although the objective's denominators
+    # (3^40) appear in no row and the rows' reach 2^64
+    rng = random.Random(3 ** 40)
+    for _ in range(25):
+        program = _box_program(rng, rng.randint(1, 3))
+        status, value = brute_force_lp(program)
+        assert status == "optimal"
+        runs = _record_core_runs(monkeypatch, lambda: ratlp._pivot(program))
+        out = ratlp._pivot(program)
+        ref_status, ref_pivots, ref_basis, x, y = _fraction_dual(program)
+        assert (out.status, out.pivots, out.point, out.duals) == (ref_status, ref_pivots, x, y)
+        assert [spx.basis for spx in runs] == [ref_basis]
+        assert out.value == value and ratlp.verify(program, out)
+        solved = ratlp.solve(program)
+        assert solved.value == value and ratlp.verify(program, solved)
+
+
+def test_drive_out_pivot_on_a_negative_element():
+    # phase 1 leaves the artificial of row 1 basic at level zero; the only
+    # real column that meets its row of B^-1 does so at -1, so the drive-out
+    # pivot divides by a negative element and the core negates its state to
+    # keep det > 0
+    cols = [((0, 1),), ((1, -1),)]
+    pivots_at = []
+
+    class Traced(ratlp._Simplex):
+        def _pivot(self, r, j, d):
+            pivots_at.append(d[r])
+            super()._pivot(r, j, d)
+            assert self.det > 0
+
+    spx = Traced(2, cols, [1, 0])
+    assert spx.solve_two_phase([1, 1]) == "optimal"
+    assert pivots_at == [1, -1] and spx.det == 1 and spx.binv == [[1, 0], [0, -1]]
+    assert spx.solution() == {0: 1, 1: 0} and spx.duals_for([1, 1]) == [1, -1]
+    assert _core_run(ratlp._Simplex, 2, cols, [1, 0], [1, 1]) == _core_run(
+        FractionSimplex, 2, [((0, Fraction(1)),), ((1, Fraction(-1)),)],
+        [Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)])
+
+
+def test_core_edge_programs(monkeypatch):
+    # m = 0 (no variable left after the presolve, or none at all), no
+    # inequality row, an infeasible and an unbounded program: the status
+    # of ``solve`` and of ``_pivot``, and every core run behind them, zero-
+    # cost probes included, against the Fraction core
+    third = Fraction(1, 3)
+    programs = [
+        (ratlp.make_lp(0, [], []), "optimal", 0),
+        (ratlp.make_lp(2, [(1, 1)], [([(0, 3)], "=", 1), ([(0, 1), (1, 1)], "=", 2)]), "optimal", 5 * third),
+        (ratlp.make_lp(2, [(0, 1), (1, 1)], [([(0, 1), (1, 1)], "=", third)]), "optimal", third),
+        (ratlp.make_lp(2, [(0, 1), (1, 2)], [([(0, 1), (1, 1)], "=", third)]), "unbounded", None),
+        (ratlp.make_lp(1, [(0, 1)], [([(0, 1)], ">=", 2), ([(0, 1)], "<=", 1)]), "infeasible", None),
+        (ratlp.make_lp(1, [(0, -1)], [([(0, 1)], ">=", 0)]), "unbounded", None),
+        (ratlp.make_lp(2, [(0, 1), (1, -1)], [([(0, 1), (1, 1)], "=", 1),
+                                              ([(0, 1), (1, 1)], "=", 2)]), "infeasible", None),
+    ]
+    for program, status, value in programs:
+        outs = []
+        runs = _record_core_runs(monkeypatch, lambda: outs.extend((ratlp.solve(program), ratlp._pivot(program))))
+        assert [(out.status, out.value) for out in outs] == [(status, value)] * 2
+        if status == "optimal":
+            assert all(ratlp.verify(program, out) for out in outs)
+        for spx in runs:
+            _assert_cores_agree(spx)
+    # the core alone with no rows: an empty column of negative cost enters
+    # and nothing bounds it
+    for costs, status in (([1, -1], "unbounded"), ([0, 2], "optimal")):
+        run = _core_run(ratlp._Simplex, 0, [(), ()], [], costs)
+        assert run[0] == status
+        assert run == _core_run(FractionSimplex, 0, [(), ()], [], [Fraction(c) for c in costs])
+
+
+def _det(matrix) -> Fraction:
+    """The determinant, by ``Fraction`` elimination with row swaps."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(a)):
+        piv = next((r for r in range(col, len(a)) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, len(a)):
+            f = a[r][col] / a[col][col]
+            if f:
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return det
+
+
+def test_state_is_the_adjugate_over_the_basis_determinant(monkeypatch):
+    # after every pivot of seeded programs, det is |det B| for the basis
+    # columns, binv B = det I and xb = binv b: B^-1 = binv / det exactly
+    rng = random.Random(11)
+    seeded = [_random_lp(rng) for _ in range(30)]
+
+    def run():
+        for program in seeded:
+            ratlp._pivot(program)
+        polytope.vertex_by_lp(polytope.build_polytope(path(5)), 0)
+
+    checked = 0
+    for recorded in _record_core_runs(monkeypatch, run):
+        m, cols, b, k = recorded.m, recorded.cols, recorded.b, recorded.k
+
+        def column(j):
+            dense = [0] * m
+            if j < k:
+                for r, v in cols[j]:
+                    dense[r] += v
+            else:  # artificial of row j - k, signed like b
+                dense[j - k] = 1 if b[j - k] >= 0 else -1
+            return dense
+
+        class Checked(ratlp._Simplex):
+            def _pivot(self, r, j, d):
+                nonlocal checked
+                super()._pivot(r, j, d)
+                B = [list(row) for row in zip(*(column(j) for j in self.basis))]
+                assert self.det == abs(_det(B)) > 0
+                for i, row in enumerate(self.binv):
+                    assert [sum(a * B[t][s] for t, a in enumerate(row)) for s in range(m)] == [
+                        self.det * (s == i) for s in range(m)]
+                    assert sum(a * bt for a, bt in zip(row, b)) == self.xb[i]
+                checked += 1
+
+        Checked(m, cols, b).solve_two_phase(recorded.costs)
+    assert checked > 150  # 180 pivots
