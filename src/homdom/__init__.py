@@ -23,7 +23,6 @@ from .homs import (
     average_degree,
     count_homs,
     enumerate_homs,
-    hom_density,
     normalized_walks,
     walk_count,
     walk_counts,
@@ -64,7 +63,6 @@ from .checks import (
     Scope,
     chain_exponents,
     check_blakley_roy,
-    check_density_form,
     check_hde_definition,
     check_lemma_identity,
     check_walk_inequality,

@@ -33,7 +33,6 @@ from .homs import (
     HomPlan,
     average_degree,
     count_homs,
-    hom_density,
     normalized_walks,
     walk_counts,
 )
@@ -235,24 +234,6 @@ def check_walk_inequality(G: Graph, t: int, k: int) -> CheckReport:
         {"t": t, "k": k, "n": G.n},
         verdict,
         (_witness(G, lhs, rhs, "w_k^t >= w_t^k"),),
-    )
-
-
-def check_density_form(G: Graph, t: int, k: int) -> CheckReport:
-    """t(P_k;G)^t >= t(P_t;G)^k: the walk inequality divided through by
-    n^(tk), since t(P_j;G) = w_j / n^j."""
-    if G.n == 0:
-        raise EmptyGraph("density form needs at least one vertex")
-    if not 1 <= t <= k:
-        raise BadIndex(f"need 1 <= t <= k, got t={t}, k={k}")
-    lhs = hom_density(path(k), G) ** t
-    rhs = hom_density(path(t), G) ** k
-    verdict = "holds" if lhs >= rhs else "violated"
-    return CheckReport(
-        "density-form",
-        {"t": t, "k": k, "n": G.n},
-        verdict,
-        (_witness(G, lhs, rhs, "t(P_k)^t >= t(P_t)^k"),),
     )
 
 

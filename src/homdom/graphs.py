@@ -41,9 +41,6 @@ class Graph:
 
     # -- basic accessors ------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -118,13 +115,6 @@ def bits_of(mask: int) -> tuple[int, ...]:
     return tuple(_bits(mask))
 
 
-def mask_of(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def subset_label(mask: int) -> str:
     """Render a subset bitmask as a sorted vertex list, e.g. ``{0,2}``."""
     return "{" + ",".join(str(v) for v in _bits(mask)) + "}"
@@ -164,10 +154,6 @@ def star(k: int) -> Graph:
     if k < 0:
         raise MalformedInput("star size must be non-negative")
     return from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
-
-
-def complete(k: int) -> Graph:
-    return from_edges(k, [(i, j) for j in range(k) for i in range(j)])
 
 
 def disjoint_union(parts) -> Graph:

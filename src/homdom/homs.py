@@ -1,13 +1,12 @@
 """Exact enumeration and counting of graph homomorphisms and walks.
 
-Counts are plain Python integers (arbitrary precision), densities and
-normalized walk counts are ``fractions.Fraction``; nothing here ever
+Counts are plain Python integers (arbitrary precision), normalized walk
+counts and average degrees are ``fractions.Fraction``; nothing here ever
 touches floating point.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -23,7 +22,6 @@ __all__ = [
     "walk_counts",
     "walk_count",
     "normalized_walks",
-    "hom_density",
     "average_degree",
 ]
 
@@ -63,14 +61,6 @@ class Homomorphism:
         for v in _bits(source_mask):
             out |= 1 << self.map[v]
         return out
-
-    def edge_visits(self) -> Counter:
-        """Multiset of target edges hit by source edges (sorted pairs)."""
-        c: Counter = Counter()
-        for u, v in self.source.edges():
-            a, b = self.map[u], self.map[v]
-            c[(min(a, b), max(a, b))] += 1
-        return c
 
 
 def _enumerate_maps(F: Graph, G: Graph):
@@ -209,13 +199,6 @@ def normalized_walks(G: Graph, k: int) -> Fraction:
     if G.n == 0:
         raise EmptyGraph("normalized walk count needs at least one vertex")
     return Fraction(walk_count(G, k), G.n)
-
-
-def hom_density(F: Graph, G: Graph) -> Fraction:
-    """|Hom(F;G)| / n^|V(F)| as an exact rational in [0, 1]."""
-    if G.n == 0:
-        raise EmptyGraph("homomorphism density needs a non-empty target")
-    return Fraction(count_homs(F, G), G.n ** F.n)
 
 
 def average_degree(G: Graph) -> Fraction:

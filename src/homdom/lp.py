@@ -2,35 +2,21 @@
 
 Two-phase simplex with Bland's anti-cycling rule; every outcome is exact
 and deterministic given the input ordering.  Every program is a
-minimization.  The simplex core, ``_Simplex``, runs in integers: it keeps
-B^-1 as an integer matrix over one common denominator, |det B|, and
-pivots by exact division (Edmonds 1967, Bareiss 1968).  ``_pivot`` scales
-each column of the dual with its cost to integers on the way in and
-unscales the multipliers on the way out, so ``Fraction``s exist only at
-the core's entry and exit, and the pivots are those of a ``Fraction``
-B^-1.
+minimization, and every variable is free; a bound is stated as a row.
 
-Every variable is free; a bound on a variable is stated as a row.
-
-``solve`` presolves every program.  Gaussian elimination over the
-equality rows, in order, solves each for its smallest remaining variable;
-back substitution writes every eliminated variable as an affine function
-of the free ones.  The other rows and the objective (keeping its
-constant) are rewritten over the free variables.  The polytope programs
-are mostly equalities (Shannon's elemental basis): on P6, 27 of 128
-subset values are free.  The reduced program loses its duplicate rows and
-is pivoted on its dual, which has one ``=`` line per remaining variable,
-one column per inequality row and a pair of opposite columns per ``=``
-row, and no slack columns; the primal optimum and its multipliers are
-read exactly off the dual run.
-
-Postsolve lifts the point back to every variable and recovers one dual
-per original row.  An eliminated variable's reduced cost in the full
-program must be 0, as every variable is free.  That is a square system in
-the duals of the equality rows that found a pivot, and the elimination's
-own triangular factors solve it.  An equality row that became empty (a
-duplicate or a combination of earlier ones) gets dual 0; inconsistent
-equalities make the program infeasible.  So ``verify`` checks the full program, while
+``solve`` presolves, pivots the reduced program's dual and postsolves,
+all in integers by fraction-free exact arithmetic (Edmonds 1967, Bareiss
+1968), so ``Fraction``s appear only at the entry and exit.  The presolve
+eliminates the ``=`` rows in order, each solved for its smallest
+remaining variable, and rewrites the other rows and the objective over
+the free variables (27 of 128 on P6, where every pivot is 1).  The
+reduced program loses its duplicate rows and is pivoted on its dual: one
+``=`` line per free variable, one column per inequality row and a pair
+of opposite columns per ``=`` row.  The core, ``_Simplex``, keeps B^-1
+as ints over |det B|.  Postsolve lifts the point over its common
+denominator.  An eliminated variable's reduced cost must be 0, a square
+triangular system in the duals of the pivot rows; an equality row that
+became empty gets dual 0.  So ``verify`` checks the full program, while
 ``pivots`` counts the reduced one's run.
 """
 
@@ -39,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm, prod
 
 from .errors import RatlpError
 
@@ -61,13 +47,10 @@ def _over_common_denominator(values) -> tuple[int, list[int]]:
 def violated_rows(rows, x) -> tuple[Row, ...]:
     """The rows that the point x violates, in row order.
 
-    x is a sequence of ints or Fractions, one per variable.  The test is
-    exact and runs in integers: x is brought over its common denominator d
-    once, as the ints X = x * d, and each row is scaled by the lcm s of its
-    coefficient and rhs denominators (1 for the polytope and profile rows).
-    Comparing sum((a * s) * X[j]) with (rhs * s) * d multiplies both sides
-    of the row by s * d > 0, so it decides exactly what the ``Fraction`` sum
-    ``sum(a * x[j]) REL rhs`` decides, with no ``Fraction`` per term.
+    x is a sequence of ints or Fractions, one per variable.  The test runs
+    in integers: x is brought over its common denominator d once, and each
+    row is scaled by the lcm s of its denominators, which multiplies both
+    sides of ``sum(a * x[j]) REL rhs`` by s * d > 0.
     """
     d, X = _over_common_denominator(x)
     return tuple(row for row in rows if not row._holds_at(X, d))
@@ -85,10 +68,8 @@ class Row:
     tag: str = ""
 
     def holds(self, x) -> bool:
-        """Whether the point x satisfies the row: the integer test of
-        ``violated_rows`` for this one row, over the common denominator of
-        the coordinates it reads.  x is any indexable of ints or Fractions,
-        a dict included."""
+        """Whether the point x (any indexable of ints or Fractions, a dict
+        included) satisfies the row, by the integer test of ``violated_rows``."""
         js = [j for j, _ in self.terms]
         d, X = _over_common_denominator([x[j] for j in js])
         return self._holds_at(dict(zip(js, X)), d)
@@ -132,12 +113,9 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Exact solver result.
-
-    ``duals`` has one entry per row.  ``pivots`` is the pivot count of
-    the dual of the presolved program.  ``via_dual`` is True on every
-    pivoted outcome, since every program is pivoted on its dual, and False
-    only when the presolve alone finds the program infeasible.
+    """Exact solver result.  ``duals`` has one entry per row; ``pivots``
+    counts the pivots of the presolved program's dual.  ``via_dual`` is
+    False only when the presolve alone finds the program infeasible.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -160,9 +138,8 @@ def make_row(terms, rel: str, rhs) -> Row:
 
 
 def make_lp(n_vars, objective, rows) -> LinearProgram:
-    """Build a LinearProgram, normalizing all coefficients to Fraction.
-    A ``Row`` goes in as it is; a (terms, rel, rhs) triple goes through
-    ``make_row``."""
+    """Build a LinearProgram, normalizing all coefficients to Fraction.  A
+    ``Row`` goes in as it is; a (terms, rel, rhs) triple through ``make_row``."""
     built = tuple(r if isinstance(r, Row) else make_row(*r) for r in rows)
     return LinearProgram(n_vars, _norm_terms(objective), built)
 
@@ -172,22 +149,17 @@ def make_lp(n_vars, objective, rows) -> LinearProgram:
 
 class _Simplex:
     """Revised two-phase simplex with Bland's rule on an equality form, in
-    integers.
+    integers.  ``cols`` are the real columns, as sparse (row, value)
+    entries, and ``b`` the right-hand side; values and costs are ints.
+    Artificial columns are managed internally and never re-enter.
 
-    ``cols`` are the real columns, as sparse (row, value) entries, and
-    ``b`` the right-hand side; values and costs are ints.  Artificial
-    columns are managed internally and never re-enter once the basis
-    leaves them.
-
-    The state is fraction-free, after Edmonds (J. Res. NBS 71B, 1967) and
-    Bareiss (Math. Comp. 1968): B^-1 = binv / det and x_B = xb / det, with
-    binv and xb ints and det = |det B| > 0.  Prices are y * det = c_B binv,
-    so a column's reduced cost has the sign of c_j det - (c_B binv) a_j,
-    and a ratio test compares xb_i / d_i across rows by cross-multiplying.
-    A pivot divides every updated entry exactly by the old det, so entries
-    stay the size of the basis's minors, with no gcd taken.  These are
-    the choices a ``Fraction`` B^-1 makes, pivot for pivot; ``Fraction``s
-    appear only in ``solution`` and ``duals_for``.
+    The state is fraction-free (Edmonds, J. Res. NBS 71B, 1967; Bareiss,
+    Math. Comp. 1968): B^-1 = binv / det and x_B = xb / det, ints, with
+    det = |det B| > 0.  Prices are y * det = c_B binv, and a ratio test
+    cross-multiplies.  A pivot divides exactly by the old det, so entries
+    stay the size of the basis's minors.  The pivots are those of a
+    ``Fraction`` B^-1; ``Fraction``s appear only in ``solution`` and
+    ``duals_for``.
     """
 
     def __init__(self, m: int, cols, b):
@@ -299,88 +271,109 @@ class _Simplex:
 
     def solution(self) -> dict[int, Fraction]:
         """The basic real columns' values."""
-        return {
-            j: Fraction(self.xb[i], self.det)
-            for i, j in enumerate(self.basis)
-            if j < self.k
-        }
+        return {j: Fraction(self.xb[i], self.det) for i, j in enumerate(self.basis) if j < self.k}
 
     def duals_for(self, costs) -> list[Fraction]:
         """y = c_B B^-1 for the given real-column costs."""
         return [Fraction(v, self.det) for v in self._prices(list(costs) + [0] * self.m)]
 
 
-# -- presolve: elimination of the equality rows ---------------------------
+# -- presolve: elimination of the equality rows, in integers ---------------
+
+
+def _scaled(terms, rhs=0):
+    """``(s, terms * s, rhs * s)``, ints, for s the lcm of the denominators."""
+    s = lcm(rhs.denominator, *[a.denominator for _, a in terms])
+    ints = [(j, a.numerator * (s // a.denominator)) for j, a in terms]
+    return s, ints, rhs.numerator * (s // rhs.denominator)
 
 
 def _eliminate(rows):
-    """Gaussian elimination over ``=`` rows in order, each solved for its
-    smallest remaining variable.
+    """Fraction-free Gaussian elimination over ``=`` rows in order, each
+    solved for its smallest remaining variable.
 
     Returns None when the equalities are inconsistent, else the steps and
-    ``_back_substitute(steps)``.  There is one step per row that found a
-    pivot, ``(row index, pivot variable, U row, rhs, L row)``: the U row is
-    the row with every earlier pivot eliminated, and the L row maps each
-    earlier step to the multiple of its U row that was subtracted.  So the
-    pivot rows are L U with L unit lower triangular, and U restricted to
-    the pivot variables is upper triangular.
+    ``_back_substitute(steps)``: one ``(row index, pivot variable, U row,
+    rhs, L row, alpha)`` in ints per row that found a pivot.  A row enters
+    scaled to ints and crosses out each earlier U row it meets by
+    cross-multiplying; over its gcd, with its pivot coefficient > 0, it is
+    its U row, which holds no earlier pivot variable.  The L row maps each
+    step s <= t to l_s with ``alpha * row = sum(l_s * U_s)``, so
+    ``U_t * l_t / alpha`` is the U row of a ``Fraction`` elimination.
     """
     steps = []
     step_of = {}
     for i, row in enumerate(rows):
-        acc = {j: a for j, a in row.terms if a}
-        rhs = row.rhs
+        alpha, terms, rhs = _scaled(row.terms, row.rhs)
+        acc = {j: a for j, a in terms if a}
         lrow = {}
         while True:
-            # a U row holds no variable of an earlier step, so the
-            # earliest step left in the row rises every time
+            # the earliest step left in the row rises every time
             s = min((step_of[v] for v in acc if v in step_of), default=None)
             if s is None:
                 break
-            _, e, urow, urhs, _ = steps[s]
-            f = acc[e] / urow[e]
-            lrow[s] = f
+            _, e, urow, urhs, _, _ = steps[s]
+            u, w = urow[e], acc[e]
+            if u != 1:
+                acc = {v: a * u for v, a in acc.items()}
+                lrow = {t: f * u for t, f in lrow.items()}
+                rhs *= u
+                alpha *= u
+            lrow[s] = w
             for v, a in urow.items():
-                left = acc.get(v, 0) - f * a
+                left = acc.get(v, 0) - w * a
                 if left:
                     acc[v] = left
                 else:
                     del acc[v]
-            rhs -= f * urhs
+            rhs -= w * urhs
         if acc:
             e = min(acc)
+            g = gcd(rhs, *acc.values()) * (1 if acc[e] > 0 else -1)
+            if g != 1:
+                acc = {v: a // g for v, a in acc.items()}
+                rhs //= g
+            lrow[len(steps)] = g
             step_of[e] = len(steps)
-            steps.append((i, e, acc, rhs, lrow))
+            steps.append((i, e, acc, rhs, lrow, alpha))
         elif rhs:
             return None
     return steps, _back_substitute(steps)
 
 
 def _back_substitute(steps) -> dict:
-    """Each pivot variable as ``(coeffs over free variables, constant)``,
-    solved from the U rows last step first."""
+    """Each pivot variable as ``(coeffs over free variables, constant,
+    denominator > 0)``, ints in lowest terms, from the last U row first."""
     exprs = {}
-    for _, e, urow, rhs, _ in reversed(steps):
-        inv = 1 / urow[e]
-        coeffs, const = _substitute(exprs, ((v, -a) for v, a in urow.items() if v != e))
-        exprs[e] = ({f: w * inv for f, w in coeffs.items()}, (rhs + const) * inv)
+    for _, e, urow, rhs, _, _ in reversed(steps):
+        coeffs, const, den = _substitute(exprs, [(v, -a) for v, a in urow.items() if v != e])
+        const += rhs * den
+        den *= urow[e]
+        g = gcd(den, const, *coeffs.values())
+        if g != 1:
+            coeffs = {f: w // g for f, w in coeffs.items()}
+            const //= g
+            den //= g
+        exprs[e] = (coeffs, const, den)
     return exprs
 
 
 def _substitute(exprs, terms):
-    """``sum(a * x[j])`` over eliminated and free variables, as (coeffs over
-    free variables, constant)."""
-    coeffs: dict[int, Fraction] = {}
-    const = Fraction(0)
+    """``sum(a * x[j])`` for int a, as ints ``(coeffs over free variables,
+    constant, den)`` over the lcm of the eliminated variables' den."""
+    den = lcm(*[exprs[j][2] for j, _ in terms if j in exprs])
+    coeffs: dict[int, int] = {}
+    const = 0
     for j, a in terms:
         if j in exprs:
-            sub, k = exprs[j]
+            sub, k, q = exprs[j]
+            a *= den // q
             const += a * k
             for f, w in sub.items():
                 coeffs[f] = coeffs.get(f, 0) + a * w
         else:
-            coeffs[j] = coeffs.get(j, 0) + a
-    return {f: w for f, w in coeffs.items() if w}, const
+            coeffs[j] = coeffs.get(j, 0) + a * den
+    return {f: w for f, w in coeffs.items() if w}, const, den
 
 
 @lru_cache(maxsize=1)
@@ -390,8 +383,10 @@ def _presolve(rows: tuple[Row, ...], n_vars: int):
     another and differ only in their objective.
 
     Returns the positions of the ``=`` rows, the elimination's steps and
-    pivot expressions, the reduced index of each free variable, and each
-    distinct reduced row mapped to the index of its first source row.
+    pivot expressions, the free variables' reduced indices, the distinct
+    reduced rows, and per reduced row its first source row and scale q: it
+    is q times the ``Fraction`` row, in lowest terms together with q, so r
+    and 2r stay apart, as they do over ``Fraction``s.
     """
     eq_at = [i for i, row in enumerate(rows) if row.rel == "="]
     eliminated = _eliminate(tuple(rows[i] for i in eq_at))
@@ -403,46 +398,53 @@ def _presolve(rows: tuple[Row, ...], n_vars: int):
     for i, row in enumerate(rows):
         if row.rel == "=":
             continue
-        coeffs, const = _substitute(exprs, row.terms)
+        s, terms, rhs = _scaled(row.terms, row.rhs)
+        coeffs, const, den = _substitute(exprs, terms)
+        rhs = rhs * den - const
         if coeffs:
-            reduced.setdefault(Row(_over(index, coeffs), row.rel, row.rhs - const), i)
-        elif not (const <= row.rhs if row.rel == "<=" else const >= row.rhs):
+            g = gcd(s * den, rhs, *coeffs.values())
+            reduced.setdefault((_over(index, coeffs, g), row.rel, rhs // g, s * den // g), i)
+        elif not (rhs >= 0 if row.rel == "<=" else rhs <= 0):
             return None
-    return eq_at, steps, exprs, index, reduced
+    sources = tuple((i, q) for (_, _, _, q), i in reduced.items())
+    return eq_at, steps, exprs, index, tuple(Row(*key[:3]) for key in reduced), sources
 
 
-def _over(index, coeffs) -> tuple[tuple[int, Fraction], ...]:
-    """Sorted terms over the reduced indices of the free variables."""
-    return tuple(sorted((index[f], w) for f, w in coeffs.items()))
+def _over(index, coeffs, g: int) -> tuple[tuple[int, int], ...]:
+    """Sorted terms over the free variables' reduced indices, over g."""
+    return tuple(sorted((index[f], w // g) for f, w in coeffs.items()))
 
 
 def _equality_duals(steps, excess) -> list[Fraction]:
     """Duals of the pivot rows: solve (L U_E)^T lam = excess, where
-    ``excess[e]`` is what pivot variable e's reduced cost must lose.  First
-    U_E^T mu = excess forward, then L^T lam = mu backward; both are
-    triangular.  Each solve makes one pass over the factors: a solved
-    unknown adds its multiple of its U row (forward) or L row (backward)
-    to the sums that the later unknowns read."""
-    pivot_vars = {e for _, e, _, _, _ in steps}
-    known: dict[int, Fraction] = {}  # per pivot variable: sum over solved U rows
-    mu = []
-    for _, e, urow, _, _ in steps:
-        mu_t = (excess[e] - known.get(e, 0)) / urow[e]
-        mu.append(mu_t)
-        if not mu_t:
-            continue
-        for v, a in urow.items():
-            if v != e and v in pivot_vars:
-                known[v] = known.get(v, 0) + a * mu_t
-    later = [Fraction(0)] * len(steps)  # per step: sum over solved L rows
-    lam = [Fraction(0)] * len(steps)
+    ``excess[e]`` is what pivot variable e's reduced cost must lose and L
+    is the L rows T over their alphas.  U_E^T nu = excess forward, then
+    T^T rho = nu backward, and lam_t = alpha_t rho_t.  With excess = E / D,
+    nu * D * P and rho * D * P * G are ints by Cramer's rule, for P and G
+    the products of the diagonals of U_E and T: every division is exact."""
+    pivot_vars = {e for _, e, _, _, _, _ in steps}
+    D, E = _over_common_denominator(excess)
+    P = prod(urow[e] for _, e, urow, _, _, _ in steps)
+    known: dict[int, int] = {}  # per pivot variable: sum over solved U rows
+    nu = []
+    for _, e, urow, _, _, _ in steps:
+        nu.append((E[e] * P - known.get(e, 0)) // urow[e])
+        if nu[-1]:
+            for v, a in urow.items():
+                if v != e and v in pivot_vars:
+                    known[v] = known.get(v, 0) + a * nu[-1]
+    G = prod(step[4][t] for t, step in enumerate(steps))
+    later = [0] * len(steps)  # per step: sum over solved L rows
+    rho = [0] * len(steps)
     for t in reversed(range(len(steps))):
-        lam[t] = mu[t] - later[t]
-        if not lam[t]:
+        lrow = steps[t][4]
+        rho[t] = (nu[t] * G - later[t]) // lrow[t]
+        if not rho[t]:
             continue
-        for s, f in steps[t][4].items():
-            later[s] += f * lam[t]
-    return lam
+        for s, f in lrow.items():
+            if s != t:
+                later[s] += f * rho[t]
+    return [Fraction(step[5] * r, D * P * G) for step, r in zip(steps, rho)]
 
 
 # -- canonical form and the public solver ---------------------------------
@@ -461,51 +463,54 @@ def solve(lp: LinearProgram) -> LpOutcome:
     Points may differ from another exact solver's only when the optimum
     is not unique; Bland's rule makes them deterministic.
     """
-    c = _cost_vector(lp)
     presolved = _presolve(tuple(lp.rows), lp.n_vars)
     if presolved is None:
         return LpOutcome("infeasible", None, None, None, 0)
-    eq_at, steps, exprs, index, reduced = presolved
-    coeffs, offset = _substitute(exprs, enumerate(c))
-    inner = _pivot(LinearProgram(len(index), _over(index, coeffs), tuple(reduced)))
+    eq_at, steps, exprs, index, rows, sources = presolved
+    # objective (coeffs . x + const) / den, pivoted as coeffs / g
+    s, terms, _ = _scaled(lp.objective)
+    coeffs, const, den = _substitute(exprs, terms)
+    den *= s
+    g = gcd(den, *coeffs.values())
+    inner = _pivot(LinearProgram(len(index), _over(index, coeffs, g), rows))
     if inner.status != "optimal":
         return inner
+    unscale = den // g
 
+    d, X = _over_common_denominator(inner.point)
     x = [Fraction(0)] * lp.n_vars
     for j, k in index.items():
         x[j] = inner.point[k]
-    for e, (sub, k) in exprs.items():
-        x[e] = k + sum((w * x[f] for f, w in sub.items()), Fraction(0))
+    for e, (sub, k, q) in exprs.items():
+        x[e] = Fraction(k * d + sum(w * X[index[f]] for f, w in sub.items()), q * d)
     y = [Fraction(0)] * len(lp.rows)
-    for i, yi in zip(reduced.values(), inner.duals):
-        y[i] = yi
-    rc = list(c)
+    for (i, q), yi in zip(sources, inner.duals):
+        if yi:
+            y[i] = yi * q / unscale
+    rc = _cost_vector(lp)
     for yi, row in zip(y, lp.rows):
         if yi:
             for j, a in row.terms:
                 rc[j] -= yi * a
-    for (k, _, _, _, _), lam in zip(steps, _equality_duals(steps, rc)):
+    for (k, _, _, _, _, _), lam in zip(steps, _equality_duals(steps, rc)):
         y[eq_at[k]] = lam
-    return LpOutcome("optimal", inner.value + offset, tuple(x), tuple(y), inner.pivots, inner.via_dual)
+    value = inner.value / unscale + Fraction(const, den)
+    return LpOutcome("optimal", value, tuple(x), tuple(y), inner.pivots, inner.via_dual)
 
 
 def _pivot(lp: LinearProgram) -> LpOutcome:
     """Exact optimum of ``lp`` by pivoting its dual as given: the solve
     path with no presolve.
 
-    The dual has one ``=`` line per variable j, with right-hand side
-    c[j].  Each row i gives a column signed so that its multiplier is
-    >= 0: a ``<=`` row is negated, and an ``=`` row gives a pair of
-    opposite columns.  x is read off the run's negated multipliers and y
-    off its basic values.
-
-    ``_Simplex`` runs in integers.  Row i's column and cost are scaled
-    together by s_i, the lcm of the denominators of its terms and rhs, and
-    c by L, the lcm of its denominators.  A column scaled by s_i > 0 has
-    its reduced cost scaled by s_i, every ratio of a ratio test is scaled
-    by the same factor, and c_B B^-1 is unchanged, so the run makes the
-    unscaled run's pivots and reads the same x.  Row i's multiplier comes
-    out times L / s_i.
+    The dual has one ``=`` line per variable j, with right-hand side c[j].
+    Each row gives a column signed so that its multiplier is >= 0: a
+    ``<=`` row is negated, and an ``=`` row gives a pair of opposite
+    columns.  x is read off the run's negated multipliers and y off its
+    basic values.  Row i's column and cost are scaled to ints by s_i > 0,
+    the lcm of its denominators, and c by L, the lcm of its own; that
+    scales each ratio test uniformly and leaves c_B B^-1 as it is, so the
+    pivots and x are the unscaled run's, and row i's multiplier comes out
+    times L / s_i.
     """
     c = _cost_vector(lp)
     scale, b = _over_common_denominator(c)
@@ -516,10 +521,10 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
     unit = []  # per row: s_i / L, what one unit of its scaled multiplier is worth
     for i, row in enumerate(lp.rows):
         first.append(len(cols))
-        s, ints = _over_common_denominator([a for _, a in row.terms] + [row.rhs])
+        s, terms, rhs = _scaled(row.terms, row.rhs)
         unit.append(Fraction(s, scale))
-        entries = tuple((j, sign[i] * a) for (j, _), a in zip(row.terms, ints))
-        cost = -sign[i] * ints[-1]
+        entries = tuple((j, sign[i] * a) for j, a in terms)
+        cost = -sign[i] * rhs
         if row.rel == "=":
             cols += [entries, tuple((j, -a) for j, a in entries)]
             costs += [cost, -cost]
@@ -560,13 +565,10 @@ def _pivot(lp: LinearProgram) -> LpOutcome:
 
 
 def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
-    """Exact re-check of an optimal outcome, independent of the solve path.
-
-    Confirms primal feasibility (every row, through the integer test of
-    ``violated_rows``), the stated objective value, and optimality through
-    the dual values recovered from the final basis: sign feasibility,
-    complementary slackness, and a zero reduced cost on every variable,
-    all exact.
+    """Exact re-check of an optimal outcome, independent of the solve path:
+    primal feasibility of every row (``violated_rows``), the stated value,
+    and optimality by the duals: sign feasibility, complementary slackness
+    and a zero reduced cost on every variable.
     """
     if outcome.status != "optimal":
         return False
@@ -584,9 +586,7 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
         return False
 
     for i, row in enumerate(lp.rows):
-        if row.rel == "<=" and y[i] > 0:
-            return False
-        if row.rel == ">=" and y[i] < 0:
+        if (row.rel == "<=" and y[i] > 0) or (row.rel == ">=" and y[i] < 0):
             return False
         if y[i] != 0 and evaluate(row.terms, x) != row.rhs:
             return False

@@ -8,20 +8,75 @@ brute-force maximal cliques and its maximum by listing every
 homomorphism, the polytope by one row for every pair of
 subsets with separation found by breadth-first search, a row at a point
 by its ``Fraction`` sum, walk counts by integer adjacency-matrix powers,
-labeled graphs by an edge list per edge bitmask, and the integer simplex
-core by the ``Fraction`` core it replaced.
+labeled graphs by an edge list per edge bitmask, the integer simplex
+core and the integer presolve by the ``Fraction`` ones they replaced, and
+the walk inequality by its density form.  The small graph helpers that only
+the tests use live here too.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
-from homdom.errors import RatlpError
-from homdom.graphs import Graph, bits_of, from_edges
-from homdom.lp import Row
+from homdom.checks import CheckReport, _witness
+from homdom.errors import BadIndex, EmptyGraph, RatlpError
+from homdom.graphs import Graph, bits_of, from_edges, path
+from homdom.homs import count_homs
+from homdom.lp import LinearProgram, LpOutcome, Row, _pivot
 from homdom.polytope import ConstraintSystem
+
+
+def has_edge(G: Graph, u: int, v: int) -> bool:
+    return bool(G.adj[u] >> v & 1)
+
+
+def mask_of(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def complete(k: int) -> Graph:
+    return from_edges(k, [(i, j) for j in range(k) for i in range(j)])
+
+
+def edge_visits(h) -> Counter:
+    """Multiset of target edges hit by the source edges of the
+    homomorphism h (sorted pairs)."""
+    c: Counter = Counter()
+    for u, v in h.source.edges():
+        a, b = h.map[u], h.map[v]
+        c[(min(a, b), max(a, b))] += 1
+    return c
+
+
+def hom_density(F: Graph, G: Graph) -> Fraction:
+    """|Hom(F;G)| / n^|V(F)| as an exact rational in [0, 1]."""
+    if G.n == 0:
+        raise EmptyGraph("homomorphism density needs a non-empty target")
+    return Fraction(count_homs(F, G), G.n ** F.n)
+
+
+def check_density_form(G: Graph, t: int, k: int) -> CheckReport:
+    """t(P_k;G)^t >= t(P_t;G)^k: the walk inequality divided through by
+    n^(tk), since t(P_j;G) = w_j / n^j."""
+    if G.n == 0:
+        raise EmptyGraph("density form needs at least one vertex")
+    if not 1 <= t <= k:
+        raise BadIndex(f"need 1 <= t <= k, got t={t}, k={k}")
+    lhs = hom_density(path(k), G) ** t
+    rhs = hom_density(path(t), G) ** k
+    verdict = "holds" if lhs >= rhs else "violated"
+    return CheckReport(
+        "density-form",
+        {"t": t, "k": k, "n": G.n},
+        verdict,
+        (_witness(G, lhs, rhs, "t(P_k)^t >= t(P_t)^k"),),
+    )
 
 
 def random_graph(n: int, rng: random.Random, edge_prob=Fraction(1, 2)) -> Graph:
@@ -105,7 +160,7 @@ def brute_force_maximal_cliques(G: Graph) -> list[int]:
         for size in range(len(higher) + 1):
             for rest in combinations(higher, size):
                 verts = (v,) + rest
-                if all(G.has_edge(a, b) for a, b in combinations(verts, 2)):
+                if all(has_edge(G, a, b) for a, b in combinations(verts, 2)):
                     cliques.append(sum(1 << u for u in verts))
     return sorted(c for c in cliques if not any(c != d and c & d == c for d in cliques))
 
@@ -144,7 +199,7 @@ def _subset_profiles(F1: Graph, F2: Graph) -> frozenset:
             m + (w,)
             for m in maps
             for w in range(F2.n)
-            if all(F2.has_edge(m[u], w) for u in range(v) if F1.has_edge(u, v))
+            if all(has_edge(F2, m[u], w) for u in range(v) if has_edge(F1, u, v))
         ]
     return frozenset(objective_subset_form(F1, SimpleNamespace(map=m)) for m in maps)
 
@@ -167,7 +222,7 @@ def _separated(F2: Graph, A: int, B: int) -> bool:
     while queue:
         v = queue.pop(0)
         for u in range(F2.n):
-            if not F2.has_edge(v, u) or cut >> u & 1 or u in seen:
+            if not has_edge(F2, v, u) or cut >> u & 1 or u in seen:
                 continue
             if B >> u & 1:
                 return False
@@ -419,3 +474,158 @@ class FractionSimplex:
 
     def duals_for(self, costs):
         return self._duals(lambda j: costs[j] if j < self.k else 0)
+
+
+# -- the Fraction presolve, the oracle of the integer one --------------------
+
+
+class FractionPresolve:
+    """The presolve and postsolve of ``lp.solve`` over ``Fraction``s: the
+    elimination, back substitution and row substitution that the integer
+    ones replaced, and the oracle of their steps, expressions, reduced rows
+    and outcomes.
+
+    ``FractionPresolve(lp)`` eliminates the ``=`` rows of ``lp`` in order,
+    each solved for its smallest remaining variable.  ``steps`` holds one
+    ``(row index, pivot variable, U row, rhs, L row)`` per row that found a
+    pivot, where the U row is the row with every earlier pivot eliminated
+    and the L row maps each earlier step to the multiple of its U row that
+    was subtracted; ``exprs`` maps each pivot variable to ``(coeffs over
+    free variables, constant)``; ``reduced`` maps each distinct reduced
+    row to the index of its first source row.  ``steps`` is None when the
+    equalities are inconsistent, and ``reduced`` is None when the program
+    is infeasible.
+    """
+
+    def __init__(self, lp):
+        self.lp = lp
+        self.eq_at = [i for i, row in enumerate(lp.rows) if row.rel == "="]
+        self.steps = self.exprs = self.index = self.reduced = None
+        eliminated = self.eliminate([lp.rows[i] for i in self.eq_at])
+        if eliminated is None:
+            return
+        self.steps, self.exprs = eliminated
+        n = lp.n_vars
+        self.index = {j: k for k, j in enumerate(j for j in range(n) if j not in self.exprs)}
+        reduced = {}
+        for i, row in enumerate(lp.rows):
+            if row.rel == "=":
+                continue
+            coeffs, const = self.substitute(self.exprs, row.terms)
+            if coeffs:
+                reduced.setdefault(Row(self.over(coeffs), row.rel, row.rhs - const), i)
+            elif not (const <= row.rhs if row.rel == "<=" else const >= row.rhs):
+                return
+        self.reduced = reduced
+
+    @classmethod
+    def eliminate(cls, rows):
+        steps = []
+        step_of = {}
+        for i, row in enumerate(rows):
+            acc = {j: a for j, a in row.terms if a}
+            rhs = row.rhs
+            lrow = {}
+            while True:
+                s = min((step_of[v] for v in acc if v in step_of), default=None)
+                if s is None:
+                    break
+                _, e, urow, urhs, _ = steps[s]
+                f = acc[e] / urow[e]
+                lrow[s] = f
+                for v, a in urow.items():
+                    left = acc.get(v, 0) - f * a
+                    if left:
+                        acc[v] = left
+                    else:
+                        del acc[v]
+                rhs -= f * urhs
+            if acc:
+                e = min(acc)
+                step_of[e] = len(steps)
+                steps.append((i, e, acc, rhs, lrow))
+            elif rhs:
+                return None
+        return steps, cls.back_substitute(steps)
+
+    @classmethod
+    def back_substitute(cls, steps):
+        exprs = {}
+        for _, e, urow, rhs, _ in reversed(steps):
+            inv = 1 / urow[e]
+            coeffs, const = cls.substitute(exprs, ((v, -a) for v, a in urow.items() if v != e))
+            exprs[e] = ({f: w * inv for f, w in coeffs.items()}, (rhs + const) * inv)
+        return exprs
+
+    @staticmethod
+    def substitute(exprs, terms):
+        coeffs = {}
+        const = Fraction(0)
+        for j, a in terms:
+            if j in exprs:
+                sub, k = exprs[j]
+                const += a * k
+                for f, w in sub.items():
+                    coeffs[f] = coeffs.get(f, 0) + a * w
+            else:
+                coeffs[j] = coeffs.get(j, 0) + a
+        return {f: w for f, w in coeffs.items() if w}, const
+
+    def over(self, coeffs):
+        return tuple(sorted((self.index[f], w) for f, w in coeffs.items()))
+
+    @staticmethod
+    def equality_duals(steps, excess):
+        """Solve (L U_E)^T lam = excess: U_E^T mu = excess forward, then
+        L^T lam = mu backward."""
+        pivot_vars = {e for _, e, _, _, _ in steps}
+        known = {}
+        mu = []
+        for _, e, urow, _, _ in steps:
+            mu_t = (excess[e] - known.get(e, 0)) / urow[e]
+            mu.append(mu_t)
+            if not mu_t:
+                continue
+            for v, a in urow.items():
+                if v != e and v in pivot_vars:
+                    known[v] = known.get(v, 0) + a * mu_t
+        later = [Fraction(0)] * len(steps)
+        lam = [Fraction(0)] * len(steps)
+        for t in reversed(range(len(steps))):
+            lam[t] = mu[t] - later[t]
+            if not lam[t]:
+                continue
+            for s, f in steps[t][4].items():
+                later[s] += f * lam[t]
+        return lam
+
+    def solve(self):
+        """The outcome of ``lp.solve`` with this presolve: the reduced
+        program pivoted by ``lp._pivot``, then the point lifted and the
+        duals recovered over ``Fraction``s."""
+        lp = self.lp
+        if self.reduced is None:
+            return LpOutcome("infeasible", None, None, None, 0)
+        c = [Fraction(0)] * lp.n_vars
+        for j, v in lp.objective:
+            c[j] += v
+        coeffs, offset = self.substitute(self.exprs, enumerate(c))
+        inner = _pivot(LinearProgram(len(self.index), self.over(coeffs), tuple(self.reduced)))
+        if inner.status != "optimal":
+            return inner
+        x = [Fraction(0)] * lp.n_vars
+        for j, k in self.index.items():
+            x[j] = inner.point[k]
+        for e, (sub, k) in self.exprs.items():
+            x[e] = k + sum((w * x[f] for f, w in sub.items()), Fraction(0))
+        y = [Fraction(0)] * len(lp.rows)
+        for i, yi in zip(self.reduced.values(), inner.duals):
+            y[i] = yi
+        rc = list(c)
+        for yi, row in zip(y, lp.rows):
+            if yi:
+                for j, a in row.terms:
+                    rc[j] -= yi * a
+        for (k, _, _, _, _), lam in zip(self.steps, self.equality_duals(self.steps, rc)):
+            y[self.eq_at[k]] = lam
+        return LpOutcome("optimal", inner.value + offset, tuple(x), tuple(y), inner.pivots, inner.via_dual)

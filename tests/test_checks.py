@@ -14,7 +14,7 @@ from homdom.errors import (
     NotMember,
     ScopeTooLarge,
 )
-from homdom.graphs import Graph, complete, disjoint_union, from_edges, path, serialize_graph, star
+from homdom.graphs import Graph, disjoint_union, from_edges, path, serialize_graph, star
 from homdom.homs import count_homs
 from homdom.polytope import SetFunction, indicator_point, p_star, random_vertex_point
 from homdom.checks import (
@@ -22,7 +22,6 @@ from homdom.checks import (
     _decimal,
     chain_exponents,
     check_blakley_roy,
-    check_density_form,
     check_hde_definition,
     check_lemma_identity,
     check_walk_inequality,
@@ -30,7 +29,7 @@ from homdom.checks import (
     labeled_graphs,
     sweep,
 )
-from conftest import labeled_graphs_by_mask, matrix_walk_counts
+from conftest import check_density_form, complete, labeled_graphs_by_mask, matrix_walk_counts
 
 
 def test_blakley_roy_examples():

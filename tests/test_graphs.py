@@ -9,14 +9,12 @@ from homdom.graphs import (
     Graph,
     bits_of,
     clique_tree,
-    complete,
     cycle,
     disjoint_union,
     expand_components,
     from_edges,
     is_chordal,
     is_series_parallel,
-    mask_of,
     maximal_cliques,
     parse_graph,
     parse_graph_spec,
@@ -24,7 +22,7 @@ from homdom.graphs import (
     serialize_graph,
     star,
 )
-from conftest import brute_force_chordal, brute_force_k4_minor, random_graph
+from conftest import brute_force_chordal, brute_force_k4_minor, complete, has_edge, mask_of, random_graph
 
 
 def test_path_basics():
@@ -86,7 +84,7 @@ def test_maximal_cliques_random_invariants():
             verts = bits_of(c)
             for i, u in enumerate(verts):
                 for v in verts[i + 1 :]:
-                    assert G.has_edge(u, v)
+                    assert has_edge(G, u, v)
                     covered |= mask_of([u]) | mask_of([v])
         for a in cliques:
             for b in cliques:

@@ -18,11 +18,9 @@ from homdom.errors import (
 from homdom.graphs import (
     bits_of,
     clique_tree,
-    complete,
     cycle,
     disjoint_union,
     from_edges,
-    mask_of,
     path,
 )
 from homdom.checks import Scope, check_hde_definition
@@ -37,7 +35,7 @@ from homdom.hde import (
     phi_i,
     psi,
 )
-from conftest import max_objective_by_enumeration, objective_subset_form
+from conftest import complete, edge_visits, mask_of, max_objective_by_enumeration, objective_subset_form
 
 
 def test_subset_form_single_clique():
@@ -204,7 +202,7 @@ def test_component_decomposition_matches_expanded_lp():
 def test_phi_i_examples():
     assert phi_i(1, 1).map == (0, 1, 0, 1)
     assert phi_i(3, 2).map == (0, 1, 2, 1, 2, 3)
-    visits = phi_i(3, 2).edge_visits()
+    visits = edge_visits(phi_i(3, 2))
     assert visits[(1, 2)] == 3
     with pytest.raises(BadIndex):
         phi_i(3, 0)
@@ -215,7 +213,7 @@ def test_phi_i_examples():
 def test_phi_i_edge_visit_multiset():
     for t in (1, 3, 5):
         for i in range(1, t + 1):
-            visits = phi_i(t, i).edge_visits()
+            visits = edge_visits(phi_i(t, i))
             for e in range(t):
                 expected = 3 if e == i - 1 else 1  # 1-based edge {i,i+1}
                 assert visits[(e, e + 1)] == expected
@@ -225,7 +223,7 @@ def test_psi_assembly_and_coverage():
     for t in (1, 3, 5):
         h = psi(t)
         assert h.map[0] == 0 and h.map[1] == t  # the two isolated vertices
-        visits = h.edge_visits()
+        visits = edge_visits(h)
         for e in range(t):
             assert visits[(e, e + 1)] == t + 2
         # inner-vertex coverage by images of inner vertices of the long paths

@@ -5,19 +5,18 @@ from fractions import Fraction
 import pytest
 
 from homdom.errors import EmptyGraph, MalformedInput
-from homdom.graphs import Graph, complete, disjoint_union, from_edges, path
+from homdom.graphs import Graph, disjoint_union, from_edges, path
 from homdom.homs import (
     Homomorphism,
     average_degree,
     count_homs,
     enumerate_homs,
-    hom_density,
     normalized_walks,
     walk_count,
     walk_counts,
 )
 from homdom.checks import labeled_graphs
-from conftest import matrix_walk_counts, random_graph
+from conftest import complete, hom_density, matrix_walk_counts, random_graph
 
 
 def test_homomorphism_validation():

@@ -1,3 +1,5 @@
+import cProfile
+import pstats
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,8 +9,8 @@ import pytest
 from homdom import hde, polytope
 from homdom import lp as ratlp
 from homdom.errors import RatlpError
-from homdom.graphs import disjoint_union, path
-from conftest import FractionSimplex, brute_force_lp, fraction_violated_rows
+from homdom.graphs import cycle, disjoint_union, path
+from conftest import FractionPresolve, FractionSimplex, brute_force_lp, fraction_violated_rows
 
 
 def _bound_rows(lower):
@@ -641,3 +643,147 @@ def test_state_is_the_adjugate_over_the_basis_determinant(monkeypatch):
 
         Checked(m, cols, b).solve_two_phase(recorded.costs)
     assert checked > 150  # 180 pivots
+
+
+# -- the integer presolve against the Fraction presolve ----------------------
+
+
+def _record_solves(monkeypatch, run):
+    """Every program that ``run()`` hands ``lp.solve``, in order."""
+    programs = []
+    solve = ratlp.solve
+
+    def recording(program):
+        programs.append(program)
+        return solve(program)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ratlp, "solve", recording)
+        run()
+    return programs
+
+
+def _assert_presolves_agree(program):
+    """The integer presolve of ``program`` against ``FractionPresolve``: the
+    same pivot rows and variables in order, each U row a nonzero multiple of
+    the Fraction one, the same L multipliers, expressions and reduced rows
+    as rationals, in order, and the same outcome of ``lp.solve``.  Returns
+    the oracle and the outcome."""
+    ref = FractionPresolve(program)
+    got = ratlp._presolve(tuple(program.rows), program.n_vars)
+    if ref.reduced is None:
+        assert got is None
+    else:
+        eq_at, steps, exprs, index, rows, sources = got
+        assert (eq_at, index) == (ref.eq_at, ref.index)
+        assert [(i, e) for i, e, *_ in steps] == [(i, e) for i, e, *_ in ref.steps]
+        for t, ((_, e, urow, rhs, lrow, alpha), (_, _, ref_urow, ref_rhs, ref_lrow)) in enumerate(
+                zip(steps, ref.steps)):
+            scale = Fraction(lrow[t], alpha)  # the Fraction U row over the integer one
+            assert scale and urow[e] > 0 and all(type(a) is int for a in urow.values())
+            assert {v: scale * a for v, a in urow.items()} == ref_urow and scale * rhs == ref_rhs
+            multipliers = {s: Fraction(f * steps[s][5], alpha * steps[s][4][s])
+                           for s, f in lrow.items() if s != t}
+            assert multipliers == ref_lrow
+        assert list(exprs) == list(ref.exprs)
+        for e, (sub, k, q) in exprs.items():
+            assert q > 0 and ({f: Fraction(w, q) for f, w in sub.items()}, Fraction(k, q)) == ref.exprs[e]
+        as_fractions = [
+            (ratlp.Row(tuple((j, Fraction(a, q)) for j, a in row.terms), row.rel, Fraction(row.rhs, q)), i)
+            for row, (i, q) in zip(rows, sources)
+        ]
+        assert as_fractions == list(ref.reduced.items())
+    out = ratlp.solve(program)
+    expected = ref.solve()
+    assert out == expected and repr(out) == repr(expected)
+    return ref, out
+
+
+def test_integer_presolve_matches_the_fraction_presolve(monkeypatch):
+    # every program the solver is handed: the random, equality and box
+    # corpora, the flagship exponents t = 1, 3, 5, seeded vertex LPs of P_3,
+    # P_5 and P_6, and HDE(P0^2 P16; P3)
+    def run():
+        rng = random.Random(20240812)
+        for _ in range(200):
+            ratlp.solve(_random_lp(rng))
+        rng = random.Random(20261018)
+        for _ in range(60):
+            ratlp.solve(_equality_lp(rng))
+        rng = random.Random(3 ** 40)
+        for _ in range(25):
+            ratlp.solve(_box_program(rng, rng.randint(1, 3)))
+        for t in (1, 3, 5):
+            hde.compute_hde(_flagship(t), path(t))
+        for n, seeds in ((3, range(6)), (5, range(3)), (6, range(2))):
+            for seed in seeds:
+                polytope.vertex_by_lp(polytope.build_polytope(path(n)), seed)
+        hde.compute_hde(disjoint_union([(path(0), 2), (path(16), 1)]), path(3))
+
+    statuses = Counter()
+    unit = scaled = 0
+    for program in _record_solves(monkeypatch, run):
+        ref, out = _assert_presolves_agree(program)
+        statuses[out.status] += 1
+        for _, e, urow, _, _ in ref.steps or ():
+            unit += urow[e] == 1
+            scaled += urow[e] != 1
+    assert sum(statuses.values()) == 200 + 60 + 25 + 3 + 11 + 1
+    # 300 programs, 212 optimal and 88 infeasible; 474 unit and 180
+    # non-unit pivots
+    assert statuses["optimal"] > 200 and statuses["infeasible"] > 80
+    assert unit > 400 and scaled > 150
+
+
+def test_polytope_presolve_builds_no_fraction():
+    # every pivot of a polytope's elimination is 1, and the elimination,
+    # back substitution and row substitution run in ints throughout
+    for F2 in (path(5), cycle(5)):
+        system = polytope.build_polytope(F2)
+        profile = cProfile.Profile()
+        profile.enable()
+        presolved = ratlp._presolve.__wrapped__(system.constraints, system.n_vars)
+        profile.disable()
+        built = [key for key in pstats.Stats(profile).stats
+                 if key[0].endswith("fractions.py") and key[2] == "__new__"]
+        assert built == []
+        _, steps, exprs, _, rows, _ = presolved
+        assert steps and all(urow[e] == 1 for _, e, urow, *_ in steps)
+        assert all(q == 1 for _, _, q in exprs.values()) and rows
+
+
+def test_reduced_rows_dedup_exactly_and_non_unit_pivots_rescale():
+    # x0 = x1 turns x0 + x2 >= 1, 2 x1 + 2 x2 >= 2 and x0/2 + x2/2 >= 1/2
+    # into r, 2 r and r / 2: three reduced rows, as the Fraction presolve
+    # keeps them, although r and r / 2 share their ints; x1 + x2 >= 1
+    # merges with r, and x1 >= 0 with x0 >= 0
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    scaled_copies = ratlp.make_lp(3, [(0, 1), (1, 1), (2, 2)], [
+        ([(0, 1), (1, -1)], "=", 0),
+        ([(0, 1), (2, 1)], ">=", 1),
+        ([(1, 2), (2, 2)], ">=", 2),
+        ([(1, 1), (2, 1)], ">=", 1),
+        ([(0, half), (2, half)], ">=", half),
+    ] + _bound_rows([0, 0, 0]))
+    ref, _ = _assert_presolves_agree(scaled_copies)
+    rows, sources = ratlp._presolve(tuple(scaled_copies.rows), scaled_copies.n_vars)[4:]
+    assert [(row.terms, q) for row, (_, q) in zip(rows[:3], sources)] == [
+        (((0, 1), (1, 1)), 1), (((0, 2), (1, 2)), 1), (((0, 1), (1, 1)), 2)]
+    assert [i for i, _ in sources] == [1, 2, 4, 5, 7] == list(ref.reduced.values())
+    # x0 + x1/2 + x2/2 = 1 enters as 2 x0 + x1 + x2 = 2, a pivot of 2; then
+    # 2/3 x0 + 4/3 x1 = 2/3 enters as 2 x0 + 4 x1 = 2, is cross-multiplied by
+    # that pivot to 6 x1 - 2 x2 = 0 and divided by its gcd, a pivot of 3
+    rescaled = ratlp.make_lp(3, [(0, 1), (1, -1), (2, third)], [
+        ([(0, 1), (1, Fraction(1, 2)), (2, Fraction(1, 2))], "=", 1),
+        ([(0, 2 * third), (1, 4 * third)], "=", 2 * third),
+        ([(2, 1)], "<=", 3),
+        ([(2, 1)], ">=", -3),
+    ])
+    _assert_presolves_agree(rescaled)
+    steps = ratlp._presolve(tuple(rescaled.rows), rescaled.n_vars)[1]
+    assert [(e, urow, rhs, lrow, alpha) for _, e, urow, rhs, lrow, alpha in steps] == [
+        (0, {0: 2, 1: 1, 2: 1}, 2, {0: 1}, 2),
+        (1, {1: 3, 2: -1}, 0, {0: 2, 1: 2}, 6),
+    ]
+    out = ratlp.solve(rescaled)
+    assert out.status == "optimal" and ratlp.verify(rescaled, out)

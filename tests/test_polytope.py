@@ -5,10 +5,10 @@ from math import comb
 
 import pytest
 
-from conftest import build_polytope_unpruned, fraction_violated_rows
+from conftest import build_polytope_unpruned, complete, fraction_violated_rows, mask_of
 from homdom import lp as ratlp
 from homdom.errors import BadVertex, GroundMismatch, GroundTooLarge, MalformedInput
-from homdom.graphs import complete, cycle, from_edges, mask_of, path, star
+from homdom.graphs import cycle, from_edges, path, star
 from homdom.polytope import (
     VERTEX_CACHE_SIZE,
     SetFunction,
