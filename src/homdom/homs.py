@@ -166,24 +166,27 @@ def walk_counts(G: Graph, lengths) -> dict[int, int]:
     matrix-vector products, one per neighbour-tuple pass over the rows.
     A row below 2^8 takes its neighbour tuple from a module-level table
     (every graph of an exhaustive scope has only such rows); a wider row
-    lists its bits.
+    lists its bits.  The lengths are read in increasing order, each once
+    the chain reaches v_⌈k/2⌉, so the chain keeps only its last two
+    vectors: an entry of v_a has about a bits, and keeping every vector
+    would take memory quadratic in the longest length.
     """
     lengths = sorted(set(lengths))
     if lengths and lengths[0] < 0:
         raise MalformedInput("walk length must be non-negative")
     if not lengths:
         return {}
-    chain = [[1] * G.n, [row.bit_count() for row in G.adj]]
-    top = (lengths[-1] + 1) // 2
-    if top >= 2:
+    if lengths[-1] >= 3:
         rows = [_NEIGHBOURS[row] if row < _TABLE_ROWS else tuple(_bits(row))
                 for row in G.adj]
-        while len(chain) <= top:
-            get = chain[-1].__getitem__
-            chain.append([sum(map(get, row)) for row in rows])
+    a, low, high = 1, [1] * G.n, [row.bit_count() for row in G.adj]  # v_{a-1}, v_a
     out = {}
     for k in lengths:
-        out[k] = sum(map(mul, chain[k // 2], chain[(k + 1) // 2]))
+        while a < (k + 1) // 2:
+            get = high.__getitem__
+            low, high = high, [sum(map(get, row)) for row in rows]
+            a += 1
+        out[k] = sum(map(mul, low if k % 2 else high, high)) if k else G.n
     return out
 
 

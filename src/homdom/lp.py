@@ -9,15 +9,15 @@ all in integers by fraction-free exact arithmetic (Edmonds 1967, Bareiss
 1968), so ``Fraction``s appear only at the entry and exit.  The presolve
 eliminates the ``=`` rows in order, each solved for its smallest
 remaining variable, and rewrites the other rows and the objective over
-the free variables (27 of 128 on P6, where every pivot is 1).  The
-reduced program loses its duplicate rows and is pivoted on its dual: one
-``=`` line per free variable, one column per inequality row and a pair
-of opposite columns per ``=`` row.  The core, ``_Simplex``, keeps B^-1
-as ints over |det B|.  Postsolve lifts the point over its common
-denominator.  An eliminated variable's reduced cost must be 0, a square
-triangular system in the duals of the pivot rows; an equality row that
-became empty gets dual 0.  So ``verify`` checks the full program, while
-``pivots`` counts the reduced one's run.
+the free variables (27 of 128 on P6, where every pivot is 1).  So the
+reduced program has only inequality rows, in ints; it loses its
+duplicate rows and is pivoted on its dual, with one ``=`` line per free
+variable and one column per row.  The core, ``_Simplex``, keeps B^-1 as
+ints over |det B|, and postsolve lifts the point over det.  An
+eliminated variable's reduced cost must be 0, a square triangular system
+in the duals of the pivot rows; an equality row that became empty gets
+dual 0.  So ``verify`` checks the full program, while ``pivots`` counts
+the reduced one's run.
 """
 
 from __future__ import annotations
@@ -460,6 +460,16 @@ def _cost_vector(lp: LinearProgram):
 def solve(lp: LinearProgram) -> LpOutcome:
     """Exact optimum of ``lp``: presolve, pivot the dual, postsolve.
 
+    The reduced program has only inequality rows, in ints.  Its dual has
+    one ``=`` line per free variable, with right-hand side b, the
+    substituted objective over its gcd g, and one column per reduced row,
+    signed so that its multiplier is >= 0: a ``<=`` row is negated.  x * det
+    is read off the run's negated prices and each multiplier * det off its
+    basic value; strong duality is checked in ints before x and y are
+    lifted over det.  When phase 2 does not end optimal, the same columns
+    with zero costs b are feasible, and bounded exactly when the primal is
+    feasible.
+
     Points may differ from another exact solver's only when the optimum
     is not unique; Bland's rule makes them deterministic.
     """
@@ -467,26 +477,50 @@ def solve(lp: LinearProgram) -> LpOutcome:
     if presolved is None:
         return LpOutcome("infeasible", None, None, None, 0)
     eq_at, steps, exprs, index, rows, sources = presolved
-    # objective (coeffs . x + const) / den, pivoted as coeffs / g
+    # objective (coeffs . x + const) / den, pivoted as b = coeffs / g
     s, terms, _ = _scaled(lp.objective)
     coeffs, const, den = _substitute(exprs, terms)
     den *= s
     g = gcd(den, *coeffs.values())
-    inner = _pivot(LinearProgram(len(index), _over(index, coeffs, g), rows))
-    if inner.status != "optimal":
-        return inner
-    unscale = den // g
+    m = len(index)
+    b = [0] * m
+    for k, w in _over(index, coeffs, g):
+        b[k] = w
+    sign = [-1 if row.rel == "<=" else 1 for row in rows]
+    cols = [tuple((k, t * a) for k, a in row.terms) for t, row in zip(sign, rows)]
+    costs = [-t * row.rhs for t, row in zip(sign, rows)]
 
-    d, X = _over_common_denominator(inner.point)
+    spx = _Simplex(m, cols, b)
+    status = spx.solve_two_phase(costs)
+    pivots = spx.pivots
+    if status != "optimal":
+        if status == "unbounded":
+            status = "infeasible"
+        else:
+            probe = _Simplex(m, cols, [0] * m)
+            status = "unbounded" if probe.solve_two_phase(costs) == "optimal" else "infeasible"
+            pivots += probe.pivots
+        return LpOutcome(status, None, None, None, pivots, True)
+
+    det = spx.det
+    X = [-v for v in spx._prices(costs + [0] * m)]
+    Y = [0] * len(rows)
+    for i, k in enumerate(spx.basis):
+        if k < len(rows):
+            Y[k] = sign[k] * spx.xb[i]
+    bx = sum(c * v for c, v in zip(b, X))
+    if bx != sum(row.rhs * v for row, v in zip(rows, Y)):
+        raise RatlpError("dual-side recovery produced inconsistent objective values")
+
     x = [Fraction(0)] * lp.n_vars
     for j, k in index.items():
-        x[j] = inner.point[k]
+        x[j] = Fraction(X[k], det)
     for e, (sub, k, q) in exprs.items():
-        x[e] = Fraction(k * d + sum(w * X[index[f]] for f, w in sub.items()), q * d)
+        x[e] = Fraction(k * det + sum(w * X[index[f]] for f, w in sub.items()), q * det)
     y = [Fraction(0)] * len(lp.rows)
-    for (i, q), yi in zip(sources, inner.duals):
-        if yi:
-            y[i] = yi * q / unscale
+    for (i, q), v in zip(sources, Y):
+        if v:
+            y[i] = Fraction(v * q * g, det * den)
     rc = _cost_vector(lp)
     for yi, row in zip(y, lp.rows):
         if yi:
@@ -494,70 +528,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
                 rc[j] -= yi * a
     for (k, _, _, _, _, _), lam in zip(steps, _equality_duals(steps, rc)):
         y[eq_at[k]] = lam
-    value = inner.value / unscale + Fraction(const, den)
-    return LpOutcome("optimal", value, tuple(x), tuple(y), inner.pivots, inner.via_dual)
-
-
-def _pivot(lp: LinearProgram) -> LpOutcome:
-    """Exact optimum of ``lp`` by pivoting its dual as given: the solve
-    path with no presolve.
-
-    The dual has one ``=`` line per variable j, with right-hand side c[j].
-    Each row gives a column signed so that its multiplier is >= 0: a
-    ``<=`` row is negated, and an ``=`` row gives a pair of opposite
-    columns.  x is read off the run's negated multipliers and y off its
-    basic values.  Row i's column and cost are scaled to ints by s_i > 0,
-    the lcm of its denominators, and c by L, the lcm of its own; that
-    scales each ratio test uniformly and leaves c_B B^-1 as it is, so the
-    pivots and x are the unscaled run's, and row i's multiplier comes out
-    times L / s_i.
-    """
-    c = _cost_vector(lp)
-    scale, b = _over_common_denominator(c)
-    sign = [-1 if row.rel == "<=" else 1 for row in lp.rows]
-    cols = []
-    costs = []
-    first = []  # per row: the index of its (first) column
-    unit = []  # per row: s_i / L, what one unit of its scaled multiplier is worth
-    for i, row in enumerate(lp.rows):
-        first.append(len(cols))
-        s, terms, rhs = _scaled(row.terms, row.rhs)
-        unit.append(Fraction(s, scale))
-        entries = tuple((j, sign[i] * a) for j, a in terms)
-        cost = -sign[i] * rhs
-        if row.rel == "=":
-            cols += [entries, tuple((j, -a) for j, a in entries)]
-            costs += [cost, -cost]
-        else:
-            cols.append(entries)
-            costs.append(cost)
-
-    spx = _Simplex(lp.n_vars, cols, b)
-    status = spx.solve_two_phase(costs)
-    pivots = spx.pivots
-    if status != "optimal":
-        if status == "unbounded":
-            status = "infeasible"
-        else:
-            # primal is unbounded or infeasible; the dual with zero costs
-            # c is feasible, and bounded exactly when the primal is feasible
-            probe = _Simplex(lp.n_vars, cols, [0] * lp.n_vars)
-            status = "unbounded" if probe.solve_two_phase(costs) == "optimal" else "infeasible"
-            pivots += probe.pivots
-        return LpOutcome(status, None, None, None, pivots, True)
-
-    vals = spx.solution()
-    zero = Fraction(0)
-    y = []
-    for i, k in enumerate(first):
-        if lp.rows[i].rel == "=":
-            y.append((vals.get(k, zero) - vals.get(k + 1, zero)) * unit[i])
-        else:
-            y.append(sign[i] * vals.get(k, zero) * unit[i])
-    x = [-d for d in spx.duals_for(costs)]
-    value = sum((cj * xj for cj, xj in zip(c, x)), Fraction(0))
-    if value != sum((row.rhs * yi for row, yi in zip(lp.rows, y)), Fraction(0)):
-        raise RatlpError("dual-side recovery produced inconsistent objective values")
+    value = Fraction(bx * g + const * det, det * den)
     return LpOutcome("optimal", value, tuple(x), tuple(y), pivots, True)
 
 

@@ -9,8 +9,9 @@ homomorphism, the polytope by one row for every pair of
 subsets with separation found by breadth-first search, a row at a point
 by its ``Fraction`` sum, walk counts by integer adjacency-matrix powers,
 labeled graphs by an edge list per edge bitmask, the integer simplex
-core and the integer presolve by the ``Fraction`` ones they replaced, and
-the walk inequality by its density form.  The small graph helpers that only
+core and the integer presolve by the ``Fraction`` ones they replaced, the
+presolved solve by the dual pivoted with no presolve, and the walk
+inequality by its density form.  The small graph helpers that only
 the tests use live here too.
 """
 
@@ -25,7 +26,8 @@ from homdom.checks import CheckReport, _witness
 from homdom.errors import BadIndex, EmptyGraph, RatlpError
 from homdom.graphs import Graph, bits_of, from_edges, path
 from homdom.homs import count_homs
-from homdom.lp import LinearProgram, LpOutcome, Row, _pivot
+import homdom.lp
+from homdom.lp import LinearProgram, LpOutcome, Row, _cost_vector, _over_common_denominator, _scaled
 from homdom.polytope import ConstraintSystem
 
 
@@ -476,6 +478,72 @@ class FractionSimplex:
         return self._duals(lambda j: costs[j] if j < self.k else 0)
 
 
+# -- the dual pivoted with no presolve -------------------------------------
+
+
+def pivot_dual(lp: LinearProgram) -> LpOutcome:
+    """Exact optimum of ``lp`` by pivoting its dual as given: the reference
+    solve path, with no presolve, that ``lp.solve`` replaced.
+
+    The dual has one ``=`` line per variable j, with right-hand side c[j].
+    Each row gives a column signed so that its multiplier is >= 0: a
+    ``<=`` row is negated, and an ``=`` row gives a pair of opposite
+    columns.  x is read off the run's negated multipliers and y off its
+    basic values.  Row i's column and cost are scaled to ints by s_i > 0,
+    the lcm of its denominators, and c by L, the lcm of its own; that
+    scales each ratio test uniformly and leaves c_B B^-1 as it is, so the
+    pivots and x are the unscaled run's, and row i's multiplier comes out
+    times L / s_i.
+    """
+    c = _cost_vector(lp)
+    scale, b = _over_common_denominator(c)
+    sign = [-1 if row.rel == "<=" else 1 for row in lp.rows]
+    cols = []
+    costs = []
+    first = []  # per row: the index of its (first) column
+    unit = []  # per row: s_i / L, what one unit of its scaled multiplier is worth
+    for i, row in enumerate(lp.rows):
+        first.append(len(cols))
+        s, terms, rhs = _scaled(row.terms, row.rhs)
+        unit.append(Fraction(s, scale))
+        entries = tuple((j, sign[i] * a) for j, a in terms)
+        cost = -sign[i] * rhs
+        if row.rel == "=":
+            cols += [entries, tuple((j, -a) for j, a in entries)]
+            costs += [cost, -cost]
+        else:
+            cols.append(entries)
+            costs.append(cost)
+
+    spx = homdom.lp._Simplex(lp.n_vars, cols, b)
+    status = spx.solve_two_phase(costs)
+    pivots = spx.pivots
+    if status != "optimal":
+        if status == "unbounded":
+            status = "infeasible"
+        else:
+            # primal is unbounded or infeasible; the dual with zero costs
+            # c is feasible, and bounded exactly when the primal is feasible
+            probe = homdom.lp._Simplex(lp.n_vars, cols, [0] * lp.n_vars)
+            status = "unbounded" if probe.solve_two_phase(costs) == "optimal" else "infeasible"
+            pivots += probe.pivots
+        return LpOutcome(status, None, None, None, pivots, True)
+
+    vals = spx.solution()
+    zero = Fraction(0)
+    y = []
+    for i, k in enumerate(first):
+        if lp.rows[i].rel == "=":
+            y.append((vals.get(k, zero) - vals.get(k + 1, zero)) * unit[i])
+        else:
+            y.append(sign[i] * vals.get(k, zero) * unit[i])
+    x = [-d for d in spx.duals_for(costs)]
+    value = sum((cj * xj for cj, xj in zip(c, x)), Fraction(0))
+    if value != sum((row.rhs * yi for row, yi in zip(lp.rows, y)), Fraction(0)):
+        raise RatlpError("dual-side recovery produced inconsistent objective values")
+    return LpOutcome("optimal", value, tuple(x), tuple(y), pivots, True)
+
+
 # -- the Fraction presolve, the oracle of the integer one --------------------
 
 
@@ -601,7 +669,7 @@ class FractionPresolve:
 
     def solve(self):
         """The outcome of ``lp.solve`` with this presolve: the reduced
-        program pivoted by ``lp._pivot``, then the point lifted and the
+        program pivoted by ``pivot_dual``, then the point lifted and the
         duals recovered over ``Fraction``s."""
         lp = self.lp
         if self.reduced is None:
@@ -610,7 +678,7 @@ class FractionPresolve:
         for j, v in lp.objective:
             c[j] += v
         coeffs, offset = self.substitute(self.exprs, enumerate(c))
-        inner = _pivot(LinearProgram(len(self.index), self.over(coeffs), tuple(self.reduced)))
+        inner = pivot_dual(LinearProgram(len(self.index), self.over(coeffs), tuple(self.reduced)))
         if inner.status != "optimal":
             return inner
         x = [Fraction(0)] * lp.n_vars

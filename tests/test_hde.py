@@ -331,6 +331,20 @@ def test_hde_program_is_the_polytope_plus_one_row_per_profile(t):
     assert res.lp_constraints == len(build_polytope(F2).constraints) + profiles
 
 
+def test_flagship_lp_shape_is_pinned():
+    # (value, variables, rows, pivots) of the LP behind the flagship
+    # exponents t = 1, 3, 5 and HDE(P0^2 P16; P3)
+    shapes = {
+        (disjoint_union([(path(0), 2), (path(3), 1)]), path(1)): (3, 6, 8, 6),
+        (disjoint_union([(path(0), 2), (path(5), 3)]), path(3)): (5, 18, 51, 26),
+        (disjoint_union([(path(0), 2), (path(7), 5)]), path(5)): (7, 66, 360, 86),
+        (disjoint_union([(path(0), 2), (path(16), 1)]), path(3)): (3, 18, 238, 36),
+    }
+    for (F1, F2), shape in shapes.items():
+        res = compute_hde(F1, F2)
+        assert (res.value, res.lp_vars, res.lp_constraints, res.lp_pivots) == shape
+
+
 def test_max_objective_matches_enumeration():
     triangle_pendant = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     sources = [

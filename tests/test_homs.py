@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,20 @@ def test_walk_counts_match_adjacency_matrix_powers():
         for _ in range(5):
             _walk_counts_agree(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
     _walk_counts_agree(10, complete(10).edges())
+
+
+def test_walk_counts_keep_only_the_vectors_they_read():
+    # walks of length 4001 read only v_2000 and v_2001 of the chain; the
+    # entries of v_a have about a bits, so keeping all 2,002 vectors peaks
+    # at about 3.4 MB on P_9, and keeping the last two at about 10 KB
+    G = path(9)
+    tracemalloc.start()
+    try:
+        walk_counts(G, (4001,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_walk_counts_edge_cases():

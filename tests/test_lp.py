@@ -10,7 +10,7 @@ from homdom import hde, polytope
 from homdom import lp as ratlp
 from homdom.errors import RatlpError
 from homdom.graphs import cycle, disjoint_union, path
-from conftest import FractionPresolve, FractionSimplex, brute_force_lp, fraction_violated_rows
+from conftest import FractionPresolve, FractionSimplex, brute_force_lp, fraction_violated_rows, pivot_dual
 
 
 def _bound_rows(lower):
@@ -270,7 +270,7 @@ def test_free_variables_both_sides():
             ([(1, 1), (0, 1)], ">=", -1),
         ],
     )
-    for out in (ratlp.solve(lp), ratlp._pivot(lp)):
+    for out in (ratlp.solve(lp), pivot_dual(lp)):
         assert out.status == "optimal" and out.value == -1
         assert ratlp.verify(lp, out)
 
@@ -289,7 +289,7 @@ def test_unbounded_vs_infeasible_via_dual_side():
         2, [(0, 1), (1, -1)], [([(0, 1), (1, 1)], "=", 1), ([(0, 1), (1, 1)], "=", 2)]
     )
     for program, status in ((free_line, "unbounded"), (clash, "infeasible")):
-        assert ratlp.solve(program).status == ratlp._pivot(program).status == status
+        assert ratlp.solve(program).status == pivot_dual(program).status == status
 
 
 def test_validation_errors():
@@ -352,7 +352,7 @@ def test_presolve_against_vertex_enumeration():
         lp = _equality_lp(rng)
         status, value = brute_force_lp(lp)
         statuses[status] += 1
-        for out in (ratlp.solve(lp), ratlp._pivot(lp)):
+        for out in (ratlp.solve(lp), pivot_dual(lp)):
             assert out.status == status
             if status == "optimal":
                 assert out.value == value
@@ -420,31 +420,32 @@ def _flagship(t):
     return disjoint_union([(path(0), 2), (path(t + 2), t)])
 
 
+def _core_corpus(also=None):
+    """Hand ``lp.solve``, and ``also`` when given, every program of the
+    random and equality corpora; then solve the flagship exponents t = 1, 3,
+    5, seeded vertex LPs of P_3, P_5 and P_6, and HDE(P0^2 P16; P3)."""
+    for seed, make, count in ((20240812, _random_lp, 200), (20261018, _equality_lp, 60)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            program = make(rng)
+            ratlp.solve(program)
+            if also:
+                also(program)
+    for t in (1, 3, 5):
+        hde.compute_hde(_flagship(t), path(t))
+    for n, seeds in ((3, range(6)), (5, range(3)), (6, range(2))):
+        for seed in seeds:
+            polytope.vertex_by_lp(polytope.build_polytope(path(n)), seed)
+    hde.compute_hde(disjoint_union([(path(0), 2), (path(16), 1)]), path(3))
+
+
 def test_integer_core_matches_the_fraction_core(monkeypatch):
     # every program the solver hands the core: the random and equality
     # corpora (presolved, and pivoted with no presolve), the flagship
     # exponents t = 1, 3, 5, seeded vertex LPs of P_3, P_5 and P_6, and
     # HDE(P0^2 P16; P3); both cores must take the same pivots in the same
     # order to the same basis and values, zero-cost probe runs included
-    def run():
-        rng = random.Random(20240812)
-        for _ in range(200):
-            program = _random_lp(rng)
-            ratlp.solve(program)
-            ratlp._pivot(program)
-        rng = random.Random(20261018)
-        for _ in range(60):
-            program = _equality_lp(rng)
-            ratlp.solve(program)
-            ratlp._pivot(program)
-        for t in (1, 3, 5):
-            hde.compute_hde(_flagship(t), path(t))
-        for n, seeds in ((3, range(6)), (5, range(3)), (6, range(2))):
-            for seed in seeds:
-                polytope.vertex_by_lp(polytope.build_polytope(path(n)), seed)
-        hde.compute_hde(disjoint_union([(path(0), 2), (path(16), 1)]), path(3))
-
-    runs = _record_core_runs(monkeypatch, run)
+    runs = _record_core_runs(monkeypatch, lambda: _core_corpus(also=pivot_dual))
     statuses = Counter()
     probes = pivots = 0
     for spx in runs:
@@ -457,10 +458,38 @@ def test_integer_core_matches_the_fraction_core(monkeypatch):
     assert statuses["optimal"] > 300 and statuses["unbounded"] > 100 and probes > 15
 
 
+def test_solve_hands_the_core_ints_and_one_column_per_reduced_row(monkeypatch):
+    # every core run that ``solve`` alone makes over the core-agreement
+    # corpus, zero-cost probes included: its columns, right-hand side and
+    # costs hold only ints, and it has one column per reduced row of the
+    # presolve, so no pair of opposite columns for an = row reaches the core
+    solve = ratlp.solve
+    solves = runs = 0
+
+    def checking(program):
+        nonlocal solves, runs
+        outs = []
+        recorded = _record_core_runs(monkeypatch, lambda: outs.append(solve(program)))
+        presolved = ratlp._presolve(tuple(program.rows), program.n_vars)
+        for spx in recorded:
+            values = list(spx.b) + list(spx.costs) + [v for col in spx.cols for entry in col for v in entry]
+            assert all(type(v) is int for v in values)
+            assert len(spx.cols) == len(presolved[4])
+        solves += 1
+        runs += len(recorded)
+        return outs[0]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ratlp, "solve", checking)
+        _core_corpus()
+    # 275 solves, 222 core runs
+    assert solves == 200 + 60 + 3 + 11 + 1 and runs > 200
+
+
 def _fraction_dual(lp):
-    """``lp._pivot`` with no scaling: the dual of ``lp`` over ``Fraction``s,
+    """``pivot_dual`` with no scaling: the dual of ``lp`` over ``Fraction``s,
     pivoted by the Fraction core.  Returns the status, pivot count and final
-    basis, and on an optimal run x and y as ``lp._pivot`` reads them."""
+    basis, and on an optimal run x and y as ``pivot_dual`` reads them."""
     c = [Fraction(0)] * lp.n_vars
     for j, v in lp.objective:
         c[j] += v
@@ -521,8 +550,8 @@ def test_scaling_keeps_objective_and_row_denominators_exact(monkeypatch):
         program = _box_program(rng, rng.randint(1, 3))
         status, value = brute_force_lp(program)
         assert status == "optimal"
-        runs = _record_core_runs(monkeypatch, lambda: ratlp._pivot(program))
-        out = ratlp._pivot(program)
+        runs = _record_core_runs(monkeypatch, lambda: pivot_dual(program))
+        out = pivot_dual(program)
         ref_status, ref_pivots, ref_basis, x, y = _fraction_dual(program)
         assert (out.status, out.pivots, out.point, out.duals) == (ref_status, ref_pivots, x, y)
         assert [spx.basis for spx in runs] == [ref_basis]
@@ -557,7 +586,7 @@ def test_drive_out_pivot_on_a_negative_element():
 def test_core_edge_programs(monkeypatch):
     # m = 0 (no variable left after the presolve, or none at all), no
     # inequality row, an infeasible and an unbounded program: the status
-    # of ``solve`` and of ``_pivot``, and every core run behind them, zero-
+    # of ``solve`` and of ``pivot_dual``, and every core run behind them, zero-
     # cost probes included, against the Fraction core
     third = Fraction(1, 3)
     programs = [
@@ -572,7 +601,7 @@ def test_core_edge_programs(monkeypatch):
     ]
     for program, status, value in programs:
         outs = []
-        runs = _record_core_runs(monkeypatch, lambda: outs.extend((ratlp.solve(program), ratlp._pivot(program))))
+        runs = _record_core_runs(monkeypatch, lambda: outs.extend((ratlp.solve(program), pivot_dual(program))))
         assert [(out.status, out.value) for out in outs] == [(status, value)] * 2
         if status == "optimal":
             assert all(ratlp.verify(program, out) for out in outs)
@@ -613,7 +642,7 @@ def test_state_is_the_adjugate_over_the_basis_determinant(monkeypatch):
 
     def run():
         for program in seeded:
-            ratlp._pivot(program)
+            pivot_dual(program)
         polytope.vertex_by_lp(polytope.build_polytope(path(5)), 0)
 
     checked = 0

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import build_polytope_unpruned, complete, fraction_violated_rows, mask_of
+from conftest import build_polytope_unpruned, complete, fraction_violated_rows, mask_of, pivot_dual
 from homdom import lp as ratlp
 from homdom.errors import BadVertex, GroundMismatch, GroundTooLarge, MalformedInput
 from homdom.graphs import cycle, from_edges, path, star
@@ -309,7 +309,7 @@ def test_hull_lift_recovers_polytope_points():
             pins = tuple(ratlp.make_row([(mask, 1)], "=", p[mask]) for mask in range(cs.n_vars))
             pinned = ratlp.make_lp(cs.n_vars, objective, cs.constraints + pins)
             lifted = ratlp.solve(pinned)
-            reference = ratlp._pivot(pinned)
+            reference = pivot_dual(pinned)
             assert lifted.point == reference.point == p.values
             assert lifted.value == reference.value
             assert ratlp.verify(pinned, lifted)
@@ -321,7 +321,7 @@ def test_vertex_by_lp_matches_the_whole_system_pivoted():
         for cs in (build_polytope(F2), build_polytope_unpruned(F2)):
             for seed in range(10):
                 objective = _random_objective(cs.n_vars, seed)
-                whole = ratlp._pivot(ratlp.make_lp(cs.n_vars, objective, cs.constraints))
+                whole = pivot_dual(ratlp.make_lp(cs.n_vars, objective, cs.constraints))
                 assert whole.status == "optimal"
                 assert vertex_by_lp(cs, seed) == SetFunction(F2.n, whole.point)
 
