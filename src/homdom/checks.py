@@ -12,7 +12,7 @@ raises ``EmptyScope`` instead of returning a vacuous "holds".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
 
@@ -81,13 +81,13 @@ def random_graph(n: int, edge_prob: Fraction, rng: random.Random) -> Graph:
     return from_edges(n, edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scope:
-    """A reproducible collection of graphs to check."""
+    """A reproducible collection of graphs to check, equal only to itself."""
 
     kind: str
-    params: dict = field(compare=False)
-    _graphs: tuple = field(default=(), compare=False)
+    params: dict
+    _graphs: tuple = ()
 
     @staticmethod
     def exhaustive(n: int) -> "Scope":
@@ -271,6 +271,7 @@ def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
     first one found with exact margins."""
     if t % 2 != 0 or k % 2 == 0 or not t < k:
         raise BadParity(f"need t even, k odd, t < k; got t={t}, k={k}")
+    _check_indices(t, k)
     checked = 0
     for G in scope:
         checked += 1
@@ -296,6 +297,7 @@ def chain_exponents(t: int, k: int) -> Fraction:
     """Telescoping product (t+2)/t * (t+4)/(t+2) * ... * k/(k-2) = k/t."""
     if t % 2 == 0 or k % 2 == 0 or t > k:
         raise BadParity(f"need odd t <= odd k, got t={t}, k={k}")
+    _check_indices(t, k)
     product = Fraction(1)
     step = t
     while step < k:

@@ -266,11 +266,13 @@ def is_chordal(G: Graph) -> tuple[bool, tuple[int, ...] | None]:
 
 @dataclass(frozen=True)
 class CliqueTree:
-    """Clique forest of a chordal graph.
+    """Clique forest of a chordal graph: one tree per connected component.
 
-    ``edges`` joins clique indices within connected components; the
-    separator for edge k is ``separators[k]``.  Components of the graph
-    yield disjoint trees (no empty cross-component separators are stored).
+    Invariant: ``edges[k] == (parent, child)`` with ``parent < child``,
+    and its separator ``separators[k]`` is ``cliques[parent] &
+    cliques[child]``, nonzero.  Each clique is the child of at most one
+    edge, so a pass from the last clique to the first meets every child
+    before its parent.
     """
 
     cliques: tuple[int, ...]
@@ -279,39 +281,37 @@ class CliqueTree:
 
 
 def clique_tree(G: Graph) -> CliqueTree:
-    """Maximum-weight spanning forest over clique-intersection sizes.
+    """The clique forest read off the perfect elimination ordering that
+    ``is_chordal`` verifies (Blair and Peyton, 1993), walked backwards.
 
-    Requires a chordal input; the resulting forest satisfies the
-    running-intersection property.
+    A vertex v with later neighbours N joins the clique that holds N's
+    first-eliminated vertex when that clique is exactly N; otherwise
+    N + v starts a new clique, the child of that one over the separator
+    N, or a root when N is empty.  The forest has the running-intersection
+    property and its cliques are the maximal cliques of G.
     """
-    ok, _ = is_chordal(G)
+    ok, elim = is_chordal(G)
     if not ok:
         raise NotChordal("clique tree requires a chordal graph")
-    cliques = maximal_cliques(G)
-    k = len(cliques)
-    candidates = []
-    for j in range(k):
-        for i in range(j):
-            w = (cliques[i] & cliques[j]).bit_count()
-            if w:
-                candidates.append((-w, i, j))
-    candidates.sort()
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    pos = {v: i for i, v in enumerate(elim)}
+    cliques: list[int] = []
     edges = []
     seps = []
-    for negw, i, j in candidates:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
-            seps.append(cliques[i] & cliques[j])
+    home = {}  # vertex -> index of the clique that holds it
+    later = 0  # the vertices eliminated after v
+    for v in reversed(elim):
+        sep = G.adj[v] & later
+        later |= 1 << v
+        if sep:
+            c = home[min(_bits(sep), key=pos.__getitem__)]
+            if cliques[c] == sep:
+                cliques[c] |= 1 << v
+                home[v] = c
+                continue
+            edges.append((c, len(cliques)))
+            seps.append(sep)
+        home[v] = len(cliques)
+        cliques.append(sep | 1 << v)
     return CliqueTree(tuple(cliques), tuple(edges), tuple(seps))
 
 

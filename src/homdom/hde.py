@@ -19,14 +19,14 @@ is kept in the test suite as the oracle this builder is checked against.
 The maximum of that functional at one fixed p needs no enumeration:
 ``max_objective`` runs the max-plus form of the tree-decomposition DP of
 Diaz, Serna and Thilikos (Counting H-colorings of partial k-trees, TCS
-2002) over the clique tree, leaves first.  A clique's state is a map of
-its vertices onto a clique of the target; a child passes up its best
-value for each image of the separator it shares with its parent.  The
-cost is one table entry per (clique, state) pair: at most 2|E(F2)|
-states for an edge clique, so O(|V(F1)| |E(F2)|) for a path source,
-against the number of homomorphisms (58,450 of P13 into P11).  The
-upper certificate is this maximum at p*; ``compute_hde`` re-checks
-its optimum with it.
+2002) in one pass over the clique forest, children before parents.  A
+clique's state is a map of its vertices onto a clique of the target; a
+child passes up its best value for each image of the separator it
+shares with its parent.  The cost is one table entry per (clique,
+state) pair: at most 2|E(F2)| states for an edge clique, so
+O(|V(F1)| |E(F2)|) for a path source, against the number of
+homomorphisms (58,450 of P13 into P11).  The upper certificate is this
+maximum at p*; ``compute_hde`` re-checks its optimum with it.
 """
 
 from __future__ import annotations
@@ -103,34 +103,23 @@ def max_objective(tree: CliqueTree, F2: Graph, p) -> Fraction:
     injective on cliques.  So a ``SetFunction`` or any mapping defined on
     the nonempty cliques of F2 will do.
 
-    Max-plus DP over each tree of the clique forest, leaves first.  A
-    clique's table holds the best value of its subtree for each map of
-    the clique into F2.  A child's table is reduced to its best value for
-    each image of the separator it shares with its parent, less p of that
-    image; a parent state whose separator image no child state reaches is
-    dropped.  Trees are independent, so their root maxima add up.
+    Max-plus DP in one pass over the clique forest, from the last clique
+    to the first, so every child comes before its parent.  A clique's
+    table holds the best value of its subtree for each map of the clique
+    into F2.  A child's table is reduced to its best value for each image
+    of the separator it shares with its parent, less p of that image, and
+    handed to the parent; a parent state whose separator image no child
+    state reaches is dropped.  Trees are independent, so their root
+    maxima add up.
     """
-    links: list[list[tuple[int, int]]] = [[] for _ in tree.cliques]
-    for (i, j), sep in zip(tree.edges, tree.separators):
-        links[i].append((j, sep))
-        links[j].append((i, sep))
+    parent_of = {child: (par, sep) for (par, child), sep in zip(tree.edges, tree.separators)}
+    handed: list[list] = [[] for _ in tree.cliques]  # per clique: (separator, table) per child
     maps_by_size: dict[int, list] = {}
-    done: set[int] = set()
-
-    def positions(c: int, sep: int) -> list[int]:
+    total = Fraction(0)
+    for c in reversed(range(len(tree.cliques))):
         verts = bits_of(tree.cliques[c])
-        return [verts.index(v) for v in bits_of(sep)]
-
-    def best_by_map(c: int, parent: int) -> dict[tuple[int, ...], Fraction]:
-        """For each map of clique c into F2, the best value of the subtree
-        of c away from ``parent``."""
-        done.add(c)
-        kids = [
-            (positions(c, sep), best_by_separator(d, c, sep))
-            for d, sep in links[c]
-            if d != parent
-        ]
-        size = tree.cliques[c].bit_count()
+        kids = [([verts.index(v) for v in bits_of(sep)], up) for sep, up in handed[c]]
+        size = len(verts)
         if size not in maps_by_size:
             maps_by_size[size] = _clique_maps(F2, size)
         table = {}
@@ -143,26 +132,20 @@ def max_objective(tree: CliqueTree, F2: Graph, p) -> Fraction:
                 value += below
             else:
                 table[img] = value
-        return table
-
-    def best_by_separator(c: int, parent: int, sep: int) -> dict[tuple[int, ...], Fraction]:
-        """``best_by_map(c, parent)`` reduced to its best value for each
-        image of ``sep``, less p of that image."""
-        pos = positions(c, sep)
+        if not table:
+            raise NoHomomorphism("the source admits no homomorphism into the target")
+        if c not in parent_of:
+            total += max(table.values())
+            continue
+        parent, sep = parent_of[c]
+        pos = [verts.index(v) for v in bits_of(sep)]
         best: dict[tuple[int, ...], Fraction] = {}
-        for img, value in best_by_map(c, parent).items():
+        for img, value in table.items():
             key = tuple(img[i] for i in pos)
             if key not in best or value > best[key]:
                 best[key] = value
-        return {key: value - p[sum(1 << v for v in key)] for key, value in best.items()}
-
-    total = Fraction(0)
-    for root in range(len(tree.cliques)):
-        if root not in done:
-            table = best_by_map(root, -1)
-            if not table:
-                raise NoHomomorphism("the source admits no homomorphism into the target")
-            total += max(table.values())
+        up = {key: value - p[sum(1 << v for v in key)] for key, value in best.items()}
+        handed[parent].append((sep, up))
     return total
 
 

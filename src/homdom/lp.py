@@ -158,8 +158,7 @@ class _Simplex:
     det = |det B| > 0.  Prices are y * det = c_B binv, and a ratio test
     cross-multiplies.  A pivot divides exactly by the old det, so entries
     stay the size of the basis's minors.  The pivots are those of a
-    ``Fraction`` B^-1; ``Fraction``s appear only in ``solution`` and
-    ``duals_for``.
+    ``Fraction`` B^-1.
     """
 
     def __init__(self, m: int, cols, b):
@@ -268,14 +267,6 @@ class _Simplex:
                     break
             # no real column intersects this row: it is redundant and the
             # artificial stays basic at level zero
-
-    def solution(self) -> dict[int, Fraction]:
-        """The basic real columns' values."""
-        return {j: Fraction(self.xb[i], self.det) for i, j in enumerate(self.basis) if j < self.k}
-
-    def duals_for(self, costs) -> list[Fraction]:
-        """y = c_B B^-1 for the given real-column costs."""
-        return [Fraction(v, self.det) for v in self._prices(list(costs) + [0] * self.m)]
 
 
 # -- presolve: elimination of the equality rows, in integers ---------------

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import BadVertex, GroundMismatch, GroundTooLarge, MalformedInput, RatlpError
+from .errors import BadVertex, EmptyGraph, GroundMismatch, GroundTooLarge, MalformedInput, RatlpError
 from .graphs import Graph, subset_label, _bits
 from . import lp as ratlp
 from .lp import Row
@@ -105,6 +105,8 @@ def build_polytope(F2: Graph) -> ConstraintSystem:
     one row per pair i < j and set C of the other vertices."""
     if F2.n > GROUND_CAP:
         raise GroundTooLarge(f"ground set of {F2.n} vertices exceeds cap {GROUND_CAP}")
+    if F2.n == 0:  # p(empty) = 0 and p(V) = 1 would contradict each other
+        raise EmptyGraph("the polytope needs at least one vertex")
     full = (1 << F2.n) - 1
     one, zero = Fraction(1), Fraction(0)
     cons = [

@@ -328,6 +328,19 @@ def brute_force_lp(lp):
     return "optimal", best
 
 
+# -- the integer simplex core's state read as Fractions ---------------------
+
+
+def simplex_solution(spx) -> dict[int, Fraction]:
+    """The basic real columns' values of an ``lp._Simplex``, xb / det."""
+    return {j: Fraction(spx.xb[i], spx.det) for i, j in enumerate(spx.basis) if j < spx.k}
+
+
+def simplex_duals(spx, costs) -> list[Fraction]:
+    """y = c_B B^-1 of an ``lp._Simplex`` for the given real-column costs."""
+    return [Fraction(v, spx.det) for v in spx._prices(list(costs) + [0] * spx.m)]
+
+
 # -- the Fraction simplex core, the oracle of the integer core --------------
 
 
@@ -335,7 +348,9 @@ class FractionSimplex:
     """Revised two-phase simplex with Bland's rule on an equality form,
     over ``Fraction``s: a dense B^-1 and x_B, each entry in lowest terms.
     It is the core that ``lp._Simplex`` replaced, with the same interface,
-    and the oracle of its pivots, bases and values.
+    and the oracle of its pivots, bases and values; its ``solution`` and
+    ``duals_for`` read what ``simplex_solution`` and ``simplex_duals`` read
+    off the integer core.
 
     ``cols`` are the real columns (sparse (row, value) entries, exact);
     artificial columns are managed internally and never re-enter once the
@@ -529,7 +544,7 @@ def pivot_dual(lp: LinearProgram) -> LpOutcome:
             pivots += probe.pivots
         return LpOutcome(status, None, None, None, pivots, True)
 
-    vals = spx.solution()
+    vals = simplex_solution(spx)
     zero = Fraction(0)
     y = []
     for i, k in enumerate(first):
@@ -537,7 +552,7 @@ def pivot_dual(lp: LinearProgram) -> LpOutcome:
             y.append((vals.get(k, zero) - vals.get(k + 1, zero)) * unit[i])
         else:
             y.append(sign[i] * vals.get(k, zero) * unit[i])
-    x = [-d for d in spx.duals_for(costs)]
+    x = [-d for d in simplex_duals(spx, costs)]
     value = sum((cj * xj for cj, xj in zip(c, x)), Fraction(0))
     if value != sum((row.rhs * yi for row, yi in zip(lp.rows, y)), Fraction(0)):
         raise RatlpError("dual-side recovery produced inconsistent objective values")

@@ -96,6 +96,17 @@ def test_sweep_random_scope_is_reproducible():
     assert a.witnesses == b.witnesses
 
 
+def test_scopes_compare_by_identity():
+    # equal kinds with different parameters are different scopes
+    pairs = [
+        (Scope.exhaustive(3), Scope.exhaustive(5)),
+        (Scope.random(3, 5, "1/2", 0), Scope.random(9, 7, "1/3", 1)),
+    ]
+    for a, b in pairs:
+        assert a != b and a == a
+        assert len({a, b}) == 2
+
+
 def test_integer_margin_sweep_matches_fraction_sides():
     # the sweep compares integer margins; recompute every report field from
     # Fraction sides over matrix-power walk counts, keeping the first graph
@@ -200,6 +211,8 @@ def test_chain_exponents():
         chain_exponents(2, 4)
     with pytest.raises(BadParity):
         chain_exponents(5, 3)
+    with pytest.raises(BadIndex):
+        chain_exponents(-1, 3)
 
 
 def test_lemma_identity():

@@ -237,6 +237,13 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
         (["hde", "--f1", "union:\u00b2*path:1", "--f2", "path:1"],
          "expected a number in graph spec"),
         (["hde", "--f1", "path:\u0663", "--f2", "path:1"], "expected a number in graph spec"),
+        # EmptyGraph: the polytope of no vertices asks p(empty) = 0 and = 1
+        (["hde", "--f1", "union:0*path:0", "--f2", "union:0*path:0"], "at least one vertex"),
+        (["dump-polytope", "--f2", "union:0*path:1"], "at least one vertex"),
+        # BadIndex: no verdict about walks of zero or negative length
+        (["verify", "--mode", "chain", "--t", "-1", "--k", "3"], "need 1 <= t <= k"),
+        (["verify", "--mode", "counterexample", "--t", "0", "--k", "3", "--exhaustive-n", "3"],
+         "need 1 <= t <= k"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -172,6 +173,38 @@ def test_clique_tree_running_intersection_random():
             continue
         found += 1
         _check_running_intersection(G, clique_tree(G))
+
+
+def test_clique_forest_is_parent_first_exhaustive_n6():
+    # every chordal labeled graph with n <= 6: the ordering is a perfect
+    # elimination ordering, the forest lists each parent before its child
+    # over a nonzero separator, each component is one tree, and the cliques
+    # are the maximal ones with running intersection
+    from homdom.checks import labeled_graphs
+
+    chordal = 0
+    for n in range(0, 7):
+        for G in labeled_graphs(n):
+            ok, elim = is_chordal(G)
+            if not ok:
+                continue
+            chordal += 1
+            for i, v in enumerate(elim):
+                later = [u for u in elim[i + 1:] if has_edge(G, u, v)]
+                assert all(has_edge(G, a, b) for a, b in combinations(later, 2)), (G, elim)
+            tree = clique_tree(G)
+            children = [child for _, child in tree.edges]
+            assert len(set(children)) == len(children)
+            for (parent, child), sep in zip(tree.edges, tree.separators):
+                assert parent < child and sep == tree.cliques[parent] & tree.cliques[child] != 0
+            roots = [i for i in range(len(tree.cliques)) if i not in children]
+            for comp in G.connected_components():
+                inside = [i for i in roots if tree.cliques[i] & mask_of(comp)]
+                assert len(inside) == 1, (G, tree)
+            assert len(set(tree.cliques)) == len(tree.cliques)
+            assert set(tree.cliques) == set(maximal_cliques(G))
+            _check_running_intersection(G, tree)
+    assert chordal == 19049
 
 
 def test_is_series_parallel_examples():

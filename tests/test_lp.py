@@ -10,7 +10,15 @@ from homdom import hde, polytope
 from homdom import lp as ratlp
 from homdom.errors import RatlpError
 from homdom.graphs import cycle, disjoint_union, path
-from conftest import FractionPresolve, FractionSimplex, brute_force_lp, fraction_violated_rows, pivot_dual
+from conftest import (
+    FractionPresolve,
+    FractionSimplex,
+    brute_force_lp,
+    fraction_violated_rows,
+    pivot_dual,
+    simplex_duals,
+    simplex_solution,
+)
 
 
 def _bound_rows(lower):
@@ -386,8 +394,7 @@ def _record_core_runs(monkeypatch, run):
 
 def _core_run(core, m, cols, b, costs):
     """``core`` on one program: its status, final basis, pivot count,
-    every pivot's (row, entering column), ``solution()`` and
-    ``duals_for(costs)``."""
+    every pivot's (row, entering column), basic values and duals."""
     trace = []
 
     class Traced(core):
@@ -397,7 +404,9 @@ def _core_run(core, m, cols, b, costs):
 
     spx = Traced(m, cols, b)
     status = spx.solve_two_phase(costs)
-    return status, spx.basis, spx.pivots, trace, spx.solution(), spx.duals_for(costs)
+    if core is FractionSimplex:
+        return status, spx.basis, spx.pivots, trace, spx.solution(), spx.duals_for(costs)
+    return status, spx.basis, spx.pivots, trace, simplex_solution(spx), simplex_duals(spx, costs)
 
 
 def _assert_cores_agree(run):
@@ -577,7 +586,7 @@ def test_drive_out_pivot_on_a_negative_element():
     spx = Traced(2, cols, [1, 0])
     assert spx.solve_two_phase([1, 1]) == "optimal"
     assert pivots_at == [1, -1] and spx.det == 1 and spx.binv == [[1, 0], [0, -1]]
-    assert spx.solution() == {0: 1, 1: 0} and spx.duals_for([1, 1]) == [1, -1]
+    assert simplex_solution(spx) == {0: 1, 1: 0} and simplex_duals(spx, [1, 1]) == [1, -1]
     assert _core_run(ratlp._Simplex, 2, cols, [1, 0], [1, 1]) == _core_run(
         FractionSimplex, 2, [((0, Fraction(1)),), ((1, Fraction(-1)),)],
         [Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)])
