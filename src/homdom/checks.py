@@ -36,6 +36,7 @@ from .homs import (
     normalized_walks,
     walk_counts,
 )
+from .lp import evaluate
 from .polytope import SetFunction, is_member
 
 EXHAUSTIVE_CAP = 6
@@ -308,19 +309,26 @@ def chain_exponents(t: int, k: int) -> Fraction:
     return product
 
 
+def path_form(t: int) -> tuple[tuple[int, Fraction], ...]:
+    """The right side of the path identity p(V) = sum(edges) - sum(inner
+    vertices) as a linear form over the subsets of V(P_t), sorted by mask.
+    At t = 0 the sums are empty and p(V) = 1, so the identity needs t >= 1."""
+    if t < 1:
+        raise BadIndex(f"the path identity needs t >= 1, got {t}")
+    edges = [(1 << i | 1 << (i + 1), Fraction(1)) for i in range(t)]
+    inner = [(1 << i, Fraction(-1)) for i in range(1, t)]
+    return tuple(sorted(edges + inner))
+
+
 def check_lemma_identity(t: int, p: SetFunction) -> CheckReport:
     """p(V) equals the sum over path edges minus the sum over inner
     vertices, for any member of the path polytope (t need not be odd)."""
-    F2 = path(t)
-    ok, violated = is_member(p, F2)
+    form = path_form(t)
+    ok, violated = is_member(p, path(t))
     if not ok:
         raise NotMember(f"p violates {len(violated)} polytope constraints")
-    rhs = Fraction(0)
-    for i in range(t):
-        rhs += p[(1 << i) | (1 << (i + 1))]
-    for i in range(1, t):
-        rhs -= p[1 << i]
     lhs = p[p.full_mask]
+    rhs = evaluate(form, p)
     verdict = "holds" if lhs == rhs else "violated"
     return CheckReport(
         "lemma-identity",

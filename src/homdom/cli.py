@@ -7,9 +7,8 @@ reproduces the output byte for byte except for the isolated volatile keys
 "p/q" (counts are plain integer strings).
 
 Exit codes: 0 success (or counterexample found when that was the goal),
-1 unexpected violation / counterexample not found, 2 usage or input
-error, 3 theorem precondition failure (non-chordal F1, non-series-
-parallel F2, or a component without homomorphisms).
+1 unexpected violation / counterexample not found, 2 a ``UsageError`` or
+an unreadable file, 3 a ``PreconditionError`` (see ``errors``).
 """
 
 from __future__ import annotations
@@ -22,25 +21,11 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .errors import (
-    BadIndex,
-    BadParity,
-    BadVertex,
-    EmptyGraph,
-    EmptyScope,
-    GraphTooLarge,
-    GroundTooLarge,
-    HomdomError,
-    MalformedInput,
-    NoHomomorphism,
-    NotChordal,
-    NotSeriesParallel,
-    ScopeTooLarge,
-)
+from .errors import HomdomError, MalformedInput, PreconditionError, UsageError
 from .graphs import parse_graph, parse_graph_spec, path, subset_label
 from .homs import average_degree, walk_count
-from .polytope import build_polytope, dump_polytope, indicator_point, p_star, random_vertex_point
-from .hde import certify_lower, certify_upper, compute_hde
+from .polytope import build_polytope, dump_polytope, fixed_value
+from .hde import certify_upper, compute_hde, psi_form
 from .checks import (
     Scope,
     _decimal,
@@ -48,18 +33,13 @@ from .checks import (
     chain_exponents,
     check_blakley_roy,
     check_hde_definition,
-    check_lemma_identity,
     find_counterexample,
+    path_form,
     sweep,
 )
 
 USAGE_ERROR = 2
 PRECONDITION_ERROR = 3
-LEMMA_SAMPLES = 25  # random polytope vertices per lemma-identity run
-
-_PRECONDITION_ERRORS = (NotChordal, NotSeriesParallel, NoHomomorphism)
-_USAGE_ERRORS = (MalformedInput, BadParity, BadIndex, BadVertex, EmptyGraph, GraphTooLarge,
-                 GroundTooLarge, EmptyScope, ScopeTooLarge, OSError)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -180,22 +160,16 @@ def cmd_verify(args) -> int:
     if mode == "lemma-identity":
         if args.t is None:
             raise MalformedInput("lemma-identity mode needs --t")
-        reports = []
-        F2 = path(args.t)
-        build_polytope(F2)  # refuses a ground set over the cap before any point is built
-        points = [indicator_point(F2, i) for i in range(args.t + 1)]
-        points.append(p_star(args.t))
-        samples = LEMMA_SAMPLES if args.samples is None else args.samples
-        points.extend(random_vertex_point(F2, args.seed + i) for i in range(samples))
-        for p in points:
-            reports.append(check_lemma_identity(args.t, p))
-        bad = [r for r in reports if r.verdict != "holds"]
+        # the value of p(V) - sum(edges) + sum(inner) on every polytope member
+        form = path_form(args.t)
+        full = (1 << (args.t + 1)) - 1
+        residual = fixed_value(path(args.t), [(full, 1)] + [(m, -c) for m, c in form])
         result = {
-            "checked_points": len(reports),
-            "verdict": "holds" if not bad else "violated",
+            "residual": None if residual is None else _rat(residual),
+            "verdict": "holds" if residual == 0 else "violated",
         }
         _emit(_document(config, result, started), args.out)
-        return 0 if not bad else 1
+        return 0 if residual == 0 else 1
 
     if mode == "hde-definition":
         if args.f1 is None or args.f2 is None or args.c is None:
@@ -258,27 +232,16 @@ def cmd_verify(args) -> int:
 
 def cmd_certificate(args) -> int:
     started = time.perf_counter()
-    if args.t % 2 == 0:
-        raise BadParity(f"certificate needs odd t, got {args.t}")
-    config = {
-        "subcommand": "certificate",
-        "t": args.t,
-        "batch": args.batch,
-        "seed": args.seed,
-    }
-    upper = certify_upper(args.t)
-    F2 = path(args.t)
-    lowers = []
-    for i in range(args.batch):
-        p = random_vertex_point(F2, args.seed + i)
-        lowers.append(certify_lower(args.t, p))
-    expected = Fraction(args.t + 2)
-    all_ok = upper == expected and all(v == expected for v in lowers)
+    config = {"subcommand": "certificate", "t": args.t}
+    upper = certify_upper(args.t)  # refuses an even t
+    # the value of psi's objective on every polytope member
+    lower = fixed_value(path(args.t), psi_form(args.t))
+    all_ok = upper == lower == args.t + 2
     result = {
         "t": args.t,
-        "expected": _rat(expected),
+        "expected": _rat(Fraction(args.t + 2)),
         "upper": _rat(upper),
-        "lower_values": [_rat(v) for v in lowers],
+        "lower": None if lower is None else _rat(lower),
         "verdict": "holds" if all_ok else "violated",
     }
     _emit(_document(config, result, started), args.out)
@@ -301,7 +264,7 @@ def cmd_dump_polytope(args) -> int:
 
 def _positive_int(text: str) -> int:
     """argparse type for counts that must not be empty: a verdict over zero
-    graphs or certificates would be vacuous."""
+    graphs would be vacuous."""
     try:
         value = int(text)
     except ValueError:
@@ -364,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         "certificate", help="certify the flagship exponent from both sides"
     )
     p_cert.add_argument("--t", type=int, required=True)
-    p_cert.add_argument("--batch", type=_positive_int, default=25)
-    p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--out")
     p_cert.set_defaults(func=cmd_certificate)
 
@@ -395,10 +356,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         sys.stderr.write(f"homdom: precondition failed: {exc}\n")
         return PRECONDITION_ERROR
-    except _USAGE_ERRORS as exc:
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"homdom: {exc}\n")
         return USAGE_ERROR
     except HomdomError as exc:

@@ -304,19 +304,21 @@ def certify_upper(t: int) -> Fraction:
     )
 
 
-def certify_lower(t: int, p: SetFunction) -> Fraction:
-    """Objective value of the explicit map psi at an arbitrary polytope
-    member p; equals (t+2) * p(V) = t+2, certifying HDE >= t+2.
+def psi_form(t: int) -> tuple[tuple[int, Fraction], ...]:
+    """The objective of psi as one linear form over the subsets of V(P_t),
+    sorted by mask.  Summed one component of the source at a time, so the
+    union itself (2 + t(t+3) vertices) is never built.  Every polytope
+    member gives it (t+2) * p(V) = t+2, which certifies HDE >= t+2."""
+    trees = {comp: clique_tree(comp) for comp, _ in _flagship_source(t)}
+    return ratlp._norm_terms(
+        term for h in _psi_parts(t) for term in objective_clique_tree_form(trees[h.source], h)
+    )
 
-    Summed one component of the source at a time, so the union itself
-    (2 + t(t+3) vertices) is never built.
-    """
-    source = _flagship_source(t)
+
+def certify_lower(t: int, p: SetFunction) -> Fraction:
+    """The objective of psi at a polytope member p, which is t+2."""
+    form = psi_form(t)
     ok, violated = is_member(p, path(t))
     if not ok:
         raise NotMember(f"p violates {len(violated)} polytope constraints")
-    trees = {comp: clique_tree(comp) for comp, _ in source}
-    return sum(
-        (ratlp.evaluate(objective_clique_tree_form(trees[h.source], h), p) for h in _psi_parts(t)),
-        Fraction(0),
-    )
+    return ratlp.evaluate(form, p)

@@ -67,13 +67,6 @@ class Row:
     rhs: Fraction
     tag: str = ""
 
-    def holds(self, x) -> bool:
-        """Whether the point x (any indexable of ints or Fractions, a dict
-        included) satisfies the row, by the integer test of ``violated_rows``."""
-        js = [j for j, _ in self.terms]
-        d, X = _over_common_denominator([x[j] for j in js])
-        return self._holds_at(dict(zip(js, X)), d)
-
     def _holds_at(self, X, d: int) -> bool:
         """Whether the row holds at the point X / d, for ints X and d > 0."""
         s = self.rhs.denominator

@@ -34,7 +34,7 @@ from .graphs import Graph, subset_label, _bits
 from . import lp as ratlp
 from .lp import Row
 
-GROUND_CAP = 20
+GROUND_CAP = 14  # the largest n whose build, vertex LP and proofs each stay under 60 s and 1 GB
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,23 @@ def is_member(p: SetFunction, F2: Graph):
     return not violated, violated
 
 
+def fixed_value(F2: Graph, terms) -> Fraction | None:
+    """The value that every polytope member gives the form sum(c * p(mask))
+    over ``terms``, or None when the ``=`` rows of ``build_polytope(F2)``
+    leave it free.  The form is minimized over those rows alone; at an
+    optimum, ``lp.verify`` checks that their exact multipliers add up to
+    the form (a zero reduced cost on every subset), so the form is constant
+    on their affine hull, which holds the polytope."""
+    system = build_polytope(F2)
+    program = ratlp.make_lp(system.n_vars, terms, [r for r in system.constraints if r.rel == "="])
+    outcome = ratlp.solve(program)
+    if outcome.status != "optimal":
+        return None
+    if not ratlp.verify(program, outcome):  # pragma: no cover - safety net
+        raise RatlpError("fixed-value LP outcome failed verification")
+    return outcome.value
+
+
 def indicator_point(F2: Graph, i: int) -> SetFunction:
     """The 0/1 function that is 1 exactly on subsets containing vertex i."""
     if not 0 <= i < F2.n:
@@ -181,10 +198,9 @@ def vertex_by_lp(system: ConstraintSystem, seed: int) -> SetFunction:
 
 
 # Bounded so that a long-lived caller does not keep every vertex it sampled.
-# One CLI run never draws a (graph, seed) twice; the test suite reuses a vertex
-# at most 621 other vertices after drawing it (acceptance draws 100 seeds on
-# each of P_1 ... P_6 and the polytope tests revisit the first 500), so 1024
-# entries keep every reuse.
+# 1024 entries keep every reuse in the test suite (acceptance draws 100 seeds
+# on each of P_1 ... P_6 and the polytope tests revisit the first 500): with
+# an unbounded cache the suite solves no fewer vertex LPs.
 VERTEX_CACHE_SIZE = 1024
 
 

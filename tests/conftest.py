@@ -262,6 +262,14 @@ def build_polytope_unpruned(F2: Graph) -> ConstraintSystem:
     return ConstraintSystem(F2.n, tuple(cons))
 
 
+def holds(row: Row, x) -> bool:
+    """Whether the point x (any indexable of ints or Fractions, a dict
+    included) satisfies the row, by the integer test of ``violated_rows``."""
+    js = [j for j, _ in row.terms]
+    d, X = _over_common_denominator([x[j] for j in js])
+    return row._holds_at(dict(zip(js, X)), d)
+
+
 # -- exact rational linear algebra for the LP oracle ----------------------
 
 

@@ -16,10 +16,12 @@ from homdom.errors import (
 )
 from homdom.graphs import Graph, disjoint_union, from_edges, path, serialize_graph, star
 from homdom.homs import count_homs
-from homdom.polytope import SetFunction, indicator_point, p_star, random_vertex_point
+from homdom.polytope import SetFunction, fixed_value, indicator_point, p_star, random_vertex_point
 from homdom.checks import (
+    CheckReport,
     Scope,
     _decimal,
+    _rat,
     chain_exponents,
     check_blakley_roy,
     check_hde_definition,
@@ -27,6 +29,7 @@ from homdom.checks import (
     check_walk_inequality,
     find_counterexample,
     labeled_graphs,
+    path_form,
     sweep,
 )
 from conftest import check_density_form, complete, labeled_graphs_by_mask, matrix_walk_counts
@@ -327,3 +330,50 @@ def test_decimal_writes_integers_past_the_conversion_limit():
         sys.set_int_max_str_digits(limit)
     assert [_decimal(n) for n in cases] == expected
     assert sys.get_int_max_str_digits() == limit
+
+
+def _lemma_residual(t, form):
+    """The fixed value of p(V) minus ``form`` over the polytope of P_t."""
+    full = (1 << (t + 1)) - 1
+    return fixed_value(path(t), [(full, 1)] + [(m, -c) for m, c in form])
+
+
+def test_path_form_is_proved_from_the_equality_rows():
+    for t in range(1, 9):
+        assert _lemma_residual(t, path_form(t)) == 0
+    # the proof's value is the form's value at every member it is tried on
+    for t in range(1, 6):
+        F2 = path(t)
+        points = [indicator_point(F2, i) for i in range(t + 1)] + [p_star(t)]
+        points += [random_vertex_point(F2, seed) for seed in range(4)]
+        for p in points:
+            assert p[p.full_mask] - sum(c * p[m] for m, c in path_form(t)) == 0
+    with pytest.raises(BadIndex):
+        path_form(0)
+
+
+def test_path_form_with_an_edge_dropped_is_not_fixed():
+    for t in range(1, 6):
+        for i in range(t):
+            edge = 1 << i | 1 << (i + 1)
+            dropped = [(m, c) for m, c in path_form(t) if m != edge]
+            # at t = 1 the one edge is V, and the residual left is p(V) = 1
+            assert _lemma_residual(t, dropped) == (1 if t == 1 else None), (t, i)
+
+
+def test_check_lemma_identity_is_the_term_by_term_sum_at_the_acceptance_points():
+    for t in range(1, 7):
+        F2 = path(t)
+        points = [indicator_point(F2, i) for i in range(t + 1)] + [p_star(t)]
+        points += [random_vertex_point(F2, seed) for seed in range(100)]
+        for p in points:
+            lhs = p[p.full_mask]
+            rhs = Fraction(0)
+            for i in range(t):
+                rhs += p[(1 << i) | (1 << (i + 1))]
+            for i in range(1, t):
+                rhs -= p[1 << i]
+            expected = CheckReport(
+                "lemma-identity", {"t": t}, "holds", ({"lhs": _rat(lhs), "rhs": _rat(rhs)},)
+            )
+            assert check_lemma_identity(t, p) == expected

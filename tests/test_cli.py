@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from homdom import cli
+from homdom import cli, errors
 from homdom.checks import CheckReport, Scope, check_blakley_roy
 from homdom.cli import main
 from homdom.graphs import from_edges, serialize_graph
@@ -117,10 +117,10 @@ def test_verify_blakley_roy_and_lemma(capsys):
 
 
 def test_certificate(capsys):
-    code, doc = run_json(capsys, "certificate", "--t", "1", "--batch", "5")
+    code, doc = run_json(capsys, "certificate", "--t", "1")
     assert code == 0
     assert doc["result"]["upper"] == "3/1"
-    assert doc["result"]["lower_values"] == ["3/1"] * 5
+    assert doc["result"]["lower"] == "3/1"
 
     code, out, err = run_cli(capsys, "certificate", "--t", "2")
     assert code == 2
@@ -165,7 +165,6 @@ def test_out_file(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["certificate", "--t", "3", "--batch", "0"],
         ["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--exhaustive-n", "0"],
         ["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1",
          "--c", "1", "--exhaustive-n", "0"],
@@ -209,8 +208,8 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
         (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
           "--n", "64"], "exceeds cap of 63"),
         (["hde", "--f1", "union:70*path:0", "--f2", "path:1"], "exceeds cap of 63"),
-        # BadVertex
-        (["verify", "--mode", "lemma-identity", "--t", "0"], "p* needs t >= 1"),
+        # BadIndex: at t = 0 the identity would read p(V) = 0
+        (["verify", "--mode", "lemma-identity", "--t", "0"], "needs t >= 1"),
         # MalformedInput from Scope.random
         (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
           "--n", "5", "--edge-prob", "3/2"], "edge probability must be in [0, 1]"),
@@ -230,8 +229,8 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
         (["verify", "--mode", "blakley-roy", "--k", "0", "--exhaustive-n", "3"],
          "need 1 <= t <= k"),
         # GroundTooLarge
-        (["hde", "--f1", "path:1", "--f2", "path:21"], "exceeds cap 20"),
-        (["dump-polytope", "--f2", "path:21"], "exceeds cap 20"),
+        (["hde", "--f1", "path:1", "--f2", "path:21"], "exceeds cap 14"),
+        (["dump-polytope", "--f2", "path:21"], "exceeds cap 14"),
         # MalformedInput: only ASCII digits are numbers in a graph spec
         (["hde", "--f1", "path:\u00b2", "--f2", "path:1"], "expected a number in graph spec"),
         (["hde", "--f1", "union:\u00b2*path:1", "--f2", "path:1"],
@@ -271,12 +270,12 @@ def _must_not_run(*args, **kwargs):
 
 
 def test_refusals_come_before_the_work(capsys, monkeypatch):
-    # at --t 21 each indicator point holds 2^22 values, and --exhaustive-n 7
+    # at --t 21 the polytope would hold 2^22 subsets, and --exhaustive-n 7
     # would sweep n = 1 ... 6 first: both are refused before any of that
-    monkeypatch.setattr(cli, "indicator_point", _must_not_run)
+    monkeypatch.setattr("homdom.lp.solve", _must_not_run)
     monkeypatch.setattr(cli, "sweep", _must_not_run)
     for argv, message in (
-        (["--mode", "lemma-identity", "--t", "21", "--samples", "1"], "exceeds cap 20"),
+        (["--mode", "lemma-identity", "--t", "21", "--samples", "1"], "exceeds cap 14"),
         (["--mode", "walk-inequality", "--t", "1", "--k", "2", "--exhaustive-n", "7"],
          "capped at n=6"),
         (["--mode", "density-form", "--t", "1", "--k", "2", "--exhaustive-n", "7"],
@@ -288,9 +287,35 @@ def test_refusals_come_before_the_work(capsys, monkeypatch):
 
 
 def test_lemma_identity_default_samples(capsys):
-    code, doc = run_json(capsys, "verify", "--mode", "lemma-identity", "--t", "2")
-    assert code == 0
-    assert doc["result"]["checked_points"] == 3 + 1 + cli.LEMMA_SAMPLES
+    # the identity is proved for every polytope member, so no points are sampled
+    for t in range(1, 9):
+        code, doc = run_json(capsys, "verify", "--mode", "lemma-identity", "--t", str(t))
+        assert code == 0
+        assert doc["result"] == {"residual": "0/1", "verdict": "holds"}
+
+
+# the exit code of every error follows its base class, not a list in the CLI
+EXIT_CODES = {
+    "HomdomError": 1, "GroundMismatch": 1, "NotMember": 1, "RatlpError": 1,
+    "UsageError": 2, "BadIndex": 2, "BadParity": 2, "BadVertex": 2, "EmptyGraph": 2,
+    "EmptyScope": 2, "GraphTooLarge": 2, "GroundTooLarge": 2, "MalformedInput": 2,
+    "ScopeTooLarge": 2,
+    "PreconditionError": 3, "NoHomomorphism": 3, "NotChordal": 3, "NotSeriesParallel": 3,
+}
+
+
+def test_exit_codes_follow_the_error_base_class(capsys, monkeypatch):
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.HomdomError)]
+    assert sorted(c.__name__ for c in classes) == sorted(EXIT_CODES)
+    for cls in classes:
+        def fail(args, cls=cls):
+            raise cls("refused on purpose")
+
+        monkeypatch.setattr(cli, "cmd_dump_polytope", fail)
+        code, out, err = run_cli(capsys, "dump-polytope", "--f2", "path:1")
+        assert code == EXIT_CODES[cls.__name__], cls
+        assert out == "" and "refused on purpose" in err, cls
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -25,7 +25,9 @@ from homdom.graphs import (
 )
 from homdom.checks import Scope, check_hde_definition
 from homdom.homs import Homomorphism, enumerate_homs
-from homdom.polytope import SetFunction, build_polytope, indicator_point, is_member, p_star, random_vertex_point
+from homdom.polytope import (
+    SetFunction, build_polytope, fixed_value, indicator_point, is_member, p_star, random_vertex_point,
+)
 from homdom.hde import (
     certify_lower,
     certify_upper,
@@ -34,6 +36,7 @@ from homdom.hde import (
     objective_clique_tree_form,
     phi_i,
     psi,
+    psi_form,
 )
 from conftest import complete, edge_visits, mask_of, max_objective_by_enumeration, objective_subset_form
 
@@ -416,3 +419,47 @@ def test_compute_hde_rejects_wrong_equality_duals(monkeypatch):
     monkeypatch.setattr(ratlp, "_equality_duals", lambda steps, excess: [Fraction(0)] * len(steps))
     with pytest.raises(RatlpError, match="failed verification"):
         compute_hde(disjoint_union([(path(0), 2), (path(3), 1)]), path(1))
+
+
+def _form_of(parts):
+    """The objective of the given per-component maps, term by term."""
+    return [term for h in parts for term in objective_clique_tree_form(clique_tree(h.source), h)]
+
+
+def test_psi_form_is_fixed_at_t_plus_2_on_the_polytope():
+    for t in (1, 3, 5, 7, 9):
+        assert fixed_value(path(t), psi_form(t)) == t + 2
+    # the proof's value is the form's value at every member it is tried on
+    for t in (1, 3, 5):
+        F2 = path(t)
+        points = [indicator_point(F2, i) for i in range(t + 1)] + [p_star(t)]
+        points += [random_vertex_point(F2, seed) for seed in range(4)]
+        for p in points:
+            assert ratlp.evaluate(psi_form(t), p) == t + 2
+
+
+def test_psi_form_mutations_are_not_fixed():
+    for t in (3, 5, 7):
+        ends, folds = hde._psi_parts(t)[:2], hde._psi_parts(t)[2:]
+        mutations = {
+            "phi_1 dropped": ends + folds[1:],
+            "phi_2 replaced by phi_1": ends + folds[:1] * 2 + folds[2:],
+            "one end dropped": ends[:1] + folds,
+        }
+        for name, parts in mutations.items():
+            assert fixed_value(path(t), _form_of(parts)) is None, (t, name)
+
+
+def test_certify_lower_is_the_sum_of_psi_parts_at_the_acceptance_points():
+    for t in (1, 3, 5):
+        F2 = path(t)
+        points = [indicator_point(F2, i) for i in range(t + 1)] + [p_star(t)]
+        points += [random_vertex_point(F2, seed) for seed in range(25)]
+        for p in points:
+            expected = sum(
+                (ratlp.evaluate(objective_clique_tree_form(clique_tree(h.source), h), p)
+                 for h in hde._psi_parts(t)),
+                Fraction(0),
+            )
+            got = certify_lower(t, p)
+            assert got == expected == t + 2 and type(got) is Fraction

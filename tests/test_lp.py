@@ -15,6 +15,7 @@ from conftest import (
     FractionSimplex,
     brute_force_lp,
     fraction_violated_rows,
+    holds,
     pivot_dual,
     simplex_duals,
     simplex_solution,
@@ -164,11 +165,11 @@ def test_row_holds_at_above_and_below_the_rhs():
         ">=": {3: True, 4: False, 2: True},
     }
     for rel, by_rhs in expected.items():
-        for rhs, holds in by_rhs.items():
+        for rhs, met in by_rhs.items():
             row = ratlp.Row(((0, Fraction(2)), (1, Fraction(-1))), rel, Fraction(rhs), "t")
-            assert row.holds(x) is holds, (rel, rhs)
+            assert holds(row, x) is met, (rel, rhs)
             # any indexable point will do
-            assert row.holds(dict(enumerate(x))) is holds
+            assert holds(row, dict(enumerate(x))) is met
     assert ratlp.evaluate(((0, Fraction(2)), (1, Fraction(-1))), x) == 3
     assert ratlp.evaluate((), x) == 0
 
@@ -219,11 +220,11 @@ def test_violated_rows_match_the_fraction_sums():
         # the same rows, in the same order
         assert [r.tag for r in got] == [r.tag for r in expected], trial
         for row in rows:
-            holds = row not in expected
-            assert row.holds(x) is holds and row.holds(dict(enumerate(x))) is holds
-            seen[row.rel, holds] += 1
+            met = row not in expected
+            assert holds(row, x) is met and holds(row, dict(enumerate(x))) is met
+            seen[row.rel, met] += 1
     # every relation is both met and broken
-    assert all(seen[rel, holds] >= 20 for rel in ratlp.RELATIONS for holds in (True, False))
+    assert all(seen[rel, met] >= 20 for rel in ratlp.RELATIONS for met in (True, False))
 
 
 def test_violated_rows_reads_only_the_referenced_coordinates():

@@ -5,7 +5,9 @@ from math import comb
 
 import pytest
 
-from conftest import build_polytope_unpruned, complete, fraction_violated_rows, mask_of, pivot_dual
+from conftest import (
+    build_polytope_unpruned, complete, fraction_violated_rows, holds, mask_of, pivot_dual,
+)
 from homdom import lp as ratlp
 from homdom.errors import BadVertex, GroundMismatch, GroundTooLarge, MalformedInput
 from homdom.graphs import cycle, from_edges, path, star
@@ -14,6 +16,7 @@ from homdom.polytope import (
     SetFunction,
     build_polytope,
     dump_polytope,
+    fixed_value,
     indicator_point,
     is_member,
     p_star,
@@ -127,8 +130,8 @@ def test_membership_reports_violations():
     assert any(c.tag == "normalization" for c in violated)
     # exactly the rows whose predicate fails, in the system's order
     cs = build_polytope(P1)
-    assert violated == tuple(c for c in cs.constraints if not c.holds(bad))
-    assert all(c.holds(bad.values) for c in cs.constraints if c not in violated)
+    assert violated == tuple(c for c in cs.constraints if not holds(c, bad))
+    assert all(holds(c, bad.values) for c in cs.constraints if c not in violated)
     with pytest.raises(GroundMismatch):
         is_member(bad, path(3))
 
@@ -282,8 +285,8 @@ def test_pruning_soundness_vertices_and_optima():
             vp = vertex_by_lp(pruned, seed)
             vu = vertex_by_lp(unpruned, seed)
             assert vp == vu, (F2, seed)
-            assert all(c.holds(vp) for c in unpruned.constraints)
-            assert all(c.holds(vu) for c in pruned.constraints)
+            assert all(holds(c, vp) for c in unpruned.constraints)
+            assert all(holds(c, vu) for c in pruned.constraints)
         for _ in range(20):
             objective = [
                 (m, Fraction(rng.randint(-50, 50))) for m in range(pruned.n_vars)
@@ -326,6 +329,18 @@ def test_vertex_by_lp_matches_the_whole_system_pivoted():
                 assert vertex_by_lp(cs, seed) == SetFunction(F2.n, whole.point)
 
 
+def test_fixed_value_reads_the_normalization_and_refuses_a_free_form():
+    for t in range(1, 6):
+        F2 = path(t)
+        full = (1 << F2.n) - 1
+        assert fixed_value(F2, [(0, 1)]) == 0
+        assert fixed_value(F2, [(full, 3), (0, 5)]) == 3
+        # p({0}) is 1 at the indicator point of vertex 0 and 0 at another's
+        assert fixed_value(F2, [(1, 1)]) is None
+    with pytest.raises(GroundTooLarge):
+        fixed_value(path(14), [(0, 1)])
+
+
 def test_vertex_cache_is_bounded():
     # placed last in the module: sampling past the bound evicts the vertices
     # that earlier tests share through the cache
@@ -334,3 +349,4 @@ def test_vertex_cache_is_bounded():
     for seed in range(10_000, 10_000 + VERTEX_CACHE_SIZE + 50):
         random_vertex_point(F2, seed)
     assert random_vertex_point.cache_info().currsize <= VERTEX_CACHE_SIZE
+
