@@ -21,7 +21,6 @@ from .errors import (
     BadParity,
     EmptyGraph,
     EmptyScope,
-    HomdomError,
     MalformedInput,
     NotMember,
     ScopeTooLarge,
@@ -36,8 +35,8 @@ from .homs import (
     normalized_walks,
     walk_counts,
 )
-from .lp import evaluate
-from .polytope import SetFunction, is_member
+from .lp import _norm_terms, evaluate
+from .polytope import SetFunction, is_member, separates
 
 EXHAUSTIVE_CAP = 6
 
@@ -299,14 +298,7 @@ def chain_exponents(t: int, k: int) -> Fraction:
     if t % 2 == 0 or k % 2 == 0 or t > k:
         raise BadParity(f"need odd t <= odd k, got t={t}, k={k}")
     _check_indices(t, k)
-    product = Fraction(1)
-    step = t
-    while step < k:
-        product *= Fraction(step + 2, step)
-        step += 2
-    if product != Fraction(k, t):  # pragma: no cover - telescoping identity
-        raise HomdomError("telescoping product failed to collapse")
-    return product
+    return Fraction(k, t)
 
 
 def path_form(t: int) -> tuple[tuple[int, Fraction], ...]:
@@ -318,6 +310,25 @@ def path_form(t: int) -> tuple[tuple[int, Fraction], ...]:
     edges = [(1 << i | 1 << (i + 1), Fraction(1)) for i in range(t)]
     inner = [(1 << i, Fraction(-1)) for i in range(1, t)]
     return tuple(sorted(edges + inner))
+
+
+def prove_path_identity(t: int) -> bool:
+    """True iff p(V) = ``path_form(t)`` follows from t - 1 modular rows of
+    the polytope of P_t, so that it holds at every member.  Row j, for
+    j = 1 ... t-1, is p(A | B) + p(A & B) = p(A) + p(B) with A = {0..j} and
+    B = {j, j+1}; it is a row of the polytope when ``separates`` confirms
+    that {j} cuts {0..j-1} from {j+1}.  The rows telescope: their sum is
+    p(V) - ``path_form(t)``, so that difference plus the form must leave
+    the zero form."""
+    form = path_form(t)
+    F2 = path(t)
+    rows = []
+    for j in range(1, t):
+        A, B = (1 << j + 1) - 1, 3 << j
+        if not separates(F2, A, B):
+            return False
+        rows += [(A | B, 1), (A & B, 1), (A, -1), (B, -1)]
+    return not _norm_terms([*form, ((1 << F2.n) - 1, -1), *rows])
 
 
 def check_lemma_identity(t: int, p: SetFunction) -> CheckReport:

@@ -22,9 +22,9 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import HomdomError, MalformedInput, PreconditionError, UsageError
-from .graphs import parse_graph, parse_graph_spec, path, subset_label
+from .graphs import parse_graph, parse_graph_spec, subset_label
 from .homs import average_degree, walk_count
-from .polytope import build_polytope, dump_polytope, fixed_value
+from .polytope import build_polytope, dump_polytope
 from .hde import certify_upper, compute_hde, psi_form
 from .checks import (
     Scope,
@@ -35,6 +35,7 @@ from .checks import (
     check_hde_definition,
     find_counterexample,
     path_form,
+    prove_path_identity,
     sweep,
 )
 
@@ -139,15 +140,31 @@ def _verify_scope(args) -> Scope:
     raise MalformedInput("give either --exhaustive-n or --samples/--n")
 
 
+# the options each verify mode reads, in the order --mode lists the modes;
+# "scope" stands for the options of the branch that ``_verify_scope`` takes
+VERIFY_OPTIONS = {
+    "blakley-roy": ("k", "scope"),
+    "walk-inequality": ("t", "k", "scope"),
+    "density-form": ("t", "k", "scope"),
+    "counterexample": ("t", "k", "scope"),
+    "lemma-identity": ("t",),
+    "chain": ("t", "k"),
+    "hde-definition": ("f1", "f2", "c", "scope"),
+}
+
+
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     mode = args.mode
     config = {"subcommand": "verify", "mode": mode}
-    for key in ("t", "k", "exhaustive_n", "samples", "n", "edge_prob", "seed",
-                "f1", "f2", "c"):
-        val = getattr(args, key, None)
-        if val is not None:
-            config[key.replace("_", "-")] = val
+    if args.exhaustive_n is not None:
+        scope = ("exhaustive_n",)
+    else:
+        scope = ("samples", "n", "edge_prob", "seed")
+    for key in VERIFY_OPTIONS[mode]:
+        for name in scope if key == "scope" else (key,):
+            if getattr(args, name) is not None:
+                config[name.replace("_", "-")] = getattr(args, name)
 
     if mode == "chain":
         if args.t is None or args.k is None:
@@ -160,16 +177,14 @@ def cmd_verify(args) -> int:
     if mode == "lemma-identity":
         if args.t is None:
             raise MalformedInput("lemma-identity mode needs --t")
-        # the value of p(V) - sum(edges) + sum(inner) on every polytope member
-        form = path_form(args.t)
-        full = (1 << (args.t + 1)) - 1
-        residual = fixed_value(path(args.t), [(full, 1)] + [(m, -c) for m, c in form])
+        # p(V) - sum(edges) + sum(inner) is 0 on every polytope member
+        proved = prove_path_identity(args.t)
         result = {
-            "residual": None if residual is None else _rat(residual),
-            "verdict": "holds" if residual == 0 else "violated",
+            "residual": "0/1" if proved else None,
+            "verdict": "holds" if proved else "violated",
         }
         _emit(_document(config, result, started), args.out)
-        return 0 if residual == 0 else 1
+        return 0 if proved else 1
 
     if mode == "hde-definition":
         if args.f1 is None or args.f2 is None or args.c is None:
@@ -227,15 +242,16 @@ def cmd_verify(args) -> int:
         _emit(_document(config, result, started), args.out)
         return 0 if not bad else 1
 
-    raise MalformedInput(f"unknown verify mode {mode!r}")
-
 
 def cmd_certificate(args) -> int:
     started = time.perf_counter()
     config = {"subcommand": "certificate", "t": args.t}
     upper = certify_upper(args.t)  # refuses an even t
-    # the value of psi's objective on every polytope member
-    lower = fixed_value(path(args.t), psi_form(args.t))
+    # psi's objective is (t+2) * path_form(t), which is (t+2) * p(V) = t+2
+    # on every polytope member
+    scaled = tuple((mask, (args.t + 2) * c) for mask, c in path_form(args.t))
+    proved = psi_form(args.t) == scaled and prove_path_identity(args.t)
+    lower = Fraction(args.t + 2) if proved else None
     all_ok = upper == lower == args.t + 2
     result = {
         "t": args.t,
@@ -297,19 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_walks.set_defaults(func=cmd_walks)
 
     p_verify = sub.add_parser("verify", help="run a conjecture-lab check")
-    p_verify.add_argument(
-        "--mode",
-        required=True,
-        choices=[
-            "blakley-roy",
-            "walk-inequality",
-            "density-form",
-            "counterexample",
-            "lemma-identity",
-            "chain",
-            "hde-definition",
-        ],
-    )
+    p_verify.add_argument("--mode", required=True, choices=list(VERIFY_OPTIONS))
     p_verify.add_argument("--t", type=int)
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--exhaustive-n", type=_positive_int)

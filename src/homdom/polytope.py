@@ -34,7 +34,7 @@ from .graphs import Graph, subset_label, _bits
 from . import lp as ratlp
 from .lp import Row
 
-GROUND_CAP = 14  # the largest n whose build, vertex LP and proofs each stay under 60 s and 1 GB
+GROUND_CAP = 14  # the largest n whose build and vertex LP each stay under 60 s and 1 GB
 
 
 @dataclass(frozen=True)
@@ -139,23 +139,6 @@ def is_member(p: SetFunction, F2: Graph):
         )
     violated = ratlp.violated_rows(build_polytope(F2).constraints, p.values)
     return not violated, violated
-
-
-def fixed_value(F2: Graph, terms) -> Fraction | None:
-    """The value that every polytope member gives the form sum(c * p(mask))
-    over ``terms``, or None when the ``=`` rows of ``build_polytope(F2)``
-    leave it free.  The form is minimized over those rows alone; at an
-    optimum, ``lp.verify`` checks that their exact multipliers add up to
-    the form (a zero reduced cost on every subset), so the form is constant
-    on their affine hull, which holds the polytope."""
-    system = build_polytope(F2)
-    program = ratlp.make_lp(system.n_vars, terms, [r for r in system.constraints if r.rel == "="])
-    outcome = ratlp.solve(program)
-    if outcome.status != "optimal":
-        return None
-    if not ratlp.verify(program, outcome):  # pragma: no cover - safety net
-        raise RatlpError("fixed-value LP outcome failed verification")
-    return outcome.value
 
 
 def indicator_point(F2: Graph, i: int) -> SetFunction:

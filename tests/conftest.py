@@ -11,7 +11,9 @@ by its ``Fraction`` sum, walk counts by integer adjacency-matrix powers,
 labeled graphs by an edge list per edge bitmask, the integer simplex
 core and the integer presolve by the ``Fraction`` ones they replaced, the
 presolved solve by the dual pivoted with no presolve, and the walk
-inequality by its density form.  The small graph helpers that only
+inequality by its density form.  The exact LP over the polytope's
+``=`` rows, ``fixed_value``, is the oracle for the chain-row proofs of
+the path identity and ψ's objective.  The small graph helpers that only
 the tests use live here too.
 """
 
@@ -27,8 +29,9 @@ from homdom.errors import BadIndex, EmptyGraph, RatlpError
 from homdom.graphs import Graph, bits_of, from_edges, path
 from homdom.homs import count_homs
 import homdom.lp
+from homdom import lp as ratlp
 from homdom.lp import LinearProgram, LpOutcome, Row, _cost_vector, _over_common_denominator, _scaled
-from homdom.polytope import ConstraintSystem
+from homdom.polytope import ConstraintSystem, build_polytope
 
 
 def has_edge(G: Graph, u: int, v: int) -> bool:
@@ -260,6 +263,23 @@ def build_polytope_unpruned(F2: Graph) -> ConstraintSystem:
             else:
                 cons.append(Row(terms, "<=", zero, "submodular"))
     return ConstraintSystem(F2.n, tuple(cons))
+
+
+def fixed_value(F2: Graph, terms) -> Fraction | None:
+    """The value that every polytope member gives the form sum(c * p(mask))
+    over ``terms``, or None when the ``=`` rows of ``build_polytope(F2)``
+    leave it free.  The form is minimized over those rows alone; at an
+    optimum, ``lp.verify`` checks that their exact multipliers add up to
+    the form (a zero reduced cost on every subset), so the form is constant
+    on their affine hull, which holds the polytope."""
+    system = build_polytope(F2)
+    program = ratlp.make_lp(system.n_vars, terms, [r for r in system.constraints if r.rel == "="])
+    outcome = ratlp.solve(program)
+    if outcome.status != "optimal":
+        return None
+    if not ratlp.verify(program, outcome):  # pragma: no cover - safety net
+        raise RatlpError("fixed-value LP outcome failed verification")
+    return outcome.value
 
 
 def holds(row: Row, x) -> bool:

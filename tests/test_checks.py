@@ -10,13 +10,14 @@ from homdom.errors import (
     BadParity,
     EmptyGraph,
     EmptyScope,
+    GraphTooLarge,
     MalformedInput,
     NotMember,
     ScopeTooLarge,
 )
 from homdom.graphs import Graph, disjoint_union, from_edges, path, serialize_graph, star
 from homdom.homs import count_homs
-from homdom.polytope import SetFunction, fixed_value, indicator_point, p_star, random_vertex_point
+from homdom.polytope import SetFunction, indicator_point, p_star, random_vertex_point, separates
 from homdom.checks import (
     CheckReport,
     Scope,
@@ -30,9 +31,13 @@ from homdom.checks import (
     find_counterexample,
     labeled_graphs,
     path_form,
+    prove_path_identity,
     sweep,
 )
-from conftest import check_density_form, complete, labeled_graphs_by_mask, matrix_walk_counts
+from homdom import checks
+from conftest import (
+    check_density_form, complete, fixed_value, labeled_graphs_by_mask, matrix_walk_counts,
+)
 
 
 def test_blakley_roy_examples():
@@ -216,6 +221,8 @@ def test_chain_exponents():
         chain_exponents(5, 3)
     with pytest.raises(BadIndex):
         chain_exponents(-1, 3)
+    # the product is not multiplied out, so a k past any loop's reach is instant
+    assert chain_exponents(1, 10**12 + 1) == 10**12 + 1
 
 
 def test_lemma_identity():
@@ -359,6 +366,59 @@ def test_path_form_with_an_edge_dropped_is_not_fixed():
             dropped = [(m, c) for m, c in path_form(t) if m != edge]
             # at t = 1 the one edge is V, and the residual left is p(V) = 1
             assert _lemma_residual(t, dropped) == (1 if t == 1 else None), (t, i)
+
+
+def _chain_rows(monkeypatch, t):
+    """The (A, B) pairs that ``prove_path_identity(t)`` hands to
+    ``separates``, recorded as it proves the identity."""
+    seen = []
+
+    def spy(F2, A, B):
+        seen.append((A, B))
+        return separates(F2, A, B)
+
+    monkeypatch.setattr(checks, "separates", spy)
+    assert prove_path_identity(t), t
+    return seen
+
+
+def test_path_identity_chain_rows_are_equalities_of_the_polytope(monkeypatch):
+    # each row p(A | B) + p(A & B) - p(A) - p(B) is fixed at 0 by the
+    # polytope's own = rows, with the exact LP as the oracle
+    for t in range(1, 10):
+        rows = _chain_rows(monkeypatch, t)
+        assert rows == [((1 << j + 1) - 1, 3 << j) for j in range(1, t)], t
+        for A, B in rows:
+            row = [(A | B, 1), (A & B, 1), (A, -1), (B, -1)]
+            assert fixed_value(path(t), row) == 0, (t, A, B)
+    monkeypatch.undo()
+    # past the ground-set cap the proof needs no polytope, up to the
+    # 63-vertex graph cap
+    assert all(prove_path_identity(t) for t in range(10, 63))
+    with pytest.raises(GraphTooLarge):
+        prove_path_identity(63)
+
+
+def test_path_identity_proof_rejects_a_broken_chain(monkeypatch):
+    for t in range(2, 7):
+        for j in range(1, t):
+            # the pair of row j does not separate
+            monkeypatch.setattr(
+                checks, "separates", lambda F2, A, B, j=j: separates(F2, A, B) and B != 3 << j
+            )
+            assert not prove_path_identity(t), (t, j)
+        monkeypatch.undo()
+    for t in range(1, 7):
+        form = path_form(t)
+        for i in range(t):
+            edge = 1 << i | 1 << (i + 1)
+            for name, mutated in (
+                ("edge dropped", [(m, c) for m, c in form if m != edge]),
+                ("edge doubled", [(m, 2 * c if m == edge else c) for m, c in form]),
+            ):
+                monkeypatch.setattr(checks, "path_form", lambda t, mutated=mutated: mutated)
+                assert not prove_path_identity(t), (t, i, name)
+        monkeypatch.undo()
 
 
 def test_check_lemma_identity_is_the_term_by_term_sum_at_the_acceptance_points():

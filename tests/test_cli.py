@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from homdom import cli, errors
-from homdom.checks import CheckReport, Scope, check_blakley_roy
+from homdom import cli, errors, hde
+from homdom import lp as ratlp
+from homdom.checks import CheckReport, Scope, check_blakley_roy, path_form
 from homdom.cli import main
-from homdom.graphs import from_edges, serialize_graph
+from homdom.graphs import clique_tree, from_edges, serialize_graph
+from homdom.hde import objective_clique_tree_form
 
 
 def run_cli(capsys, *argv):
@@ -270,12 +272,12 @@ def _must_not_run(*args, **kwargs):
 
 
 def test_refusals_come_before_the_work(capsys, monkeypatch):
-    # at --t 21 the polytope would hold 2^22 subsets, and --exhaustive-n 7
+    # at --t 63 the path would have 64 vertices, and --exhaustive-n 7
     # would sweep n = 1 ... 6 first: both are refused before any of that
     monkeypatch.setattr("homdom.lp.solve", _must_not_run)
     monkeypatch.setattr(cli, "sweep", _must_not_run)
     for argv, message in (
-        (["--mode", "lemma-identity", "--t", "21", "--samples", "1"], "exceeds cap 14"),
+        (["--mode", "lemma-identity", "--t", "63", "--samples", "1"], "exceeds cap of 63"),
         (["--mode", "walk-inequality", "--t", "1", "--k", "2", "--exhaustive-n", "7"],
          "capped at n=6"),
         (["--mode", "density-form", "--t", "1", "--k", "2", "--exhaustive-n", "7"],
@@ -284,6 +286,94 @@ def test_refusals_come_before_the_work(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == "", argv
         assert message in err, argv
+
+
+def test_proofs_past_the_ground_set_cap_need_no_polytope(capsys, monkeypatch):
+    # the chain rows prove both verdicts with form arithmetic alone
+    for name in ("homdom.lp.solve", "homdom.polytope.build_polytope",
+                 "homdom.hde.build_polytope", "homdom.cli.build_polytope"):
+        monkeypatch.setattr(name, _must_not_run)
+    for t in (21, 41):
+        code, doc = run_json(capsys, "certificate", "--t", str(t))
+        assert code == 0 and doc["result"]["verdict"] == "holds", t
+        assert doc["result"]["lower"] == doc["result"]["upper"] == f"{t + 2}/1", t
+    code, doc = run_json(capsys, "verify", "--mode", "lemma-identity", "--t", "41")
+    assert code == 0
+    assert doc["result"] == {"residual": "0/1", "verdict": "holds"}
+    code, out, err = run_cli(capsys, "certificate", "--t", "61")
+    assert code == 2 and out == "" and "exceeds cap of 63" in err
+
+
+def _objective(parts):
+    """The objective of the given per-component maps as one sorted form."""
+    return ratlp._norm_terms(
+        term for h in parts for term in objective_clique_tree_form(clique_tree(h.source), h)
+    )
+
+
+def test_certificate_rejects_a_broken_lower_proof(capsys, monkeypatch):
+    for t in (3, 5, 7):
+        ends, folds = hde._psi_parts(t)[:2], hde._psi_parts(t)[2:]
+        forms = {
+            "phi_1 dropped": _objective(ends + folds[1:]),
+            "phi_2 replaced by phi_1": _objective(ends + folds[:1] * 2 + folds[2:]),
+            "one end dropped": _objective(ends[:1] + folds),
+            "scale t+1": tuple((m, (t + 1) * c) for m, c in path_form(t)),
+        }
+        assert _objective(ends + folds) == hde.psi_form(t)
+        for name, form in forms.items():
+            monkeypatch.setattr(cli, "psi_form", lambda t, form=form: form)
+            code, doc = run_json(capsys, "certificate", "--t", str(t))
+            assert code == 1 and doc["result"]["lower"] is None, (t, name)
+            assert doc["result"]["verdict"] == "violated", (t, name)
+        monkeypatch.undo()
+        # psi's form intact, the path identity not proved
+        monkeypatch.setattr(cli, "prove_path_identity", lambda t: False)
+        code, doc = run_json(capsys, "certificate", "--t", str(t))
+        assert code == 1 and doc["result"]["lower"] is None, t
+        code, doc = run_json(capsys, "verify", "--mode", "lemma-identity", "--t", str(t))
+        assert code == 1 and doc["result"] == {"residual": None, "verdict": "violated"}, t
+        monkeypatch.undo()
+
+
+# one run per verify mode, each given options that the mode does not read,
+# with the options that it reads: those of the scope branch it takes
+VERIFY_RUNS = [
+    (["--mode", "chain", "--t", "1", "--k", "5", "--exhaustive-n", "3", "--samples", "2"],
+     {"t": 1, "k": 5}),
+    (["--mode", "lemma-identity", "--t", "2", "--samples", "5", "--k", "3"], {"t": 2}),
+    (["--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c", "1",
+      "--exhaustive-n", "3", "--t", "1", "--seed", "4"],
+     {"f1": "path:1", "f2": "path:1", "c": "1", "exhaustive-n": 3}),
+    (["--mode", "counterexample", "--t", "2", "--k", "3", "--exhaustive-n", "3", "--n", "5"],
+     {"t": 2, "k": 3, "exhaustive-n": 3}),
+    (["--mode", "blakley-roy", "--k", "2", "--samples", "3", "--n", "4", "--edge-prob", "1/3",
+      "--seed", "7", "--t", "9"],
+     {"k": 2, "samples": 3, "n": 4, "edge-prob": "1/3", "seed": 7}),
+    (["--mode", "walk-inequality", "--t", "1", "--k", "2", "--exhaustive-n", "3",
+      "--samples", "3", "--f1", "path:1"],
+     {"t": 1, "k": 2, "exhaustive-n": 3}),
+    (["--mode", "density-form", "--t", "1", "--k", "2", "--samples", "2", "--n", "3"],
+     {"t": 1, "k": 2, "samples": 2, "n": 3, "edge-prob": "1/2", "seed": 0}),
+]
+
+
+def test_verify_config_records_the_options_read_and_reproduces(capsys):
+    assert sorted(argv[1] for argv, _ in VERIFY_RUNS) == sorted(cli.VERIFY_OPTIONS)
+    for argv, read in VERIFY_RUNS:
+        code, doc = run_json(capsys, "verify", *argv)
+        config = doc["config"]
+        assert config == {"subcommand": "verify", "mode": argv[1], **read}, argv
+        rerun = [config["subcommand"]]
+        for key, value in config.items():
+            if key != "subcommand":
+                rerun += [f"--{key}", str(value)]
+        again_code, again = run_json(capsys, *rerun)
+        assert again_code == code, argv
+        for d in (doc, again):
+            d.pop("timestamp")
+            d.pop("elapsed_s")
+        assert again == doc, argv
 
 
 def test_lemma_identity_default_samples(capsys):

@@ -26,7 +26,7 @@ from homdom.graphs import (
 from homdom.checks import Scope, check_hde_definition
 from homdom.homs import Homomorphism, enumerate_homs
 from homdom.polytope import (
-    SetFunction, build_polytope, fixed_value, indicator_point, is_member, p_star, random_vertex_point,
+    SetFunction, build_polytope, indicator_point, is_member, p_star, random_vertex_point,
 )
 from homdom.hde import (
     certify_lower,
@@ -38,7 +38,10 @@ from homdom.hde import (
     psi,
     psi_form,
 )
-from conftest import complete, edge_visits, mask_of, max_objective_by_enumeration, objective_subset_form
+from conftest import (
+    complete, edge_visits, fixed_value, mask_of, max_objective_by_enumeration,
+    objective_subset_form,
+)
 
 
 def test_subset_form_single_clique():

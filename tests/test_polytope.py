@@ -6,7 +6,8 @@ from math import comb
 import pytest
 
 from conftest import (
-    build_polytope_unpruned, complete, fraction_violated_rows, holds, mask_of, pivot_dual,
+    build_polytope_unpruned, complete, fixed_value, fraction_violated_rows, holds, mask_of,
+    pivot_dual,
 )
 from homdom import lp as ratlp
 from homdom.errors import BadVertex, GroundMismatch, GroundTooLarge, MalformedInput
@@ -16,7 +17,6 @@ from homdom.polytope import (
     SetFunction,
     build_polytope,
     dump_polytope,
-    fixed_value,
     indicator_point,
     is_member,
     p_star,
