@@ -25,7 +25,7 @@ from .errors import (
     NotMember,
     ScopeTooLarge,
 )
-from .graphs import Graph, from_edges, path, serialize_graph
+from .graphs import Graph, check_vertex_count, from_edges, path, serialize_graph
 # count_homs is not called here; it stays a module attribute so that
 # bench/spans.py can rebind it like from_edges and normalized_walks.
 from .homs import (
@@ -106,6 +106,7 @@ class Scope:
         edge_prob = Fraction(edge_prob)
         if not 0 <= edge_prob <= 1:
             raise MalformedInput(f"edge probability must be in [0, 1], got {edge_prob}")
+        check_vertex_count(n)
         return Scope(
             "random", {"samples": samples, "n": n, "edge_prob": edge_prob, "seed": seed}
         )

@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Every subcommand prints a JSON document embedding its own run
-configuration and the tool version; re-running an embedded configuration
-reproduces the output byte for byte except for the isolated volatile keys
-``timestamp`` and ``elapsed_s``.  All numbers are exact rational strings
-"p/q" (counts are plain integer strings).
+Every subcommand but ``dump-polytope``, which prints plain text, prints a
+JSON document embedding its own run configuration and the tool version;
+re-running an embedded configuration reproduces the output byte for byte
+except for the isolated volatile keys ``timestamp`` and ``elapsed_s``.
+All numbers are exact rational strings "p/q" (counts are plain integer
+strings).  ``verify`` refuses every option that its mode does not read.
 
-Exit codes: 0 success (or counterexample found when that was the goal),
-1 unexpected violation / counterexample not found, 2 a ``UsageError`` or
-an unreadable file, 3 a ``PreconditionError`` (see ``errors``).
+Each command returns its result and whether it succeeded, and ``main``
+alone sets the exit code: 0 success (or counterexample found when that
+was the goal), 1 unexpected violation / counterexample not found, 2 a
+``UsageError`` or an unreadable file, 3 a ``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -50,41 +52,15 @@ def _parse_fraction(text: str) -> Fraction:
         raise MalformedInput(f"not a rational number: {text!r}") from exc
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _document(config: dict, result: dict, started: float) -> dict:
-    return {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "elapsed_s": round(time.perf_counter() - started, 6),
-        "version": __version__,
-        "config": config,
-        "result": result,
-    }
-
-
-def _witness_p(point) -> dict:
-    return {
-        subset_label(mask): _rat(point[mask]) for mask in range(1 << point.ground_size)
-    }
-
-
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_hde(args) -> int:
-    started = time.perf_counter()
+def cmd_hde(args) -> tuple[dict, bool]:
     f1 = parse_graph_spec(args.f1)
     f2 = parse_graph_spec(args.f2)
     result_obj = compute_hde(f1, f2)
-    config = {"subcommand": "hde", "f1": args.f1, "f2": args.f2}
-    result = {
+    point = result_obj.point
+    return {
         "f1": args.f1,
         "f2": args.f2,
         "hde": _rat(result_obj.value),
@@ -93,7 +69,9 @@ def cmd_hde(args) -> int:
             "constraints": result_obj.lp_constraints,
             "pivots": result_obj.lp_pivots,
         },
-        "witness_p": _witness_p(result_obj.point),
+        "witness_p": {
+            subset_label(mask): _rat(point[mask]) for mask in range(1 << point.ground_size)
+        },
         "active_homs": [
             {
                 "component_vertices": comp.n,
@@ -102,150 +80,133 @@ def cmd_hde(args) -> int:
             }
             for comp, mult, homs in result_obj.active
         ],
-    }
-    _emit(_document(config, result, started), args.out)
-    return 0
+    }, True
 
 
-def cmd_walks(args) -> int:
-    started = time.perf_counter()
+def cmd_walks(args) -> tuple[dict, bool]:
     try:
         with open(args.graph, "r", encoding="utf-8", newline="") as fh:
             G = parse_graph(fh.read())
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{args.graph} is not UTF-8 text: {exc.reason}") from None
-    config = {"subcommand": "walks", "graph": args.graph, "k": args.k}
     d = average_degree(G)  # refuses n = 0 before the division below
     walks = walk_count(G, args.k)
-    result = {
+    return {
         "n": G.n,
         "e": G.edge_count,
         "d": _rat(d),
         "walks": _decimal(walks),
         "w_k": _rat(Fraction(walks, G.n)),
-    }
-    _emit(_document(config, result, started), args.out)
-    return 0
+    }, True
 
 
 def _verify_scope(args) -> Scope:
     if args.exhaustive_n is not None:
         return Scope.exhaustive_upto(args.exhaustive_n)
-    if args.samples is not None:
-        if args.n is None:
-            raise MalformedInput("--samples needs --n")
-        return Scope.random(
-            args.samples, args.n, _parse_fraction(args.edge_prob), args.seed
-        )
-    raise MalformedInput("give either --exhaustive-n or --samples/--n")
+    return Scope.random(args.samples, args.n, _parse_fraction(args.edge_prob), args.seed)
 
 
-# the options each verify mode reads, in the order --mode lists the modes;
-# "scope" stands for the options of the branch that ``_verify_scope`` takes
-VERIFY_OPTIONS = {
-    "blakley-roy": ("k", "scope"),
-    "walk-inequality": ("t", "k", "scope"),
-    "density-form": ("t", "k", "scope"),
-    "counterexample": ("t", "k", "scope"),
-    "lemma-identity": ("t",),
-    "chain": ("t", "k"),
-    "hde-definition": ("f1", "f2", "c", "scope"),
+def _blakley_roy(args) -> tuple[dict, bool]:
+    # w_1 = d, so Blakley-Roy is the walk inequality at t = 1; the
+    # sweep's witness is its first graph with the smallest w_k - d^k
+    report = sweep(1, args.k, _verify_scope(args))
+    violations = report.params["violations"]
+    result = {
+        "checked": report.params["checked"],
+        "violations": violations,
+        "verdict": report.verdict,
+    }
+    if violations:
+        worst = parse_graph(report.witnesses[0]["graph"])
+        result["witness"] = check_blakley_roy(worst, args.k).to_json()
+    return result, violations == 0
+
+
+def _walk_sweeps(args) -> tuple[dict, bool]:
+    # t(P_j;G) = w_j / n^j, so the density form is the walk inequality
+    # divided through by n^(tk) and prints the same sweeps.  Every scope
+    # is built, and so refused if too large, before any sweep
+    if args.exhaustive_n is not None:
+        scopes = [Scope.exhaustive(n) for n in range(1, args.exhaustive_n + 1)]
+    else:
+        scopes = [_verify_scope(args)]
+    reports = [sweep(args.t, args.k, scope) for scope in scopes]
+    holds = all(r.verdict == "holds" for r in reports)
+    return {
+        "sweeps": [r.to_json() for r in reports],
+        "verdict": "holds" if holds else "violated",
+    }, holds
+
+
+def _counterexample(args) -> tuple[dict, bool]:
+    report = find_counterexample(args.t, args.k, _verify_scope(args))
+    return report.to_json(), report.verdict == "counterexample-found"
+
+
+def _lemma_identity(args) -> tuple[dict, bool]:
+    # p(V) - sum(edges) + sum(inner) is 0 on every polytope member
+    proved = prove_path_identity(args.t)
+    return {
+        "residual": "0/1" if proved else None,
+        "verdict": "holds" if proved else "violated",
+    }, proved
+
+
+def _chain(args) -> tuple[dict, bool]:
+    product = chain_exponents(args.t, args.k)
+    return {"product": _rat(product), "verdict": "holds"}, True
+
+
+def _hde_definition(args) -> tuple[dict, bool]:
+    f1 = parse_graph_spec(args.f1)
+    f2 = parse_graph_spec(args.f2)
+    report = check_hde_definition(f1, f2, _parse_fraction(args.c), _verify_scope(args))
+    return report.to_json(), report.verdict == "holds"
+
+
+# each verify mode, in the order --mode lists them: the options it reads,
+# every one of them required, and the function that returns its result
+# and whether it succeeded.  "scope" stands for the options of the branch
+# that ``_verify_scope`` takes
+VERIFY_MODES = {
+    "blakley-roy": (("k", "scope"), _blakley_roy),
+    "walk-inequality": (("t", "k", "scope"), _walk_sweeps),
+    "density-form": (("t", "k", "scope"), _walk_sweeps),
+    "counterexample": (("t", "k", "scope"), _counterexample),
+    "lemma-identity": (("t",), _lemma_identity),
+    "chain": (("t", "k"), _chain),
+    "hde-definition": (("f1", "f2", "c", "scope"), _hde_definition),
 }
 
-
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    mode = args.mode
-    config = {"subcommand": "verify", "mode": mode}
-    if args.exhaustive_n is not None:
-        scope = ("exhaustive_n",)
-    else:
-        scope = ("samples", "n", "edge_prob", "seed")
-    for key in VERIFY_OPTIONS[mode]:
-        for name in scope if key == "scope" else (key,):
-            if getattr(args, name) is not None:
-                config[name.replace("_", "-")] = getattr(args, name)
-
-    if mode == "chain":
-        if args.t is None or args.k is None:
-            raise MalformedInput("chain mode needs --t and --k")
-        product = chain_exponents(args.t, args.k)
-        result = {"product": _rat(product), "verdict": "holds"}
-        _emit(_document(config, result, started), args.out)
-        return 0
-
-    if mode == "lemma-identity":
-        if args.t is None:
-            raise MalformedInput("lemma-identity mode needs --t")
-        # p(V) - sum(edges) + sum(inner) is 0 on every polytope member
-        proved = prove_path_identity(args.t)
-        result = {
-            "residual": "0/1" if proved else None,
-            "verdict": "holds" if proved else "violated",
-        }
-        _emit(_document(config, result, started), args.out)
-        return 0 if proved else 1
-
-    if mode == "hde-definition":
-        if args.f1 is None or args.f2 is None or args.c is None:
-            raise MalformedInput("hde-definition mode needs --f1, --f2, --c")
-        report = check_hde_definition(
-            parse_graph_spec(args.f1),
-            parse_graph_spec(args.f2),
-            _parse_fraction(args.c),
-            _verify_scope(args),
-        )
-        _emit(_document(config, report.to_json(), started), args.out)
-        return 0 if report.verdict == "holds" else 1
-
-    if mode == "counterexample":
-        if args.t is None or args.k is None:
-            raise MalformedInput("counterexample mode needs --t and --k")
-        report = find_counterexample(args.t, args.k, _verify_scope(args))
-        _emit(_document(config, report.to_json(), started), args.out)
-        return 0 if report.verdict == "counterexample-found" else 1
-
-    if mode == "blakley-roy":
-        if args.k is None:
-            raise MalformedInput("blakley-roy mode needs --k")
-        # w_1 = d, so Blakley-Roy is the walk inequality at t = 1; the
-        # sweep's witness is its first graph with the smallest w_k - d^k
-        report = sweep(1, args.k, _verify_scope(args))
-        violations = report.params["violations"]
-        result = {
-            "checked": report.params["checked"],
-            "violations": violations,
-            "verdict": report.verdict,
-        }
-        if violations:
-            worst = parse_graph(report.witnesses[0]["graph"])
-            result["witness"] = check_blakley_roy(worst, args.k).to_json()
-        _emit(_document(config, result, started), args.out)
-        return 0 if violations == 0 else 1
-
-    # t(P_j;G) = w_j / n^j, so the density form is the walk inequality
-    # divided through by n^(tk) and prints the same sweeps
-    if mode in ("walk-inequality", "density-form"):
-        if args.t is None or args.k is None:
-            raise MalformedInput(f"{mode} mode needs --t and --k")
-        # every scope is built, and so refused if too large, before any sweep
-        if args.exhaustive_n is not None:
-            scopes = [Scope.exhaustive(n) for n in range(1, args.exhaustive_n + 1)]
-        else:
-            scopes = [_verify_scope(args)]
-        reports = [sweep(args.t, args.k, scope) for scope in scopes]
-        bad = [r for r in reports if r.verdict != "holds"]
-        result = {
-            "sweeps": [r.to_json() for r in reports],
-            "verdict": "holds" if not bad else "violated",
-        }
-        _emit(_document(config, result, started), args.out)
-        return 0 if not bad else 1
+# the random scope's options, with the defaults of the two that have one;
+# --samples or --n selects it, and the exhaustive scope reads --exhaustive-n
+RANDOM_SCOPE = {"samples": None, "n": None, "edge_prob": "1/2", "seed": 0}
 
 
-def cmd_certificate(args) -> int:
-    started = time.perf_counter()
-    config = {"subcommand": "certificate", "t": args.t}
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def cmd_verify(args) -> tuple[dict, bool]:
+    """Runs ``args.mode`` once every option it does not read is refused
+    and the random scope's defaults fill in the ones that it reads."""
+    options, run = VERIFY_MODES[args.mode]
+    reads = [name for name in options if name != "scope"]
+    if "scope" in options:
+        reads += list(RANDOM_SCOPE) if (args.samples, args.n) != (None, None) else ["exhaustive_n"]
+    for name, value in vars(args).items():
+        if value is not None and name not in (*reads, "subcommand", "mode", "func", "out"):
+            raise MalformedInput(f"{args.mode} mode reads {', '.join(map(_flag, reads))}, "
+                                 f"not {_flag(name)}")
+    for name in reads:
+        if getattr(args, name) is None:
+            if RANDOM_SCOPE.get(name) is None:
+                raise MalformedInput(f"{args.mode} mode needs {_flag(name)}")
+            setattr(args, name, RANDOM_SCOPE[name])
+    return run(args)
+
+
+def cmd_certificate(args) -> tuple[dict, bool]:
     upper = certify_upper(args.t)  # refuses an even t
     # psi's objective is (t+2) * path_form(t), which is (t+2) * p(V) = t+2
     # on every polytope member
@@ -253,26 +214,18 @@ def cmd_certificate(args) -> int:
     proved = psi_form(args.t) == scaled and prove_path_identity(args.t)
     lower = Fraction(args.t + 2) if proved else None
     all_ok = upper == lower == args.t + 2
-    result = {
+    return {
         "t": args.t,
         "expected": _rat(Fraction(args.t + 2)),
         "upper": _rat(upper),
         "lower": None if lower is None else _rat(lower),
         "verdict": "holds" if all_ok else "violated",
-    }
-    _emit(_document(config, result, started), args.out)
-    return 0 if all_ok else 1
+    }, all_ok
 
 
-def cmd_dump_polytope(args) -> int:
+def cmd_dump_polytope(args) -> tuple[str, bool]:
     F2 = parse_graph_spec(args.f2)
-    text = dump_polytope(build_polytope(F2))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return dump_polytope(build_polytope(F2)), True
 
 
 # -- argument parsing ------------------------------------------------------
@@ -312,15 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_walks.add_argument("--out")
     p_walks.set_defaults(func=cmd_walks)
 
+    # no verify option has a default here, so that an option is given
+    # exactly when it is typed; RANDOM_SCOPE holds the scope's defaults
     p_verify = sub.add_parser("verify", help="run a conjecture-lab check")
-    p_verify.add_argument("--mode", required=True, choices=list(VERIFY_OPTIONS))
+    p_verify.add_argument("--mode", required=True, choices=list(VERIFY_MODES))
     p_verify.add_argument("--t", type=int)
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--exhaustive-n", type=_positive_int)
     p_verify.add_argument("--samples", type=_positive_int)
     p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--edge-prob", default="1/2")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--edge-prob")
+    p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--f1")
     p_verify.add_argument("--f2")
     p_verify.add_argument("--c")
@@ -359,7 +314,27 @@ def main(argv=None) -> int:
     argv = _join_rationals(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = time.perf_counter()
+        result, ok = args.func(args)
+        if not isinstance(result, str):  # dump-polytope prints plain text
+            document = {
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "elapsed_s": round(time.perf_counter() - started, 6),
+                "version": __version__,
+                # every option still set is one that the command read
+                "config": {
+                    name.replace("_", "-"): value for name, value in vars(args).items()
+                    if value is not None and name not in ("func", "out")
+                },
+                "result": result,
+            }
+            result = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(result)
+        else:
+            sys.stdout.write(result)
+        return 0 if ok else 1
     except PreconditionError as exc:
         sys.stderr.write(f"homdom: precondition failed: {exc}\n")
         return PRECONDITION_ERROR

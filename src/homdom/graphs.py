@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from .errors import GraphTooLarge, MalformedInput, NotChordal
 
 MAX_VERTICES = 63
+# a numeral longer than this is refused before ``int`` reads it: it is far
+# past every cap, and ``int`` refuses one of more than 4,300 digits
+MAX_DIGITS = 18
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,14 @@ def subset_label(mask: int) -> str:
 # -- constructors -------------------------------------------------------
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuses n past ``MAX_VERTICES`` before a graph of n vertices is built."""
+    if n > MAX_VERTICES:
+        raise GraphTooLarge(f"n={n} exceeds cap of {MAX_VERTICES}")
+
+
 def from_edges(n: int, edges) -> Graph:
+    check_vertex_count(n)  # before any edge is read: n rows of up to n bits
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -139,34 +149,35 @@ def path(k: int) -> Graph:
     """The path with k edges on vertices 0..k; path(0) is a single isolated vertex."""
     if k < 0:
         raise MalformedInput("path length must be non-negative")
-    return from_edges(k + 1, [(i, i + 1) for i in range(k)])
+    return from_edges(k + 1, ((i, i + 1) for i in range(k)))
 
 
 def cycle(k: int) -> Graph:
     """The cycle with k edges on vertices 0..k-1; requires k >= 3."""
     if k < 3:
         raise MalformedInput("cycle needs at least 3 edges")
-    return from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+    return from_edges(k, ((i, (i + 1) % k) for i in range(k)))
 
 
 def star(k: int) -> Graph:
     """The star with k leaves: center 0 joined to 1..k."""
     if k < 0:
         raise MalformedInput("star size must be non-negative")
-    return from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+    return from_edges(k + 1, ((0, i) for i in range(1, k + 1)))
 
 
 def disjoint_union(parts) -> Graph:
     """Disjoint union of (graph, multiplicity) parts with shifted labels."""
+    parts = list(parts)
+    if any(m < 0 for _, m in parts):
+        raise MalformedInput("multiplicity must be >= 0")
+    check_vertex_count(sum(g.n * m for g, m in parts))
     rows: list[int] = []
-    offset = 0
     for g, m in parts:
-        if m < 0:
-            raise MalformedInput("multiplicity must be >= 0")
         for _ in range(m):
+            offset = len(rows)
             rows.extend(r << offset for r in g.adj)
-            offset += g.n
-    return Graph(offset, tuple(rows))
+    return Graph(len(rows), tuple(rows))
 
 
 def expand_components(G: Graph) -> list[tuple[Graph, int]]:
@@ -359,8 +370,7 @@ def parse_graph(text: str) -> Graph:
         raise MalformedInput("missing header line")
     header = _split_pair(lines[0])
     n, m = header
-    if n > MAX_VERTICES:
-        raise GraphTooLarge(f"n={n} exceeds cap of {MAX_VERTICES}")
+    check_vertex_count(n)
     if len(lines) - 1 != m:
         raise MalformedInput(f"expected {m} edge lines, found {len(lines) - 1}")
     rows = [0] * n
@@ -387,7 +397,7 @@ def _split_pair(line: str) -> tuple[int, int]:
     for p in parts:
         if not (p.isascii() and p.isdigit()) or (len(p) > 1 and p[0] == "0"):
             raise MalformedInput(f"not a decimal integer: {p!r}")
-        out.append(int(p))
+        out.append(_numeral(p))
     return out[0], out[1]
 
 
@@ -420,4 +430,10 @@ def parse_graph_spec(spec: str) -> Graph:
 def _spec_int(s: str) -> int:
     if not (s.isascii() and s.isdigit()):
         raise MalformedInput(f"expected a number in graph spec, got {s!r}")
-    return int(s)
+    return _numeral(s)
+
+
+def _numeral(digits: str) -> int:
+    if len(digits) > MAX_DIGITS:
+        raise MalformedInput(f"number has {len(digits)} digits, more than {MAX_DIGITS}")
+    return int(digits)

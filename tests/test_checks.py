@@ -180,6 +180,9 @@ def test_scope_caps():
         Scope.exhaustive(7)
     with pytest.raises(ScopeTooLarge):
         Scope.exhaustive_upto(9)
+    # the vertex cap, checked before any graph of the scope is drawn
+    with pytest.raises(GraphTooLarge):
+        Scope.random(1, 10**6, Fraction(1, 2), seed=0)
 
 
 def test_random_scope_edge_probability_range():

@@ -113,7 +113,7 @@ def test_verify_blakley_roy_and_lemma(capsys):
     assert code == 0 and doc["result"]["verdict"] == "holds"
 
     code, doc = run_json(
-        capsys, "verify", "--mode", "lemma-identity", "--t", "2", "--samples", "5"
+        capsys, "verify", "--mode", "lemma-identity", "--t", "2"
     )
     assert code == 0 and doc["result"]["verdict"] == "holds"
 
@@ -260,8 +260,11 @@ def test_unreadable_graph_files_are_usage_errors(capsys, tmp_path):
     superscript.write_text("2 1\n0 \u00b9\n", encoding="utf-8")
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(b"2 1\n0 \xff\n")
+    long = tmp_path / "long.txt"  # int refuses a numeral past 4,300 digits
+    long.write_text("2 1\n0 " + "1" * 5000 + "\n", encoding="utf-8")
     for graph, message in ((superscript, "not a decimal integer"), (tmp_path, "Is a directory"),
-                           (latin1, "not UTF-8 text"), (tmp_path / "missing.txt", "No such file")):
+                           (latin1, "not UTF-8 text"), (tmp_path / "missing.txt", "No such file"),
+                           (long, "5000 digits")):
         code, out, err = run_cli(capsys, "walks", "--graph", str(graph), "--k", "1")
         assert code == 2 and out == "", graph
         assert message in err, graph
@@ -277,7 +280,7 @@ def test_refusals_come_before_the_work(capsys, monkeypatch):
     monkeypatch.setattr("homdom.lp.solve", _must_not_run)
     monkeypatch.setattr(cli, "sweep", _must_not_run)
     for argv, message in (
-        (["--mode", "lemma-identity", "--t", "63", "--samples", "1"], "exceeds cap of 63"),
+        (["--mode", "lemma-identity", "--t", "63"], "exceeds cap of 63"),
         (["--mode", "walk-inequality", "--t", "1", "--k", "2", "--exhaustive-n", "7"],
          "capped at n=6"),
         (["--mode", "density-form", "--t", "1", "--k", "2", "--exhaustive-n", "7"],
@@ -336,44 +339,67 @@ def test_certificate_rejects_a_broken_lower_proof(capsys, monkeypatch):
         monkeypatch.undo()
 
 
-# one run per verify mode, each given options that the mode does not read,
-# with the options that it reads: those of the scope branch it takes
-VERIFY_RUNS = [
-    (["--mode", "chain", "--t", "1", "--k", "5", "--exhaustive-n", "3", "--samples", "2"],
-     {"t": 1, "k": 5}),
-    (["--mode", "lemma-identity", "--t", "2", "--samples", "5", "--k", "3"], {"t": 2}),
-    (["--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c", "1",
-      "--exhaustive-n", "3", "--t", "1", "--seed", "4"],
-     {"f1": "path:1", "f2": "path:1", "c": "1", "exhaustive-n": 3}),
-    (["--mode", "counterexample", "--t", "2", "--k", "3", "--exhaustive-n", "3", "--n", "5"],
-     {"t": 2, "k": 3, "exhaustive-n": 3}),
-    (["--mode", "blakley-roy", "--k", "2", "--samples", "3", "--n", "4", "--edge-prob", "1/3",
-      "--seed", "7", "--t", "9"],
-     {"k": 2, "samples": 3, "n": 4, "edge-prob": "1/3", "seed": 7}),
-    (["--mode", "walk-inequality", "--t", "1", "--k", "2", "--exhaustive-n", "3",
-      "--samples", "3", "--f1", "path:1"],
-     {"t": 1, "k": 2, "exhaustive-n": 3}),
-    (["--mode", "density-form", "--t", "1", "--k", "2", "--samples", "2", "--n", "3"],
-     {"t": 1, "k": 2, "samples": 2, "n": 3, "edge-prob": "1/2", "seed": 0}),
-]
+# one run per verify mode, keyed and ordered as ``cli.VERIFY_MODES``, with
+# the options that the mode reads: those of the scope branch it takes
+VERIFY_RUNS = {
+    "blakley-roy": (["--k", "2", "--samples", "3", "--n", "4", "--edge-prob", "1/3",
+                     "--seed", "7"],
+                    {"k": 2, "samples": 3, "n": 4, "edge-prob": "1/3", "seed": 7}),
+    "walk-inequality": (["--t", "1", "--k", "2", "--exhaustive-n", "3"],
+                        {"t": 1, "k": 2, "exhaustive-n": 3}),
+    "density-form": (["--t", "1", "--k", "2", "--samples", "2", "--n", "3"],
+                     {"t": 1, "k": 2, "samples": 2, "n": 3, "edge-prob": "1/2", "seed": 0}),
+    "counterexample": (["--t", "2", "--k", "3", "--exhaustive-n", "3"],
+                       {"t": 2, "k": 3, "exhaustive-n": 3}),
+    "lemma-identity": (["--t", "2"], {"t": 2}),
+    "chain": (["--t", "1", "--k", "5"], {"t": 1, "k": 5}),
+    "hde-definition": (["--f1", "path:1", "--f2", "path:1", "--c", "1", "--exhaustive-n", "3"],
+                       {"f1": "path:1", "f2": "path:1", "c": "1", "exhaustive-n": 3}),
+}
 
 
 def test_verify_config_records_the_options_read_and_reproduces(capsys):
-    assert sorted(argv[1] for argv, _ in VERIFY_RUNS) == sorted(cli.VERIFY_OPTIONS)
-    for argv, read in VERIFY_RUNS:
-        code, doc = run_json(capsys, "verify", *argv)
+    assert list(VERIFY_RUNS) == list(cli.VERIFY_MODES)
+    for mode in cli.VERIFY_MODES:
+        options, read = VERIFY_RUNS[mode]
+        code, doc = run_json(capsys, "verify", "--mode", mode, *options)
         config = doc["config"]
-        assert config == {"subcommand": "verify", "mode": argv[1], **read}, argv
+        assert config == {"subcommand": "verify", "mode": mode, **read}, mode
         rerun = [config["subcommand"]]
         for key, value in config.items():
             if key != "subcommand":
                 rerun += [f"--{key}", str(value)]
         again_code, again = run_json(capsys, *rerun)
-        assert again_code == code, argv
+        assert again_code == code, mode
         for d in (doc, again):
             d.pop("timestamp")
             d.pop("elapsed_s")
-        assert again == doc, argv
+        assert again == doc, mode
+
+
+# a value for every verify option that each mode reading it accepts
+VERIFY_VALUES = {"t": "1", "k": "2", "exhaustive-n": "3", "samples": "2", "n": "3",
+                 "edge-prob": "1/2", "seed": "0", "f1": "path:1", "f2": "path:1", "c": "1"}
+
+
+@pytest.mark.parametrize("mode", list(cli.VERIFY_MODES))
+def test_verify_refuses_a_missing_or_an_unread_option(capsys, mode):
+    options, read = VERIFY_RUNS[mode]
+    names = cli.VERIFY_MODES[mode][0]
+    scope = {"exhaustive-n", *(name.replace("_", "-") for name in cli.RANDOM_SCOPE)}
+    assert set(read) - scope == set(names) - {"scope"}
+    assert bool(set(read) & scope) == ("scope" in names)
+    # every option read is required but the random scope's two with a default
+    required = [name for name in read if cli.RANDOM_SCOPE.get(name.replace("-", "_")) is None]
+    given = dict(zip(options[::2], options[1::2]))
+    for name in required:
+        argv = [arg for key, value in given.items() if key != f"--{name}" for arg in (key, value)]
+        code, out, err = run_cli(capsys, "verify", "--mode", mode, *argv)
+        assert code == 2 and out == "" and f"--{name}" in err, (name, err)
+    for name in VERIFY_VALUES.keys() - read:
+        argv = [*options, f"--{name}", VERIFY_VALUES[name]]
+        code, out, err = run_cli(capsys, "verify", "--mode", mode, *argv)
+        assert code == 2 and out == "" and f"--{name}" in err, (name, err)
 
 
 def test_lemma_identity_default_samples(capsys):

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from homdom.errors import MalformedInput, NotChordal
+from homdom.errors import GraphTooLarge, MalformedInput, NotChordal
 from homdom.graphs import (
     Graph,
     bits_of,
@@ -56,6 +57,32 @@ def test_disjoint_union_counts():
 
     two_edges = disjoint_union([(path(1), 2)])
     assert two_edges.n == 4 and two_edges.edges() == [(0, 1), (2, 3)]
+
+
+class _Unbuilt:
+    """A one-vertex part whose rows must not be read."""
+
+    n = 1
+
+    @property
+    def adj(self):
+        pytest.fail("the union built rows before it checked the vertex count")
+
+
+def test_graphs_past_the_cap_are_refused_before_they_are_built():
+    # n rows of up to n bits would take memory quadratic in n
+    tracemalloc.start()
+    try:
+        for build in (path, cycle, star):
+            with pytest.raises(GraphTooLarge):
+                build(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for part in (_Unbuilt(), path(0)):
+        with pytest.raises(GraphTooLarge):
+            disjoint_union([(part, 10**9)])
 
 
 def test_expand_components_groups_equal_parts():
@@ -282,6 +309,10 @@ def test_graph_spec_language():
                 "union:\u00b2*path:1", "union:1*path:\u00b2", "path:\u0663", "cycle:\u0663"):
         with pytest.raises(MalformedInput):
             parse_graph_spec(bad)
+    # int refuses a numeral of more than 4,300 digits with a ValueError
+    for long in ("path:" + "1" * 5000, "union:" + "1" * 5000 + "*path:0", "path:" + "0" * 19):
+        with pytest.raises(MalformedInput, match="digits"):
+            parse_graph_spec(long)
 
 
 def test_graph_validation():
