@@ -246,35 +246,6 @@ def lex_bfs(G: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _verify_peo(G: Graph, elim: tuple[int, ...]) -> bool:
-    pos = {v: i for i, v in enumerate(elim)}
-    for v in elim:
-        later = 0
-        for u in _bits(G.adj[v]):
-            if pos[u] > pos[v]:
-                later |= 1 << u
-        if later:
-            parent = min(_bits(later), key=lambda u: pos[u])
-            if (later & ~(1 << parent)) & ~G.adj[parent]:
-                return False
-    return True
-
-
-def is_chordal(G: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """Chordality test via lexicographic BFS.
-
-    Returns (True, perfect elimination ordering) or (False, None).  The
-    ordering lists vertices first-eliminated first and is verified before
-    being returned.
-    """
-    if G.n == 0:
-        return True, ()
-    elim = tuple(reversed(lex_bfs(G)))
-    if _verify_peo(G, elim):
-        return True, elim
-    return False, None
-
-
 @dataclass(frozen=True)
 class CliqueTree:
     """Clique forest of a chordal graph: one tree per connected component.
@@ -291,30 +262,34 @@ class CliqueTree:
     separators: tuple[int, ...]
 
 
-def clique_tree(G: Graph) -> CliqueTree:
-    """The clique forest read off the perfect elimination ordering that
-    ``is_chordal`` verifies (Blair and Peyton, 1993), walked backwards.
+def _clique_forest(G: Graph) -> tuple[tuple[int, ...], CliqueTree] | None:
+    """The lexicographic BFS visit order of G and its clique forest, or
+    None when G is not chordal.
 
-    A vertex v with later neighbours N joins the clique that holds N's
-    first-eliminated vertex when that clique is exactly N; otherwise
-    N + v starts a new clique, the child of that one over the separator
-    N, or a root when N is empty.  The forest has the running-intersection
-    property and its cliques are the maximal cliques of G.
+    The reversed visit order is the elimination ordering, walked backwards
+    here (Blair and Peyton, 1993).  A vertex v with later neighbours N
+    joins the clique that holds N's first-eliminated vertex u when that
+    clique is exactly N; otherwise N + v starts a new clique, the child of
+    that one over the separator N, or a root when N is empty.  The
+    ordering is perfect at v iff N lies inside u's clique: every other
+    vertex of N is eliminated after u, so it is in u's clique iff it is
+    adjacent to u.  The cliques are the maximal cliques of G, and the
+    forest has the running-intersection property.
     """
-    ok, elim = is_chordal(G)
-    if not ok:
-        raise NotChordal("clique tree requires a chordal graph")
-    pos = {v: i for i, v in enumerate(elim)}
+    order = lex_bfs(G)
+    rank = {v: i for i, v in enumerate(order)}
     cliques: list[int] = []
     edges = []
     seps = []
     home = {}  # vertex -> index of the clique that holds it
     later = 0  # the vertices eliminated after v
-    for v in reversed(elim):
+    for v in order:
         sep = G.adj[v] & later
         later |= 1 << v
         if sep:
-            c = home[min(_bits(sep), key=pos.__getitem__)]
+            c = home[max(_bits(sep), key=rank.__getitem__)]
+            if sep & ~cliques[c]:
+                return None
             if cliques[c] == sep:
                 cliques[c] |= 1 << v
                 home[v] = c
@@ -323,7 +298,25 @@ def clique_tree(G: Graph) -> CliqueTree:
             seps.append(sep)
         home[v] = len(cliques)
         cliques.append(sep | 1 << v)
-    return CliqueTree(tuple(cliques), tuple(edges), tuple(seps))
+    return order, CliqueTree(tuple(cliques), tuple(edges), tuple(seps))
+
+
+def is_chordal(G: Graph) -> tuple[bool, tuple[int, ...] | None]:
+    """(True, perfect elimination ordering, first-eliminated first) or
+    (False, None), by the walk of ``_clique_forest``."""
+    forest = _clique_forest(G)
+    if forest is None:
+        return False, None
+    return True, tuple(reversed(forest[0]))
+
+
+def clique_tree(G: Graph) -> CliqueTree:
+    """The clique forest of ``_clique_forest``, which checks chordality in
+    the same walk that reads the forest."""
+    forest = _clique_forest(G)
+    if forest is None:
+        raise NotChordal("clique tree requires a chordal graph")
+    return forest[1]
 
 
 # -- series-parallel recognition ----------------------------------------

@@ -37,9 +37,7 @@ from fractions import Fraction
 from .errors import (
     BadIndex,
     BadParity,
-    GroundTooLarge,
     NoHomomorphism,
-    NotChordal,
     NotMember,
     NotSeriesParallel,
     RatlpError,
@@ -51,14 +49,14 @@ from .graphs import (
     clique_tree,
     disjoint_union,
     expand_components,
-    is_chordal,
     is_series_parallel,
-    # unused here, but bench/spans.py traces calls through this name
+    # unused here, but bench/spans.py traces calls through these names
+    is_chordal,
     maximal_cliques,
     path,
 )
 from .homs import Homomorphism, enumerate_homs
-from .polytope import GROUND_CAP, SetFunction, build_polytope, is_member
+from .polytope import SetFunction, build_polytope, check_ground, is_member
 from . import lp as ratlp
 
 
@@ -171,21 +169,21 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     homomorphisms: one ``>=`` row tagged ``profile`` per profile.  Every
     variable is free: p >= 0 follows from p(empty) = 0 and the elemental
     rows, and each epigraph variable is held up by its profile rows.
+
+    F2 is refused before any work.  One pass over the distinct components
+    reads each clique forest, which refuses a non-chordal one, and its
+    profile rows; the polytope is built only after that pass.
     """
-    ok, _ = is_chordal(F1)
-    if not ok:
-        raise NotChordal("HDE requires a chordal F1")
     if not is_series_parallel(F2):
         raise NotSeriesParallel("HDE requires a series-parallel F2")
-    if F2.n > GROUND_CAP:
-        raise GroundTooLarge(f"|V(F2)|={F2.n} exceeds cap {GROUND_CAP}")
+    check_ground(F2)
 
-    components = expand_components(F1)
-    trees = []
-    profiles_per_comp = []
-    for comp, mult in components:
+    n_p = 1 << F2.n
+    parts = []  # per distinct component: (component, multiplicity, forest, homs by profile)
+    objective = []
+    profile_rows = []
+    for ci, (comp, mult) in enumerate(expand_components(F1)):
         tree = clique_tree(comp)
-        trees.append(tree)
         by_terms: dict[tuple, list[Homomorphism]] = {}
         for hom in enumerate_homs(comp, F2):
             by_terms.setdefault(objective_clique_tree_form(tree, hom), []).append(hom)
@@ -193,20 +191,16 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
             raise NoHomomorphism(
                 f"component {comp!r} admits no homomorphism into the target"
             )
-        profiles_per_comp.append(by_terms)
-
-    n_p = 1 << F2.n
-    rows = list(build_polytope(F2).constraints)
-    for ci, by_terms in enumerate(profiles_per_comp):
+        parts.append((comp, mult, tree, by_terms))
+        objective.append((n_p + ci, Fraction(mult)))
         z = ((n_p + ci, Fraction(1)),)
-        rows += (
+        profile_rows += (
             ratlp.Row(tuple((mask, -c) for mask, c in terms) + z, ">=", Fraction(0), "profile")
             for terms in by_terms
         )
 
-    objective = [(n_p + ci, Fraction(mult)) for ci, (_, mult) in enumerate(components)]
-    n_vars = n_p + len(components)
-    program = ratlp.make_lp(n_vars, objective, rows)
+    rows = build_polytope(F2).constraints + tuple(profile_rows)
+    program = ratlp.make_lp(n_p + len(parts), objective, rows)
     outcome = ratlp.solve(program)
     if outcome.status != "optimal":
         raise RatlpError(f"HDE linear program came back {outcome.status}")
@@ -217,18 +211,16 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     member, violated = is_member(p_opt, F2)
     if not member:  # pragma: no cover - safety net
         raise RatlpError(f"optimal p violates {len(violated)} polytope constraints")
-    # The epigraph value of each component must be its true maximum at
-    # p_opt, found without the enumerated profiles: this proves they
-    # covered every homomorphism's objective.
-    for ci, tree in enumerate(trees):
-        if max_objective(tree, F2, p_opt) != outcome.point[n_p + ci]:
-            raise RatlpError(f"component {ci}: epigraph value is not the maximum objective")
-
     active = []
-    for ci, (comp, mult) in enumerate(components):
+    for ci, (comp, mult, tree, by_terms) in enumerate(parts):
+        # The epigraph value must be the component's true maximum at
+        # p_opt, found without the enumerated profiles: this proves they
+        # covered every homomorphism's objective.
         z_val = outcome.point[n_p + ci]
+        if max_objective(tree, F2, p_opt) != z_val:
+            raise RatlpError(f"component {ci}: epigraph value is not the maximum objective")
         argmax: list[Homomorphism] = []
-        for terms, homs in profiles_per_comp[ci].items():
+        for terms, homs in by_terms.items():
             if ratlp.evaluate(terms, p_opt) == z_val:
                 argmax.extend(homs)
         active.append((comp, mult, tuple(argmax)))
@@ -237,7 +229,7 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
         value=outcome.value,
         point=p_opt,
         active=tuple(active),
-        lp_vars=n_vars,
+        lp_vars=program.n_vars,
         lp_constraints=len(program.rows),
         lp_pivots=outcome.pivots,
     )

@@ -98,13 +98,10 @@ def enumerate_homs(F: Graph, G: Graph):
 
 
 def _is_path_shaped(g: Graph) -> bool:
-    if g.n == 0:
-        return False
+    """Whether g, connected as ``expand_components`` gives it, is a path."""
     if g.edge_count != g.n - 1:
         return False
-    if any(g.degree(v) > 2 for v in range(g.n)):
-        return False
-    return len(g.connected_components()) == 1
+    return all(g.degree(v) <= 2 for v in range(g.n))
 
 
 class HomPlan:

@@ -56,7 +56,7 @@ def violated_rows(rows, x) -> tuple[Row, ...]:
     return tuple(row for row in rows if not row._holds_at(X, d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
     """One linear constraint: sparse terms REL rhs.  ``tag`` names where
     the row comes from (a polytope row family, or ``profile``); the solver

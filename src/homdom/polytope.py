@@ -98,30 +98,35 @@ def separates(F2: Graph, A: int, B: int) -> bool:
     return True
 
 
+def check_ground(F2: Graph) -> None:
+    """Refuses a ground set past ``GROUND_CAP`` or of no vertices."""
+    if F2.n > GROUND_CAP:
+        raise GroundTooLarge(f"ground set of {F2.n} vertices exceeds cap {GROUND_CAP}")
+    if F2.n == 0:  # p(empty) = 0 and p(V) = 1 would contradict each other
+        raise EmptyGraph("the polytope needs at least one vertex")
+
+
 @lru_cache(maxsize=None)
 def build_polytope(F2: Graph) -> ConstraintSystem:
     """Constraint system of the polytope in the elemental basis, in
     deterministic order: normalization, p(V-i) <= p(V) per vertex i, then
     one row per pair i < j and set C of the other vertices."""
-    if F2.n > GROUND_CAP:
-        raise GroundTooLarge(f"ground set of {F2.n} vertices exceeds cap {GROUND_CAP}")
-    if F2.n == 0:  # p(empty) = 0 and p(V) = 1 would contradict each other
-        raise EmptyGraph("the polytope needs at least one vertex")
+    check_ground(F2)
     full = (1 << F2.n) - 1
-    one, zero = Fraction(1), Fraction(0)
+    one, zero, minus = Fraction(1), Fraction(0), Fraction(-1)  # shared by every row
     cons = [
         Row(((0, one),), "=", zero, "normalization"),
         Row(((full, one),), "=", one, "normalization"),
     ]
     for i in range(F2.n):
-        cons.append(Row(((full & ~(1 << i), one), (full, -one)), "<=", zero, "monotone"))
+        cons.append(Row(((full & ~(1 << i), one), (full, minus)), "<=", zero, "monotone"))
     for i, j in combinations(range(F2.n), 2):
         rest = full & ~(1 << i) & ~(1 << j)
         for C in range(rest + 1):
             if C & ~rest:
                 continue
             A, B = C | 1 << i, C | 1 << j
-            terms = ((C, one), (A | B, one), (A, -one), (B, -one))
+            terms = ((C, one), (A | B, one), (A, minus), (B, minus))
             if separates(F2, A, B):
                 cons.append(Row(terms, "=", zero, "modular-separation"))
             else:

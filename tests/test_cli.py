@@ -245,6 +245,8 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
         (["verify", "--mode", "chain", "--t", "-1", "--k", "3"], "need 1 <= t <= k"),
         (["verify", "--mode", "counterexample", "--t", "0", "--k", "3", "--exhaustive-n", "3"],
          "need 1 <= t <= k"),
+        # EmptyGraph: refused before the source is enumerated into no vertices
+        (["hde", "--f1", "path:1", "--f2", "union:0*path:0"], "at least one vertex"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
@@ -289,6 +291,15 @@ def test_refusals_come_before_the_work(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == "", argv
         assert message in err, argv
+
+
+def test_a_source_with_no_homomorphism_is_refused_before_the_polytope(capsys, monkeypatch):
+    # path:13 is at the ground-set cap: its polytope would take seconds
+    # and hundreds of MB, while the triangle has no map into a path
+    monkeypatch.setattr("homdom.hde.build_polytope", _must_not_run)
+    code, out, err = run_cli(capsys, "hde", "--f1", "cycle:3", "--f2", "path:13")
+    assert code == 3 and out == ""
+    assert "admits no homomorphism" in err
 
 
 def test_proofs_past_the_ground_set_cap_need_no_polytope(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from homdom import graphs
 from homdom.errors import GraphTooLarge, MalformedInput, NotChordal
 from homdom.graphs import (
     Graph,
@@ -190,6 +191,15 @@ def test_clique_tree_rejects_nonchordal():
         clique_tree(cycle(5))
 
 
+def test_an_imperfect_ordering_is_refused_by_the_forest_walk(monkeypatch):
+    # reversed, the visit order 0, 2, 1, 3 eliminates 1 before its
+    # neighbours 0 and 2, which are not adjacent: not perfect at vertex 1
+    monkeypatch.setattr(graphs, "lex_bfs", lambda G: (0, 2, 1, 3))
+    assert is_chordal(path(3)) == (False, None)
+    with pytest.raises(NotChordal):
+        clique_tree(path(3))
+
+
 def test_clique_tree_running_intersection_random():
     rng = random.Random(99)
     found = 0
@@ -206,7 +216,8 @@ def test_clique_forest_is_parent_first_exhaustive_n6():
     # every chordal labeled graph with n <= 6: the ordering is a perfect
     # elimination ordering, the forest lists each parent before its child
     # over a nonzero separator, each component is one tree, and the cliques
-    # are the maximal ones with running intersection
+    # are the maximal ones with running intersection; every other graph is
+    # refused by clique_tree as well
     from homdom.checks import labeled_graphs
 
     chordal = 0
@@ -214,6 +225,8 @@ def test_clique_forest_is_parent_first_exhaustive_n6():
         for G in labeled_graphs(n):
             ok, elim = is_chordal(G)
             if not ok:
+                with pytest.raises(NotChordal):
+                    clique_tree(G)
                 continue
             chordal += 1
             for i, v in enumerate(elim):
