@@ -56,7 +56,6 @@ from .hde import (
     compute_hde,
     objective_clique_tree_form,
     phi_i,
-    psi,
 )
 from .checks import (
     CheckReport,

@@ -228,21 +228,19 @@ def maximal_cliques(G: Graph) -> list[int]:
     return sorted(out)
 
 
-def lex_bfs(G: Graph) -> tuple[int, ...]:
-    """Lexicographic BFS visit order; ties broken by smallest vertex index."""
-    labels: list[list[int]] = [[] for _ in range(G.n)]
-    visited = [False] * G.n
+def max_cardinality_search(G: Graph) -> tuple[int, ...]:
+    """Maximum cardinality search visit order: each step visits the
+    unvisited vertex with the most visited neighbours, the smallest such
+    vertex on a tie (Tarjan and Yannakakis, 1984)."""
+    weight = [0] * G.n  # visited neighbours of each vertex; -1 once visited
     order = []
-    for step in range(G.n):
-        best = -1
-        for v in range(G.n):
-            if not visited[v] and (best < 0 or labels[v] > labels[best]):
-                best = v
-        visited[best] = True
-        order.append(best)
-        for u in _bits(G.adj[best]):
-            if not visited[u]:
-                labels[u].append(G.n - step)
+    for _ in range(G.n):
+        v = weight.index(max(weight))
+        weight[v] = -1
+        order.append(v)
+        for u in _bits(G.adj[v]):
+            if weight[u] >= 0:
+                weight[u] += 1
     return tuple(order)
 
 
@@ -263,20 +261,21 @@ class CliqueTree:
 
 
 def _clique_forest(G: Graph) -> tuple[tuple[int, ...], CliqueTree] | None:
-    """The lexicographic BFS visit order of G and its clique forest, or
-    None when G is not chordal.
+    """The maximum cardinality search visit order of G and its clique
+    forest, or None when G is not chordal.
 
-    The reversed visit order is the elimination ordering, walked backwards
-    here (Blair and Peyton, 1993).  A vertex v with later neighbours N
-    joins the clique that holds N's first-eliminated vertex u when that
-    clique is exactly N; otherwise N + v starts a new clique, the child of
-    that one over the separator N, or a root when N is empty.  The
-    ordering is perfect at v iff N lies inside u's clique: every other
-    vertex of N is eliminated after u, so it is in u's clique iff it is
-    adjacent to u.  The cliques are the maximal cliques of G, and the
-    forest has the running-intersection property.
+    The reversed visit order is the elimination ordering, perfect exactly
+    when G is chordal, and is walked backwards here (Blair and Peyton,
+    1993).  A vertex v with later neighbours N joins the clique that holds
+    N's first-eliminated vertex u when that clique is exactly N; otherwise
+    N + v starts a new clique, the child of that one over the separator N,
+    or a root when N is empty.  The ordering is perfect at v iff N lies
+    inside u's clique: every other vertex of N is eliminated after u, so
+    it is in u's clique iff it is adjacent to u.  The cliques are the
+    maximal cliques of G, and the forest has the running-intersection
+    property.
     """
-    order = lex_bfs(G)
+    order = max_cardinality_search(G)
     rank = {v: i for i, v in enumerate(order)}
     cliques: list[int] = []
     edges = []
@@ -303,7 +302,8 @@ def _clique_forest(G: Graph) -> tuple[tuple[int, ...], CliqueTree] | None:
 
 def is_chordal(G: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """(True, perfect elimination ordering, first-eliminated first) or
-    (False, None), by the walk of ``_clique_forest``."""
+    (False, None), by the walk of ``_clique_forest``: the ordering is the
+    reversed maximum cardinality search order."""
     forest = _clique_forest(G)
     if forest is None:
         return False, None

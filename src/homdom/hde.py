@@ -11,16 +11,19 @@ and must never be expanded).
 The functional is read off a clique tree of the source component: one
 positive term per clique, one negative term per separator.  The tree is
 built once per distinct component and shared by all of its
-homomorphisms; ``compute_hde`` and both certificates go through the one
-builder ``objective_clique_tree_form``.  The equivalent subset form
-(alternating sum over sets of maximal cliques with common intersection)
-is kept in the test suite as the oracle this builder is checked against.
+homomorphisms; ``compute_hde`` and the lower certificate ``psi_form``
+go through the one builder ``objective_clique_tree_form``, and the upper
+certificate ``certify_upper`` through ``max_objective`` below.  The
+equivalent subset form (alternating sum over sets of maximal cliques
+with common intersection) is kept in the test suite as the oracle this
+builder is checked against.
 
 The maximum of that functional at one fixed p needs no enumeration:
 ``max_objective`` runs the max-plus form of the tree-decomposition DP of
 Diaz, Serna and Thilikos (Counting H-colorings of partial k-trees, TCS
 2002) in one pass over the clique forest, children before parents.  A
-clique's state is a map of its vertices onto a clique of the target; a
+clique's state is a map of its vertices onto a clique of the target,
+listed by the homomorphism enumerator as a map of a complete graph; a
 child passes up its best value for each image of the separator it
 shares with its parent.  The cost is one table entry per (clique,
 state) pair: at most 2|E(F2)| states for an edge clique, so
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     BadIndex,
@@ -47,15 +51,15 @@ from .graphs import (
     Graph,
     bits_of,
     clique_tree,
-    disjoint_union,
     expand_components,
+    from_edges,
     is_series_parallel,
+    path,
     # unused here, but bench/spans.py traces calls through these names
     is_chordal,
     maximal_cliques,
-    path,
 )
-from .homs import Homomorphism, enumerate_homs
+from .homs import Homomorphism, _enumerate_maps, enumerate_homs
 from .polytope import SetFunction, build_polytope, check_ground, is_member
 from . import lp as ratlp
 
@@ -78,20 +82,6 @@ def objective_clique_tree_form(
     return tuple((mask, Fraction(acc[mask])) for mask in sorted(acc) if acc[mask])
 
 
-def _clique_maps(F2: Graph, size: int) -> list[tuple[tuple[int, ...], int]]:
-    """Every adjacency-preserving map of a clique on ``size`` sorted
-    vertices into the loopless F2, as (images, image mask); each one is
-    injective onto a clique of F2."""
-    maps = [((), 0, (1 << F2.n) - 1)]  # (images, image mask, common neighbours)
-    for _ in range(size):
-        maps = [
-            (img + (v,), mask | 1 << v, common & F2.adj[v])
-            for img, mask, common in maps
-            for v in bits_of(common)
-        ]
-    return [(img, mask) for img, mask, _ in maps]
-
-
 def max_objective(tree: CliqueTree, F2: Graph, p) -> Fraction:
     """Exact maximum of sum_C p(phi(C)) - sum_S p(phi(S)) over every
     homomorphism phi of the chordal source of ``tree`` into F2.
@@ -104,22 +94,25 @@ def max_objective(tree: CliqueTree, F2: Graph, p) -> Fraction:
     Max-plus DP in one pass over the clique forest, from the last clique
     to the first, so every child comes before its parent.  A clique's
     table holds the best value of its subtree for each map of the clique
-    into F2.  A child's table is reduced to its best value for each image
-    of the separator it shares with its parent, less p of that image, and
-    handed to the parent; a parent state whose separator image no child
-    state reaches is dropped.  Trees are independent, so their root
-    maxima add up.
+    into F2, as ``_enumerate_maps`` lists them for the complete graph on
+    the clique's vertices, taken in increasing order.  A child's table is
+    reduced to its best value for each image of the separator it shares
+    with its parent, less p of that image, and handed to the parent; a
+    parent state whose separator image no child state reaches is dropped.
+    Trees are independent, so their root maxima add up.
     """
     parent_of = {child: (par, sep) for (par, child), sep in zip(tree.edges, tree.separators)}
     handed: list[list] = [[] for _ in tree.cliques]  # per clique: (separator, table) per child
-    maps_by_size: dict[int, list] = {}
+    maps_by_size: dict[int, list] = {}  # clique size -> (images, image mask) per map
     total = Fraction(0)
     for c in reversed(range(len(tree.cliques))):
         verts = bits_of(tree.cliques[c])
         kids = [([verts.index(v) for v in bits_of(sep)], up) for sep, up in handed[c]]
         size = len(verts)
         if size not in maps_by_size:
-            maps_by_size[size] = _clique_maps(F2, size)
+            K = from_edges(size, combinations(range(size), 2))
+            maps = _enumerate_maps(K, F2)
+            maps_by_size[size] = [(img, sum(1 << v for v in img)) for img in maps]
         table = {}
         for img, mask in maps_by_size[size]:
             value = p[mask]
@@ -170,9 +163,10 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     variable is free: p >= 0 follows from p(empty) = 0 and the elemental
     rows, and each epigraph variable is held up by its profile rows.
 
-    F2 is refused before any work.  One pass over the distinct components
-    reads each clique forest, which refuses a non-chordal one, and its
-    profile rows; the polytope is built only after that pass.
+    F2 is refused before any work.  The clique forest of every distinct
+    component is read first, which refuses a non-chordal one before any
+    homomorphism is enumerated.  Then one pass over the components reads
+    their profile rows; the polytope is built only after that pass.
     """
     if not is_series_parallel(F2):
         raise NotSeriesParallel("HDE requires a series-parallel F2")
@@ -182,8 +176,8 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     parts = []  # per distinct component: (component, multiplicity, forest, homs by profile)
     objective = []
     profile_rows = []
-    for ci, (comp, mult) in enumerate(expand_components(F1)):
-        tree = clique_tree(comp)
+    forests = [(comp, mult, clique_tree(comp)) for comp, mult in expand_components(F1)]
+    for ci, (comp, mult, tree) in enumerate(forests):
         by_terms: dict[tuple, list[Homomorphism]] = {}
         for hom in enumerate_homs(comp, F2):
             by_terms.setdefault(objective_clique_tree_form(tree, hom), []).append(hom)
@@ -263,14 +257,6 @@ def _psi_parts(t: int) -> list[Homomorphism]:
     ends, the i-th long-path copy folds via phi_i."""
     ends = [Homomorphism(path(0), path(t), (end,)) for end in (0, t)]
     return ends + [phi_i(t, i) for i in range(1, t + 1)]
-
-
-def psi(t: int) -> Homomorphism:
-    """The certificate map from P0^2 P_{t+2}^t onto P_t, assembled from
-    its per-component parts."""
-    source = _flagship_source(t)
-    mapping = tuple(v for part in _psi_parts(t) for v in part.map)
-    return Homomorphism(disjoint_union(source), path(t), mapping)
 
 
 def certify_upper(t: int) -> Fraction:

@@ -64,12 +64,8 @@ class Homomorphism:
 
 
 def _enumerate_maps(F: Graph, G: Graph):
-    """Yield raw map tuples in lexicographic order."""
-    if F.n == 0:
-        yield ()
-        return
-    if G.n == 0:
-        return
+    """Yield raw map tuples in lexicographic order: the one empty map of
+    an empty F, and none of a nonempty F into an empty G."""
     all_targets = (1 << G.n) - 1
     earlier = [F.adj[v] & ((1 << v) - 1) for v in range(F.n)]
     assignment = [0] * F.n

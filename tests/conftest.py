@@ -14,7 +14,8 @@ presolved solve by the dual pivoted with no presolve, and the walk
 inequality by its density form.  The exact LP over the polytope's
 ``=`` rows, ``fixed_value``, is the oracle for the chain-row proofs of
 the path identity and ψ's objective.  The small graph helpers that only
-the tests use live here too.
+the tests use live here too, and so does ψ itself as one homomorphism
+from the whole union.
 """
 
 import random
@@ -26,8 +27,9 @@ from types import SimpleNamespace
 
 from homdom.checks import CheckReport, _witness
 from homdom.errors import BadIndex, EmptyGraph, RatlpError
-from homdom.graphs import Graph, bits_of, from_edges, path
-from homdom.homs import count_homs
+from homdom.graphs import Graph, bits_of, disjoint_union, from_edges, path
+from homdom.hde import _flagship_source, _psi_parts
+from homdom.homs import Homomorphism, count_homs
 import homdom.lp
 from homdom import lp as ratlp
 from homdom.lp import LinearProgram, LpOutcome, Row, _cost_vector, _over_common_denominator, _scaled
@@ -47,6 +49,14 @@ def mask_of(vertices) -> int:
 
 def complete(k: int) -> Graph:
     return from_edges(k, [(i, j) for j in range(k) for i in range(j)])
+
+
+def psi(t: int) -> Homomorphism:
+    """The certificate map from P0^2 P_{t+2}^t onto P_t, assembled from
+    its per-component parts."""
+    source = _flagship_source(t)
+    mapping = tuple(v for part in _psi_parts(t) for v in part.map)
+    return Homomorphism(disjoint_union(source), path(t), mapping)
 
 
 def edge_visits(h) -> Counter:

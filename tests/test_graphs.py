@@ -194,10 +194,26 @@ def test_clique_tree_rejects_nonchordal():
 def test_an_imperfect_ordering_is_refused_by_the_forest_walk(monkeypatch):
     # reversed, the visit order 0, 2, 1, 3 eliminates 1 before its
     # neighbours 0 and 2, which are not adjacent: not perfect at vertex 1
-    monkeypatch.setattr(graphs, "lex_bfs", lambda G: (0, 2, 1, 3))
+    monkeypatch.setattr(graphs, "max_cardinality_search", lambda G: (0, 2, 1, 3))
     assert is_chordal(path(3)) == (False, None)
     with pytest.raises(NotChordal):
         clique_tree(path(3))
+
+
+def test_max_cardinality_search_visits_the_most_visited_neighbours_exhaustive_n6():
+    # every labeled graph with n <= 6: each step visits an unvisited vertex
+    # with the most visited neighbours, the smallest such vertex on a tie
+    from homdom.checks import labeled_graphs
+
+    for n in range(0, 7):
+        for G in labeled_graphs(n):
+            order = graphs.max_cardinality_search(G)
+            assert sorted(order) == list(range(n)), (G, order)
+            for i, v in enumerate(order):
+                visited = mask_of(order[:i])
+                weight = {u: (G.adj[u] & visited).bit_count() for u in order[i:]}
+                most = max(weight.values())
+                assert v == min(u for u in weight if weight[u] == most), (G, order)
 
 
 def test_clique_tree_running_intersection_random():

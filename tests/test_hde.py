@@ -35,12 +35,11 @@ from homdom.hde import (
     max_objective,
     objective_clique_tree_form,
     phi_i,
-    psi,
     psi_form,
 )
 from conftest import (
     complete, edge_visits, fixed_value, mask_of, max_objective_by_enumeration,
-    objective_subset_form,
+    objective_subset_form, psi,
 )
 
 
@@ -155,6 +154,16 @@ def test_compute_hde_precondition_gates():
         compute_hde(path(2), complete(4))
     with pytest.raises(NoHomomorphism):
         compute_hde(path(1), from_edges(3, []))  # an edge cannot map to no edges
+
+
+def test_a_non_chordal_component_is_refused_before_any_enumeration(monkeypatch):
+    # P16 comes first and has 8,362 maps into P3; C4 after it is not chordal
+    def refuse(F, G):
+        raise AssertionError("homomorphisms enumerated before every forest was read")
+
+    monkeypatch.setattr(hde, "enumerate_homs", refuse)
+    with pytest.raises(NotChordal):
+        compute_hde(disjoint_union([(path(16), 1), (cycle(4), 1)]), path(3))
 
 
 def test_component_decomposition_matches_expanded_lp():
@@ -361,6 +370,7 @@ def test_max_objective_matches_enumeration():
         from_edges(4, [(0, 1), (0, 2), (0, 3)]),  # the 3-star
         from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)]),
         complete(3),
+        complete(4),
         triangle_pendant,
         from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]),  # fan
         from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]),  # bowtie

@@ -188,6 +188,13 @@ def test_no_edges_target_gives_zero():
     assert count_homs(path(0), G) == 4
 
 
+def test_enumeration_with_an_empty_target():
+    empty = Graph(0, ())
+    assert [h.map for h in enumerate_homs(empty, empty)] == [()]
+    assert list(enumerate_homs(path(0), empty)) == []
+    assert list(enumerate_homs(path(2), empty)) == []
+
+
 def test_empty_source_graph():
     empty = Graph(0, ())
     assert count_homs(empty, path(3)) == 1
