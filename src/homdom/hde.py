@@ -9,14 +9,13 @@ row per global homomorphism (whose number is a product over components
 and must never be expanded).
 
 The functional is read off a clique tree of the source component: one
-positive term per clique, one negative term per separator.  The tree is
-built once per distinct component and shared by all of its
-homomorphisms; ``compute_hde`` and the lower certificate ``psi_form``
-go through the one builder ``objective_clique_tree_form``, and the upper
-certificate ``certify_upper`` through ``max_objective`` below.  The
-equivalent subset form (alternating sum over sets of maximal cliques
-with common intersection) is kept in the test suite as the oracle this
-builder is checked against.
+positive term per clique, one negative term per separator, as int terms
+over a signed list of the tree's vertex sets, read once per distinct
+component.  ``compute_hde`` lifts only the distinct profiles to
+``Fraction``s; ``objective_clique_tree_form`` lifts one map's, for the
+lower certificate ``psi_form``.  The subset form (alternating sum over
+sets of maximal cliques with common intersection) is the test suite's
+oracle for this builder.  ``certify_upper`` uses ``max_objective``.
 
 The maximum of that functional at one fixed p needs no enumeration:
 ``max_objective`` runs the max-plus form of the tree-decomposition DP of
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import (
     BadIndex,
@@ -64,6 +63,23 @@ from .polytope import SetFunction, build_polytope, check_ground, is_member
 from . import lp as ratlp
 
 
+def _signed_cliques(tree: CliqueTree) -> list[tuple[tuple[int, ...], int]]:
+    """(vertices, +1) per clique of ``tree``, then (vertices, -1) per separator."""
+    return [(bits_of(c), 1) for c in tree.cliques] + [(bits_of(s), -1) for s in tree.separators]
+
+
+def _int_terms(signed, m: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The nonzero (image mask, int coefficient) terms of the map ``m`` over
+    a ``_signed_cliques`` list, sorted by mask."""
+    acc: dict[int, int] = {}
+    for verts, sign in signed:
+        img = 0
+        for v in verts:
+            img |= 1 << m[v]
+        acc[img] = acc.get(img, 0) + sign
+    return tuple(sorted(term for term in acc.items() if term[1]))
+
+
 def objective_clique_tree_form(
     tree: CliqueTree, phi: Homomorphism
 ) -> tuple[tuple[int, Fraction], ...]:
@@ -71,15 +87,9 @@ def objective_clique_tree_form(
     its nonzero (target subset mask, coefficient) terms sorted by mask: +1
     per clique-tree node at the image of its clique, -1 per tree edge at
     the image of its separator.  ``tree`` is ``clique_tree(phi.source)``
-    (a forest for unions); the empty set never appears."""
-    acc: dict[int, int] = {}
-    for cl in tree.cliques:
-        img = phi.image_mask(cl)
-        acc[img] = acc.get(img, 0) + 1
-    for sep in tree.separators:
-        img = phi.image_mask(sep)
-        acc[img] = acc.get(img, 0) - 1
-    return tuple((mask, Fraction(acc[mask])) for mask in sorted(acc) if acc[mask])
+    (a forest for unions); the empty set never appears.  These are the
+    terms ``compute_hde`` groups in ints, lifted to ``Fraction``s."""
+    return tuple((mask, Fraction(c)) for mask, c in _int_terms(_signed_cliques(tree), phi.map))
 
 
 def max_objective(tree: CliqueTree, F2: Graph, p) -> Fraction:
@@ -159,7 +169,8 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     variable p(A) per subset mask A of V(F2), plus one epigraph variable
     per distinct connected component of F1, bounded below by the
     objective of each distinct profile of that component's
-    homomorphisms: one ``>=`` row tagged ``profile`` per profile.  Every
+    homomorphisms: one ``>=`` row tagged ``profile`` per profile, grouped
+    as ``_int_terms`` and lifted to ``Fraction``s once each.  Every
     variable is free: p >= 0 follows from p(empty) = 0 and the elemental
     rows, and each epigraph variable is held up by its profile rows.
 
@@ -178,18 +189,17 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     profile_rows = []
     forests = [(comp, mult, clique_tree(comp)) for comp, mult in expand_components(F1)]
     for ci, (comp, mult, tree) in enumerate(forests):
+        signed = _signed_cliques(tree)
         by_terms: dict[tuple, list[Homomorphism]] = {}
         for hom in enumerate_homs(comp, F2):
-            by_terms.setdefault(objective_clique_tree_form(tree, hom), []).append(hom)
+            by_terms.setdefault(_int_terms(signed, hom.map), []).append(hom)
         if not by_terms:
-            raise NoHomomorphism(
-                f"component {comp!r} admits no homomorphism into the target"
-            )
+            raise NoHomomorphism(f"component {comp!r} admits no homomorphism into the target")
         parts.append((comp, mult, tree, by_terms))
         objective.append((n_p + ci, Fraction(mult)))
         z = ((n_p + ci, Fraction(1)),)
         profile_rows += (
-            ratlp.Row(tuple((mask, -c) for mask, c in terms) + z, ">=", Fraction(0), "profile")
+            ratlp.Row(tuple((m, Fraction(-c)) for m, c in terms) + z, ">=", Fraction(0), "profile")
             for terms in by_terms
         )
 
@@ -213,11 +223,8 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
         z_val = outcome.point[n_p + ci]
         if max_objective(tree, F2, p_opt) != z_val:
             raise RatlpError(f"component {ci}: epigraph value is not the maximum objective")
-        argmax: list[Homomorphism] = []
-        for terms, homs in by_terms.items():
-            if ratlp.evaluate(terms, p_opt) == z_val:
-                argmax.extend(homs)
-        active.append((comp, mult, tuple(argmax)))
+        argmax = [homs for key, homs in by_terms.items() if ratlp.evaluate(key, p_opt) == z_val]
+        active.append((comp, mult, tuple(chain.from_iterable(argmax))))
 
     return HdeResult(
         value=outcome.value,

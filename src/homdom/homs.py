@@ -55,13 +55,6 @@ class Homomorphism:
                         f"map does not preserve edge {{{u},{v}}}: sends it to {{{a},{m[v]}}}"
                     )
 
-    def image_mask(self, source_mask: int) -> int:
-        """Bitmask of the images of the given source subset."""
-        out = 0
-        for v in _bits(source_mask):
-            out |= 1 << self.map[v]
-        return out
-
 
 def _enumerate_maps(F: Graph, G: Graph):
     """Yield raw map tuples in lexicographic order: the one empty map of

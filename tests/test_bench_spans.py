@@ -48,3 +48,18 @@ def test_tracer_counts_every_solve_on_the_dual():
         rec.uninstall()
     assert rec.counts["lp.solves"] >= 2
     assert rec.counts["lp.dual_side"] == rec.counts["lp.solves"]
+
+
+def test_tracer_sees_every_map_compute_hde_enumerates():
+    # P16 has 8,362 maps into P3 and each isolated vertex 4; they collapse
+    # to 204 + 4 distinct profile rows
+    rec = _load_spans().Recorder()
+    rec.install()
+    try:
+        hde.compute_hde(disjoint_union([(path(0), 2), (path(16), 1)]), path(3))
+    finally:
+        rec.uninstall()
+    per_name, _ = rec.summary()
+    assert per_name["homs.enumerate"]["items"] == 8366
+    assert rec.items_under("homs.enumerate", "hde.compute_hde") == 8366
+    assert rec.counts["hde.profiles_distinct"] == 208

@@ -20,6 +20,7 @@ from homdom.graphs import (
     clique_tree,
     cycle,
     disjoint_union,
+    expand_components,
     from_edges,
     path,
 )
@@ -141,6 +142,54 @@ def test_compute_hde_hands_the_polytope_rows_to_the_lp(monkeypatch):
             ]
         profile_rows = rows[len(polytope_rows):]
         assert [(r.terms, r.rel, r.rhs, r.tag) for r in profile_rows] == expected
+
+
+def test_profile_rows_and_argmax_maps_match_the_grouped_fraction_forms(monkeypatch):
+    # compute_hde builds its profiles in ints; the oracle groups each
+    # component's homomorphisms by their Fraction form, in enumeration order
+    programs = []
+
+    def traced(*args, **kwargs):
+        programs.append(make_lp(*args, **kwargs))
+        return programs[-1]
+
+    make_lp = ratlp.make_lp
+    monkeypatch.setattr(ratlp, "make_lp", traced)
+    triangle_pendant = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    cases = [
+        (disjoint_union([(path(0), 2), (path(t + 2), t)]), path(t)) for t in (1, 3, 5)
+    ] + [
+        (disjoint_union([(path(0), 2), (path(16), 1)]), path(3)),
+        (disjoint_union([(path(0), 1), (path(3), 2)]), path(2)),  # (t, k) = (2, 3)
+        (disjoint_union([(triangle_pendant, 1), (complete(3), 2), (path(1), 1)]), cycle(3)),
+    ]
+    for F1, F2 in cases:
+        res = compute_hde(F1, F2)
+        (program,) = programs
+        programs.clear()
+        n_p = 1 << F2.n
+        expected_rows = []
+        assert len(res.active) == len(expand_components(F1))
+        for ci, ((comp, mult), (a_comp, a_mult, argmax)) in enumerate(
+            zip(expand_components(F1), res.active)
+        ):
+            assert (a_comp, a_mult) == (comp, mult)
+            tree = clique_tree(comp)
+            groups = {}
+            for h in enumerate_homs(comp, F2):
+                groups.setdefault(objective_clique_tree_form(tree, h), []).append(h.map)
+            z = ((n_p + ci, Fraction(1)),)
+            expected_rows += [
+                (tuple((m, -c) for m, c in terms) + z, Fraction(0), "profile") for terms in groups
+            ]
+            best = max(ratlp.evaluate(terms, res.point) for terms in groups)
+            expected_maps = [
+                m for terms, maps in groups.items()
+                if ratlp.evaluate(terms, res.point) == best for m in maps
+            ]
+            assert [h.map for h in argmax] == expected_maps
+        rows = [(r.terms, r.rhs, r.tag) for r in program.rows if r.rel == ">="]
+        assert rows == expected_rows
 
 
 def test_compute_hde_identity_case():
