@@ -23,8 +23,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .errors import HomdomError, MalformedInput, PreconditionError, UsageError
-from .graphs import parse_graph, parse_graph_spec, subset_label
+from .errors import BadIndex, HomdomError, MalformedInput, PreconditionError, UsageError
+from .graphs import MAX_DIGITS, parse_graph, parse_graph_spec, subset_label
 from .homs import average_degree, walk_count
 from .polytope import build_polytope, dump_polytope
 from .hde import certify_upper, compute_hde, psi_form
@@ -44,9 +44,21 @@ from .checks import (
 USAGE_ERROR = 2
 PRECONDITION_ERROR = 3
 
+# a signed p/q of MAX_DIGITS digits each; the exponent of a decimal is held
+# to MAX_DIGITS too, since Fraction("1e99999999") builds 10**99999999
+MAX_RATIONAL_CHARS = 2 * MAX_DIGITS + 2
+
 
 def _parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, once the text is refused if too long or if its
+    decimal exponent is past ``MAX_DIGITS``."""
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise MalformedInput(f"rational number has {len(text)} characters, "
+                             f"more than {MAX_RATIONAL_CHARS}")
+    _, e, exponent = text.lower().partition("e")
     try:
+        if e and abs(int(exponent)) > MAX_DIGITS:
+            raise MalformedInput(f"exponent of {text!r} is past {MAX_DIGITS}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"not a rational number: {text!r}") from exc
@@ -109,6 +121,8 @@ def _verify_scope(args) -> Scope:
 def _blakley_roy(args) -> tuple[dict, bool]:
     # w_1 = d, so Blakley-Roy is the walk inequality at t = 1; the
     # sweep's witness is its first graph with the smallest w_k - d^k
+    if args.k < 1:  # the sweep's own refusal would name a t never given
+        raise BadIndex(f"need --k >= 1, got {args.k}")
     report = sweep(1, args.k, _verify_scope(args))
     violations = report.params["violations"]
     result = {

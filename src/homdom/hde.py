@@ -11,9 +11,9 @@ and must never be expanded).
 The functional is read off a clique tree of the source component: one
 positive term per clique, one negative term per separator, as int terms
 over a signed list of the tree's vertex sets, read once per distinct
-component.  ``compute_hde`` lifts only the distinct profiles to
-``Fraction``s; ``objective_clique_tree_form`` lifts one map's, for the
-lower certificate ``psi_form``.  The subset form (alternating sum over
+component.  ``compute_hde`` hands the distinct profiles to the LP as they
+are, and ``objective_clique_tree_form`` gives one map's, for the lower
+certificate ``psi_form``.  The subset form (alternating sum over
 sets of maximal cliques with common intersection) is the test suite's
 oracle for this builder.  ``certify_upper`` uses ``max_objective``.
 
@@ -80,26 +80,25 @@ def _int_terms(signed, m: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(term for term in acc.items() if term[1]))
 
 
-def objective_clique_tree_form(
-    tree: CliqueTree, phi: Homomorphism
-) -> tuple[tuple[int, Fraction], ...]:
+def objective_clique_tree_form(tree: CliqueTree, phi: Homomorphism) -> tuple[tuple[int, int], ...]:
     """The linear functional p -> sum coeff * p(subset) induced by phi, as
     its nonzero (target subset mask, coefficient) terms sorted by mask: +1
     per clique-tree node at the image of its clique, -1 per tree edge at
     the image of its separator.  ``tree`` is ``clique_tree(phi.source)``
     (a forest for unions); the empty set never appears.  These are the
-    terms ``compute_hde`` groups in ints, lifted to ``Fraction``s."""
-    return tuple((mask, Fraction(c)) for mask, c in _int_terms(_signed_cliques(tree), phi.map))
+    int terms ``compute_hde`` groups its homomorphisms by."""
+    return _int_terms(_signed_cliques(tree), phi.map)
 
 
-def max_objective(tree: CliqueTree, F2: Graph, p) -> Fraction:
+def max_objective(tree: CliqueTree, F2: Graph, p) -> int | Fraction:
     """Exact maximum of sum_C p(phi(C)) - sum_S p(phi(S)) over every
     homomorphism phi of the chordal source of ``tree`` into F2.
 
     ``p`` is indexed only at clique masks of F2: the image of a clique or
     separator is a clique, since a homomorphism into the loopless F2 is
     injective on cliques.  So a ``SetFunction`` or any mapping defined on
-    the nonempty cliques of F2 will do.
+    the nonempty cliques of F2 will do.  A positive scaling of p scales
+    the maximum, so d * p in ints gives d times it, in ints.
 
     Max-plus DP in one pass over the clique forest, from the last clique
     to the first, so every child comes before its parent.  A clique's
@@ -114,7 +113,7 @@ def max_objective(tree: CliqueTree, F2: Graph, p) -> Fraction:
     parent_of = {child: (par, sep) for (par, child), sep in zip(tree.edges, tree.separators)}
     handed: list[list] = [[] for _ in tree.cliques]  # per clique: (separator, table) per child
     maps_by_size: dict[int, list] = {}  # clique size -> (images, image mask) per map
-    total = Fraction(0)
+    total = 0
     for c in reversed(range(len(tree.cliques))):
         verts = bits_of(tree.cliques[c])
         kids = [([verts.index(v) for v in bits_of(sep)], up) for sep, up in handed[c]]
@@ -140,7 +139,7 @@ def max_objective(tree: CliqueTree, F2: Graph, p) -> Fraction:
             continue
         parent, sep = parent_of[c]
         pos = [verts.index(v) for v in bits_of(sep)]
-        best: dict[tuple[int, ...], Fraction] = {}
+        best: dict[tuple[int, ...], int | Fraction] = {}
         for img, value in table.items():
             key = tuple(img[i] for i in pos)
             if key not in best or value > best[key]:
@@ -169,10 +168,10 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     variable p(A) per subset mask A of V(F2), plus one epigraph variable
     per distinct connected component of F1, bounded below by the
     objective of each distinct profile of that component's
-    homomorphisms: one ``>=`` row tagged ``profile`` per profile, grouped
-    as ``_int_terms`` and lifted to ``Fraction``s once each.  Every
-    variable is free: p >= 0 follows from p(empty) = 0 and the elemental
-    rows, and each epigraph variable is held up by its profile rows.
+    homomorphisms: one ``>=`` row tagged ``profile`` per profile, in the
+    int terms of ``_int_terms``.  Every variable is free: p >= 0 follows
+    from p(empty) = 0 and the elemental rows, and each epigraph variable
+    is held up by its profile rows.
 
     F2 is refused before any work.  The clique forest of every distinct
     component is read first, which refuses a non-chordal one before any
@@ -196,11 +195,10 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
         if not by_terms:
             raise NoHomomorphism(f"component {comp!r} admits no homomorphism into the target")
         parts.append((comp, mult, tree, by_terms))
-        objective.append((n_p + ci, Fraction(mult)))
-        z = ((n_p + ci, Fraction(1)),)
+        objective.append((n_p + ci, mult))
+        z = ((n_p + ci, 1),)
         profile_rows += (
-            ratlp.Row(tuple((m, Fraction(-c)) for m, c in terms) + z, ">=", Fraction(0), "profile")
-            for terms in by_terms
+            ratlp.Row(tuple((m, -c) for m, c in terms) + z, ">=", 0, "profile") for terms in by_terms
         )
 
     rows = build_polytope(F2).constraints + tuple(profile_rows)
@@ -215,15 +213,16 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     member, violated = is_member(p_opt, F2)
     if not member:  # pragma: no cover - safety net
         raise RatlpError(f"optimal p violates {len(violated)} polytope constraints")
+    _, X = ratlp._over_common_denominator(outcome.point)  # d * optimum, in ints
     active = []
     for ci, (comp, mult, tree, by_terms) in enumerate(parts):
         # The epigraph value must be the component's true maximum at
         # p_opt, found without the enumerated profiles: this proves they
         # covered every homomorphism's objective.
-        z_val = outcome.point[n_p + ci]
-        if max_objective(tree, F2, p_opt) != z_val:
+        z = X[n_p + ci]
+        if max_objective(tree, F2, X) != z:
             raise RatlpError(f"component {ci}: epigraph value is not the maximum objective")
-        argmax = [homs for key, homs in by_terms.items() if ratlp.evaluate(key, p_opt) == z_val]
+        argmax = [homs for key, homs in by_terms.items() if sum(c * X[m] for m, c in key) == z]
         active.append((comp, mult, tuple(chain.from_iterable(argmax))))
 
     return HdeResult(
@@ -277,15 +276,15 @@ def certify_upper(t: int) -> Fraction:
     2t states each, a few hundred table entries at t = 11 where the
     enumeration would visit 58,450 homomorphisms.  ``max_objective``
     reads p* only at the cliques of P_t, its vertices and edges, so p* is
-    given there alone instead of on all 2^(t+1) subsets.
+    given there alone, as the ints (t+1) p*(S) = |S| divided by t+1 once
+    at the end, instead of on all 2^(t+1) subsets.
     """
     source = _flagship_source(t)
     F2 = path(t)
     cliques = [1 << v for v in range(F2.n)] + [1 << u | 1 << v for u, v in F2.edges()]
-    star = {mask: Fraction(mask.bit_count(), t + 1) for mask in cliques}
-    return sum(
-        (mult * max_objective(clique_tree(comp), F2, star) for comp, mult in source),
-        Fraction(0),
+    scaled = {mask: mask.bit_count() for mask in cliques}  # (t+1) p*
+    return Fraction(
+        sum(mult * max_objective(clique_tree(comp), F2, scaled) for comp, mult in source), t + 1
     )
 
 

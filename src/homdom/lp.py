@@ -3,6 +3,8 @@
 Two-phase simplex with Bland's anti-cycling rule; every outcome is exact
 and deterministic given the input ordering.  Every program is a
 minimization, and every variable is free; a bound is stated as a row.
+A ``Row`` keeps the ints or ``Fraction``s it is given (the polytope's are
+ints); ``make_row`` and ``make_lp`` lift theirs to ``Fraction``s.
 
 ``solve`` presolves, pivots the reduced program's dual and postsolves,
 all in integers by fraction-free exact arithmetic (Edmonds 1967, Bareiss
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 
 from .errors import RatlpError
@@ -62,9 +65,9 @@ class Row:
     the row comes from (a polytope row family, or ``profile``); the solver
     never reads it."""
 
-    terms: tuple[tuple[int, Fraction], ...]
+    terms: tuple[tuple[int, int | Fraction], ...]
     rel: str
-    rhs: Fraction
+    rhs: int | Fraction
     tag: str = ""
 
     def _holds_at(self, X, d: int) -> bool:
@@ -291,12 +294,15 @@ def _eliminate(rows):
         alpha, terms, rhs = _scaled(row.terms, row.rhs)
         acc = {j: a for j, a in terms if a}
         lrow = {}
-        while True:
-            # the earliest step left in the row rises every time
-            s = min((step_of[v] for v in acc if v in step_of), default=None)
-            if s is None:
-                break
+        # the steps of the row's pivot variables, earliest first; a step
+        # whose variable has since cancelled out is skipped
+        pending = [step_of[v] for v in acc if v in step_of]
+        heapify(pending)
+        while pending:
+            s = heappop(pending)
             _, e, urow, urhs, _, _ = steps[s]
+            if e not in acc:
+                continue
             u, w = urow[e], acc[e]
             if u != 1:
                 acc = {v: a * u for v, a in acc.items()}
@@ -307,6 +313,10 @@ def _eliminate(rows):
             for v, a in urow.items():
                 left = acc.get(v, 0) - w * a
                 if left:
+                    # a pivot variable entering the row has a step after s:
+                    # U row s holds no earlier one
+                    if v not in acc and v in step_of:
+                        heappush(pending, step_of[v])
                     acc[v] = left
                 else:
                     del acc[v]

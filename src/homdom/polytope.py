@@ -44,7 +44,7 @@ class SetFunction:
     exactly."""
 
     ground_size: int
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.values) != 1 << self.ground_size:
@@ -57,7 +57,7 @@ class SetFunction:
                     f"value at mask {mask} is a {type(v).__name__}, not an int or a Fraction"
                 )
 
-    def __getitem__(self, mask: int) -> Fraction:
+    def __getitem__(self, mask: int) -> int | Fraction:
         return self.values[mask]
 
     @property
@@ -113,24 +113,23 @@ def build_polytope(F2: Graph) -> ConstraintSystem:
     one row per pair i < j and set C of the other vertices."""
     check_ground(F2)
     full = (1 << F2.n) - 1
-    one, zero, minus = Fraction(1), Fraction(0), Fraction(-1)  # shared by every row
     cons = [
-        Row(((0, one),), "=", zero, "normalization"),
-        Row(((full, one),), "=", one, "normalization"),
+        Row(((0, 1),), "=", 0, "normalization"),
+        Row(((full, 1),), "=", 1, "normalization"),
     ]
     for i in range(F2.n):
-        cons.append(Row(((full & ~(1 << i), one), (full, minus)), "<=", zero, "monotone"))
+        cons.append(Row(((full & ~(1 << i), 1), (full, -1)), "<=", 0, "monotone"))
     for i, j in combinations(range(F2.n), 2):
         rest = full & ~(1 << i) & ~(1 << j)
         for C in range(rest + 1):
             if C & ~rest:
                 continue
             A, B = C | 1 << i, C | 1 << j
-            terms = ((C, one), (A | B, one), (A, minus), (B, minus))
+            terms = ((C, 1), (A | B, 1), (A, -1), (B, -1))
             if separates(F2, A, B):
-                cons.append(Row(terms, "=", zero, "modular-separation"))
+                cons.append(Row(terms, "=", 0, "modular-separation"))
             else:
-                cons.append(Row(terms, "<=", zero, "submodular"))
+                cons.append(Row(terms, "<=", 0, "submodular"))
     return ConstraintSystem(F2.n, tuple(cons))
 
 
@@ -150,10 +149,7 @@ def indicator_point(F2: Graph, i: int) -> SetFunction:
     """The 0/1 function that is 1 exactly on subsets containing vertex i."""
     if not 0 <= i < F2.n:
         raise BadVertex(f"vertex {i} not in a graph on {F2.n} vertices")
-    values = tuple(
-        Fraction(1) if mask >> i & 1 else Fraction(0) for mask in range(1 << F2.n)
-    )
-    return SetFunction(F2.n, values)
+    return SetFunction(F2.n, tuple(mask >> i & 1 for mask in range(1 << F2.n)))
 
 
 def p_star(t: int) -> SetFunction:

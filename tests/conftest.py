@@ -644,8 +644,8 @@ class FractionPresolve:
         steps = []
         step_of = {}
         for i, row in enumerate(rows):
-            acc = {j: a for j, a in row.terms if a}
-            rhs = row.rhs
+            acc = {j: Fraction(a) for j, a in row.terms if a}
+            rhs = Fraction(row.rhs)
             lrow = {}
             while True:
                 s = min((step_of[v] for v in acc if v in step_of), default=None)

@@ -186,7 +186,9 @@ def test_scope_caps():
 
 
 def test_random_scope_edge_probability_range():
-    for bad in (Fraction(3, 2), Fraction(-1, 2), 2):
+    # 10^5000 is refused with a message that str() of an int that long
+    # could not give
+    for bad in (Fraction(3, 2), Fraction(-1, 2), 2, Fraction(10**5000)):
         with pytest.raises(MalformedInput):
             Scope.random(3, 5, bad, seed=0)
     # the ends of the range are valid: no edges, and the complete graph
@@ -287,6 +289,19 @@ def test_hde_definition_check():
             if not holds:
                 assert (rep.witnesses[0]["hom_f1"], rep.witnesses[0]["hom_f2"]) == (str(h1), str(h2))
         assert verdicts["holds"] and verdicts["violated"]
+
+
+def test_hde_definition_refuses_a_c_past_the_power_budget():
+    # hom(P1; G) <= 2^2 on the graphs of at most 2 vertices, so c = a is
+    # bounded by 2 * 2a bits: a = 2^18 is at the budget, one more is past it
+    scope = Scope.exhaustive_upto(2)
+    assert checks.POWER_BITS == 1 << 20
+    assert check_hde_definition(path(1), path(1), Fraction(1 << 18), scope).verdict == "violated"
+    for c in (Fraction((1 << 18) + 1), Fraction(1, (1 << 18) + 1), Fraction(10**30)):
+        with pytest.raises(BadIndex, match="past 1048576 bits"):
+            check_hde_definition(path(1), path(1), c, scope)
+    # an explicit scope is bounded by its largest graph
+    assert Scope.graphs([path(2), complete(4), path(0)]).max_vertices() == 4
 
 
 def test_even_k_regime_holds_at_desk_scale():

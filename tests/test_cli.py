@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -227,9 +228,10 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
           "--exhaustive-n", "3"], "need c >= 0"),
         (["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c", "-1/2",
           "--exhaustive-n", "3"], "need c >= 0"),
-        # BadIndex: at k = 0 Blakley-Roy compares 1 with 1 on every graph
+        # BadIndex: at k = 0 Blakley-Roy compares 1 with 1 on every graph;
+        # the message names --k, the one option given
         (["verify", "--mode", "blakley-roy", "--k", "0", "--exhaustive-n", "3"],
-         "need 1 <= t <= k"),
+         "need --k >= 1, got 0"),
         # GroundTooLarge
         (["hde", "--f1", "path:1", "--f2", "path:21"], "exceeds cap 14"),
         (["dump-polytope", "--f2", "path:21"], "exceeds cap 14"),
@@ -247,6 +249,15 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
          "need 1 <= t <= k"),
         # EmptyGraph: refused before the source is enumerated into no vertices
         (["hde", "--f1", "path:1", "--f2", "union:0*path:0"], "at least one vertex"),
+        # MalformedInput: Fraction() would build 10^99999999 or print 10^5000
+        (["verify", "--mode", "walk-inequality", "--t", "1", "--k", "3", "--samples", "1",
+          "--n", "3", "--edge-prob", "1e99999999"], "exponent of '1e99999999' is past 18"),
+        (["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1",
+          "--c", "1e99999999", "--exhaustive-n", "2"], "exponent of '1e99999999' is past 18"),
+        (["verify", "--mode", "walk-inequality", "--t", "1", "--k", "3", "--samples", "1",
+          "--n", "3", "--edge-prob", "1e5000"], "exponent of '1e5000' is past 18"),
+        (["verify", "--mode", "walk-inequality", "--t", "1", "--k", "3", "--samples", "1",
+          "--n", "3", "--edge-prob", "1/" + "3" * 10**6], "has 1000002 characters, more than 38"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
@@ -255,6 +266,16 @@ def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("c", ["1e30", "1000000", "1/1000000"])
+def test_a_c_past_the_power_budget_is_refused_at_once(capsys, c):
+    # hom_f2^a for a = 10^30 would run out of memory after seconds of squaring
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--mode", "hde-definition", "--f1", "path:1",
+                             "--f2", "path:1", "--c", c, "--exhaustive-n", "2")
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == "" and "homdom: " in err and "Traceback" not in err
 
 
 def test_unreadable_graph_files_are_usage_errors(capsys, tmp_path):

@@ -192,6 +192,54 @@ def test_profile_rows_and_argmax_maps_match_the_grouped_fraction_forms(monkeypat
         assert rows == expected_rows
 
 
+def _lifted(row):
+    return ratlp.Row(
+        tuple((j, Fraction(a)) for j, a in row.terms), row.rel, Fraction(row.rhs), row.tag
+    )
+
+
+def test_int_rows_and_their_fraction_lifts_give_the_same_hde(monkeypatch):
+    # the polytope and profile rows reach lp.make_lp with int coefficients
+    # and rhs; the same rows lifted to Fractions give the same exponent,
+    # point, pivot count and argmax maps
+    make_lp = ratlp.make_lp
+    caught = []
+
+    def catching(n_vars, objective, rows):
+        caught.append(rows)
+        return make_lp(n_vars, objective, rows)
+
+    def lifting(n_vars, objective, rows):
+        return make_lp(n_vars, objective, [_lifted(r) for r in rows])
+
+    cases = [
+        (disjoint_union([(path(0), 2), (path(t + 2), t)]), path(t)) for t in (1, 3, 5)
+    ] + [
+        (disjoint_union([(path(0), 2), (path(16), 1)]), path(3)),
+        (path(2), cycle(4)),
+        (cycle(3), cycle(3)),
+    ]
+    for F1, F2 in cases:
+        monkeypatch.setattr(ratlp, "make_lp", catching)
+        ratlp._presolve.cache_clear()  # so that neither run reads the other's presolve
+        as_ints = compute_hde(F1, F2)
+        (rows,) = caught
+        caught.clear()
+        polytope_rows = build_polytope(F2).constraints
+        assert rows[:len(polytope_rows)] == polytope_rows
+        assert {r.tag for r in rows[len(polytope_rows):]} == {"profile"}
+        for r in rows:
+            assert type(r.rhs) is int and all(type(a) is int for _, a in r.terms), r
+        monkeypatch.setattr(ratlp, "make_lp", lifting)
+        ratlp._presolve.cache_clear()
+        as_fractions = compute_hde(F1, F2)
+        assert as_fractions == as_ints
+        assert as_fractions.lp_pivots == as_ints.lp_pivots
+        assert [[h.map for h in homs] for _, _, homs in as_fractions.active] == [
+            [h.map for h in homs] for _, _, homs in as_ints.active
+        ]
+
+
 def test_compute_hde_identity_case():
     assert compute_hde(path(1), path(1)).value == 1
 
