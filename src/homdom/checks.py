@@ -366,7 +366,7 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
     ``POWER_BITS`` on the scope's graphs is refused before any is taken."""
     c = Fraction(c)
     if c < 0:
-        raise BadIndex(f"need c >= 0, got c={c}")
+        raise BadIndex(f"need c >= 0, got c={_rat(c)}")
     a, b = c.numerator, c.denominator
     # Hom(F;G) <= n^|V(F)| < 2^(|V(F)| * n.bit_length()) for G on n vertices
     if scope.max_vertices().bit_length() * max(a * F2.n, b * F1.n) > POWER_BITS:

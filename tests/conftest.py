@@ -27,9 +27,9 @@ from types import SimpleNamespace
 
 from homdom.checks import CheckReport, _witness
 from homdom.errors import BadIndex, EmptyGraph, RatlpError
-from homdom.graphs import Graph, bits_of, disjoint_union, from_edges, path
-from homdom.hde import _flagship_source, _psi_parts
-from homdom.homs import Homomorphism, count_homs
+from homdom.graphs import Graph, bits_of, clique_tree, disjoint_union, from_edges, path
+from homdom.hde import _flagship_source, _psi_parts, objective_clique_tree_form
+from homdom.homs import Homomorphism, count_homs, enumerate_homs
 import homdom.lp
 from homdom import lp as ratlp
 from homdom.lp import LinearProgram, LpOutcome, Row, _cost_vector, _over_common_denominator, _scaled
@@ -217,6 +217,18 @@ def _subset_profiles(F1: Graph, F2: Graph) -> frozenset:
             if all(has_edge(F2, m[u], w) for u in range(v) if has_edge(F1, u, v))
         ]
     return frozenset(objective_subset_form(F1, SimpleNamespace(map=m)) for m in maps)
+
+
+def grouped_profiles(F1: Graph, F2: Graph) -> dict:
+    """Oracle for ``hde.profiles``: every homomorphism F1 -> F2, in
+    enumeration order, grouped by ``objective_clique_tree_form``.  Maps
+    each distinct form, in order of first occurrence, to its maps in
+    order."""
+    tree = clique_tree(F1)
+    groups = {}
+    for h in enumerate_homs(F1, F2):
+        groups.setdefault(objective_clique_tree_form(tree, h), []).append(h.map)
+    return groups
 
 
 def max_objective_by_enumeration(F1: Graph, F2: Graph, p):

@@ -304,6 +304,15 @@ def test_hde_definition_refuses_a_c_past_the_power_budget():
     assert Scope.graphs([path(2), complete(4), path(0)]).max_vertices() == 4
 
 
+def test_hde_definition_names_a_negative_c_of_any_length():
+    # the refusal writes c in full even past the 4,300 digits str() allows
+    scope = Scope.exhaustive_upto(2)
+    for c, written in ((Fraction(-1, 2), "-1/2"), (Fraction(-10**5000), "-1" + "0" * 5000 + "/1")):
+        with pytest.raises(BadIndex) as refused:
+            check_hde_definition(path(1), path(1), c, scope)
+        assert str(refused.value) == f"need c >= 0, got c={written}"
+
+
 def test_even_k_regime_holds_at_desk_scale():
     # the second inequality is known for even k (any t <= k); confirm n <= 5
     for n in range(1, 6):

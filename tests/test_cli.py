@@ -37,6 +37,16 @@ def test_hde_flagship(capsys):
     assert set(doc["result"]["lp"]) == {"vars", "constraints", "pivots"}
 
 
+def test_hde_past_the_reach_of_map_enumeration(capsys):
+    # P40 has about 8.7e8 maps into P3; the exponent reads its profiles
+    # off the clique tree instead
+    code, out, err = run_cli(
+        capsys, "hde", "--f1", "union:2*path:0+1*path:40", "--f2", "path:3"
+    )
+    assert code == 0, err
+    assert '"hde": "3/1"' in out
+
+
 def test_hde_trivial_and_gate(capsys):
     code, doc = run_json(capsys, "hde", "--f1", "path:1", "--f2", "path:1")
     assert code == 0 and doc["result"]["hde"] == "1/1"

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -36,11 +37,13 @@ from homdom.hde import (
     max_objective,
     objective_clique_tree_form,
     phi_i,
+    profiles,
     psi_form,
 )
 from conftest import (
-    complete, edge_visits, fixed_value, mask_of, max_objective_by_enumeration,
-    objective_subset_form, psi,
+    _is_connected, brute_force_chordal, complete, edge_visits, fixed_value, grouped_profiles,
+    labeled_graphs_by_mask, mask_of, max_objective_by_enumeration, objective_subset_form, psi,
+    random_graph,
 )
 
 
@@ -132,21 +135,30 @@ def test_compute_hde_hands_the_polytope_rows_to_the_lp(monkeypatch):
         n_p = 1 << F2.n
         expected = []
         for ci, comp in enumerate((path(0), path(t + 2))):
-            tree = clique_tree(comp)
-            profiles = dict.fromkeys(
-                objective_clique_tree_form(tree, h) for h in enumerate_homs(comp, F2)
-            )
             expected += [
                 (tuple((m, -c) for m, c in terms) + ((n_p + ci, Fraction(1)),), ">=", 0, "profile")
-                for terms in profiles
+                for terms in grouped_profiles(comp, F2)
             ]
         profile_rows = rows[len(polytope_rows):]
         assert [(r.terms, r.rel, r.rhs, r.tag) for r in profile_rows] == expected
 
 
+def _hde_corpus():
+    triangle_pendant = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    return [
+        (disjoint_union([(path(0), 2), (path(t + 2), t)]), path(t)) for t in (1, 3, 5)
+    ] + [
+        (disjoint_union([(path(0), 2), (path(16), 1)]), path(3)),
+        (disjoint_union([(path(0), 1), (path(3), 2)]), path(2)),  # (t, k) = (2, 3)
+        (disjoint_union([(triangle_pendant, 1), (complete(3), 2), (path(1), 1)]), cycle(3)),
+    ]
+
+
 def test_profile_rows_and_argmax_maps_match_the_grouped_fraction_forms(monkeypatch):
-    # compute_hde builds its profiles in ints; the oracle groups each
-    # component's homomorphisms by their Fraction form, in enumeration order
+    # compute_hde builds its profiles in ints, with no enumeration; the
+    # oracle groups each component's homomorphisms by their form, in
+    # enumeration order.  The rows come in that order, and the argmax
+    # witnesses are the first map of each argmax group.
     programs = []
 
     def traced(*args, **kwargs):
@@ -155,15 +167,7 @@ def test_profile_rows_and_argmax_maps_match_the_grouped_fraction_forms(monkeypat
 
     make_lp = ratlp.make_lp
     monkeypatch.setattr(ratlp, "make_lp", traced)
-    triangle_pendant = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    cases = [
-        (disjoint_union([(path(0), 2), (path(t + 2), t)]), path(t)) for t in (1, 3, 5)
-    ] + [
-        (disjoint_union([(path(0), 2), (path(16), 1)]), path(3)),
-        (disjoint_union([(path(0), 1), (path(3), 2)]), path(2)),  # (t, k) = (2, 3)
-        (disjoint_union([(triangle_pendant, 1), (complete(3), 2), (path(1), 1)]), cycle(3)),
-    ]
-    for F1, F2 in cases:
+    for F1, F2 in _hde_corpus():
         res = compute_hde(F1, F2)
         (program,) = programs
         programs.clear()
@@ -174,22 +178,112 @@ def test_profile_rows_and_argmax_maps_match_the_grouped_fraction_forms(monkeypat
             zip(expand_components(F1), res.active)
         ):
             assert (a_comp, a_mult) == (comp, mult)
-            tree = clique_tree(comp)
-            groups = {}
-            for h in enumerate_homs(comp, F2):
-                groups.setdefault(objective_clique_tree_form(tree, h), []).append(h.map)
+            groups = grouped_profiles(comp, F2)
             z = ((n_p + ci, Fraction(1)),)
             expected_rows += [
                 (tuple((m, -c) for m, c in terms) + z, Fraction(0), "profile") for terms in groups
             ]
             best = max(ratlp.evaluate(terms, res.point) for terms in groups)
             expected_maps = [
-                m for terms, maps in groups.items()
-                if ratlp.evaluate(terms, res.point) == best for m in maps
+                maps[0] for terms, maps in groups.items() if ratlp.evaluate(terms, res.point) == best
             ]
             assert [h.map for h in argmax] == expected_maps
         rows = [(r.terms, r.rhs, r.tag) for r in program.rows if r.rel == ">="]
         assert rows == expected_rows
+
+
+def test_compute_hde_enumerates_no_homomorphism(monkeypatch):
+    # the same LP as rows grouped from enumerated maps: value, point and
+    # shape are those compute_hde gets with the oracle's groups in place
+    # of the DP's profiles
+    def oracle(tree, F2):
+        return {terms: maps[0] for terms, maps in grouped_profiles(comp_of[tree], F2).items()}
+
+    def refuse(*args):
+        raise AssertionError("a homomorphism was enumerated")
+
+    for F1, F2 in _hde_corpus():
+        comp_of = {clique_tree(comp): comp for comp, _ in expand_components(F1)}
+        ratlp._presolve.cache_clear()  # so that neither run reads the other's presolve
+        with monkeypatch.context() as m:
+            m.setattr(hde, "profiles", oracle)
+            expected = compute_hde(F1, F2)
+        ratlp._presolve.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(hde, "enumerate_homs", refuse)
+            m.setattr("homdom.homs.enumerate_homs", refuse)
+            res = compute_hde(F1, F2)
+        # value, point, lp_vars, lp_constraints, lp_pivots and active
+        assert res == expected
+
+
+@lru_cache(maxsize=None)
+def _connected_chordal(n: int) -> tuple:
+    return tuple(G for G in labeled_graphs_by_mask(n) if _is_connected(G) and brute_force_chordal(G))
+
+
+def _profile_targets():
+    return [path(k) for k in range(1, 5)] + [cycle(k) for k in range(3, 6)] + [
+        from_edges(4, [(0, 1), (0, 2), (0, 3)]),  # K_{1,3}
+        from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),  # K_{2,3}
+        from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),  # the diamond
+    ]
+
+
+def _check_profiles(sources):
+    outcomes = Counter()
+    for F1 in sources:
+        tree = clique_tree(F1)
+        for F2 in _profile_targets():
+            groups = grouped_profiles(F1, F2)
+            if not groups:
+                with pytest.raises(NoHomomorphism):
+                    profiles(tree, F2)
+                outcomes["none"] += 1
+                continue
+            # the same profiles, each with its group's first map as its
+            # witness, in the order the enumeration first meets them
+            expected = [(terms, maps[0]) for terms, maps in groups.items()]
+            assert list(profiles(tree, F2).items()) == expected, (F1, F2)
+            outcomes["maps"] += sum(map(len, groups.values()))
+            outcomes["profiles"] += len(groups)
+    return outcomes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_profiles_match_the_grouped_forms_on_every_small_chordal_source(n):
+    outcomes = _check_profiles(_connected_chordal(n))
+    assert outcomes["profiles"] > 0
+    if n >= 3:  # the triangle and up have no map into a path
+        assert outcomes["none"] > 0
+    if n == 5:
+        assert outcomes["maps"] > outcomes["profiles"]
+
+
+def test_profiles_match_the_grouped_forms_on_sampled_six_vertex_sources():
+    rng = random.Random(6)
+    sources = []
+    while len(sources) < 25:
+        G = random_graph(6, rng)
+        if _is_connected(G) and brute_force_chordal(G):
+            sources.append(G)
+    assert _check_profiles(sources)["maps"] > 0
+
+
+def test_profiles_of_a_forest_and_of_the_empty_source():
+    # the trees of a clique forest are summed as the maps' independent parts
+    F1 = disjoint_union([(path(0), 1), (path(2), 1), (complete(3), 1)])
+    for F2 in (cycle(3), from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])):
+        expected = [(terms, maps[0]) for terms, maps in grouped_profiles(F1, F2).items()]
+        assert list(profiles(clique_tree(F1), F2).items()) == expected
+    assert profiles(clique_tree(from_edges(0, [])), path(2)) == {(): ()}
+
+
+def test_profiles_reach_past_enumeration():
+    # P40 has about 8.7e8 maps into P3; its profiles come from the DP
+    found = profiles(clique_tree(path(40)), path(3))
+    assert len(found) > 1000
+    assert next(iter(found.values())) == (0, 1) * 20 + (0,)
 
 
 def _lifted(row):
