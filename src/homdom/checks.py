@@ -1,19 +1,22 @@
 """Desk-scale verification harness for the walk inequalities and the
 identities behind the domination-exponent computation.
 
-Every comparison is exact: rationals are compared by integer
-cross-multiplication (inside Fraction, or on the integer margins of a
-sweep), fractional exponents are handled by raising both sides to the
-exponent's denominator, and every verdict comes with a witness from which
-the comparison can be reproduced.  A check over a scope with no graphs
-raises ``EmptyScope`` instead of returning a vacuous "holds".
+Every comparison is exact: the walk inequality is decided on integer
+margins, with rational sides built only for the reported witness,
+fractional exponents are handled by raising both sides to the exponent's
+denominator, and every verdict comes with a witness from which the
+comparison can be reproduced.  Every check over a scope reads its graphs
+through one scan, which raises ``EmptyScope`` for a scope with no graphs
+instead of letting a check return a vacuous "holds".
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import or_
 
 from .errors import (
@@ -84,25 +87,35 @@ def random_graph(n: int, edge_prob: Fraction, rng: random.Random) -> Graph:
     return from_edges(n, edges)
 
 
+def _check_exhaustive(n: int) -> None:
+    """Refuses an exhaustive scope's n before the scope is built."""
+    check_vertex_count(n)
+    if n > EXHAUSTIVE_CAP:
+        raise ScopeTooLarge(f"exhaustive scope capped at n={EXHAUSTIVE_CAP}")
+
+
 @dataclass(frozen=True, eq=False)
 class Scope:
-    """A reproducible collection of graphs to check, equal only to itself."""
+    """A reproducible collection of graphs to check, equal only to itself.
+    It holds its description, the most vertices a graph of it can have,
+    and a function that draws its graphs afresh on every iteration,
+    re-seeding a random scope.  Every refusal is made when it is built."""
 
-    kind: str
-    params: dict
-    _graphs: tuple = ()
+    _description: dict
+    _max_vertices: int
+    _draw: Callable[[], Iterator[Graph]]
 
     @staticmethod
     def exhaustive(n: int) -> "Scope":
-        if n > EXHAUSTIVE_CAP:
-            raise ScopeTooLarge(f"exhaustive scope capped at n={EXHAUSTIVE_CAP}")
-        return Scope("exhaustive", {"n": n})
+        _check_exhaustive(n)
+        return Scope({"kind": "exhaustive", "n": n}, n, lambda: labeled_graphs(n))
 
     @staticmethod
     def exhaustive_upto(n_max: int) -> "Scope":
-        if n_max > EXHAUSTIVE_CAP:
-            raise ScopeTooLarge(f"exhaustive scope capped at n={EXHAUSTIVE_CAP}")
-        return Scope("exhaustive-upto", {"n_max": n_max})
+        _check_exhaustive(n_max)
+        ns = range(1, n_max + 1)
+        return Scope({"kind": "exhaustive-upto", "n_max": n_max}, n_max,
+                     lambda: chain.from_iterable(map(labeled_graphs, ns)))
 
     @staticmethod
     def random(samples: int, n: int, edge_prob, seed: int) -> "Scope":
@@ -110,39 +123,32 @@ class Scope:
         if not 0 <= edge_prob <= 1:
             raise MalformedInput(f"edge probability must be in [0, 1], got {_rat(edge_prob)}")
         check_vertex_count(n)
-        return Scope(
-            "random", {"samples": samples, "n": n, "edge_prob": edge_prob, "seed": seed}
-        )
+
+        def draw():
+            rng = random.Random(seed)
+            return (random_graph(n, edge_prob, rng) for _ in range(samples))
+
+        # as str() writes it ("1/2", "1", "0"), at any length
+        prob = _rat(edge_prob) if edge_prob.denominator > 1 else _decimal(edge_prob.numerator)
+        description = {"kind": "random", "samples": samples, "n": n, "edge_prob": prob,
+                       "seed": seed}
+        return Scope(description, n, draw)
 
     @staticmethod
     def graphs(items) -> "Scope":
         items = tuple(items)
-        return Scope("explicit", {"count": len(items)}, items)
+        n_max = max((G.n for G in items), default=0)
+        return Scope({"kind": "explicit", "count": len(items)}, n_max, items.__iter__)
 
     def max_vertices(self) -> int:
         """The most vertices a graph of the scope can have."""
-        if self.kind == "explicit":
-            return max((G.n for G in self._graphs), default=0)
-        return self.params["n_max" if self.kind == "exhaustive-upto" else "n"]
+        return self._max_vertices
 
     def describe(self) -> dict:
-        out = {"kind": self.kind}
-        for k, v in self.params.items():
-            out[k] = str(v) if isinstance(v, Fraction) else v
-        return out
+        return dict(self._description)
 
-    def __iter__(self):
-        if self.kind == "exhaustive":
-            yield from labeled_graphs(self.params["n"])
-        elif self.kind == "exhaustive-upto":
-            for n in range(1, self.params["n_max"] + 1):
-                yield from labeled_graphs(n)
-        elif self.kind == "random":
-            rng = random.Random(self.params["seed"])
-            for _ in range(self.params["samples"]):
-                yield random_graph(self.params["n"], self.params["edge_prob"], rng)
-        else:
-            yield from self._graphs
+    def __iter__(self) -> Iterator[Graph]:
+        return self._draw()
 
 
 @dataclass(frozen=True)
@@ -178,6 +184,31 @@ def _decimal(n: int) -> str:
 
 def _rat(q: Fraction) -> str:
     return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+
+
+def _scan(scope: Scope, check: str):
+    """(index from 1, graph) over the scope's graphs; a scope that yields
+    none raises ``EmptyScope`` once it is exhausted."""
+    index = 0
+    for index, G in enumerate(scope, 1):
+        yield index, G
+    if not index:
+        raise EmptyScope(f"{check} needs at least one graph")
+
+
+def _first_failure(name: str, params: dict, scope: Scope, check: str, failed: str,
+                   witness) -> CheckReport:
+    """The report of the first graph of the scope for which ``witness``
+    returns a witness, under the verdict ``failed``, or "holds" once every
+    graph passes."""
+    found = ()
+    for checked, G in _scan(scope, check):
+        w = witness(G)
+        if w is not None:
+            found = (w,)
+            break
+    params = {**params, "scope": scope.describe(), "checked": checked}
+    return CheckReport(name, params, failed if found else "holds", found)
 
 
 def _witness(G: Graph, lhs: Fraction, rhs: Fraction, relation: str) -> dict:
@@ -229,24 +260,6 @@ def _sides(n: int, wk: int, wt: int, t: int, k: int) -> tuple[Fraction, Fraction
     return Fraction(wk, n) ** t, Fraction(wt, n) ** k
 
 
-def _walk_sides(G: Graph, t: int, k: int) -> tuple[Fraction, Fraction]:
-    """(w_k^t, w_t^k) for the walk inequality."""
-    _check_indices(t, k)
-    return _sides(G.n, *_walk_totals(G, t, k), t, k)
-
-
-def check_walk_inequality(G: Graph, t: int, k: int) -> CheckReport:
-    """w_k^t >= w_t^k, no parity restriction imposed."""
-    lhs, rhs = _walk_sides(G, t, k)
-    verdict = "holds" if lhs >= rhs else "violated"
-    return CheckReport(
-        "walk-inequality",
-        {"t": t, "k": k, "n": G.n},
-        verdict,
-        (_witness(G, lhs, rhs, "w_k^t >= w_t^k"),),
-    )
-
-
 def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     """Run the walk inequality across a scope, keeping the worst-margin
     witness (the first graph with the smallest margin).
@@ -255,19 +268,15 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     cross-multiplication; only the reported witness gets Fraction sides.
     """
     _check_indices(t, k)
-    checked = 0
     violated = 0
     worst = None  # (numerator, denominator, graph, W_k, W_t)
-    for G in scope:
+    for checked, G in _scan(scope, "sweep"):
         wk, wt = _walk_totals(G, t, k)
         num, den = _margin(G.n, wk, wt, t, k)
-        checked += 1
         if num < 0:
             violated += 1
         if worst is None or num * worst[1] < worst[0] * den:
             worst = (num, den, G, wk, wt)
-    if worst is None:
-        raise EmptyScope("sweep needs at least one graph")
     num, den, G, wk, wt = worst
     params = {"t": t, "k": k, "scope": scope.describe(), "checked": checked,
               "violations": violated, "worst_margin": _rat(Fraction(num, den))}
@@ -276,31 +285,29 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     return CheckReport("sweep", params, verdict, witnesses)
 
 
+def check_walk_inequality(G: Graph, t: int, k: int) -> CheckReport:
+    """w_k^t >= w_t^k, no parity restriction imposed: the sweep over G
+    alone, reported under its own name."""
+    report = sweep(t, k, Scope.graphs([G]))
+    return CheckReport(
+        "walk-inequality", {"t": t, "k": k, "n": G.n}, report.verdict, report.witnesses
+    )
+
+
 def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
     """Search the odd-k/even-t regime for a violating graph; returns the
     first one found with exact margins."""
     if t % 2 != 0 or k % 2 == 0 or not t < k:
         raise BadParity(f"need t even, k odd, t < k; got t={t}, k={k}")
     _check_indices(t, k)
-    checked = 0
-    for G in scope:
-        checked += 1
+
+    def witness(G):
         wk, wt = _walk_totals(G, t, k)
         if _margin(G.n, wk, wt, t, k)[0] < 0:
-            return CheckReport(
-                "counterexample",
-                {"t": t, "k": k, "scope": scope.describe(), "checked": checked},
-                "counterexample-found",
-                (_witness(G, *_sides(G.n, wk, wt, t, k), "w_k^t < w_t^k"),),
-            )
-    if not checked:
-        raise EmptyScope("counterexample search needs at least one graph")
-    return CheckReport(
-        "counterexample",
-        {"t": t, "k": k, "scope": scope.describe(), "checked": checked},
-        "holds",
-        (),
-    )
+            return _witness(G, *_sides(G.n, wk, wt, t, k), "w_k^t < w_t^k")
+
+    return _first_failure("counterexample", {"t": t, "k": k}, scope,
+                          "counterexample search", "counterexample-found", witness)
 
 
 def chain_exponents(t: int, k: int) -> Fraction:
@@ -373,31 +380,18 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
         raise BadIndex(f"c={_rat(c)} would raise hom counts past {POWER_BITS} bits on this scope")
     plan1, plan2 = HomPlan(F1), HomPlan(F2)
     lengths = plan1.paths.keys() | plan2.paths.keys()
-    checked = 0
-    for G in scope:
-        checked += 1
+
+    def witness(G):
         walks = walk_counts(G, lengths)
         h1 = plan1.count(G, walks)
         h2 = plan2.count(G, walks)
         if h1**b < h2**a:
-            return CheckReport(
-                "hde-definition",
-                {"c": _rat(c), "scope": scope.describe(), "checked": checked},
-                "violated",
-                (
-                    {
-                        "graph": serialize_graph(G),
-                        "hom_f1": _decimal(h1),
-                        "hom_f2": _decimal(h2),
-                        "relation": f"hom_f1^{b} < hom_f2^{a}",
-                    },
-                ),
-            )
-    if not checked:
-        raise EmptyScope("definition check needs at least one graph")
-    return CheckReport(
-        "hde-definition",
-        {"c": _rat(c), "scope": scope.describe(), "checked": checked},
-        "holds",
-        (),
-    )
+            return {
+                "graph": serialize_graph(G),
+                "hom_f1": _decimal(h1),
+                "hom_f2": _decimal(h2),
+                "relation": f"hom_f1^{b} < hom_f2^{a}",
+            }
+
+    return _first_failure("hde-definition", {"c": _rat(c)}, scope,
+                          "definition check", "violated", witness)

@@ -127,7 +127,10 @@ def subset_label(mask: int) -> str:
 
 
 def check_vertex_count(n: int) -> None:
-    """Refuses n past ``MAX_VERTICES`` before a graph of n vertices is built."""
+    """Refuses a negative n, and n past ``MAX_VERTICES``, before a graph
+    of n vertices is built."""
+    if n < 0:
+        raise MalformedInput("vertex count must be non-negative")
     if n > MAX_VERTICES:
         raise GraphTooLarge(f"n={n} exceeds cap of {MAX_VERTICES}")
 

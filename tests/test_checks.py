@@ -115,10 +115,25 @@ def test_scopes_compare_by_identity():
         assert len({a, b}) == 2
 
 
+def test_every_scope_kind_draws_the_same_graphs_on_every_iteration():
+    # each iteration draws the graphs afresh, the random kind re-seeded
+    scopes = {
+        4: Scope.exhaustive(4),
+        5: Scope.exhaustive_upto(5),
+        6: Scope.random(20, 6, Fraction(1, 3), seed=5),
+        7: Scope.graphs(g for g in [path(1), star(3), complete(7), path(0)]),
+    }
+    for n_max, scope in scopes.items():
+        first = list(scope)
+        assert first and _same_sequence(first, scope), scope.describe()
+        assert scope.max_vertices() == max(G.n for G in first) == n_max
+
+
 def test_integer_margin_sweep_matches_fraction_sides():
     # the sweep compares integer margins; recompute every report field from
     # Fraction sides over matrix-power walk counts, keeping the first graph
-    # with the smallest margin
+    # with the smallest margin.  check_walk_inequality, the sweep over one
+    # graph, must give each graph's verdict and sides
     graphs = list(Scope.exhaustive_upto(5))
     walks = [matrix_walk_counts(G.n, G.edges(), 5) for G in graphs]
     first_violation = None
@@ -127,6 +142,10 @@ def test_integer_margin_sweep_matches_fraction_sides():
         worst = None  # (margin, graph, lhs, rhs)
         for index, (G, W) in enumerate(zip(graphs, walks), 1):
             lhs, rhs = Fraction(W[k], G.n) ** t, Fraction(W[t], G.n) ** k
+            rep = check_walk_inequality(G, t, k)
+            assert rep.verdict == ("holds" if lhs >= rhs else "violated"), (t, k, G)
+            (w,) = rep.witnesses
+            assert (Fraction(w["lhs"]), Fraction(w["rhs"])) == (lhs, rhs), (t, k, G)
             if lhs < rhs:
                 violations += 1
                 if (t, k) == (2, 3) and first_violation is None:
@@ -183,6 +202,24 @@ def test_scope_caps():
     # the vertex cap, checked before any graph of the scope is drawn
     with pytest.raises(GraphTooLarge):
         Scope.random(1, 10**6, Fraction(1, 2), seed=0)
+
+
+def test_scopes_refuse_a_negative_vertex_count():
+    # when the scope is built, not when its first graph is drawn
+    for build in (Scope.exhaustive, Scope.exhaustive_upto, lambda n: Scope.random(2, n, 0, 0)):
+        with pytest.raises(MalformedInput, match="vertex count must be non-negative"):
+            build(-1)
+
+
+def test_random_scope_describes_an_edge_probability_of_any_length():
+    # written when the scope is built, as str() writes it, but past the
+    # 4,300 digits str() allows: a sweep over this scope checks its graph
+    # and then reports it
+    for prob in (Fraction(1, 2), Fraction(2, 7), 1, 0):
+        assert Scope.random(1, 3, prob, seed=0).describe()["edge_prob"] == str(Fraction(prob))
+    rep = sweep(1, 3, Scope.random(1, 3, Fraction(1, 10**5000), seed=0))
+    assert rep.verdict == "holds" and rep.params["checked"] == 1
+    assert rep.params["scope"]["edge_prob"] == "1/1" + "0" * 5000
 
 
 def test_random_scope_edge_probability_range():

@@ -268,6 +268,9 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
           "--n", "3", "--edge-prob", "1e5000"], "exponent of '1e5000' is past 18"),
         (["verify", "--mode", "walk-inequality", "--t", "1", "--k", "3", "--samples", "1",
           "--n", "3", "--edge-prob", "1/" + "3" * 10**6], "has 1000002 characters, more than 38"),
+        # MalformedInput: a negative vertex count, refused as the scope is built
+        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "2",
+          "--n", "-3"], "vertex count must be non-negative"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
