@@ -94,6 +94,13 @@ def _check_exhaustive(n: int) -> None:
         raise ScopeTooLarge(f"exhaustive scope capped at n={EXHAUSTIVE_CAP}")
 
 
+def _check_vertices(n: int) -> None:
+    """Refuses a scope's graph of n vertices: every check over a scope
+    divides by n."""
+    if n == 0:
+        raise EmptyGraph("a scope's graphs need at least one vertex")
+
+
 @dataclass(frozen=True, eq=False)
 class Scope:
     """A reproducible collection of graphs to check, equal only to itself.
@@ -108,6 +115,7 @@ class Scope:
     @staticmethod
     def exhaustive(n: int) -> "Scope":
         _check_exhaustive(n)
+        _check_vertices(n)
         return Scope({"kind": "exhaustive", "n": n}, n, lambda: labeled_graphs(n))
 
     @staticmethod
@@ -123,6 +131,7 @@ class Scope:
         if not 0 <= edge_prob <= 1:
             raise MalformedInput(f"edge probability must be in [0, 1], got {_rat(edge_prob)}")
         check_vertex_count(n)
+        _check_vertices(n)
 
         def draw():
             rng = random.Random(seed)
@@ -137,6 +146,8 @@ class Scope:
     @staticmethod
     def graphs(items) -> "Scope":
         items = tuple(items)
+        for G in items:
+            _check_vertices(G.n)
         n_max = max((G.n for G in items), default=0)
         return Scope({"kind": "explicit", "count": len(items)}, n_max, items.__iter__)
 
@@ -243,8 +254,6 @@ def _check_indices(t: int, k: int) -> None:
 def _walk_totals(G: Graph, t: int, k: int) -> tuple[int, int]:
     """(W_k, W_t): the numbers of walks with k and with t edges in G, both
     from one walk-count chain."""
-    if G.n == 0:
-        raise EmptyGraph("walk inequality needs at least one vertex")
     walks = walk_counts(G, (t, k))
     return walks[k], walks[t]
 

@@ -416,7 +416,7 @@ def certify_upper(t: int) -> Fraction:
     )
 
 
-def psi_form(t: int) -> tuple[tuple[int, Fraction], ...]:
+def psi_form(t: int) -> tuple[tuple[int, int], ...]:
     """The objective of psi as one linear form over the subsets of V(P_t),
     sorted by mask.  Summed one component of the source at a time, so the
     union itself (2 + t(t+3) vertices) is never built.  Every polytope

@@ -4,11 +4,13 @@ Two-phase simplex with Bland's anti-cycling rule; every outcome is exact
 and deterministic given the input ordering.  Every program is a
 minimization, and every variable is free; a bound is stated as a row.
 A ``Row`` keeps the ints or ``Fraction``s it is given (the polytope's are
-ints); ``make_row`` and ``make_lp`` lift theirs to ``Fraction``s.
+ints); ``make_row`` and ``make_lp`` lift theirs to ``Fraction``s.  Every
+check reads a row one way: by the sign of its excess at a point.
 
 ``solve`` presolves, pivots the reduced program's dual and postsolves,
 all in integers by fraction-free exact arithmetic (Edmonds 1967, Bareiss
-1968), so ``Fraction``s appear only at the entry and exit.  The presolve
+1968), so ``Fraction``s appear only at the entry and exit (and in the
+postsolve's reduced costs, on a row given in ``Fraction``s).  The presolve
 eliminates the ``=`` rows in order, each solved for its smallest
 remaining variable, and rewrites the other rows and the objective over
 the free variables (27 of 128 on P6, where every pivot is 1).  So the
@@ -50,10 +52,9 @@ def _over_common_denominator(values) -> tuple[int, list[int]]:
 def violated_rows(rows, x) -> tuple[Row, ...]:
     """The rows that the point x violates, in row order.
 
-    x is a sequence of ints or Fractions, one per variable.  The test runs
-    in integers: x is brought over its common denominator d once, and each
-    row is scaled by the lcm s of its denominators, which multiplies both
-    sides of ``sum(a * x[j]) REL rhs`` by s * d > 0.
+    x is a sequence of ints or Fractions, one per variable.  It is brought
+    over its common denominator d once, and each row is read at X = x * d
+    by the sign of its excess, a plain sum: in ints on an int row.
     """
     d, X = _over_common_denominator(x)
     return tuple(row for row in rows if not row._holds_at(X, d))
@@ -70,23 +71,22 @@ class Row:
     rhs: int | Fraction
     tag: str = ""
 
+    def _excess_at(self, X, d: int):
+        """``sum(a * X[j]) - rhs * d``, d times the row's excess at the
+        point X / d: an int for an int row, a ``Fraction`` otherwise."""
+        excess = -self.rhs * d
+        for j, a in self.terms:
+            excess += a * X[j]
+        return excess
+
     def _holds_at(self, X, d: int) -> bool:
         """Whether the row holds at the point X / d, for ints X and d > 0."""
-        s = self.rhs.denominator
-        lhs = 0
-        for j, a in self.terms:
-            q = a.denominator
-            if s % q:  # widen s to the lcm of the denominators so far
-                wider = lcm(s, q)
-                lhs *= wider // s
-                s = wider
-            lhs += a.numerator * (s // q) * X[j]
-        rhs = self.rhs.numerator * (s // self.rhs.denominator) * d
+        excess = self._excess_at(X, d)
         if self.rel == "<=":
-            return lhs <= rhs
+            return excess <= 0
         if self.rel == ">=":
-            return lhs >= rhs
-        return lhs == rhs
+            return excess >= 0
+        return excess == 0
 
 
 @dataclass(frozen=True)
@@ -122,22 +122,23 @@ class LpOutcome:
     via_dual: bool = False
 
 
-def _norm_terms(terms) -> tuple[tuple[int, Fraction], ...]:
-    acc: dict[int, Fraction] = {}
+def _norm_terms(terms) -> tuple[tuple[int, int | Fraction], ...]:
+    """The terms merged per variable and sorted, zeros dropped; values keep their type."""
+    acc = {}
     for j, v in terms:
-        acc[j] = acc.get(j, Fraction(0)) + Fraction(v)
+        acc[j] = acc.get(j, 0) + v
     return tuple((j, acc[j]) for j in sorted(acc) if acc[j] != 0)
 
 
 def make_row(terms, rel: str, rhs) -> Row:
-    return Row(_norm_terms(terms), rel, Fraction(rhs))
+    return Row(_norm_terms((j, Fraction(v)) for j, v in terms), rel, Fraction(rhs))
 
 
 def make_lp(n_vars, objective, rows) -> LinearProgram:
     """Build a LinearProgram, normalizing all coefficients to Fraction.  A
     ``Row`` goes in as it is; a (terms, rel, rhs) triple through ``make_row``."""
     built = tuple(r if isinstance(r, Row) else make_row(*r) for r in rows)
-    return LinearProgram(n_vars, _norm_terms(objective), built)
+    return LinearProgram(n_vars, _norm_terms((j, Fraction(v)) for j, v in objective), built)
 
 
 # -- simplex core ---------------------------------------------------------
@@ -413,11 +414,11 @@ def _equality_duals(steps, excess) -> list[Fraction]:
     """Duals of the pivot rows: solve (L U_E)^T lam = excess, where
     ``excess[e]`` is what pivot variable e's reduced cost must lose and L
     is the L rows T over their alphas.  U_E^T nu = excess forward, then
-    T^T rho = nu backward, and lam_t = alpha_t rho_t.  With excess = E / D,
-    nu * D * P and rho * D * P * G are ints by Cramer's rule, for P and G
-    the products of the diagonals of U_E and T: every division is exact."""
+    T^T rho = nu backward, and lam_t = alpha_t rho_t.  For excess = E / D,
+    passed as ints (D, E), nu * D * P and rho * D * P * G are ints by
+    Cramer's rule, P and G the products of the diagonals of U_E and T."""
     pivot_vars = {e for _, e, _, _, _, _ in steps}
-    D, E = _over_common_denominator(excess)
+    D, E = excess
     P = prod(urow[e] for _, e, urow, _, _, _ in steps)
     known: dict[int, int] = {}  # per pivot variable: sum over solved U rows
     nu = []
@@ -445,7 +446,7 @@ def _equality_duals(steps, excess) -> list[Fraction]:
 
 
 def _cost_vector(lp: LinearProgram):
-    c = [Fraction(0)] * lp.n_vars
+    c = [0] * lp.n_vars
     for j, v in lp.objective:
         c[j] += v
     return c
@@ -511,16 +512,18 @@ def solve(lp: LinearProgram) -> LpOutcome:
         x[j] = Fraction(X[k], det)
     for e, (sub, k, q) in exprs.items():
         x[e] = Fraction(k * det + sum(w * X[index[f]] for f, w in sub.items()), q * det)
+    # the reduced costs times det * den, less the pivot rows': ints on int rows
+    rc = [0] * lp.n_vars
+    for j, a in terms:
+        rc[j] += a * det * (den // s)
     y = [Fraction(0)] * len(lp.rows)
     for (i, q), v in zip(sources, Y):
         if v:
             y[i] = Fraction(v * q * g, det * den)
-    rc = _cost_vector(lp)
-    for yi, row in zip(y, lp.rows):
-        if yi:
-            for j, a in row.terms:
-                rc[j] -= yi * a
-    for (k, _, _, _, _, _), lam in zip(steps, _equality_duals(steps, rc)):
+            for j, a in lp.rows[i].terms:
+                rc[j] -= v * q * g * a
+    D, E = _over_common_denominator(rc)
+    for (k, _, _, _, _, _), lam in zip(steps, _equality_duals(steps, (D * det * den, E))):
         y[eq_at[k]] = lam
     value = Fraction(bx * g + const * det, det * den)
     return LpOutcome("optimal", value, tuple(x), tuple(y), pivots, True)
@@ -530,35 +533,31 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
 
 def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
-    """Exact re-check of an optimal outcome, independent of the solve path:
-    primal feasibility of every row (``violated_rows``), the stated value,
-    and optimality by the duals: sign feasibility, complementary slackness
-    and a zero reduced cost on every variable.
-    """
+    """Exact re-check of an optimal outcome, independent of the solve path,
+    with each row read by its excess at the point over its common
+    denominator: primal feasibility, the stated value, and optimality by
+    the duals: sign feasibility, complementary slackness and a zero reduced
+    cost on every variable."""
     if outcome.status != "optimal":
         return False
     if outcome.point is None or outcome.duals is None or outcome.value is None:
         return False
     if len(outcome.point) != lp.n_vars or len(outcome.duals) != len(lp.rows):
         return False
-    x = outcome.point
-    y = outcome.duals
-    c = _cost_vector(lp)
+    d, X = _over_common_denominator(outcome.point)
 
-    if violated_rows(lp.rows, x):
+    if not all(row._holds_at(X, d) for row in lp.rows):
         return False
-    if sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)) != outcome.value:
+    if sum(a * X[j] for j, a in lp.objective) != outcome.value * d:
         return False
 
-    for i, row in enumerate(lp.rows):
-        if (row.rel == "<=" and y[i] > 0) or (row.rel == ">=" and y[i] < 0):
+    rc = _cost_vector(lp)
+    for row, y in zip(lp.rows, outcome.duals):
+        if (row.rel == "<=" and y > 0) or (row.rel == ">=" and y < 0):
             return False
-        if y[i] != 0 and evaluate(row.terms, x) != row.rhs:
-            return False
-
-    rc = list(c)
-    for i, row in enumerate(lp.rows):
-        if y[i]:
+        if y:
+            if row._excess_at(X, d):  # complementary slackness
+                return False
             for j, a in row.terms:
-                rc[j] -= y[i] * a
+                rc[j] -= y * a
     return not any(rc)

@@ -211,6 +211,22 @@ def test_scopes_refuse_a_negative_vertex_count():
             build(-1)
 
 
+def test_scopes_refuse_a_graph_with_no_vertices():
+    # when the scope is built: a check would otherwise divide by n = 0, or
+    # say "holds" over empty graphs
+    builds = (Scope.exhaustive, lambda n: Scope.random(3, n, Fraction(1, 2), 0),
+              lambda n: Scope.random(0, n, 0, 0), lambda n: Scope.graphs([path(1), Graph(n, ())]))
+    for build in builds:
+        with pytest.raises(EmptyGraph, match="at least one vertex"):
+            build(0)
+    # up to n = 0 is a scope with no graphs, refused by the scan
+    scope = Scope.exhaustive_upto(0)
+    with pytest.raises(EmptyScope):
+        sweep(1, 3, scope)
+    with pytest.raises(EmptyGraph):
+        check_walk_inequality(Graph(0, ()), 1, 3)
+
+
 def test_random_scope_describes_an_edge_probability_of_any_length():
     # written when the scope is built, as str() writes it, but past the
     # 4,300 digits str() allows: a sweep over this scope checks its graph

@@ -271,6 +271,14 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
         # MalformedInput: a negative vertex count, refused as the scope is built
         (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "2",
           "--n", "-3"], "vertex count must be non-negative"),
+        # EmptyGraph: a graph with no vertices is refused as the scope is
+        # built, in every mode that reads a scope
+        (["verify", "--mode", "hde-definition", "--f1", "path:0", "--f2", "path:1", "--c", "5",
+          "--samples", "3", "--n", "0"], "at least one vertex"),
+        (["verify", "--mode", "blakley-roy", "--k", "2", "--samples", "3", "--n", "0"],
+         "a scope's graphs need at least one vertex"),
+        (["verify", "--mode", "counterexample", "--t", "2", "--k", "3", "--samples", "1",
+          "--n", "0"], "a scope's graphs need at least one vertex"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):

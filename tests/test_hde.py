@@ -25,7 +25,7 @@ from homdom.graphs import (
     from_edges,
     path,
 )
-from homdom.checks import Scope, check_hde_definition
+from homdom.checks import Scope, check_hde_definition, path_form
 from homdom.homs import Homomorphism, enumerate_homs
 from homdom.polytope import (
     SetFunction, build_polytope, indicator_point, is_member, p_star, random_vertex_point,
@@ -640,6 +640,15 @@ def test_psi_form_is_fixed_at_t_plus_2_on_the_polytope():
         points += [random_vertex_point(F2, seed) for seed in range(4)]
         for p in points:
             assert ratlp.evaluate(psi_form(t), p) == t + 2
+
+
+def test_psi_form_is_t_plus_2_path_forms_in_int_coefficients():
+    # the form is merged with its values kept as the builder gives them:
+    # ints, compared int to int with the path identity's form
+    for t in range(1, 14, 2):
+        form = psi_form(t)
+        assert form == tuple((mask, (t + 2) * c) for mask, c in path_form(t)), t
+        assert all(type(c) is int for _, c in form), t
 
 
 def test_psi_form_mutations_are_not_fixed():

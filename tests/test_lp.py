@@ -53,6 +53,19 @@ def test_examples():
     assert ratlp.solve(p4).status == "infeasible"
 
 
+def test_make_row_and_make_lp_lift_int_input_to_fractions():
+    # the constructors lift what they are handed; a Row keeps its values
+    row = ratlp.make_row([(1, 2), (0, 3), (1, -2)], "<=", 4)
+    assert row == ratlp.Row(((0, Fraction(3)),), "<=", Fraction(4))
+    assert type(row.rhs) is Fraction and all(type(a) is Fraction for _, a in row.terms)
+    kept = ratlp.Row(((0, 1),), ">=", 0)
+    lp = ratlp.make_lp(2, [(1, 5), (0, 0)], [([(0, 1), (1, 1)], ">=", 1), kept])
+    assert lp.objective == ((1, Fraction(5)),) and type(lp.objective[0][1]) is Fraction
+    built = lp.rows[0]
+    assert type(built.rhs) is Fraction and all(type(a) is Fraction for _, a in built.terms)
+    assert lp.rows[1] is kept and type(kept.terms[0][1]) is int
+
+
 def test_verify_accepts_and_rejects():
     lp = _lp_ex2()
     out = ratlp.solve(lp)
@@ -250,6 +263,30 @@ def test_verify_rejects_a_point_moved_off_a_row_by_2_to_the_minus_200():
         moved = out.point[0] + delta, out.point[1]
         assert not ratlp.verify(lp, ratlp.LpOutcome("optimal", out.value, moved, out.duals, out.pivots))
         assert ratlp.violated_rows(lp.rows, moved) == (lp.rows[0],)
+
+
+@pytest.mark.parametrize("rel", [">=", "<="])
+def test_verify_rejects_a_nonzero_dual_on_a_row_slack_by_2_to_the_minus_200(rel):
+    # min x0 / 2^5 s.t. s (x0 / 3^41 + 5 x1 / 2^67) REL s 7 / 6^4 and
+    # x1 = 1/3, for s = +-1: the first row, of mixed 3^k and 2^k
+    # denominators, is tight at the optimum with a nonzero dual.  Its rhs
+    # moved by 2^-200 to the slack side keeps the point feasible, the
+    # value, the dual's sign and every reduced cost, so only complementary
+    # slackness can reject the outcome
+    s = 1 if rel == ">=" else -1
+    terms = [(0, s * Fraction(1, 3 ** 41)), (1, s * Fraction(5, 2 ** 67))]
+
+    def program(rhs):
+        return ratlp.make_lp(2, [(0, Fraction(1, 2 ** 5))],
+                             [(terms, rel, rhs), ([(1, 1)], "=", Fraction(1, 3))])
+
+    tight = program(s * Fraction(7, 6 ** 4))
+    out = ratlp.solve(tight)
+    assert out.status == "optimal" and out.duals[0] != 0
+    assert ratlp.verify(tight, out)
+    slack = program(s * (Fraction(7, 6 ** 4) - Fraction(1, 1 << 200)))
+    assert ratlp.violated_rows(slack.rows, out.point) == ()
+    assert not ratlp.verify(slack, out)
 
 
 def test_tags_do_not_keep_duplicate_reduced_rows_apart():
