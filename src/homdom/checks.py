@@ -338,23 +338,24 @@ def path_form(t: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(edges + inner))
 
 
-def prove_path_identity(t: int) -> bool:
-    """True iff p(V) = ``path_form(t)`` follows from t - 1 modular rows of
-    the polytope of P_t, so that it holds at every member.  Row j, for
-    j = 1 ... t-1, is p(A | B) + p(A & B) = p(A) + p(B) with A = {0..j} and
-    B = {j, j+1}; it is a row of the polytope when ``separates`` confirms
-    that {j} cuts {0..j-1} from {j+1}.  The rows telescope: their sum is
-    p(V) - ``path_form(t)``, so that difference plus the form must leave
-    the zero form."""
-    form = path_form(t)
+def prove_path_identity(t: int, form=None, multiple: int = 1) -> bool:
+    """True iff ``form`` = ``multiple`` * p(V) follows from t - 1 modular
+    rows of the polytope of P_t, so that it holds at every member; the
+    form defaults to ``path_form(t)``.  Row j, for j = 1 ... t-1, is
+    p(A | B) + p(A & B) = p(A) + p(B) with A = {0..j} and B = {j, j+1}; it
+    is a row of the polytope when ``separates`` confirms that {j} cuts
+    {0..j-1} from {j+1}.  The rows telescope: their sum is
+    p(V) - ``path_form(t)``, so ``multiple`` times it, plus the form, less
+    ``multiple`` * p(V), must leave the zero form."""
+    form = path_form(t) if form is None else form
     F2 = path(t)
     rows = []
     for j in range(1, t):
         A, B = (1 << j + 1) - 1, 3 << j
         if not separates(F2, A, B):
             return False
-        rows += [(A | B, 1), (A & B, 1), (A, -1), (B, -1)]
-    return not _norm_terms([*form, ((1 << F2.n) - 1, -1), *rows])
+        rows += [(A | B, multiple), (A & B, multiple), (A, -multiple), (B, -multiple)]
+    return not _norm_terms([*form, ((1 << F2.n) - 1, -multiple), *rows])
 
 
 def check_lemma_identity(t: int, p: SetFunction) -> CheckReport:

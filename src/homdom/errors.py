@@ -63,7 +63,8 @@ class NotMember(HomdomError):
 
 
 class ScopeTooLarge(UsageError):
-    """Requested exhaustive search scope is beyond desk scale."""
+    """Requested exhaustive search scope, or a source's set of distinct
+    homomorphism profiles, is beyond desk scale."""
 
 
 class EmptyScope(UsageError):

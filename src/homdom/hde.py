@@ -49,6 +49,7 @@ from .errors import (
     NotMember,
     NotSeriesParallel,
     RatlpError,
+    ScopeTooLarge,
 )
 from .graphs import (
     CliqueTree,
@@ -71,6 +72,8 @@ from .homs import (
 )
 from .polytope import SetFunction, build_polytope, check_ground, is_member
 from . import lp as ratlp
+
+PROFILE_CAP = 50_000  # the most distinct profiles one set of ``profiles`` may hold
 
 
 def objective_clique_tree_form(tree: CliqueTree, phi: Homomorphism) -> tuple[tuple[int, int], ...]:
@@ -172,6 +175,15 @@ def max_objective(tree: CliqueTree, F2: Graph, p) -> int | Fraction:
     return sum(max(table.values()) for table in _clique_dp(tree, F2, state, merge))
 
 
+def _capped(table: dict[int, int]) -> dict[int, int]:
+    """``table``, once it is refused if it holds more than ``PROFILE_CAP``
+    profiles."""
+    if len(table) > PROFILE_CAP:
+        raise ScopeTooLarge(f"the source's maps into the target pass the cap of "
+                            f"{PROFILE_CAP} distinct profiles")
+    return table
+
+
 def _union(tables) -> dict[int, int]:
     """The profiles of all ``tables``, each with its least map."""
     out: dict[int, int] = {}
@@ -180,7 +192,7 @@ def _union(tables) -> dict[int, int]:
             old = out.get(prof)
             if old is None or least < old:
                 out[prof] = least
-    return out
+    return _capped(out)
 
 
 def _sum_sets(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -193,7 +205,7 @@ def _sum_sets(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
             old = out.get(total)
             if old is None or joined < old:
                 out[total] = joined
-    return out
+    return _capped(out)
 
 
 def profiles(tree: CliqueTree, F2: Graph) -> dict[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -222,6 +234,9 @@ def profiles(tree: CliqueTree, F2: Graph) -> dict[tuple[tuple[int, int], ...], t
     state's own, so their maps add field by field, and the least map of a
     sum is the least over its summands of the sum of their least maps:
     the witnesses are exact.
+
+    A set of more than ``PROFILE_CAP`` profiles is refused with
+    ``ScopeTooLarge`` as soon as it is built, before any LP is made.
     """
     n = reduce(or_, tree.cliques, 0).bit_length()
     digit = max(F2.n - 1, 1).bit_length()
@@ -301,7 +316,8 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     F2 is refused before any work.  The clique forest of every distinct
     component is read first, which refuses a non-chordal one before any
     profile is built.  Then one pass over the components reads their
-    profile rows; the polytope is built only after that pass.
+    profile rows, refusing a component whose profile sets pass
+    ``PROFILE_CAP``; the polytope is built only after that pass.
     """
     if not is_series_parallel(F2):
         raise NotSeriesParallel("HDE requires a series-parallel F2")

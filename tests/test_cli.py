@@ -7,7 +7,9 @@ import pytest
 
 from homdom import cli, errors, hde
 from homdom import lp as ratlp
-from homdom.checks import CheckReport, Scope, check_blakley_roy, path_form
+from homdom.checks import (
+    CheckReport, Scope, check_blakley_roy, path_form, prove_path_identity,
+)
 from homdom.cli import main
 from homdom.graphs import clique_tree, from_edges, serialize_graph
 from homdom.hde import objective_clique_tree_form
@@ -99,6 +101,33 @@ def test_verify_counterexample(capsys):
 def test_verify_chain(capsys):
     code, doc = run_json(capsys, "verify", "--mode", "chain", "--t", "3", "--k", "9")
     assert code == 0 and doc["result"]["product"] == "3/1"
+    # t = k needs no link
+    code, doc = run_json(capsys, "verify", "--mode", "chain", "--t", "5", "--k", "5")
+    assert code == 0 and doc["result"] == {"product": "1/1", "verdict": "holds"}
+
+
+def test_verify_chain_proves_every_link(capsys, monkeypatch):
+    # psi's form broken in the one link s gives "violated", whichever link
+    # of t = 3 ... 9 it is
+    for s in (3, 5, 7):
+        monkeypatch.setattr(
+            cli, "psi_form",
+            lambda t, s=s: hde.psi_form(t)[1:] if t == s else hde.psi_form(t),
+        )
+        code, doc = run_json(capsys, "verify", "--mode", "chain", "--t", "3", "--k", "9")
+        assert code == 1 and doc["result"] == {"product": "3/1", "verdict": "violated"}, s
+
+
+def test_verify_chain_refuses_a_link_past_the_vertex_cap(capsys, monkeypatch):
+    # the last link maps P_k: k = 63 is refused before any link is proved
+    monkeypatch.setattr(cli, "prove_path_identity", _must_not_run)
+    for t, k in ((1, 63), (61, 63), (3, 65), (1, 10**12 + 1)):
+        code, out, err = run_cli(capsys, "verify", "--mode", "chain", "--t", str(t),
+                                 "--k", str(k))
+        assert code == 2 and out == "" and "exceeds cap of 63" in err, (t, k)
+    monkeypatch.undo()
+    code, doc = run_json(capsys, "verify", "--mode", "chain", "--t", "1", "--k", "61")
+    assert code == 0 and doc["result"] == {"product": "61/1", "verdict": "holds"}
 
 
 def test_verify_hde_definition_exit_codes(capsys):
@@ -299,6 +328,28 @@ def test_a_c_past_the_power_budget_is_refused_at_once(capsys, c):
     assert code == 2 and out == "" and "homdom: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("f1, f2", [("path:32", "path:9"), ("path:62", "path:13")])
+def test_a_source_past_the_profile_cap_is_refused_at_once(capsys, monkeypatch, f1, f2):
+    # without the cap, P32 into P9 runs past 90 s
+    monkeypatch.setattr("homdom.hde.build_polytope", _must_not_run)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "hde", "--f1", f1, "--f2", f2)
+    assert time.perf_counter() - started < 10
+    assert code == 2 and out == "" and "cap of 50000 distinct profiles" in err
+
+
+def test_the_profile_cap_accepts_a_source_at_it(capsys, monkeypatch):
+    # P16 has 204 distinct profiles into P3, and no set of the DP has more
+    argv = ["hde", "--f1", "union:2*path:0+1*path:16", "--f2", "path:3"]
+    monkeypatch.setattr(hde, "PROFILE_CAP", 204)
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["result"]["hde"] == "3/1"
+    monkeypatch.setattr(hde, "PROFILE_CAP", 203)
+    monkeypatch.setattr("homdom.hde.build_polytope", _must_not_run)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "cap of 203 distinct profiles" in err
+
+
 def test_unreadable_graph_files_are_usage_errors(capsys, tmp_path):
     superscript = tmp_path / "superscript.txt"
     superscript.write_text("2 1\n0 \u00b9\n", encoding="utf-8")
@@ -378,13 +429,14 @@ def test_certificate_rejects_a_broken_lower_proof(capsys, monkeypatch):
         }
         assert _objective(ends + folds) == hde.psi_form(t)
         for name, form in forms.items():
+            assert not prove_path_identity(t, form, t + 2), (t, name)
             monkeypatch.setattr(cli, "psi_form", lambda t, form=form: form)
             code, doc = run_json(capsys, "certificate", "--t", str(t))
             assert code == 1 and doc["result"]["lower"] is None, (t, name)
             assert doc["result"]["verdict"] == "violated", (t, name)
         monkeypatch.undo()
         # psi's form intact, the path identity not proved
-        monkeypatch.setattr(cli, "prove_path_identity", lambda t: False)
+        monkeypatch.setattr(cli, "prove_path_identity", lambda *args: False)
         code, doc = run_json(capsys, "certificate", "--t", str(t))
         assert code == 1 and doc["result"]["lower"] is None, t
         code, doc = run_json(capsys, "verify", "--mode", "lemma-identity", "--t", str(t))

@@ -25,7 +25,7 @@ from homdom.graphs import (
     from_edges,
     path,
 )
-from homdom.checks import Scope, check_hde_definition, path_form
+from homdom.checks import Scope, check_hde_definition, path_form, prove_path_identity
 from homdom.homs import Homomorphism, enumerate_homs
 from homdom.polytope import (
     SetFunction, build_polytope, indicator_point, is_member, p_star, random_vertex_point,
@@ -649,6 +649,8 @@ def test_psi_form_is_t_plus_2_path_forms_in_int_coefficients():
         form = psi_form(t)
         assert form == tuple((mask, (t + 2) * c) for mask, c in path_form(t)), t
         assert all(type(c) is int for _, c in form), t
+        # the chain rows, taken t+2 times, prove it equal to (t+2) * p(V)
+        assert prove_path_identity(t, form, t + 2), t
 
 
 def test_psi_form_mutations_are_not_fixed():
