@@ -45,6 +45,11 @@ EXHAUSTIVE_CAP = 6
 # the most bits a power of a hom count may take in check_hde_definition:
 # two powers of this size take 0.05 to 0.14 s (Python 3.11, one core)
 POWER_BITS = 1 << 20
+# the most samples * (n^2 + 20) a random scope may draw: a graph of n
+# vertices takes about n^2 + 20 half-microseconds to draw, validate and
+# sweep at t = 1, k = 3, and the largest such sweeps took 40 s at n = 1
+# (4,761,904 samples) and 57 s at n = 63 (25,068 samples; Python 3.11.7)
+SAMPLE_BUDGET = 10**8
 
 
 def _add_vertex(graphs: list, m: int):
@@ -132,6 +137,9 @@ class Scope:
             raise MalformedInput(f"edge probability must be in [0, 1], got {_rat(edge_prob)}")
         check_vertex_count(n)
         _check_vertices(n)
+        if samples * (n * n + 20) > SAMPLE_BUDGET:
+            raise ScopeTooLarge(f"{samples} samples at n={n} exceed the draw budget: "
+                                f"samples * (n^2 + 20) may be at most {SAMPLE_BUDGET}")
 
         def draw():
             rng = random.Random(seed)

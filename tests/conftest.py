@@ -10,12 +10,13 @@ subsets with separation found by breadth-first search, a row at a point
 by its ``Fraction`` sum, walk counts by integer adjacency-matrix powers,
 labeled graphs by an edge list per edge bitmask, the integer simplex
 core and the integer presolve by the ``Fraction`` ones they replaced, the
-presolved solve by the dual pivoted with no presolve, and the walk
-inequality by its density form.  The exact LP over the polytope's
-``=`` rows, ``fixed_value``, is the oracle for the chain-row proofs of
-the path identity and ψ's objective.  The small graph helpers that only
-the tests use live here too, and so does ψ itself as one homomorphism
-from the whole union.
+presolved solve by the dual pivoted with no presolve, the walk
+inequality by its density form, and ``Graph`` validation by the row and
+pair scan that the packed transpose replaced.  The exact LP over the
+polytope's ``=`` rows, ``fixed_value``, is the oracle for the chain-row
+proofs of the path identity and ψ's objective.  The small graph helpers
+that only the tests use live here too, and so does ψ itself as one
+homomorphism from the whole union.
 """
 
 import random
@@ -98,6 +99,23 @@ def random_graph(n: int, rng: random.Random, edge_prob=Fraction(1, 2)) -> Graph:
     a, b = edge_prob.numerator, edge_prob.denominator
     edges = [(u, v) for v in range(n) for u in range(v) if rng.randrange(b) < a]
     return from_edges(n, edges)
+
+
+def adjacency_fault(n: int, adj) -> str | None:
+    """The refusal of n rows as a row scan for range faults and self-loops
+    and then a pair scan for asymmetry, v then u, read them; None if the
+    rows are a graph's."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            return f"adjacency row {v} references missing vertices"
+        if row >> v & 1:
+            return f"self-loop at vertex {v}"
+    for v in range(n):
+        for u in range(v):
+            if (adj[v] >> u & 1) != (adj[u] >> v & 1):
+                return f"adjacency not symmetric at {{{u},{v}}}"
+    return None
 
 
 def labeled_graphs_by_mask(n: int):

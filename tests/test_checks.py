@@ -19,6 +19,7 @@ from homdom.graphs import Graph, disjoint_union, from_edges, path, serialize_gra
 from homdom.homs import count_homs
 from homdom.polytope import SetFunction, indicator_point, p_star, random_vertex_point, separates
 from homdom.checks import (
+    SAMPLE_BUDGET,
     CheckReport,
     Scope,
     _decimal,
@@ -202,6 +203,25 @@ def test_scope_caps():
     # the vertex cap, checked before any graph of the scope is drawn
     with pytest.raises(GraphTooLarge):
         Scope.random(1, 10**6, Fraction(1, 2), seed=0)
+
+
+def test_random_scope_draw_budget(monkeypatch):
+    # drawing is lazy, so building the largest scopes draws no graph
+    monkeypatch.setattr(checks, "random_graph", _must_not_draw)
+    for n in (1, 63):
+        most = SAMPLE_BUDGET // (n * n + 20)
+        assert Scope.random(most, n, Fraction(1, 2), seed=0).describe()["samples"] == most
+        with pytest.raises(ScopeTooLarge, match=f"may be at most {SAMPLE_BUDGET}"):
+            Scope.random(most + 1, n, Fraction(1, 2), seed=0)
+    # the budget is checked after the scope's other refusals
+    for n, prob, refusal in ((5, 2, MalformedInput), (64, 0, GraphTooLarge), (-1, 0, MalformedInput),
+                             (0, 0, EmptyGraph)):
+        with pytest.raises(refusal):
+            Scope.random(10**18, n, prob, seed=0)
+
+
+def _must_not_draw(*args):
+    pytest.fail("a graph was drawn while the scope was built")
 
 
 def test_scopes_refuse_a_negative_vertex_count():

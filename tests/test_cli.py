@@ -8,7 +8,7 @@ import pytest
 from homdom import cli, errors, hde
 from homdom import lp as ratlp
 from homdom.checks import (
-    CheckReport, Scope, check_blakley_roy, path_form, prove_path_identity,
+    SAMPLE_BUDGET, CheckReport, Scope, check_blakley_roy, path_form, prove_path_identity,
 )
 from homdom.cli import main
 from homdom.graphs import clique_tree, from_edges, serialize_graph
@@ -326,6 +326,16 @@ def test_a_c_past_the_power_budget_is_refused_at_once(capsys, c):
                              "--f2", "path:1", "--c", c, "--exhaustive-n", "2")
     assert time.perf_counter() - started < 1
     assert code == 2 and out == "" and "homdom: " in err and "Traceback" not in err
+
+
+def test_a_random_scope_past_the_draw_budget_is_refused_at_once(capsys):
+    # without the budget this ran past 60 s
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--mode", "walk-inequality", "--t", "1", "--k", "3",
+                             "--samples", "1000000000000000000", "--n", "1")
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert f"exceed the draw budget: samples * (n^2 + 20) may be at most {SAMPLE_BUDGET}" in err
 
 
 @pytest.mark.parametrize("f1, f2", [("path:32", "path:9"), ("path:62", "path:13")])

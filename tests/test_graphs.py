@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -25,7 +26,7 @@ from homdom.graphs import (
     serialize_graph,
     star,
 )
-from conftest import brute_force_chordal, brute_force_k4_minor, complete, has_edge, mask_of, random_graph
+from conftest import adjacency_fault, brute_force_chordal, brute_force_k4_minor, complete, has_edge, mask_of, random_graph
 
 
 def test_path_basics():
@@ -344,13 +345,59 @@ def test_graph_spec_language():
             parse_graph_spec(long)
 
 
-def test_graph_validation():
-    with pytest.raises(MalformedInput):
-        Graph(2, (0b10, 0b00))  # asymmetric
-    with pytest.raises(MalformedInput):
-        Graph(1, (0b1,))  # loop
-    with pytest.raises(MalformedInput):
+VALIDATION_SIZES = (1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 62, 63)  # each side of each stride
+
+
+def _add_fault(kind: str, n: int, rows: list[int], rng: random.Random) -> None:
+    v = rng.randrange(n)
+    if kind == "range":  # a bit at or past n, up to past the widest stride
+        rows[v] |= 1 << rng.randrange(n, n + 70)
+    elif kind == "negative":
+        rows[v] = ~rows[v] if rng.randrange(2) else -rng.randrange(1, 1 << n)
+    elif kind == "loop":
+        rows[v] |= 1 << v
+    else:  # one bit off the diagonal flipped
+        rows[v] ^= 1 << rng.choice([u for u in range(n) if u != v])
+
+
+def test_graph_validation_agrees_with_the_row_and_pair_scan():
+    with pytest.raises(MalformedInput, match=re.escape("not symmetric at {0,1}")):
+        Graph(2, (0b10, 0b00))
+    with pytest.raises(MalformedInput, match="self-loop at vertex 0"):
+        Graph(1, (0b1,))
+    with pytest.raises(MalformedInput, match=re.escape("edge (0,2) out of range for n=2")):
         from_edges(2, [(0, 2)])
+    # of two faults the scan's first wins: any row fault before any pair, the
+    # lower row, a range fault before a self-loop in one row, and of two
+    # pairs the one whose larger vertex is smaller
+    for n, rows, message in [
+        (6, (0b100000, 0, 0, 0b10000, 0, 0), "adjacency not symmetric at {3,4}"),
+        (6, (0b10, 0, 0, 0, 0b10000, 0), "self-loop at vertex 4"),
+        (4, (0, 0b10, 0, 0b10000), "self-loop at vertex 1"),
+        (4, (-1, 0, 0b10000, 0), "adjacency row 0 references missing vertices"),
+        (3, (0, 0b1010, 0), "adjacency row 1 references missing vertices"),
+    ]:
+        assert adjacency_fault(n, rows) == message
+        with pytest.raises(MalformedInput, match=re.escape(message)):
+            Graph(n, rows)
+    rng = random.Random(30)
+    kinds = ("range", "negative", "loop", "flip")
+    for n in VALIDATION_SIZES:
+        seen = set()
+        for _ in range(80):
+            rows = list(random_graph(n, rng, Fraction(rng.randrange(1, 4), 4)).adj)
+            for kind in rng.choices(kinds if n > 1 else kinds[:3], k=rng.randrange(3)):
+                _add_fault(kind, n, rows, rng)
+            rows = tuple(rows)
+            fault = adjacency_fault(n, rows)
+            seen.add(fault and fault.split(" ")[1])
+            if fault is None:
+                assert Graph(n, rows).adj == rows
+            else:
+                with pytest.raises(MalformedInput) as refusal:
+                    Graph(n, rows)
+                assert str(refusal.value) == fault, (n, rows)
+        assert seen == {None, "row", "at"} | ({"not"} if n > 1 else set()), n
 
 
 def test_star_and_regularity_helpers():
