@@ -214,8 +214,8 @@ def test_random_scope_draw_budget(monkeypatch):
         with pytest.raises(ScopeTooLarge, match=f"may be at most {SAMPLE_BUDGET}"):
             Scope.random(most + 1, n, Fraction(1, 2), seed=0)
     # the budget is checked after the scope's other refusals
-    for n, prob, refusal in ((5, 2, MalformedInput), (64, 0, GraphTooLarge), (-1, 0, MalformedInput),
-                             (0, 0, EmptyGraph)):
+    for n, prob, refusal in ((5, 2, MalformedInput), (64, 0, GraphTooLarge),
+                             (-1, 0, MalformedInput), (0, 0, EmptyGraph)):
         with pytest.raises(refusal):
             Scope.random(10**18, n, prob, seed=0)
 
