@@ -54,13 +54,11 @@ from .hde import (
     certify_lower,
     certify_upper,
     compute_hde,
-    objective_clique_tree_form,
-    phi_i,
+    walk_form,
 )
 from .checks import (
     CheckReport,
     Scope,
-    chain_exponents,
     check_blakley_roy,
     check_hde_definition,
     check_lemma_identity,

@@ -327,14 +327,6 @@ def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
                           "counterexample search", "counterexample-found", witness)
 
 
-def chain_exponents(t: int, k: int) -> Fraction:
-    """Telescoping product (t+2)/t * (t+4)/(t+2) * ... * k/(k-2) = k/t."""
-    if t % 2 == 0 or k % 2 == 0 or t > k:
-        raise BadParity(f"need odd t <= odd k, got t={t}, k={k}")
-    _check_indices(t, k)
-    return Fraction(k, t)
-
-
 def path_form(t: int) -> tuple[tuple[int, int], ...]:
     """The right side of the path identity p(V) = sum(edges) - sum(inner
     vertices) as a linear form over the subsets of V(P_t), sorted by mask.

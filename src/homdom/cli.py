@@ -23,16 +23,16 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .errors import BadIndex, HomdomError, MalformedInput, PreconditionError, UsageError
-from .graphs import MAX_DIGITS, check_vertex_count, parse_graph, parse_graph_spec, subset_label
+from .errors import BadIndex, BadParity, HomdomError, MalformedInput, PreconditionError, UsageError
+from .graphs import MAX_DIGITS, parse_graph, parse_graph_spec, subset_label
 from .homs import average_degree, walk_count
 from .polytope import build_polytope, dump_polytope
-from .hde import certify_upper, compute_hde, psi_form
+from .hde import certify_upper, compute_hde, walk_form
 from .checks import (
     Scope,
+    _check_indices,
     _decimal,
     _rat,
-    chain_exponents,
     check_blakley_roy,
     check_hde_definition,
     find_counterexample,
@@ -166,13 +166,15 @@ def _lemma_identity(args) -> tuple[dict, bool]:
 
 
 def _chain(args) -> tuple[dict, bool]:
-    # link s proves HDE(P0^2 P_{s+2}^s; P_s) >= s+2 as the certificate does,
-    # which gives n^2 W_{s+2}^s >= W_s^{s+2} by Kopparty and Rossman's
-    # entropy lemma; the links for s = t, t+2, ..., k-2 chain to w_k^t >= w_t^k
-    product = chain_exponents(args.t, args.k)
-    check_vertex_count(args.k + 1)  # the last link maps P_k
-    holds = all(prove_path_identity(s, psi_form(s), s + 2) for s in range(args.t, args.k, 2))
-    return {"product": _rat(product), "verdict": "holds" if holds else "violated"}, holds
+    # the walks prove HDE(P0^{k-t} P_k^t; P_t) >= k, which gives
+    # n^{k-t} W_k^t >= W_t^k, that is w_k^t >= w_t^k, by Kopparty and
+    # Rossman's entropy lemma; the walks' path(k) refuses a k past the cap
+    t, k = args.t, args.k
+    if t % 2 == 0 or k % 2 == 0 or t > k:
+        raise BadParity(f"need odd t <= odd k, got t={t}, k={k}")
+    _check_indices(t, k)
+    holds = prove_path_identity(t, walk_form(t, k), k)
+    return {"product": _rat(Fraction(k, t)), "verdict": "holds" if holds else "violated"}, holds
 
 
 def _hde_definition(args) -> tuple[dict, bool]:
@@ -227,7 +229,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
 def cmd_certificate(args) -> tuple[dict, bool]:
     upper = certify_upper(args.t)  # refuses an even t
     # psi's objective is (t+2) * p(V) = t+2 on every polytope member
-    proved = prove_path_identity(args.t, psi_form(args.t), args.t + 2)
+    proved = prove_path_identity(args.t, walk_form(args.t, args.t + 2), args.t + 2)
     lower = Fraction(args.t + 2) if proved else None
     all_ok = upper == lower == args.t + 2
     return {

@@ -10,11 +10,10 @@ and must never be expanded).
 
 The functional is read off a clique tree of the source component: one
 positive term per clique, one negative term per separator, as int terms
-over the target's cliques.  ``objective_clique_tree_form`` gives one
-map's, for the lower certificate ``psi_form``.  The subset form
-(alternating sum over sets of maximal cliques with common intersection)
-is the test suite's oracle for this builder.  ``certify_upper`` uses
-``max_objective``.
+over the target's cliques.  The subset form (alternating sum over sets of
+maximal cliques with common intersection) is the test suite's oracle for
+it.  ``certify_upper`` uses ``max_objective``; the lower certificate,
+``walk_form``, reads the functional of a path source off its walk.
 
 Neither the LP's rows nor the maximum of the functional at one fixed p
 needs the homomorphisms listed.  Both come from the tree-decomposition
@@ -36,10 +35,11 @@ re-checks its optimum with it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations
+from itertools import combinations
 from operator import itemgetter, or_
 
 from .errors import (
@@ -74,24 +74,6 @@ from .polytope import SetFunction, build_polytope, check_ground, is_member
 from . import lp as ratlp
 
 PROFILE_CAP = 50_000  # the most distinct profiles one set of ``profiles`` may hold
-
-
-def objective_clique_tree_form(tree: CliqueTree, phi: Homomorphism) -> tuple[tuple[int, int], ...]:
-    """The linear functional p -> sum coeff * p(subset) induced by phi, as
-    its nonzero (target subset mask, int coefficient) terms sorted by
-    mask: +1 per clique-tree node at the image of its clique, -1 per tree
-    edge at the image of its separator.  ``tree`` is
-    ``clique_tree(phi.source)`` (a forest for unions); the empty set never
-    appears.  These are the profiles ``profiles`` lists without
-    enumerating the maps."""
-    m = phi.map
-    acc: dict[int, int] = {}
-    for verts, sign in chain(((c, 1) for c in tree.cliques), ((s, -1) for s in tree.separators)):
-        img = 0
-        for v in bits_of(verts):
-            img |= 1 << m[v]
-        acc[img] = acc.get(img, 0) + sign
-    return tuple(sorted(term for term in acc.items() if term[1]))
 
 
 def _clique_dp(tree: CliqueTree, F2: Graph, state, merge) -> list[dict]:
@@ -210,10 +192,10 @@ def _sum_sets(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 def profiles(tree: CliqueTree, F2: Graph) -> dict[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """Every distinct profile of the homomorphisms of the chordal source
-    of ``tree`` into F2, as ``objective_clique_tree_form`` gives it,
-    mapped to its lexicographically least map, in increasing order of
-    those maps: the order in which ``enumerate_homs`` first meets each
-    profile.  No homomorphism is enumerated.
+    of ``tree`` into F2, as its nonzero int terms sorted by mask, mapped
+    to its lexicographically least map, in increasing order of those
+    maps: the order in which ``enumerate_homs`` first meets each profile.
+    No homomorphism is enumerated.
 
     The set-valued form of ``_clique_dp``: a table entry maps each
     profile of the clique's subtree, for that state of the clique, to its
@@ -379,19 +361,7 @@ def compute_hde(F1: Graph, F2: Graph) -> HdeResult:
     )
 
 
-# -- the explicit certificates for HDE(P0^2 P_{t+2}^t; P_t) ---------------
-
-
-def phi_i(t: int, i: int) -> Homomorphism:
-    """The fold of the (t+2)-path onto the t-path that walks edge i of the
-    target (1-based, as in {i, i+1}) three times and every other edge once:
-    vertex j maps to j for j <= i and to j-2 afterwards (0-based)."""
-    if t < 1:
-        raise BadIndex("t must be at least 1")
-    if not 1 <= i <= t:
-        raise BadIndex(f"i must be in 1..{t}, got {i}")
-    mapping = tuple(j if j <= i else j - 2 for j in range(t + 3))
-    return Homomorphism(path(t + 2), path(t), mapping)
+# -- the explicit certificates for HDE(P0^{k-t} P_k^t; P_t) >= k -----------
 
 
 def _flagship_source(t: int) -> tuple[tuple[Graph, int], ...]:
@@ -399,14 +369,6 @@ def _flagship_source(t: int) -> tuple[tuple[Graph, int], ...]:
     if t < 1 or t % 2 == 0:
         raise BadParity(f"t must be odd and positive, got {t}")
     return ((path(0), 2), (path(t + 2), t))
-
-
-def _psi_parts(t: int) -> list[Homomorphism]:
-    """psi restricted to each component of P0^2 P_{t+2}^t, in the order of
-    ``_flagship_source``: the two isolated vertices go to the two path
-    ends, the i-th long-path copy folds via phi_i."""
-    ends = [Homomorphism(path(0), path(t), (end,)) for end in (0, t)]
-    return ends + [phi_i(t, i) for i in range(1, t + 1)]
 
 
 def certify_upper(t: int) -> Fraction:
@@ -432,21 +394,46 @@ def certify_upper(t: int) -> Fraction:
     )
 
 
-def psi_form(t: int) -> tuple[tuple[int, int], ...]:
-    """The objective of psi as one linear form over the subsets of V(P_t),
-    sorted by mask.  Summed one component of the source at a time, so the
-    union itself (2 + t(t+3) vertices) is never built.  Every polytope
-    member gives it (t+2) * p(V) = t+2, which certifies HDE >= t+2."""
-    trees = {comp: clique_tree(comp) for comp, _ in _flagship_source(t)}
-    return ratlp._norm_terms(
-        term for h in _psi_parts(t) for term in objective_clique_tree_form(trees[h.source], h)
-    )
+def walk_form(t: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The objective of a map of P0^{k-t} P_k^t into P_t, as one linear
+    form over the subsets of V(P_t) sorted by mask: k * ``path_form(t)``,
+    which every polytope member gives k * p(V) = k, so HDE >= k.
+
+    With r = (k - t)/2, r isolated vertices go to 0 and r to t, and copy
+    w of P_k (w < t) walks from 0 to t, going back and forth once on each
+    of the edges w, w+1, ..., w+r-1 (mod t).  A walk gives +1 at each
+    step's edge and -1 at each inner visit.  In all, each edge is walked
+    k times and each inner vertex visited k times; the isolated vertices
+    cancel the r inner visits of each end.  Each walk is checked as a map
+    of ``path(k)``, which is built first, so a k past the vertex cap is
+    refused before any walk.  At k = t + 2 this is psi.
+    """
+    if t < 1:
+        raise BadIndex(f"walks onto P_t need t >= 1, got t={t}")
+    if k < t:
+        raise BadIndex(f"need t <= k, got t={t}, k={k}")
+    if (k - t) % 2:
+        raise BadParity(f"need k - t even, got t={t}, k={k}")
+    source, target = path(k), path(t)
+    r = (k - t) // 2
+    terms = [(1, r), (1 << t, r)]
+    for w in range(t):
+        turns = Counter((w + i) % t for i in range(r))
+        walk = [0]
+        for e in range(t):
+            walk += [e + 1] + [e, e + 1] * turns[e]
+        Homomorphism(source, target, tuple(walk))
+        terms += ((1 << a | 1 << b, 1) for a, b in zip(walk, walk[1:]))
+        terms += ((1 << v, -1) for v in walk[1:-1])
+    return ratlp._norm_terms(terms)
 
 
 def certify_lower(t: int, p: SetFunction) -> Fraction:
-    """The objective of psi at a polytope member p, which is t+2."""
-    form = psi_form(t)
+    """The objective of psi, ``walk_form(t, t + 2)``, at a polytope member
+    p, which is t+2.  An even t is refused, as ``certify_upper`` refuses
+    it, and a p outside the polytope before the form is built."""
+    _flagship_source(t)
     ok, violated = is_member(p, path(t))
     if not ok:
         raise NotMember(f"p violates {len(violated)} polytope constraints")
-    return ratlp.evaluate(form, p)
+    return ratlp.evaluate(walk_form(t, t + 2), p)

@@ -14,22 +14,26 @@ presolved solve by the dual pivoted with no presolve, the walk
 inequality by its density form, and ``Graph`` validation by the row and
 pair scan that the packed transpose replaced.  The exact LP over the
 polytope's ``=`` rows, ``fixed_value``, is the oracle for the chain-row
-proofs of the path identity and ψ's objective.  The small graph helpers
-that only the tests use live here too, and so does ψ itself as one
-homomorphism from the whole union.
+proofs of the path identity and of the walk certificates.  The maps
+behind those certificates are built here as homomorphisms, each read by
+the clique-tree form: ψ's folds, ψ itself as one homomorphism from the
+whole union, and the walks of ``walk_form``.  The small graph helpers
+that only the tests use live here too.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from types import SimpleNamespace
 
 from homdom.checks import CheckReport, _witness
 from homdom.errors import BadIndex, EmptyGraph, RatlpError
-from homdom.graphs import Graph, bits_of, clique_tree, disjoint_union, from_edges, path
-from homdom.hde import _flagship_source, _psi_parts, objective_clique_tree_form
+from homdom.graphs import (
+    CliqueTree, Graph, bits_of, clique_tree, disjoint_union, from_edges, path,
+)
+from homdom.hde import _flagship_source
 from homdom.homs import Homomorphism, count_homs, enumerate_homs
 import homdom.lp
 from homdom import lp as ratlp
@@ -50,6 +54,72 @@ def mask_of(vertices) -> int:
 
 def complete(k: int) -> Graph:
     return from_edges(k, [(i, j) for j in range(k) for i in range(j)])
+
+
+def objective_clique_tree_form(tree: CliqueTree, phi: Homomorphism) -> tuple[tuple[int, int], ...]:
+    """The linear functional p -> sum coeff * p(subset) induced by phi, as
+    its nonzero (target subset mask, int coefficient) terms sorted by
+    mask: +1 per clique-tree node at the image of its clique, -1 per tree
+    edge at the image of its separator.  ``tree`` is
+    ``clique_tree(phi.source)`` (a forest for unions); the empty set never
+    appears.  These are the profiles ``profiles`` lists without
+    enumerating the maps."""
+    m = phi.map
+    acc: dict[int, int] = {}
+    for verts, sign in chain(((c, 1) for c in tree.cliques), ((s, -1) for s in tree.separators)):
+        img = 0
+        for v in bits_of(verts):
+            img |= 1 << m[v]
+        acc[img] = acc.get(img, 0) + sign
+    return tuple(sorted(term for term in acc.items() if term[1]))
+
+
+def objective_of(parts) -> tuple[tuple[int, int], ...]:
+    """The objective of the given per-component maps as one sorted form."""
+    return ratlp._norm_terms(
+        term for h in parts for term in objective_clique_tree_form(clique_tree(h.source), h)
+    )
+
+
+def phi_i(t: int, i: int) -> Homomorphism:
+    """The fold of the (t+2)-path onto the t-path that walks edge i of the
+    target (1-based, as in {i, i+1}) three times and every other edge once:
+    vertex j maps to j for j <= i and to j-2 afterwards (0-based)."""
+    if t < 1:
+        raise BadIndex("t must be at least 1")
+    if not 1 <= i <= t:
+        raise BadIndex(f"i must be in 1..{t}, got {i}")
+    mapping = tuple(j if j <= i else j - 2 for j in range(t + 3))
+    return Homomorphism(path(t + 2), path(t), mapping)
+
+
+def _psi_parts(t: int) -> list[Homomorphism]:
+    """psi restricted to each component of P0^2 P_{t+2}^t, in the order of
+    ``_flagship_source``: the two isolated vertices go to the two path
+    ends, the i-th long-path copy folds via phi_i."""
+    ends = [Homomorphism(path(0), path(t), (end,)) for end in (0, t)]
+    return ends + [phi_i(t, i) for i in range(1, t + 1)]
+
+
+def walk_along(t: int, edges) -> Homomorphism:
+    """The map of P_{t + 2 len(edges)} onto P_t along the walk from 0 to t
+    that goes back and forth once more on the edge {e, e+1} for each e of
+    ``edges``: the straight walk with e, e+1 put in after its vertex e+1,
+    the highest e first so that the lower places do not move."""
+    walk = list(range(t + 1))
+    for e in sorted(edges, reverse=True):
+        walk[e + 2:e + 2] = [e, e + 1]
+    return Homomorphism(path(len(walk) - 1), path(t), tuple(walk))
+
+
+def walk_parts(t: int, k: int) -> list[Homomorphism]:
+    """The maps of ``walk_form(t, k)`` per component of P0^{k-t} P_k^t:
+    with r = (k - t)/2, r isolated vertices at 0 and r at t, then for
+    w = 0 ... t-1 the walk with back-and-forths on edges w ... w+r-1
+    (mod t)."""
+    r = (k - t) // 2
+    ends = [Homomorphism(path(0), path(t), (end,)) for end in (0,) * r + (t,) * r]
+    return ends + [walk_along(t, [(w + i) % t for i in range(r)]) for w in range(t)]
 
 
 def psi(t: int) -> Homomorphism:

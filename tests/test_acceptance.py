@@ -16,18 +16,18 @@ from homdom.hde import (
     certify_lower,
     certify_upper,
     compute_hde,
-    objective_clique_tree_form,
+    walk_form,
 )
 from homdom.checks import (
     Scope,
-    chain_exponents,
     check_hde_definition,
     check_lemma_identity,
     check_walk_inequality,
     find_counterexample,
     labeled_graphs,
+    prove_path_identity,
 )
-from conftest import brute_force_lp, objective_subset_form
+from conftest import brute_force_lp, objective_clique_tree_form, objective_subset_form, walk_parts
 
 VERTEX_SEEDS = range(100)
 SANDWICH_SEEDS = range(25)
@@ -164,11 +164,20 @@ def test_criterion_6_identity_suite():
 
 
 def test_criterion_7_chaining():
+    # HDE(P0^{k-t} P_k^t; P_t) >= k gives w_k^t >= w_t^k by the entropy lemma
     ok = True
+    pairs = 0
     for t in range(1, 16, 2):
         for k in range(t, 16, 2):
-            ok = ok and chain_exponents(t, k) == Fraction(k, t)
-    _report(7, ok, "telescoping exponent product equals k/t for all odd t <= k <= 15")
+            form = walk_form(t, k)
+            oracle = ratlp._norm_terms(
+                term for h in walk_parts(t, k) for term in objective_subset_form(h.source, h)
+            )
+            ok = ok and form == oracle
+            ok = ok and prove_path_identity(t, form, k) and not prove_path_identity(t, form, k - 1)
+            pairs += 1
+    _report(7, ok, f"the walks prove HDE(P0^(k-t) P_k^t; P_t) >= k, and not k-1, for all "
+                   f"{pairs} pairs of odd t <= k <= 15")
 
 
 def test_criterion_8_oracle_equivalences():

@@ -24,7 +24,6 @@ from homdom.checks import (
     Scope,
     _decimal,
     _rat,
-    chain_exponents,
     check_blakley_roy,
     check_hde_definition,
     check_lemma_identity,
@@ -287,20 +286,6 @@ def test_find_counterexample():
         find_counterexample(2, 4, Scope.exhaustive(3))
     with pytest.raises(BadParity):
         find_counterexample(4, 3, Scope.exhaustive(3))
-
-
-def test_chain_exponents():
-    assert chain_exponents(3, 7) == Fraction(7, 3)
-    assert chain_exponents(1, 9) == 9
-    assert chain_exponents(3, 3) == 1
-    with pytest.raises(BadParity):
-        chain_exponents(2, 4)
-    with pytest.raises(BadParity):
-        chain_exponents(5, 3)
-    with pytest.raises(BadIndex):
-        chain_exponents(-1, 3)
-    # the product is not multiplied out, so a k past any loop's reach is instant
-    assert chain_exponents(1, 10**12 + 1) == 10**12 + 1
 
 
 def test_lemma_identity():

@@ -6,13 +6,12 @@ from pathlib import Path
 import pytest
 
 from homdom import cli, errors, hde
-from homdom import lp as ratlp
 from homdom.checks import (
     SAMPLE_BUDGET, CheckReport, Scope, check_blakley_roy, path_form, prove_path_identity,
 )
 from homdom.cli import main
-from homdom.graphs import clique_tree, from_edges, serialize_graph
-from homdom.hde import objective_clique_tree_form
+from homdom.graphs import from_edges, serialize_graph
+from conftest import _psi_parts, objective_of
 
 
 def run_cli(capsys, *argv):
@@ -106,16 +105,12 @@ def test_verify_chain(capsys):
     assert code == 0 and doc["result"] == {"product": "1/1", "verdict": "holds"}
 
 
-def test_verify_chain_proves_every_link(capsys, monkeypatch):
-    # psi's form broken in the one link s gives "violated", whichever link
-    # of t = 3 ... 9 it is
-    for s in (3, 5, 7):
-        monkeypatch.setattr(
-            cli, "psi_form",
-            lambda t, s=s: hde.psi_form(t)[1:] if t == s else hde.psi_form(t),
-        )
-        code, doc = run_json(capsys, "verify", "--mode", "chain", "--t", "3", "--k", "9")
-        assert code == 1 and doc["result"] == {"product": "3/1", "verdict": "violated"}, s
+def test_verify_chain_rejects_a_broken_proof(capsys, monkeypatch):
+    # the walks' form with one term dropped gives "violated"
+    monkeypatch.setattr(cli, "walk_form", lambda t, k: hde.walk_form(t, k)[1:])
+    for t, k, product in ((3, 9, "3/1"), (1, 61, "61/1"), (59, 61, "61/59")):
+        code, doc = run_json(capsys, "verify", "--mode", "chain", "--t", str(t), "--k", str(k))
+        assert code == 1 and doc["result"] == {"product": product, "verdict": "violated"}, (t, k)
 
 
 def test_verify_chain_refuses_a_link_past_the_vertex_cap(capsys, monkeypatch):
@@ -308,6 +303,9 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
          "a scope's graphs need at least one vertex"),
         (["verify", "--mode", "counterexample", "--t", "2", "--k", "3", "--samples", "1",
           "--n", "0"], "a scope's graphs need at least one vertex"),
+        # BadParity: the walk inequality is proved for odd t <= odd k
+        (["verify", "--mode", "chain", "--t", "5", "--k", "3"], "need odd t <= odd k"),
+        (["verify", "--mode", "chain", "--t", "0", "--k", "3"], "need odd t <= odd k"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
@@ -421,26 +419,19 @@ def test_proofs_past_the_ground_set_cap_need_no_polytope(capsys, monkeypatch):
     assert code == 2 and out == "" and "exceeds cap of 63" in err
 
 
-def _objective(parts):
-    """The objective of the given per-component maps as one sorted form."""
-    return ratlp._norm_terms(
-        term for h in parts for term in objective_clique_tree_form(clique_tree(h.source), h)
-    )
-
-
 def test_certificate_rejects_a_broken_lower_proof(capsys, monkeypatch):
     for t in (3, 5, 7):
-        ends, folds = hde._psi_parts(t)[:2], hde._psi_parts(t)[2:]
+        ends, folds = _psi_parts(t)[:2], _psi_parts(t)[2:]
         forms = {
-            "phi_1 dropped": _objective(ends + folds[1:]),
-            "phi_2 replaced by phi_1": _objective(ends + folds[:1] * 2 + folds[2:]),
-            "one end dropped": _objective(ends[:1] + folds),
+            "phi_1 dropped": objective_of(ends + folds[1:]),
+            "phi_2 replaced by phi_1": objective_of(ends + folds[:1] * 2 + folds[2:]),
+            "one end dropped": objective_of(ends[:1] + folds),
             "scale t+1": tuple((m, (t + 1) * c) for m, c in path_form(t)),
         }
-        assert _objective(ends + folds) == hde.psi_form(t)
+        assert objective_of(ends + folds) == hde.walk_form(t, t + 2)
         for name, form in forms.items():
             assert not prove_path_identity(t, form, t + 2), (t, name)
-            monkeypatch.setattr(cli, "psi_form", lambda t, form=form: form)
+            monkeypatch.setattr(cli, "walk_form", lambda t, k, form=form: form)
             code, doc = run_json(capsys, "certificate", "--t", str(t))
             assert code == 1 and doc["result"]["lower"] is None, (t, name)
             assert doc["result"]["verdict"] == "violated", (t, name)

@@ -10,6 +10,8 @@ from homdom import lp as ratlp
 from homdom.errors import (
     BadIndex,
     BadParity,
+    GraphTooLarge,
+    MalformedInput,
     NoHomomorphism,
     NotChordal,
     NotMember,
@@ -35,15 +37,14 @@ from homdom.hde import (
     certify_upper,
     compute_hde,
     max_objective,
-    objective_clique_tree_form,
-    phi_i,
     profiles,
-    psi_form,
+    walk_form,
 )
 from conftest import (
-    _is_connected, brute_force_chordal, complete, edge_visits, fixed_value, grouped_profiles,
-    labeled_graphs_by_mask, mask_of, max_objective_by_enumeration, objective_subset_form, psi,
-    random_graph,
+    _is_connected, _psi_parts, brute_force_chordal, complete, edge_visits, fixed_value,
+    grouped_profiles, labeled_graphs_by_mask, mask_of, max_objective_by_enumeration,
+    objective_clique_tree_form, objective_of, objective_subset_form, phi_i, psi, random_graph,
+    walk_along, walk_parts,
 )
 
 
@@ -625,28 +626,23 @@ def test_compute_hde_rejects_wrong_equality_duals(monkeypatch):
         compute_hde(disjoint_union([(path(0), 2), (path(3), 1)]), path(1))
 
 
-def _form_of(parts):
-    """The objective of the given per-component maps, term by term."""
-    return [term for h in parts for term in objective_clique_tree_form(clique_tree(h.source), h)]
-
-
 def test_psi_form_is_fixed_at_t_plus_2_on_the_polytope():
     for t in (1, 3, 5, 7, 9):
-        assert fixed_value(path(t), psi_form(t)) == t + 2
+        assert fixed_value(path(t), walk_form(t, t + 2)) == t + 2
     # the proof's value is the form's value at every member it is tried on
     for t in (1, 3, 5):
         F2 = path(t)
         points = [indicator_point(F2, i) for i in range(t + 1)] + [p_star(t)]
         points += [random_vertex_point(F2, seed) for seed in range(4)]
         for p in points:
-            assert ratlp.evaluate(psi_form(t), p) == t + 2
+            assert ratlp.evaluate(walk_form(t, t + 2), p) == t + 2
 
 
 def test_psi_form_is_t_plus_2_path_forms_in_int_coefficients():
     # the form is merged with its values kept as the builder gives them:
     # ints, compared int to int with the path identity's form
     for t in range(1, 14, 2):
-        form = psi_form(t)
+        form = walk_form(t, t + 2)
         assert form == tuple((mask, (t + 2) * c) for mask, c in path_form(t)), t
         assert all(type(c) is int for _, c in form), t
         # the chain rows, taken t+2 times, prove it equal to (t+2) * p(V)
@@ -655,14 +651,14 @@ def test_psi_form_is_t_plus_2_path_forms_in_int_coefficients():
 
 def test_psi_form_mutations_are_not_fixed():
     for t in (3, 5, 7):
-        ends, folds = hde._psi_parts(t)[:2], hde._psi_parts(t)[2:]
+        ends, folds = _psi_parts(t)[:2], _psi_parts(t)[2:]
         mutations = {
             "phi_1 dropped": ends + folds[1:],
             "phi_2 replaced by phi_1": ends + folds[:1] * 2 + folds[2:],
             "one end dropped": ends[:1] + folds,
         }
         for name, parts in mutations.items():
-            assert fixed_value(path(t), _form_of(parts)) is None, (t, name)
+            assert fixed_value(path(t), objective_of(parts)) is None, (t, name)
 
 
 def test_certify_lower_is_the_sum_of_psi_parts_at_the_acceptance_points():
@@ -673,8 +669,76 @@ def test_certify_lower_is_the_sum_of_psi_parts_at_the_acceptance_points():
         for p in points:
             expected = sum(
                 (ratlp.evaluate(objective_clique_tree_form(clique_tree(h.source), h), p)
-                 for h in hde._psi_parts(t)),
+                 for h in _psi_parts(t)),
                 Fraction(0),
             )
             got = certify_lower(t, p)
             assert got == expected == t + 2 and type(got) is Fraction
+
+
+def test_walk_form_is_the_fold_form_at_t_plus_2():
+    # at k = t+2 walk w goes back and forth on edge w alone: the fold phi_{w+1}
+    for t in range(1, 60, 2):
+        assert walk_form(t, t + 2) == objective_of(_psi_parts(t)), t
+
+
+def test_walk_form_proves_value_k_for_every_same_parity_pair():
+    pairs = 0
+    for t in range(1, 16):
+        for k in range(t, min(t + 24, 61) + 1, 2):
+            form = walk_form(t, k)
+            assert form == objective_of(walk_parts(t, k)), (t, k)
+            assert prove_path_identity(t, form, k), (t, k)
+            assert not prove_path_identity(t, form, k - 1), (t, k)
+            pairs += 1
+    assert pairs == 15 * 13
+
+
+def test_walk_form_mutations_are_not_proved():
+    for t, k in ((1, 5), (2, 6), (3, 9), (4, 14), (5, 7), (7, 23), (15, 39)):
+        r = (k - t) // 2
+        parts = walk_parts(t, k)
+        ends, walks = parts[:2 * r], parts[2 * r:]
+        moved_end = Homomorphism(path(0), path(t), (t,))
+        mutations = {
+            "one isolated vertex dropped": ends[1:] + walks,
+            "one isolated vertex moved from 0 to t": [moved_end] + ends[1:] + walks,
+        }
+        if t > 1:
+            turns = [1] + [i % t for i in range(1, r)]  # walk 0's turn on edge 0 moved to 1
+            mutations["one back-and-forth moved"] = ends + [walk_along(t, turns)] + walks[1:]
+        for name, mutant in mutations.items():
+            form = objective_of(mutant)
+            assert not prove_path_identity(t, form, k), (t, k, name)
+            if t <= 5:
+                assert fixed_value(path(t), form) != k, (t, k, name)
+        assert not prove_path_identity(t, walk_form(t, k), k - 1), (t, k)
+        if t <= 5:
+            assert fixed_value(path(t), walk_form(t, k)) == k, (t, k)
+
+
+def test_walk_form_checks_each_walk_against_p_k(monkeypatch):
+    # with P_{k-2} in place of P_k, every walk has the wrong length
+    monkeypatch.setattr(hde, "path", lambda n: path(n - 2 if n == 9 else n))
+    with pytest.raises(MalformedInput, match="every source vertex"):
+        walk_form(3, 9)
+
+
+def test_walk_form_refuses_before_any_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a walk was built")
+
+    monkeypatch.setattr(hde, "Homomorphism", no_walk)
+    refusals = (
+        ((0, 2), BadIndex, "t >= 1"),
+        ((-1, 3), BadIndex, "t >= 1"),
+        ((5, 3), BadIndex, "t <= k"),
+        ((3, 6), BadParity, "k - t even"),
+        ((1, 10**12 + 1), GraphTooLarge, "exceeds cap of 63"),
+        ((61, 63), GraphTooLarge, "exceeds cap of 63"),
+    )
+    for (t, k), error, message in refusals:
+        with pytest.raises(error, match=message):
+            walk_form(t, k)
+    with pytest.raises(BadParity):  # as certify_upper refuses it
+        certify_lower(4, p_star(4))
