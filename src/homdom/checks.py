@@ -13,6 +13,7 @@ instead of letting a check return a vacuous "holds".
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +53,10 @@ POWER_BITS = 1 << 20
 SAMPLE_BUDGET = 10**8
 
 
+# the native unsigned lane of each width, as ``memoryview.cast`` names it
+_LANE_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
 def _add_vertex(graphs: list, m: int):
     """Adjacency rows of every graph on m + 1 vertices, from the rows of
     every graph on m vertices: vertex m's neighbourhood in the outer loop,
@@ -76,11 +81,96 @@ def labeled_graphs(n: int):
     if n == 0:
         yield Graph(0, ())
         return
-    graphs = [()]
-    for m in range(n - 1):
-        graphs = list(_add_vertex(graphs, m))
-    for rows in _add_vertex(graphs, n - 1):
-        yield Graph(n, rows)
+    for G, _ in _labeled_walks(n, ()):
+        yield G
+
+
+def _lane_width(n: int, k: int) -> int | None:
+    """The narrowest lane of ``_LANE_CODES`` that holds n * (n - 1)^k, the
+    most walks with k edges of a graph on n vertices; None past 64 bits.
+    For n > 2 a k past 64 is past 64 bits, so the power is cut there."""
+    most = n * (n - 1) ** min(k, 64)
+    return next((width for width in _LANE_CODES if most >> width == 0), None)
+
+
+def _repeat(pattern: int, span: int, bits: int) -> int:
+    """``pattern``, ``span`` bits wide, repeated up to ``bits`` bits by
+    doubling; ``bits`` is ``span`` times a power of two."""
+    while span < bits:
+        pattern |= pattern << span
+        span <<= 1
+    return pattern
+
+
+def _lanes(total: int, width: int, count: int) -> list[int]:
+    """The ``count`` lanes of ``width`` bits of ``total``, lane g at bit
+    g * width, read as native ints."""
+    view = memoryview(total.to_bytes(width // 8 * count, sys.byteorder)).cast(_LANE_CODES[width])
+    # a big-endian host writes the top lane first
+    return (view if sys.byteorder == "little" else view[::-1]).tolist()
+
+
+def _graph_walks(graphs, lengths: tuple[int, ...]):
+    """(G, [W_l for l in lengths]) for each graph G, W_l its number of
+    walks with l edges, from one ``walk_counts`` chain a graph."""
+    for G in graphs:
+        walks = walk_counts(G, lengths)
+        yield G, [walks[k] for k in lengths]
+
+
+def _labeled_walks(n: int, lengths: tuple[int, ...]):
+    """(G, [W_l for l in lengths]) for every labeled graph G on n >= 1
+    vertices, in the order of ``labeled_graphs``, W_l being its number of
+    walks with l edges.
+
+    The graphs under one neighbourhood N of vertex n - 1 form a block, one
+    graph per graph g on the first n - 1 vertices, and a block's walks are
+    counted together, bit-sliced (Biham, FSE 1997).  An entry of the walk
+    vector v_a is one int with a lane of w bits per g, g's lane at bit
+    g * w; E_ij is all ones in the lanes whose g has the edge {i, j}.  So
+    v_0 = 1 and each step v_{a+1}[i] = sum_j (v_a[j] & E_ij) + [i in N] *
+    v_a[n - 1], v_{a+1}[n - 1] = sum_{j in N} v_a[j], is a few whole-int
+    operations, and W_a = sum_i v_a[i] is read out a lane at a time.
+    w is the narrowest lane that holds n * (n - 1)^k for the longest
+    length k, so no lane carries into the next.  Past 64 bits, and at
+    n <= 2, where a block is one graph and the chain takes half the steps,
+    each graph gets its own ``walk_counts`` chain.  At n = 6 a block has
+    1,024 graphs and each of its ints w/8 KB; nothing outlives the level.
+    """
+    m = n - 1
+    inner = [()]
+    for u in range(m):
+        inner = list(_add_vertex(inner, u))
+    count, top = len(inner), max(lengths, default=0)
+    width = _lane_width(n, top)
+    if width is None or count == 1:
+        yield from _graph_walks((Graph(n, rows) for rows in _add_vertex(inner, m)), lengths)
+        return
+    bits = width * count
+    ones = _repeat(1, width, bits)
+    terms = [[] for _ in range(m)]  # (j, E_ij) for each j != i
+    # bit s of g is its edge slot s: 2^s lanes without it, then 2^s with it
+    for s, (i, j) in enumerate((i, j) for j in range(m) for i in range(j)):
+        run = width << s
+        mask = _repeat(((1 << run) - 1) << run, run << 1, bits)
+        terms[i].append((j, mask))
+        terms[j].append((i, mask))
+    wanted = set(lengths)
+    for nbhd in range(1 << m):
+        joined = [nbhd >> i & 1 for i in range(m)]
+        neighbours = [j for j in range(m) if joined[j]]
+        v = [ones] * n
+        totals = {0: ones * n}
+        for a in range(1, top + 1):
+            step = [sum(v[j] & e for j, e in terms[i]) + v[m] * joined[i] for i in range(m)]
+            step.append(sum(v[j] for j in neighbours))
+            v = step
+            if a in wanted:
+                totals[a] = sum(v)
+        new_bit = [bit << m for bit in joined]
+        unpacked = {k: _lanes(totals[k], width, count) for k in wanted}
+        for rows, *walks in zip(inner, *(unpacked[k] for k in lengths)):
+            yield Graph(n, (*map(or_, rows, new_bit), nbhd)), walks
 
 
 def random_graph(n: int, edge_prob: Fraction, rng: random.Random) -> Graph:
@@ -111,24 +201,29 @@ class Scope:
     """A reproducible collection of graphs to check, equal only to itself.
     It holds its description, the most vertices a graph of it can have,
     and a function that draws its graphs afresh on every iteration,
-    re-seeding a random scope.  Every refusal is made when it is built."""
+    re-seeding a random scope, each with its walk totals at the lengths
+    asked for: an exhaustive scope counts them a block of graphs at a
+    time, any other one graph at a time.  Every refusal is made when it
+    is built."""
 
     _description: dict
     _max_vertices: int
-    _draw: Callable[[], Iterator[Graph]]
+    _draw: Callable[[tuple[int, ...]], Iterator[tuple[Graph, list[int]]]]
 
     @staticmethod
     def exhaustive(n: int) -> "Scope":
         _check_exhaustive(n)
         _check_vertices(n)
-        return Scope({"kind": "exhaustive", "n": n}, n, lambda: labeled_graphs(n))
+        return Scope({"kind": "exhaustive", "n": n}, n,
+                     lambda lengths: _labeled_walks(n, lengths))
 
     @staticmethod
     def exhaustive_upto(n_max: int) -> "Scope":
         _check_exhaustive(n_max)
         ns = range(1, n_max + 1)
         return Scope({"kind": "exhaustive-upto", "n_max": n_max}, n_max,
-                     lambda: chain.from_iterable(map(labeled_graphs, ns)))
+                     lambda lengths: chain.from_iterable(
+                         _labeled_walks(n, lengths) for n in ns))
 
     @staticmethod
     def random(samples: int, n: int, edge_prob, seed: int) -> "Scope":
@@ -141,9 +236,10 @@ class Scope:
             raise ScopeTooLarge(f"{samples} samples at n={n} exceed the draw budget: "
                                 f"samples * (n^2 + 20) may be at most {SAMPLE_BUDGET}")
 
-        def draw():
+        def draw(lengths):
             rng = random.Random(seed)
-            return (random_graph(n, edge_prob, rng) for _ in range(samples))
+            return _graph_walks((random_graph(n, edge_prob, rng) for _ in range(samples)),
+                                lengths)
 
         # as str() writes it ("1/2", "1", "0"), at any length
         prob = _rat(edge_prob) if edge_prob.denominator > 1 else _decimal(edge_prob.numerator)
@@ -157,7 +253,8 @@ class Scope:
         for G in items:
             _check_vertices(G.n)
         n_max = max((G.n for G in items), default=0)
-        return Scope({"kind": "explicit", "count": len(items)}, n_max, items.__iter__)
+        return Scope({"kind": "explicit", "count": len(items)}, n_max,
+                     lambda lengths: _graph_walks(items, lengths))
 
     def max_vertices(self) -> int:
         """The most vertices a graph of the scope can have."""
@@ -167,7 +264,7 @@ class Scope:
         return dict(self._description)
 
     def __iter__(self) -> Iterator[Graph]:
-        return self._draw()
+        return (G for G, _ in self._draw(()))
 
 
 @dataclass(frozen=True)
@@ -205,24 +302,25 @@ def _rat(q: Fraction) -> str:
     return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
-def _scan(scope: Scope, check: str):
-    """(index from 1, graph) over the scope's graphs; a scope that yields
-    none raises ``EmptyScope`` once it is exhausted."""
+def _scan(scope: Scope, check: str, lengths: tuple[int, ...]):
+    """(index from 1, graph, its walk totals at each of ``lengths``) over
+    the scope's graphs; a scope that yields none raises ``EmptyScope``
+    once it is exhausted."""
     index = 0
-    for index, G in enumerate(scope, 1):
-        yield index, G
+    for index, (G, walks) in enumerate(scope._draw(lengths), 1):
+        yield index, G, walks
     if not index:
         raise EmptyScope(f"{check} needs at least one graph")
 
 
 def _first_failure(name: str, params: dict, scope: Scope, check: str, failed: str,
-                   witness) -> CheckReport:
-    """The report of the first graph of the scope for which ``witness``
-    returns a witness, under the verdict ``failed``, or "holds" once every
-    graph passes."""
+                   lengths: tuple[int, ...], witness) -> CheckReport:
+    """The report of the first graph of the scope for which ``witness``,
+    given the graph and its walk totals at ``lengths``, returns a witness,
+    under the verdict ``failed``, or "holds" once every graph passes."""
     found = ()
-    for checked, G in _scan(scope, check):
-        w = witness(G)
+    for checked, G, walks in _scan(scope, check, lengths):
+        w = witness(G, walks)
         if w is not None:
             found = (w,)
             break
@@ -259,13 +357,6 @@ def _check_indices(t: int, k: int) -> None:
         raise BadIndex(f"need 1 <= t <= k, got t={t}, k={k}")
 
 
-def _walk_totals(G: Graph, t: int, k: int) -> tuple[int, int]:
-    """(W_k, W_t): the numbers of walks with k and with t edges in G, both
-    from one walk-count chain."""
-    walks = walk_counts(G, (t, k))
-    return walks[k], walks[t]
-
-
 def _margin(n: int, wk: int, wt: int, t: int, k: int) -> tuple[int, int]:
     """w_k^t - w_t^k, with w_j = W_j / n, as the integer pair
     (W_k^t * n^(k-t) - W_t^k, n^k)."""
@@ -287,8 +378,7 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     _check_indices(t, k)
     violated = 0
     worst = None  # (numerator, denominator, graph, W_k, W_t)
-    for checked, G in _scan(scope, "sweep"):
-        wk, wt = _walk_totals(G, t, k)
+    for checked, G, (wk, wt) in _scan(scope, "sweep", (k, t)):
         num, den = _margin(G.n, wk, wt, t, k)
         if num < 0:
             violated += 1
@@ -318,13 +408,13 @@ def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
         raise BadParity(f"need t even, k odd, t < k; got t={t}, k={k}")
     _check_indices(t, k)
 
-    def witness(G):
-        wk, wt = _walk_totals(G, t, k)
+    def witness(G, walks):
+        wk, wt = walks
         if _margin(G.n, wk, wt, t, k)[0] < 0:
             return _witness(G, *_sides(G.n, wk, wt, t, k), "w_k^t < w_t^k")
 
     return _first_failure("counterexample", {"t": t, "k": k}, scope,
-                          "counterexample search", "counterexample-found", witness)
+                          "counterexample search", "counterexample-found", (k, t), witness)
 
 
 def path_form(t: int) -> tuple[tuple[int, int], ...]:
@@ -379,7 +469,7 @@ def check_lemma_identity(t: int, p: SetFunction) -> CheckReport:
 def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> CheckReport:
     """|Hom(F1;G)| >= |Hom(F2;G)|^c over a scope, via integer powering
     with c = a/b checked as Hom(F1)^b >= Hom(F2)^a.  Both counts of a
-    graph read one walk-count chain.  A c whose powers could pass
+    graph read the walk totals its scan hands it.  A c whose powers could pass
     ``POWER_BITS`` on the scope's graphs is refused before any is taken."""
     c = Fraction(c)
     if c < 0:
@@ -389,10 +479,10 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
     if scope.max_vertices().bit_length() * max(a * F2.n, b * F1.n) > POWER_BITS:
         raise BadIndex(f"c={_rat(c)} would raise hom counts past {POWER_BITS} bits on this scope")
     plan1, plan2 = HomPlan(F1), HomPlan(F2)
-    lengths = plan1.paths.keys() | plan2.paths.keys()
+    lengths = tuple(sorted(plan1.paths.keys() | plan2.paths.keys()))
 
-    def witness(G):
-        walks = walk_counts(G, lengths)
+    def witness(G, walks):
+        walks = dict(zip(lengths, walks))
         h1 = plan1.count(G, walks)
         h2 = plan2.count(G, walks)
         if h1**b < h2**a:
@@ -404,4 +494,4 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
             }
 
     return _first_failure("hde-definition", {"c": _rat(c)}, scope,
-                          "definition check", "violated", witness)
+                          "definition check", "violated", lengths, witness)

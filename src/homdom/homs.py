@@ -150,12 +150,17 @@ def walk_counts(G: Graph, lengths) -> dict[int, int]:
     walks with 2a edges is v_a·v_a and with 2a+1 edges v_a·v_{a+1}.  So
     every length up to k >= 1 comes from one chain of ⌈k/2⌉ − 1 integer
     matrix-vector products, one per neighbour-tuple pass over the rows.
-    A row below 2^8 takes its neighbour tuple from a module-level table
-    (every graph of an exhaustive scope has only such rows); a wider row
-    lists its bits.  The lengths are read in increasing order, each once
-    the chain reaches v_⌈k/2⌉, so the chain keeps only its last two
-    vectors: an entry of v_a has about a bits, and keeping every vector
-    would take memory quadratic in the longest length.
+    A row below 2^8, as every row of a graph on at most 8 vertices is,
+    takes its neighbour tuple from a module-level table; a wider row lists
+    its bits.  The lengths are read in increasing order, each once the
+    chain reaches v_⌈k/2⌉, so the chain keeps only its last two vectors:
+    an entry of v_a has about a bits, and keeping every vector would take
+    memory quadratic in the longest length.
+
+    Random and explicit scopes and ``homdom walks`` count every graph
+    here.  An exhaustive scope counts a block of graphs at a time
+    (``checks._labeled_walks``) and comes here only at n <= 2, where a
+    block is one graph, and for lengths past its 64-bit lanes.
     """
     lengths = sorted(set(lengths))
     if lengths and lengths[0] < 0:

@@ -26,6 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
+from operator import mul
 from types import SimpleNamespace
 
 from homdom.checks import CheckReport, _witness
@@ -203,12 +204,12 @@ def matrix_walk_counts(n: int, edges, k_max: int) -> list[int]:
     A = [[0] * n for _ in range(n)]
     for u, v in edges:
         A[u][v] = A[v][u] = 1
+    columns = list(zip(*A))
     power = [[int(i == j) for j in range(n)] for i in range(n)]
-    sums = []
-    for _ in range(k_max + 1):
+    sums = [n]
+    for _ in range(k_max):
+        power = [[sum(map(mul, row, col)) for col in columns] for row in power]
         sums.append(sum(map(sum, power)))
-        power = [[sum(power[i][m] * A[m][j] for m in range(n)) for j in range(n)]
-                 for i in range(n)]
     return sums
 
 

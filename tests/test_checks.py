@@ -1,6 +1,8 @@
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import chain, zip_longest
 
 import pytest
@@ -15,8 +17,8 @@ from homdom.errors import (
     NotMember,
     ScopeTooLarge,
 )
-from homdom.graphs import Graph, disjoint_union, from_edges, path, serialize_graph, star
-from homdom.homs import count_homs
+from homdom.graphs import Graph, cycle, disjoint_union, from_edges, path, serialize_graph, star
+from homdom.homs import count_homs, walk_counts
 from homdom.polytope import SetFunction, indicator_point, p_star, random_vertex_point, separates
 from homdom.checks import (
     SAMPLE_BUDGET,
@@ -398,6 +400,88 @@ def test_labeled_graphs_follow_edge_bitmask_order():
         assert _same_sequence(labeled_graphs(n), labeled_graphs_by_mask(n)), n
     by_mask = chain.from_iterable(labeled_graphs_by_mask(n) for n in range(1, 7))
     assert _same_sequence(Scope.exhaustive_upto(6), by_mask)
+
+
+def test_level_walks_match_matrix_powers():
+    # the block kernel, graph for graph, against entry sums of adjacency
+    # powers over every labeled graph with n <= 6 at lengths 0 ... 7
+    lengths = tuple(range(8))
+    for n in range(1, 7):
+        count = 0
+        for count, (G, walks) in enumerate(checks._labeled_walks(n, lengths), 1):
+            assert walks == matrix_walk_counts(n, G.edges(), 7), G
+        assert count == 1 << n * (n - 1) // 2
+
+
+def test_level_walks_at_the_edge_of_64_bit_lanes(monkeypatch):
+    # 6 * 5^26 < 2^64 <= 6 * 5^27, so at n = 6 the lengths up to 26 are
+    # counted in 64-bit lanes and 27 graph by graph; both agree with one
+    # walk_counts chain a graph, and the last block (vertex 5 joined to
+    # all, K6 in its top lane) with the matrix powers
+    assert checks._lane_width(6, 26) == 64 and checks._lane_width(6, 27) is None
+    per_graph = Counter()
+
+    def counted(G, lengths):
+        per_graph[G.n] += 1
+        return walk_counts(G, lengths)
+
+    monkeypatch.setattr(checks, "walk_counts", counted)
+    widest = list(checks._labeled_walks(6, (26, 25)))
+    assert not per_graph
+    for G, walks in widest:
+        chained = walk_counts(G, (25, 26))
+        assert walks == [chained[26], chained[25]], G
+    for G, walks in widest[-1024:]:
+        powers = matrix_walk_counts(6, G.edges(), 26)
+        assert walks == [powers[26], powers[25]], G
+    assert widest[-1][1][0] == 6 * 5**26
+    past = list(checks._labeled_walks(6, (27,)))
+    assert per_graph == {6: 1 << 15}
+    assert [G for G, _ in past] == [G for G, _ in widest]
+    assert past[-1][1] == [6 * 5**27]
+
+
+def test_lanes_read_lane_g_at_bit_g_times_the_width():
+    # each lane's bytes differ, so a lane read from the wrong end of the
+    # int, or with its bytes in the wrong order, reads another value
+    for width in (8, 16, 32, 64):
+        for count in (1, 2, 1024):
+            values = [(2 * g + 1) % 251 << width - 8 | g % 256 for g in range(count)]
+            total = sum(value << g * width for g, value in enumerate(values))
+            assert checks._lanes(total, width, count) == values, (width, count)
+
+
+def _without_scope(report):
+    return replace(report, params={**report.params, "scope": None})
+
+
+def test_exhaustive_checks_match_the_per_graph_path():
+    # the block kernel against one walk_counts chain a graph: the same
+    # graphs in an explicit scope give every field of every report but the
+    # scope's description; sweep(5, 5) asks for one length twice
+    exhaustive = Scope.exhaustive_upto(6)
+    per_graph = Scope.graphs(chain.from_iterable(map(labeled_graphs, range(1, 7))))
+    F1 = disjoint_union([(path(0), 2), (path(3), 1)])
+    runs = [
+        *(partial(sweep, t, k) for t, k in ((1, 3), (3, 5), (1, 5), (5, 5))),
+        partial(find_counterexample, 2, 3),
+        partial(check_hde_definition, F1, path(1), Fraction(3)),
+        partial(check_hde_definition, F1, path(1), Fraction(31, 10)),
+    ]
+    for run in runs:
+        by_level, by_graph = run(exhaustive), run(per_graph)
+        assert by_level.params["scope"] == exhaustive.describe()
+        assert _without_scope(by_level) == _without_scope(by_graph), by_level
+
+
+def test_a_source_with_no_path_component_reads_every_graph():
+    # cycle:3 has no path component, so the check asks its scan for no
+    # walk lengths; every graph is still read, as in an explicit scope
+    for scope, checked in ((Scope.exhaustive_upto(4), 75), (Scope.exhaustive(5), 1024)):
+        report = check_hde_definition(cycle(3), cycle(3), 1, scope)
+        assert (report.verdict, report.params["checked"]) == ("holds", checked)
+        per_graph = check_hde_definition(cycle(3), cycle(3), 1, Scope.graphs(scope))
+        assert _without_scope(report) == _without_scope(per_graph)
 
 
 def test_report_is_reproducible_from_witness():

@@ -230,82 +230,147 @@ def test_empty_scope_from_a_check_is_a_usage_error(capsys, monkeypatch, mode_arg
     assert "at least one graph" in err
 
 
+# every case carries its own id, so a case put anywhere leaves the other
+# ids as they are; these ids are the positional ones the cases first had
 @pytest.mark.parametrize(
     "argv, message",
     [
         # BadIndex
-        (["verify", "--mode", "walk-inequality", "--t", "5", "--k", "3", "--exhaustive-n", "3"],
-         "need 1 <= t <= k"),
-        (["verify", "--mode", "walk-inequality", "--t", "0", "--k", "3", "--exhaustive-n", "3"],
-         "need 1 <= t <= k"),
+        pytest.param(
+            ["verify", "--mode", "walk-inequality", "--t", "5", "--k", "3", "--exhaustive-n", "3"],
+            "need 1 <= t <= k", id="argv0-need 1 <= t <= k"),
+        pytest.param(
+            ["verify", "--mode", "walk-inequality", "--t", "0", "--k", "3", "--exhaustive-n", "3"],
+            "need 1 <= t <= k", id="argv1-need 1 <= t <= k"),
         # EmptyGraph
-        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
-          "--n", "0"], "at least one vertex"),
+        pytest.param(
+            ["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
+             "--n", "0"],
+            "at least one vertex", id="argv2-at least one vertex"),
         # GraphTooLarge
-        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
-          "--n", "64"], "exceeds cap of 63"),
-        (["hde", "--f1", "union:70*path:0", "--f2", "path:1"], "exceeds cap of 63"),
+        pytest.param(
+            ["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
+             "--n", "64"],
+            "exceeds cap of 63", id="argv3-exceeds cap of 63"),
+        pytest.param(
+            ["hde", "--f1", "union:70*path:0", "--f2", "path:1"],
+            "exceeds cap of 63", id="argv4-exceeds cap of 63"),
         # BadIndex: at t = 0 the identity would read p(V) = 0
-        (["verify", "--mode", "lemma-identity", "--t", "0"], "needs t >= 1"),
+        pytest.param(
+            ["verify", "--mode", "lemma-identity", "--t", "0"],
+            "needs t >= 1", id="argv5-needs t >= 1"),
         # MalformedInput from Scope.random
-        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
-          "--n", "5", "--edge-prob", "3/2"], "edge probability must be in [0, 1]"),
+        pytest.param(
+            ["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
+             "--n", "5", "--edge-prob", "3/2"],
+            "edge probability must be in [0, 1]", id="argv6-edge probability must be in [0, 1]"),
         # a leading minus must not make argparse read the value as an option
-        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
-          "--n", "5", "--edge-prob", "-1/2"], "edge probability must be in [0, 1]"),
-        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
-          "--n", "5", "--edge-prob=-1/2"], "edge probability must be in [0, 1]"),
+        pytest.param(
+            ["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
+             "--n", "5", "--edge-prob", "-1/2"],
+            "edge probability must be in [0, 1]", id="argv7-edge probability must be in [0, 1]"),
+        pytest.param(
+            ["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "3",
+             "--n", "5", "--edge-prob=-1/2"],
+            "edge probability must be in [0, 1]", id="argv8-edge probability must be in [0, 1]"),
         # BadIndex: a negative exponent would compare float powers of 0
-        (["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c", "-1",
-          "--exhaustive-n", "3"], "need c >= 0"),
-        (["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c=-1/2",
-          "--exhaustive-n", "3"], "need c >= 0"),
-        (["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c", "-1/2",
-          "--exhaustive-n", "3"], "need c >= 0"),
+        pytest.param(
+            ["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c", "-1",
+             "--exhaustive-n", "3"],
+            "need c >= 0", id="argv9-need c >= 0"),
+        pytest.param(
+            ["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1", "--c=-1/2",
+             "--exhaustive-n", "3"],
+            "need c >= 0", id="argv10-need c >= 0"),
+        pytest.param(
+            ["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1",
+             "--c", "-1/2", "--exhaustive-n", "3"],
+            "need c >= 0", id="argv11-need c >= 0"),
         # BadIndex: at k = 0 Blakley-Roy compares 1 with 1 on every graph;
         # the message names --k, the one option given
-        (["verify", "--mode", "blakley-roy", "--k", "0", "--exhaustive-n", "3"],
-         "need --k >= 1, got 0"),
+        pytest.param(
+            ["verify", "--mode", "blakley-roy", "--k", "0", "--exhaustive-n", "3"],
+            "need --k >= 1, got 0", id="argv12-need --k >= 1, got 0"),
         # GroundTooLarge
-        (["hde", "--f1", "path:1", "--f2", "path:21"], "exceeds cap 14"),
-        (["dump-polytope", "--f2", "path:21"], "exceeds cap 14"),
+        pytest.param(
+            ["hde", "--f1", "path:1", "--f2", "path:21"],
+            "exceeds cap 14", id="argv13-exceeds cap 14"),
+        pytest.param(
+            ["dump-polytope", "--f2", "path:21"],
+            "exceeds cap 14", id="argv14-exceeds cap 14"),
         # MalformedInput: only ASCII digits are numbers in a graph spec
-        (["hde", "--f1", "path:\u00b2", "--f2", "path:1"], "expected a number in graph spec"),
-        (["hde", "--f1", "union:\u00b2*path:1", "--f2", "path:1"],
-         "expected a number in graph spec"),
-        (["hde", "--f1", "path:\u0663", "--f2", "path:1"], "expected a number in graph spec"),
+        pytest.param(
+            ["hde", "--f1", "path:\u00b2", "--f2", "path:1"],
+            "expected a number in graph spec", id="argv15-expected a number in graph spec"),
+        pytest.param(
+            ["hde", "--f1", "union:\u00b2*path:1", "--f2", "path:1"],
+            "expected a number in graph spec", id="argv16-expected a number in graph spec"),
+        pytest.param(
+            ["hde", "--f1", "path:\u0663", "--f2", "path:1"],
+            "expected a number in graph spec", id="argv17-expected a number in graph spec"),
         # EmptyGraph: the polytope of no vertices asks p(empty) = 0 and = 1
-        (["hde", "--f1", "union:0*path:0", "--f2", "union:0*path:0"], "at least one vertex"),
-        (["dump-polytope", "--f2", "union:0*path:1"], "at least one vertex"),
+        pytest.param(
+            ["hde", "--f1", "union:0*path:0", "--f2", "union:0*path:0"],
+            "at least one vertex", id="argv18-at least one vertex"),
+        pytest.param(
+            ["dump-polytope", "--f2", "union:0*path:1"],
+            "at least one vertex", id="argv19-at least one vertex"),
         # BadIndex: no verdict about walks of zero or negative length
-        (["verify", "--mode", "chain", "--t", "-1", "--k", "3"], "need 1 <= t <= k"),
-        (["verify", "--mode", "counterexample", "--t", "0", "--k", "3", "--exhaustive-n", "3"],
-         "need 1 <= t <= k"),
+        pytest.param(
+            ["verify", "--mode", "chain", "--t", "-1", "--k", "3"],
+            "need 1 <= t <= k", id="argv20-need 1 <= t <= k"),
+        pytest.param(
+            ["verify", "--mode", "counterexample", "--t", "0", "--k", "3", "--exhaustive-n", "3"],
+            "need 1 <= t <= k", id="argv21-need 1 <= t <= k"),
         # EmptyGraph: refused before the source is enumerated into no vertices
-        (["hde", "--f1", "path:1", "--f2", "union:0*path:0"], "at least one vertex"),
+        pytest.param(
+            ["hde", "--f1", "path:1", "--f2", "union:0*path:0"],
+            "at least one vertex", id="argv22-at least one vertex"),
         # MalformedInput: Fraction() would build 10^99999999 or print 10^5000
-        (["verify", "--mode", "walk-inequality", "--t", "1", "--k", "3", "--samples", "1",
-          "--n", "3", "--edge-prob", "1e99999999"], "exponent of '1e99999999' is past 18"),
-        (["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1",
-          "--c", "1e99999999", "--exhaustive-n", "2"], "exponent of '1e99999999' is past 18"),
-        (["verify", "--mode", "walk-inequality", "--t", "1", "--k", "3", "--samples", "1",
-          "--n", "3", "--edge-prob", "1e5000"], "exponent of '1e5000' is past 18"),
-        (["verify", "--mode", "walk-inequality", "--t", "1", "--k", "3", "--samples", "1",
-          "--n", "3", "--edge-prob", "1/" + "3" * 10**6], "has 1000002 characters, more than 38"),
+        pytest.param(
+            ["verify", "--mode", "walk-inequality", "--t", "1", "--k", "3", "--samples", "1",
+             "--n", "3", "--edge-prob", "1e99999999"],
+            "exponent of '1e99999999' is past 18", id="argv23-exponent of '1e99999999' is past 18"),
+        pytest.param(
+            ["verify", "--mode", "hde-definition", "--f1", "path:1", "--f2", "path:1",
+             "--c", "1e99999999", "--exhaustive-n", "2"],
+            "exponent of '1e99999999' is past 18", id="argv24-exponent of '1e99999999' is past 18"),
+        pytest.param(
+            ["verify", "--mode", "walk-inequality", "--t", "1", "--k", "3", "--samples", "1",
+             "--n", "3", "--edge-prob", "1e5000"],
+            "exponent of '1e5000' is past 18", id="argv25-exponent of '1e5000' is past 18"),
+        pytest.param(
+            ["verify", "--mode", "walk-inequality", "--t", "1", "--k", "3", "--samples", "1",
+             "--n", "3", "--edge-prob", "1/" + "3" * 10**6],
+            "has 1000002 characters, more than 38",
+            id="argv26-has 1000002 characters, more than 38"),
         # MalformedInput: a negative vertex count, refused as the scope is built
-        (["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "2",
-          "--n", "-3"], "vertex count must be non-negative"),
+        pytest.param(
+            ["verify", "--mode", "walk-inequality", "--t", "3", "--k", "5", "--samples", "2",
+             "--n", "-3"],
+            "vertex count must be non-negative", id="argv27-vertex count must be non-negative"),
         # EmptyGraph: a graph with no vertices is refused as the scope is
         # built, in every mode that reads a scope
-        (["verify", "--mode", "hde-definition", "--f1", "path:0", "--f2", "path:1", "--c", "5",
-          "--samples", "3", "--n", "0"], "at least one vertex"),
-        (["verify", "--mode", "blakley-roy", "--k", "2", "--samples", "3", "--n", "0"],
-         "a scope's graphs need at least one vertex"),
-        (["verify", "--mode", "counterexample", "--t", "2", "--k", "3", "--samples", "1",
-          "--n", "0"], "a scope's graphs need at least one vertex"),
+        pytest.param(
+            ["verify", "--mode", "hde-definition", "--f1", "path:0", "--f2", "path:1", "--c", "5",
+             "--samples", "3", "--n", "0"],
+            "at least one vertex", id="argv28-at least one vertex"),
+        pytest.param(
+            ["verify", "--mode", "blakley-roy", "--k", "2", "--samples", "3", "--n", "0"],
+            "a scope's graphs need at least one vertex",
+            id="argv29-a scope's graphs need at least one vertex"),
+        pytest.param(
+            ["verify", "--mode", "counterexample", "--t", "2", "--k", "3", "--samples", "1",
+             "--n", "0"],
+            "a scope's graphs need at least one vertex",
+            id="argv30-a scope's graphs need at least one vertex"),
         # BadParity: the walk inequality is proved for odd t <= odd k
-        (["verify", "--mode", "chain", "--t", "5", "--k", "3"], "need odd t <= odd k"),
-        (["verify", "--mode", "chain", "--t", "0", "--k", "3"], "need odd t <= odd k"),
+        pytest.param(
+            ["verify", "--mode", "chain", "--t", "5", "--k", "3"],
+            "need odd t <= odd k", id="argv31-need odd t <= odd k"),
+        pytest.param(
+            ["verify", "--mode", "chain", "--t", "0", "--k", "3"],
+            "need odd t <= odd k", id="argv32-need odd t <= odd k"),
     ],
 )
 def test_out_of_domain_inputs_are_usage_errors(capsys, argv, message):
