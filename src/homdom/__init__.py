@@ -59,10 +59,8 @@ from .hde import (
 from .checks import (
     CheckReport,
     Scope,
-    check_blakley_roy,
     check_hde_definition,
     check_lemma_identity,
-    check_walk_inequality,
     find_counterexample,
     sweep,
 )

@@ -29,16 +29,17 @@ from .errors import (
     NotMember,
     ScopeTooLarge,
 )
-from .graphs import Graph, check_vertex_count, from_edges, path, serialize_graph
-# count_homs is not called here; it stays a module attribute so that
-# bench/spans.py can rebind it like from_edges and normalized_walks.
-from .homs import (
-    HomPlan,
-    average_degree,
-    count_homs,
-    normalized_walks,
-    walk_counts,
+from .graphs import (
+    _ROW_CODES,
+    Graph,
+    check_vertex_count,
+    from_edges,
+    path,
+    serialize_graph,
 )
+# count_homs and normalized_walks are not called here; they stay module
+# attributes so that bench/spans.py can rebind them like from_edges.
+from .homs import HomPlan, count_homs, normalized_walks, walk_counts
 from .lp import _norm_terms, evaluate
 from .polytope import SetFunction, is_member, separates
 
@@ -51,10 +52,6 @@ POWER_BITS = 1 << 20
 # sweep at t = 1, k = 3, and the largest such sweeps took 40 s at n = 1
 # (4,761,904 samples) and 57 s at n = 63 (25,068 samples; Python 3.11.7)
 SAMPLE_BUDGET = 10**8
-
-
-# the native unsigned lane of each width, as ``memoryview.cast`` names it
-_LANE_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 def _add_vertex(graphs: list, m: int):
@@ -86,11 +83,11 @@ def labeled_graphs(n: int):
 
 
 def _lane_width(n: int, k: int) -> int | None:
-    """The narrowest lane of ``_LANE_CODES`` that holds n * (n - 1)^k, the
+    """The narrowest lane of ``_ROW_CODES`` that holds n * (n - 1)^k, the
     most walks with k edges of a graph on n vertices; None past 64 bits.
     For n > 2 a k past 64 is past 64 bits, so the power is cut there."""
     most = n * (n - 1) ** min(k, 64)
-    return next((width for width in _LANE_CODES if most >> width == 0), None)
+    return next((width for width in _ROW_CODES if most >> width == 0), None)
 
 
 def _repeat(pattern: int, span: int, bits: int) -> int:
@@ -105,7 +102,7 @@ def _repeat(pattern: int, span: int, bits: int) -> int:
 def _lanes(total: int, width: int, count: int) -> list[int]:
     """The ``count`` lanes of ``width`` bits of ``total``, lane g at bit
     g * width, read as native ints."""
-    view = memoryview(total.to_bytes(width // 8 * count, sys.byteorder)).cast(_LANE_CODES[width])
+    view = memoryview(total.to_bytes(width // 8 * count, sys.byteorder)).cast(_ROW_CODES[width])
     # a big-endian host writes the top lane first
     return (view if sys.byteorder == "little" else view[::-1]).tolist()
 
@@ -337,21 +334,6 @@ def _witness(G: Graph, lhs: Fraction, rhs: Fraction, relation: str) -> dict:
     }
 
 
-def check_blakley_roy(G: Graph, k: int) -> CheckReport:
-    """w_k >= d^k with both sides exact."""
-    if G.n == 0:
-        raise EmptyGraph("Blakley-Roy needs at least one vertex")
-    lhs = normalized_walks(G, k)
-    rhs = average_degree(G) ** k
-    verdict = "holds" if lhs >= rhs else "violated"
-    return CheckReport(
-        "blakley-roy",
-        {"k": k, "n": G.n},
-        verdict,
-        (_witness(G, lhs, rhs, "w_k >= d^k"),),
-    )
-
-
 def _check_indices(t: int, k: int) -> None:
     if not 1 <= t <= k:
         raise BadIndex(f"need 1 <= t <= k, got t={t}, k={k}")
@@ -392,15 +374,6 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     return CheckReport("sweep", params, verdict, witnesses)
 
 
-def check_walk_inequality(G: Graph, t: int, k: int) -> CheckReport:
-    """w_k^t >= w_t^k, no parity restriction imposed: the sweep over G
-    alone, reported under its own name."""
-    report = sweep(t, k, Scope.graphs([G]))
-    return CheckReport(
-        "walk-inequality", {"t": t, "k": k, "n": G.n}, report.verdict, report.witnesses
-    )
-
-
 def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
     """Search the odd-k/even-t regime for a violating graph; returns the
     first one found with exact margins."""
@@ -417,12 +390,16 @@ def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
                           "counterexample search", "counterexample-found", (k, t), witness)
 
 
+def _check_path_length(t: int) -> None:
+    if t < 1:
+        raise BadIndex(f"the path identity needs t >= 1, got {t}")
+
+
 def path_form(t: int) -> tuple[tuple[int, int], ...]:
     """The right side of the path identity p(V) = sum(edges) - sum(inner
     vertices) as a linear form over the subsets of V(P_t), sorted by mask.
     At t = 0 the sums are empty and p(V) = 1, so the identity needs t >= 1."""
-    if t < 1:
-        raise BadIndex(f"the path identity needs t >= 1, got {t}")
+    _check_path_length(t)
     edges = [(1 << i | 1 << (i + 1), 1) for i in range(t)]
     inner = [(1 << i, -1) for i in range(1, t)]
     return tuple(sorted(edges + inner))
@@ -436,9 +413,11 @@ def prove_path_identity(t: int, form=None, multiple: int = 1) -> bool:
     is a row of the polytope when ``separates`` confirms that {j} cuts
     {0..j-1} from {j+1}.  The rows telescope: their sum is
     p(V) - ``path_form(t)``, so ``multiple`` times it, plus the form, less
-    ``multiple`` * p(V), must leave the zero form."""
-    form = path_form(t) if form is None else form
+    ``multiple`` * p(V), must leave the zero form.  A t below 1 and then
+    a P_t past the vertex cap are refused before any form is built."""
+    _check_path_length(t)
     F2 = path(t)
+    form = path_form(t) if form is None else form
     rows = []
     for j in range(1, t):
         A, B = (1 << j + 1) - 1, 3 << j

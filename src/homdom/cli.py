@@ -33,7 +33,6 @@ from .checks import (
     _check_indices,
     _decimal,
     _rat,
-    check_blakley_roy,
     check_hde_definition,
     find_counterexample,
     prove_path_identity,
@@ -119,7 +118,8 @@ def _verify_scope(args) -> Scope:
 
 def _blakley_roy(args) -> tuple[dict, bool]:
     # w_1 = d, so Blakley-Roy is the walk inequality at t = 1; the
-    # sweep's witness is its first graph with the smallest w_k - d^k
+    # sweep's witness is its first graph with the smallest w_k - d^k, and
+    # its sides are that graph's w_k and d^k
     if args.k < 1:  # the sweep's own refusal would name a t never given
         raise BadIndex(f"need --k >= 1, got {args.k}")
     report = sweep(1, args.k, _verify_scope(args))
@@ -130,8 +130,7 @@ def _blakley_roy(args) -> tuple[dict, bool]:
         "verdict": report.verdict,
     }
     if violations:
-        worst = parse_graph(report.witnesses[0]["graph"])
-        result["witness"] = check_blakley_roy(worst, args.k).to_json()
+        result["witness"] = report.witnesses[0]
     return result, violations == 0
 
 

@@ -41,10 +41,7 @@ class Graph:
 
     def __post_init__(self):
         n, adj = self.n, self.adj
-        if n < 0:
-            raise MalformedInput("vertex count must be non-negative")
-        if n > MAX_VERTICES:
-            raise GraphTooLarge(f"n={n} exceeds cap of {MAX_VERTICES}")
+        check_vertex_count(n)
         if len(adj) != n:
             raise MalformedInput("adjacency must have one row per vertex")
         if not n:
@@ -129,7 +126,9 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-_ROW_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes of rows of s bits
+# the unsigned format code of each bit width, for struct's standard sizes
+# and memoryview.cast's native ones alike, narrowest first
+_ROW_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @cache

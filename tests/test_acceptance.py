@@ -22,10 +22,10 @@ from homdom.checks import (
     Scope,
     check_hde_definition,
     check_lemma_identity,
-    check_walk_inequality,
     find_counterexample,
     labeled_graphs,
     prove_path_identity,
+    sweep,
 )
 from conftest import brute_force_lp, objective_clique_tree_form, objective_subset_form, walk_parts
 
@@ -94,7 +94,7 @@ def test_criterion_3_main_theorem_desk_check():
     for n in range(1, 6):
         for G in labeled_graphs(n):
             for t, k in pairs:
-                ok = ok and check_walk_inequality(G, t, k).verdict == "holds"
+                ok = ok and sweep(t, k, Scope.graphs([G])).verdict == "holds"
                 checked += 1
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 120

@@ -26,10 +26,8 @@ from homdom.checks import (
     Scope,
     _decimal,
     _rat,
-    check_blakley_roy,
     check_hde_definition,
     check_lemma_identity,
-    check_walk_inequality,
     find_counterexample,
     labeled_graphs,
     path_form,
@@ -43,31 +41,33 @@ from conftest import (
 
 
 def test_blakley_roy_examples():
-    rep = check_blakley_roy(path(2), 3)
+    # w_k >= d^k is the sweep at t = 1, since w_1 = d; its witness sides
+    # are w_k and d^k
+    rep = sweep(1, 3, Scope.graphs([path(2)]))
     assert rep.verdict == "holds"
     assert rep.witnesses[0]["lhs"] == "8/3" and rep.witnesses[0]["rhs"] == "64/27"
 
     for G in (complete(3), complete(4)):
-        for k in range(5):
-            w = check_blakley_roy(G, k).witnesses[0]
+        for k in range(1, 5):
+            w = sweep(1, k, Scope.graphs([G])).witnesses[0]
             assert w["lhs"] == w["rhs"]  # regular graphs: equality
 
-    rep = check_blakley_roy(from_edges(4, []), 3)
+    rep = sweep(1, 3, Scope.graphs([from_edges(4, [])]))
     assert rep.verdict == "holds" and rep.witnesses[0]["lhs"] == "0/1"
 
     with pytest.raises(EmptyGraph):
-        check_blakley_roy(Graph(0, ()), 2)
+        sweep(1, 2, Scope.graphs([Graph(0, ())]))
 
 
 def test_walk_inequality_examples():
-    assert check_walk_inequality(path(2), 1, 3).verdict == "holds"
+    assert sweep(1, 3, Scope.graphs([path(2)])).verdict == "holds"
 
-    rep = check_walk_inequality(path(2), 2, 3)
+    rep = sweep(2, 3, Scope.graphs([path(2)]))
     assert rep.verdict == "violated"
     assert rep.witnesses[0]["lhs"] == "64/9" and rep.witnesses[0]["rhs"] == "8/1"
 
     for t, k in ((1, 2), (2, 3), (2, 5)):
-        w = check_walk_inequality(complete(3), t, k).witnesses[0]
+        w = sweep(t, k, Scope.graphs([complete(3)])).witnesses[0]
         assert w["lhs"] == w["rhs"]
 
 
@@ -78,7 +78,7 @@ def test_density_form_agrees_with_walk_form():
         verdicts = Counter()
         for G in Scope.exhaustive_upto(5):
             verdict = check_density_form(G, t, k).verdict
-            assert verdict == check_walk_inequality(G, t, k).verdict, (t, k, G)
+            assert verdict == sweep(t, k, Scope.graphs([G])).verdict, (t, k, G)
             verdicts[verdict] += 1
         assert sum(verdicts.values()) == 1099
         # only the odd-k, even-t pair has violations at this scale
@@ -134,8 +134,8 @@ def test_every_scope_kind_draws_the_same_graphs_on_every_iteration():
 def test_integer_margin_sweep_matches_fraction_sides():
     # the sweep compares integer margins; recompute every report field from
     # Fraction sides over matrix-power walk counts, keeping the first graph
-    # with the smallest margin.  check_walk_inequality, the sweep over one
-    # graph, must give each graph's verdict and sides
+    # with the smallest margin.  The sweep over each graph alone must give
+    # that graph's verdict and sides
     graphs = list(Scope.exhaustive_upto(5))
     walks = [matrix_walk_counts(G.n, G.edges(), 5) for G in graphs]
     first_violation = None
@@ -144,7 +144,7 @@ def test_integer_margin_sweep_matches_fraction_sides():
         worst = None  # (margin, graph, lhs, rhs)
         for index, (G, W) in enumerate(zip(graphs, walks), 1):
             lhs, rhs = Fraction(W[k], G.n) ** t, Fraction(W[t], G.n) ** k
-            rep = check_walk_inequality(G, t, k)
+            rep = sweep(t, k, Scope.graphs([G]))
             assert rep.verdict == ("holds" if lhs >= rhs else "violated"), (t, k, G)
             (w,) = rep.witnesses
             assert (Fraction(w["lhs"]), Fraction(w["rhs"])) == (lhs, rhs), (t, k, G)
@@ -245,7 +245,7 @@ def test_scopes_refuse_a_graph_with_no_vertices():
     with pytest.raises(EmptyScope):
         sweep(1, 3, scope)
     with pytest.raises(EmptyGraph):
-        check_walk_inequality(Graph(0, ()), 1, 3)
+        sweep(1, 3, Scope.graphs([Graph(0, ())]))
 
 
 def test_random_scope_describes_an_edge_probability_of_any_length():
@@ -379,7 +379,7 @@ def test_even_k_regime_holds_at_desk_scale():
         for G in labeled_graphs(n):
             for k in (2, 4, 6):
                 for t in range(1, k + 1):
-                    assert check_walk_inequality(G, t, k).verdict == "holds"
+                    assert sweep(t, k, Scope.graphs([G])).verdict == "holds"
 
 
 def test_labeled_graph_enumeration_counts():
@@ -488,7 +488,7 @@ def test_report_is_reproducible_from_witness():
     from homdom.graphs import parse_graph
     from homdom.homs import normalized_walks
 
-    rep = check_walk_inequality(path(2), 2, 3)
+    rep = sweep(2, 3, Scope.graphs([path(2)]))
     w = rep.witnesses[0]
     G = parse_graph(w["graph"])
     assert normalized_walks(G, 3) ** 2 == Fraction(w["lhs"])

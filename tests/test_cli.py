@@ -6,12 +6,10 @@ from pathlib import Path
 import pytest
 
 from homdom import cli, errors, hde
-from homdom.checks import (
-    SAMPLE_BUDGET, CheckReport, Scope, check_blakley_roy, path_form, prove_path_identity,
-)
+from homdom.checks import SAMPLE_BUDGET, CheckReport, Scope, path_form, prove_path_identity
 from homdom.cli import main
 from homdom.graphs import from_edges, serialize_graph
-from conftest import _psi_parts, objective_of
+from conftest import _psi_parts, check_density_form, objective_of
 
 
 def run_cli(capsys, *argv):
@@ -443,12 +441,15 @@ def _must_not_run(*args, **kwargs):
 
 
 def test_refusals_come_before_the_work(capsys, monkeypatch):
-    # at --t 63 the path would have 64 vertices, and --exhaustive-n 7
-    # would sweep n = 1 ... 6 first: both are refused before any of that
+    # at --t 63 the path would have 64 vertices, at --t 10^8 its form alone
+    # would take 2 * 10^8 terms, and --exhaustive-n 7 would sweep n = 1 ...
+    # 6 first: each is refused before any of that
     monkeypatch.setattr("homdom.lp.solve", _must_not_run)
+    monkeypatch.setattr("homdom.checks.path_form", _must_not_run)
     monkeypatch.setattr(cli, "sweep", _must_not_run)
     for argv, message in (
         (["--mode", "lemma-identity", "--t", "63"], "exceeds cap of 63"),
+        (["--mode", "lemma-identity", "--t", "100000000"], "exceeds cap of 63"),
         (["--mode", "walk-inequality", "--t", "1", "--k", "2", "--exhaustive-n", "7"],
          "capped at n=6"),
         (["--mode", "density-form", "--t", "1", "--k", "2", "--exhaustive-n", "7"],
@@ -607,7 +608,8 @@ def test_exit_codes_follow_the_error_base_class(capsys, monkeypatch):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_blakley_roy_matches_the_per_graph_check(capsys, k):
-    reports = [check_blakley_roy(G, k) for G in Scope.exhaustive_upto(5)]
+    # t(P_k;G) >= t(P_1;G)^k is w_k >= d^k divided through by n^k
+    reports = [check_density_form(G, 1, k) for G in Scope.exhaustive_upto(5)]
     violations = sum(rep.verdict == "violated" for rep in reports)
     code, doc = run_json(
         capsys, "verify", "--mode", "blakley-roy", "--k", str(k), "--exhaustive-n", "5"
@@ -622,12 +624,12 @@ def test_blakley_roy_matches_the_per_graph_check(capsys, k):
 
 def test_blakley_roy_reports_the_largest_violation(capsys, monkeypatch):
     # the inequality holds on every graph, so a violated sweep is simulated;
-    # its witness graph is the one with the largest violation
+    # its witness, on the graph with the largest violation, is printed as is
     worst = from_edges(4, [(0, 1), (1, 2), (1, 3)])
+    witness = {"graph": serialize_graph(worst), "lhs": "0/1", "rhs": "1/1",
+               "relation": "w_k^t >= w_t^k"}
 
     def fake_sweep(t, k, scope):
-        witness = {"graph": serialize_graph(worst), "lhs": "0/1", "rhs": "1/1",
-                   "relation": "w_k^t >= w_t^k"}
         params = {"t": t, "k": k, "checked": 5, "violations": 3, "worst_margin": "-1/1"}
         return CheckReport("sweep", params, "violated", (witness,))
 
@@ -640,7 +642,7 @@ def test_blakley_roy_reports_the_largest_violation(capsys, monkeypatch):
         "checked": 5,
         "violations": 3,
         "verdict": "violated",
-        "witness": check_blakley_roy(worst, 3).to_json(),
+        "witness": witness,
     }
 
 
