@@ -7,7 +7,9 @@ fractional exponents are handled by raising both sides to the exponent's
 denominator, and every verdict comes with a witness from which the
 comparison can be reproduced.  Every check over a scope reads its graphs
 through one scan, which raises ``EmptyScope`` for a scope with no graphs
-instead of letting a check return a vacuous "holds".
+instead of letting a check return a vacuous "holds".  The scan hands a
+check each graph's vertex count and walks; the check builds the graph
+only when it needs more, and decides each distinct (n, walks) once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from operator import or_
 
 from .errors import (
@@ -72,14 +75,14 @@ def labeled_graphs(n: int):
     graph on the first n - 1 vertices.  The graphs are therefore built one
     vertex at a time: the rows of the graphs on n - 1 vertices are listed
     once, and for each neighbourhood of the new vertex its bit is ORed into
-    them and the neighbourhood appended as the last row.  Each graph still
-    goes through ``Graph`` validation; only the smaller level is held.
+    them and the neighbourhood appended as the last row.  Each graph
+    yielded is a validated ``Graph``; only the smaller level is held.
     """
     if n == 0:
         yield Graph(0, ())
         return
-    for G, _ in _labeled_walks(n, ()):
-        yield G
+    for _, _, graph in _labeled_walks(n, ()):
+        yield graph()
 
 
 def _lane_width(n: int, k: int) -> int | None:
@@ -108,17 +111,26 @@ def _lanes(total: int, width: int, count: int) -> list[int]:
 
 
 def _graph_walks(graphs, lengths: tuple[int, ...]):
-    """(G, [W_l for l in lengths]) for each graph G, W_l its number of
-    walks with l edges, from one ``walk_counts`` chain a graph."""
+    """(G.n, [W_l for l in lengths], a function that returns G) for each
+    graph G, W_l its number of walks with l edges, from one
+    ``walk_counts`` chain a graph."""
     for G in graphs:
         walks = walk_counts(G, lengths)
-        yield G, [walks[k] for k in lengths]
+        yield G.n, [walks[k] for k in lengths], lambda G=G: G
+
+
+def _joined(n: int, star: tuple[int, ...], rows: tuple[int, ...]) -> Graph:
+    """The graph on n vertices that is the graph ``rows`` on the first
+    n - 1 ORed with ``star``, the edges of vertex n - 1, as a validated
+    ``Graph``."""
+    return Graph(n, (*map(or_, rows, star), star[-1]))
 
 
 def _labeled_walks(n: int, lengths: tuple[int, ...]):
-    """(G, [W_l for l in lengths]) for every labeled graph G on n >= 1
-    vertices, in the order of ``labeled_graphs``, W_l being its number of
-    walks with l edges.
+    """(n, [W_l for l in lengths], graph) for every labeled graph on
+    n >= 1 vertices, in the order of ``labeled_graphs``, W_l being its
+    number of walks with l edges and ``graph`` a function of no arguments
+    that builds it as a validated ``Graph``.
 
     The graphs under one neighbourhood N of vertex n - 1 form a block, one
     graph per graph g on the first n - 1 vertices, and a block's walks are
@@ -131,8 +143,15 @@ def _labeled_walks(n: int, lengths: tuple[int, ...]):
     w is the narrowest lane that holds n * (n - 1)^k for the longest
     length k, so no lane carries into the next.  Past 64 bits, and at
     n <= 2, where a block is one graph and the chain takes half the steps,
-    each graph gets its own ``walk_counts`` chain.  At n = 6 a block has
-    1,024 graphs and each of its ints w/8 KB; nothing outlives the level.
+    each graph is built and gets its own ``walk_counts`` chain.  At n = 6
+    a block has 1,024 graphs and each of its ints w/8 KB; nothing
+    outlives the level.
+
+    A block's graph is not built unless asked for.  It is proven valid by
+    its two parts: each graph g is validated once as ``Graph(n - 1, g)``,
+    and each block's star, the edges of vertex n - 1, once as a graph on
+    n vertices.  A block's graph is the OR of g and the star, which share
+    no edge, and OR keeps every row in range, loop-free and symmetric.
     """
     m = n - 1
     inner = [()]
@@ -143,6 +162,8 @@ def _labeled_walks(n: int, lengths: tuple[int, ...]):
     if width is None or count == 1:
         yield from _graph_walks((Graph(n, rows) for rows in _add_vertex(inner, m)), lengths)
         return
+    for rows in inner:
+        Graph(m, rows)
     bits = width * count
     ones = _repeat(1, width, bits)
     terms = [[] for _ in range(m)]  # (j, E_ij) for each j != i
@@ -153,7 +174,11 @@ def _labeled_walks(n: int, lengths: tuple[int, ...]):
         terms[i].append((j, mask))
         terms[j].append((i, mask))
     wanted = set(lengths)
-    for nbhd in range(1 << m):
+    # the stars of vertex m, one per neighbourhood: the graphs that
+    # _add_vertex builds on the edgeless graph of m vertices
+    for star in _add_vertex([(0,) * m], m):
+        Graph(n, star)
+        nbhd = star[m]
         joined = [nbhd >> i & 1 for i in range(m)]
         neighbours = [j for j in range(m) if joined[j]]
         v = [ones] * n
@@ -164,10 +189,10 @@ def _labeled_walks(n: int, lengths: tuple[int, ...]):
             v = step
             if a in wanted:
                 totals[a] = sum(v)
-        new_bit = [bit << m for bit in joined]
         unpacked = {k: _lanes(totals[k], width, count) for k in wanted}
-        for rows, *walks in zip(inner, *(unpacked[k] for k in lengths)):
-            yield Graph(n, (*map(or_, rows, new_bit), nbhd)), walks
+        walks = zip(*(unpacked[k] for k in lengths)) if lengths else repeat((), count)
+        # graph g's item is (n, its walks, partial(_joined, n, star, g))
+        yield from zip(repeat(n), map(list, walks), map(partial(partial, _joined, n, star), inner))
 
 
 def random_graph(n: int, edge_prob: Fraction, rng: random.Random) -> Graph:
@@ -198,14 +223,18 @@ class Scope:
     """A reproducible collection of graphs to check, equal only to itself.
     It holds its description, the most vertices a graph of it can have,
     and a function that draws its graphs afresh on every iteration,
-    re-seeding a random scope, each with its walk totals at the lengths
-    asked for: an exhaustive scope counts them a block of graphs at a
-    time, any other one graph at a time.  Every refusal is made when it
-    is built."""
+    re-seeding a random scope.  A graph is drawn as (its vertex count,
+    its walk totals at the lengths asked for, a function of no arguments
+    that returns it as a validated ``Graph``).  An exhaustive scope counts
+    the walks a block of graphs at a time and builds a graph only when
+    asked; a random or an explicit one counts them one graph at a time and
+    returns the graph it built.  Iterating a scope yields its graphs.
+    Every refusal is made when it is built."""
 
     _description: dict
     _max_vertices: int
-    _draw: Callable[[tuple[int, ...]], Iterator[tuple[Graph, list[int]]]]
+    _draw: Callable[[tuple[int, ...]],
+                    Iterator[tuple[int, list[int], Callable[[], Graph]]]]
 
     @staticmethod
     def exhaustive(n: int) -> "Scope":
@@ -261,7 +290,7 @@ class Scope:
         return dict(self._description)
 
     def __iter__(self) -> Iterator[Graph]:
-        return (G for G, _ in self._draw(()))
+        return (graph() for _, _, graph in self._draw(()))
 
 
 @dataclass(frozen=True)
@@ -300,27 +329,38 @@ def _rat(q: Fraction) -> str:
 
 
 def _scan(scope: Scope, check: str, lengths: tuple[int, ...]):
-    """(index from 1, graph, its walk totals at each of ``lengths``) over
-    the scope's graphs; a scope that yields none raises ``EmptyScope``
-    once it is exhausted."""
-    index = 0
-    for index, (G, walks) in enumerate(scope._draw(lengths), 1):
-        yield index, G, walks
-    if not index:
+    """(index from 1, (n, walk totals at each of ``lengths``, graph)) over
+    the scope's graphs, as ``Scope`` draws them; a scope that yields none
+    raises ``EmptyScope`` before any graph is checked."""
+    items = scope._draw(lengths)
+    first = next(items, None)
+    if first is None:
         raise EmptyScope(f"{check} needs at least one graph")
+    return enumerate(chain((first,), items), 1)
 
 
 def _first_failure(name: str, params: dict, scope: Scope, check: str, failed: str,
-                   lengths: tuple[int, ...], witness) -> CheckReport:
+                   lengths: tuple[int, ...], witness, needs_graph: bool = False) -> CheckReport:
     """The report of the first graph of the scope for which ``witness``,
-    given the graph and its walk totals at ``lengths``, returns a witness,
-    under the verdict ``failed``, or "holds" once every graph passes."""
+    given its vertex count, its walk totals at ``lengths`` and the
+    function that builds it, returns a witness, under the verdict
+    ``failed``, or "holds" once every graph passes.  Unless
+    ``needs_graph`` says that ``witness`` reads the graph itself, it
+    decides a graph by its vertex count and walks alone, so a graph whose
+    (n, walks) passed before is skipped; every graph still counts as
+    checked."""
     found = ()
-    for checked, G, walks in _scan(scope, check, lengths):
-        w = witness(G, walks)
+    passed = set()  # (n, *walks) that passed, kept unless needs_graph
+    for checked, (n, walks, graph) in _scan(scope, check, lengths):
+        key = (n, *walks)
+        if key in passed:
+            continue
+        w = witness(n, walks, graph)
         if w is not None:
             found = (w,)
             break
+        if not needs_graph:
+            passed.add(key)
     params = {**params, "scope": scope.describe(), "checked": checked}
     return CheckReport(name, params, failed if found else "holds", found)
 
@@ -355,22 +395,30 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     witness (the first graph with the smallest margin).
 
     Margins stay integer pairs (numerator, denominator) compared by
-    cross-multiplication; only the reported witness gets Fraction sides.
+    cross-multiplication; only the reported witness is built as a graph
+    and gets Fraction sides.  A margin is a function of (n, W_k, W_t), so
+    each distinct triple is decided once per sweep: a repeat adds its
+    first verdict to the violations and, its margin being no smaller than
+    the worst so far, cannot be the witness.
     """
     _check_indices(t, k)
     violated = 0
-    worst = None  # (numerator, denominator, graph, W_k, W_t)
-    for checked, G, (wk, wt) in _scan(scope, "sweep", (k, t)):
-        num, den = _margin(G.n, wk, wt, t, k)
-        if num < 0:
-            violated += 1
-        if worst is None or num * worst[1] < worst[0] * den:
-            worst = (num, den, G, wk, wt)
-    num, den, G, wk, wt = worst
+    worst = None  # (numerator, denominator, n, W_k, W_t, graph)
+    negative = {}  # (n, W_k, W_t) -> whether its margin is negative
+    for checked, (n, (wk, wt), graph) in _scan(scope, "sweep", (k, t)):
+        key = n, wk, wt
+        below = negative.get(key)
+        if below is None:
+            num, den = _margin(n, wk, wt, t, k)
+            below = negative[key] = num < 0
+            if worst is None or num * worst[1] < worst[0] * den:
+                worst = (num, den, n, wk, wt, graph)
+        violated += below
+    num, den, n, wk, wt, graph = worst
     params = {"t": t, "k": k, "scope": scope.describe(), "checked": checked,
               "violations": violated, "worst_margin": _rat(Fraction(num, den))}
     verdict = "holds" if violated == 0 else "violated"
-    witnesses = (_witness(G, *_sides(G.n, wk, wt, t, k), "w_k^t >= w_t^k"),)
+    witnesses = (_witness(graph(), *_sides(n, wk, wt, t, k), "w_k^t >= w_t^k"),)
     return CheckReport("sweep", params, verdict, witnesses)
 
 
@@ -381,10 +429,10 @@ def find_counterexample(t: int, k: int, scope: Scope) -> CheckReport:
         raise BadParity(f"need t even, k odd, t < k; got t={t}, k={k}")
     _check_indices(t, k)
 
-    def witness(G, walks):
+    def witness(n, walks, graph):
         wk, wt = walks
-        if _margin(G.n, wk, wt, t, k)[0] < 0:
-            return _witness(G, *_sides(G.n, wk, wt, t, k), "w_k^t < w_t^k")
+        if _margin(n, wk, wt, t, k)[0] < 0:
+            return _witness(graph(), *_sides(n, wk, wt, t, k), "w_k^t < w_t^k")
 
     return _first_failure("counterexample", {"t": t, "k": k}, scope,
                           "counterexample search", "counterexample-found", (k, t), witness)
@@ -448,7 +496,9 @@ def check_lemma_identity(t: int, p: SetFunction) -> CheckReport:
 def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> CheckReport:
     """|Hom(F1;G)| >= |Hom(F2;G)|^c over a scope, via integer powering
     with c = a/b checked as Hom(F1)^b >= Hom(F2)^a.  Both counts of a
-    graph read the walk totals its scan hands it.  A c whose powers could pass
+    graph read the walk totals its scan hands it; the graph is built only
+    for a component that is not a path, whose maps into it are
+    enumerated, and for the witness.  A c whose powers could pass
     ``POWER_BITS`` on the scope's graphs is refused before any is taken."""
     c = Fraction(c)
     if c < 0:
@@ -459,18 +509,20 @@ def check_hde_definition(F1: Graph, F2: Graph, c: Fraction, scope: Scope) -> Che
         raise BadIndex(f"c={_rat(c)} would raise hom counts past {POWER_BITS} bits on this scope")
     plan1, plan2 = HomPlan(F1), HomPlan(F2)
     lengths = tuple(sorted(plan1.paths.keys() | plan2.paths.keys()))
+    needs_graph = bool(plan1.others or plan2.others)
 
-    def witness(G, walks):
+    def witness(n, walks, graph):
+        G = graph() if needs_graph else None
         walks = dict(zip(lengths, walks))
         h1 = plan1.count(G, walks)
         h2 = plan2.count(G, walks)
         if h1**b < h2**a:
             return {
-                "graph": serialize_graph(G),
+                "graph": serialize_graph(graph()),
                 "hom_f1": _decimal(h1),
                 "hom_f2": _decimal(h2),
                 "relation": f"hom_f1^{b} < hom_f2^{a}",
             }
 
     return _first_failure("hde-definition", {"c": _rat(c)}, scope,
-                          "definition check", "violated", lengths, witness)
+                          "definition check", "violated", lengths, witness, needs_graph)

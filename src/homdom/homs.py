@@ -113,7 +113,9 @@ class HomPlan:
     def count(self, G: Graph, walks: dict[int, int]) -> int:
         """Exact |Hom(F; G)|, given ``walks``: the walk totals of G for at
         least the lengths in ``self.paths``, so that one ``walk_counts``
-        chain can serve several plans over the same G."""
+        chain can serve several plans over the same G.  G itself is read
+        only by the components in ``self.others``; with none, it may be
+        None."""
         total = 1
         for k, mult in self.paths.items():
             w = walks[k]

@@ -139,7 +139,7 @@ def test_integer_margin_sweep_matches_fraction_sides():
     graphs = list(Scope.exhaustive_upto(5))
     walks = [matrix_walk_counts(G.n, G.edges(), 5) for G in graphs]
     first_violation = None
-    for t, k in ((1, 3), (3, 5), (1, 5), (2, 3)):
+    for t, k in ((1, 3), (3, 5), (1, 5), (2, 3), (2, 5), (4, 5)):
         violations = 0
         worst = None  # (margin, graph, lhs, rhs)
         for index, (G, W) in enumerate(zip(graphs, walks), 1):
@@ -279,6 +279,13 @@ def test_find_counterexample():
     rep = find_counterexample(2, 5, stars_and_paths)
     assert rep.verdict == "counterexample-found"
 
+    # walks alone do not decide a graph: P2 with an isolated vertex has
+    # P2's walks, and holds where P2 is violated
+    padded = disjoint_union([(path(2), 1), (path(0), 1)])
+    rep = find_counterexample(2, 3, Scope.graphs([padded, path(2)]))
+    assert (rep.verdict, rep.params["checked"]) == ("counterexample-found", 2)
+    assert rep.witnesses[0]["graph"] == serialize_graph(path(2))
+
     regular_only = Scope.graphs([complete(2), complete(3), complete(4)])
     assert find_counterexample(2, 3, regular_only).verdict == "holds"
 
@@ -350,6 +357,14 @@ def test_hde_definition_check():
                 assert (rep.witnesses[0]["hom_f1"], rep.witnesses[0]["hom_f2"]) == (str(h1), str(h2))
         assert verdicts["holds"] and verdicts["violated"]
 
+    # with a non-path component walks alone do not decide a graph: K3 + K1
+    # and K_{1,3} have the same vertex and edge counts, and only the first
+    # has a triangle
+    scope = Scope.graphs([disjoint_union([(complete(3), 1), (path(0), 1)]), star(3)])
+    rep = check_hde_definition(disjoint_union([(complete(3), 1), (path(1), 1)]), path(1), 1, scope)
+    assert (rep.verdict, rep.params["checked"]) == ("violated", 2)
+    assert rep.witnesses[0]["graph"] == serialize_graph(star(3))
+
 
 def test_hde_definition_refuses_a_c_past_the_power_budget():
     # hom(P1; G) <= 2^2 on the graphs of at most 2 vertices, so c = a is
@@ -408,7 +423,8 @@ def test_level_walks_match_matrix_powers():
     lengths = tuple(range(8))
     for n in range(1, 7):
         count = 0
-        for count, (G, walks) in enumerate(checks._labeled_walks(n, lengths), 1):
+        for count, (_, walks, graph) in enumerate(checks._labeled_walks(n, lengths), 1):
+            G = graph()
             assert walks == matrix_walk_counts(n, G.edges(), 7), G
         assert count == 1 << n * (n - 1) // 2
 
@@ -428,16 +444,18 @@ def test_level_walks_at_the_edge_of_64_bit_lanes(monkeypatch):
     monkeypatch.setattr(checks, "walk_counts", counted)
     widest = list(checks._labeled_walks(6, (26, 25)))
     assert not per_graph
-    for G, walks in widest:
+    for _, walks, graph in widest:
+        G = graph()
         chained = walk_counts(G, (25, 26))
         assert walks == [chained[26], chained[25]], G
-    for G, walks in widest[-1024:]:
+    for _, walks, graph in widest[-1024:]:
+        G = graph()
         powers = matrix_walk_counts(6, G.edges(), 26)
         assert walks == [powers[26], powers[25]], G
     assert widest[-1][1][0] == 6 * 5**26
     past = list(checks._labeled_walks(6, (27,)))
     assert per_graph == {6: 1 << 15}
-    assert [G for G, _ in past] == [G for G, _ in widest]
+    assert [graph() for _, _, graph in past] == [graph() for _, _, graph in widest]
     assert past[-1][1] == [6 * 5**27]
 
 
@@ -458,13 +476,15 @@ def _without_scope(report):
 def test_exhaustive_checks_match_the_per_graph_path():
     # the block kernel against one walk_counts chain a graph: the same
     # graphs in an explicit scope give every field of every report but the
-    # scope's description; sweep(5, 5) asks for one length twice
+    # scope's description; sweep(5, 5) asks for one length twice, and
+    # sweep(2, 3) is violated
     exhaustive = Scope.exhaustive_upto(6)
     per_graph = Scope.graphs(chain.from_iterable(map(labeled_graphs, range(1, 7))))
     F1 = disjoint_union([(path(0), 2), (path(3), 1)])
     runs = [
-        *(partial(sweep, t, k) for t, k in ((1, 3), (3, 5), (1, 5), (5, 5))),
+        *(partial(sweep, t, k) for t, k in ((1, 3), (3, 5), (1, 5), (5, 5), (2, 3))),
         partial(find_counterexample, 2, 3),
+        partial(find_counterexample, 2, 5),
         partial(check_hde_definition, F1, path(1), Fraction(3)),
         partial(check_hde_definition, F1, path(1), Fraction(31, 10)),
     ]
@@ -472,6 +492,38 @@ def test_exhaustive_checks_match_the_per_graph_path():
         by_level, by_graph = run(exhaustive), run(per_graph)
         assert by_level.params["scope"] == exhaustive.describe()
         assert _without_scope(by_level) == _without_scope(by_graph), by_level
+
+
+def test_exhaustive_checks_refuse_a_malformed_part(monkeypatch):
+    # every graph of an exhaustive scope is proven valid, by its parts (the
+    # graph on vertices 0 ... n - 2 and the star of vertex n - 1) or in
+    # full; the first graph _add_vertex builds on n - 1 vertices, or the
+    # first it builds by adding vertex n - 1, is broken, and each check
+    # refuses it before it reports.  sweep(1, 64) is past 64-bit lanes at
+    # n = 4, so it builds and validates every graph in full
+    n = 4
+    add_vertex = checks._add_vertex
+    faults = (
+        (lambda row: row | 2, r"adjacency not symmetric at \{0,1\}"),
+        (lambda row: row | 1, "self-loop at vertex 0"),
+        (lambda row: row | 1 << 62, "adjacency row 0 references missing vertices"),
+    )
+    F1 = disjoint_union([(path(0), 2), (path(3), 1)])
+    runs = (partial(sweep, 1, 3), partial(sweep, 1, 64), partial(find_counterexample, 2, 3),
+            partial(check_hde_definition, F1, path(1), Fraction(3)))
+    for vertex in (n - 2, n - 1):  # broken: the first graph that adds this vertex
+        for corrupt, refusal in faults:
+            def broken(graphs, m, vertex=vertex, corrupt=corrupt):
+                built = add_vertex(graphs, m)
+                if m == vertex:
+                    first = next(built)
+                    yield (corrupt(first[0]), *first[1:])
+                yield from built
+
+            monkeypatch.setattr(checks, "_add_vertex", broken)
+            for run in runs:
+                with pytest.raises(MalformedInput, match=refusal):
+                    run(Scope.exhaustive(n))
 
 
 def test_a_source_with_no_path_component_reads_every_graph():
