@@ -8,20 +8,22 @@ denominator, and every verdict comes with a witness from which the
 comparison can be reproduced.  Every check over a scope reads its graphs
 through one scan, which raises ``EmptyScope`` for a scope with no graphs
 instead of letting a check return a vacuous "holds".  The scan hands a
-check each graph's vertex count and walks; the check builds the graph
-only when it needs more, and decides each distinct (n, walks) once.
+check a block of graphs at a time: their vertex count, their walk tuples
+and a function that builds one of them.  The check decides each distinct
+(n, walks) once, and builds a graph only when it needs more.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from collections.abc import Callable, Iterator
+from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
-from operator import or_
+from itertools import chain, groupby, islice
+from operator import attrgetter, or_
 
 from .errors import (
     BadIndex,
@@ -81,8 +83,8 @@ def labeled_graphs(n: int):
     if n == 0:
         yield Graph(0, ())
         return
-    for _, _, graph in _labeled_walks(n, ()):
-        yield graph()
+    for _, walks, graph_at in _labeled_blocks(n, ()):
+        yield from map(graph_at, range(len(walks)))
 
 
 def _lane_width(n: int, k: int) -> int | None:
@@ -110,27 +112,38 @@ def _lanes(total: int, width: int, count: int) -> list[int]:
     return (view if sys.byteorder == "little" else view[::-1]).tolist()
 
 
-def _graph_walks(graphs, lengths: tuple[int, ...]):
-    """(G.n, [W_l for l in lengths], a function that returns G) for each
-    graph G, W_l its number of walks with l edges, from one
-    ``walk_counts`` chain a graph."""
-    for G in graphs:
-        walks = walk_counts(G, lengths)
-        yield G.n, [walks[k] for k in lengths], lambda G=G: G
+# the most consecutive graphs with one vertex count that a random or an
+# explicit scope, or an exhaustive level counted a graph at a time, puts in
+# one block: as many as an exhaustive block at n = 6 (1,024 graphs on 63
+# vertices take about 3 MB)
+_BLOCK_GRAPHS = 1024
 
 
-def _joined(n: int, star: tuple[int, ...], rows: tuple[int, ...]) -> Graph:
-    """The graph on n vertices that is the graph ``rows`` on the first
+def _graph_blocks(graphs, lengths: tuple[int, ...]):
+    """The blocks of ``graphs``: (n, the walk tuples of the graphs, a
+    function from an index in the block to that graph) for each run of up
+    to ``_BLOCK_GRAPHS`` consecutive graphs with n vertices.  A graph's
+    walk tuple holds its number of walks with l edges for each l in
+    ``lengths``, from one ``walk_counts`` chain a graph."""
+    for n, run in groupby(graphs, attrgetter("n")):
+        while block := list(islice(run, _BLOCK_GRAPHS)):
+            walks = [tuple(map(walk_counts(G, lengths).__getitem__, lengths)) for G in block]
+            yield n, walks, block.__getitem__
+
+
+def _joined(n: int, star: tuple[int, ...], inner: list, g: int) -> Graph:
+    """The graph on n vertices that is the graph ``inner[g]`` on the first
     n - 1 ORed with ``star``, the edges of vertex n - 1, as a validated
     ``Graph``."""
-    return Graph(n, (*map(or_, rows, star), star[-1]))
+    return Graph(n, (*map(or_, inner[g], star), star[-1]))
 
 
-def _labeled_walks(n: int, lengths: tuple[int, ...]):
-    """(n, [W_l for l in lengths], graph) for every labeled graph on
-    n >= 1 vertices, in the order of ``labeled_graphs``, W_l being its
-    number of walks with l edges and ``graph`` a function of no arguments
-    that builds it as a validated ``Graph``.
+def _labeled_blocks(n: int, lengths: tuple[int, ...]):
+    """The blocks of every labeled graph on n >= 1 vertices, in the order
+    of ``labeled_graphs``: (n, the walk tuples of the block's graphs, a
+    function from an index in the block to that graph as a validated
+    ``Graph``), a walk tuple holding the number of walks with l edges for
+    each l in ``lengths``.
 
     The graphs under one neighbourhood N of vertex n - 1 form a block, one
     graph per graph g on the first n - 1 vertices, and a block's walks are
@@ -143,9 +156,9 @@ def _labeled_walks(n: int, lengths: tuple[int, ...]):
     w is the narrowest lane that holds n * (n - 1)^k for the longest
     length k, so no lane carries into the next.  Past 64 bits, and at
     n <= 2, where a block is one graph and the chain takes half the steps,
-    each graph is built and gets its own ``walk_counts`` chain.  At n = 6
-    a block has 1,024 graphs and each of its ints w/8 KB; nothing
-    outlives the level.
+    each graph is built and gets its own ``walk_counts`` chain, in the
+    blocks of ``_graph_blocks``.  At n = 6 a block has 1,024 graphs and
+    each of its ints w/8 KB; nothing outlives the level.
 
     A block's graph is not built unless asked for.  It is proven valid by
     its two parts: each graph g is validated once as ``Graph(n - 1, g)``,
@@ -160,7 +173,7 @@ def _labeled_walks(n: int, lengths: tuple[int, ...]):
     count, top = len(inner), max(lengths, default=0)
     width = _lane_width(n, top)
     if width is None or count == 1:
-        yield from _graph_walks((Graph(n, rows) for rows in _add_vertex(inner, m)), lengths)
+        yield from _graph_blocks((Graph(n, rows) for rows in _add_vertex(inner, m)), lengths)
         return
     for rows in inner:
         Graph(m, rows)
@@ -190,9 +203,8 @@ def _labeled_walks(n: int, lengths: tuple[int, ...]):
             if a in wanted:
                 totals[a] = sum(v)
         unpacked = {k: _lanes(totals[k], width, count) for k in wanted}
-        walks = zip(*(unpacked[k] for k in lengths)) if lengths else repeat((), count)
-        # graph g's item is (n, its walks, partial(_joined, n, star, g))
-        yield from zip(repeat(n), map(list, walks), map(partial(partial, _joined, n, star), inner))
+        walks = list(zip(*(unpacked[k] for k in lengths))) if lengths else [()] * count
+        yield n, walks, partial(_joined, n, star, inner)
 
 
 def random_graph(n: int, edge_prob: Fraction, rng: random.Random) -> Graph:
@@ -223,25 +235,28 @@ class Scope:
     """A reproducible collection of graphs to check, equal only to itself.
     It holds its description, the most vertices a graph of it can have,
     and a function that draws its graphs afresh on every iteration,
-    re-seeding a random scope.  A graph is drawn as (its vertex count,
-    its walk totals at the lengths asked for, a function of no arguments
-    that returns it as a validated ``Graph``).  An exhaustive scope counts
-    the walks a block of graphs at a time and builds a graph only when
-    asked; a random or an explicit one counts them one graph at a time and
-    returns the graph it built.  Iterating a scope yields its graphs.
-    Every refusal is made when it is built."""
+    re-seeding a random scope.  The graphs are drawn a block at a time,
+    a block being consecutive graphs with one vertex count n, as (n, the
+    walk tuples of its graphs at the lengths asked for, in scope order, a
+    function from an index in the block to that graph as a validated
+    ``Graph``).  An exhaustive scope's blocks are the graphs under one star
+    of vertex n - 1, whose walks it counts together and whose graphs it
+    builds only when asked; a random or an explicit scope groups runs of
+    graphs with the same n as it draws them, and counts their walks one
+    graph at a time.  Iterating a scope yields its graphs.  Every refusal
+    is made when it is built."""
 
     _description: dict
     _max_vertices: int
     _draw: Callable[[tuple[int, ...]],
-                    Iterator[tuple[int, list[int], Callable[[], Graph]]]]
+                    Iterator[tuple[int, Sequence[tuple[int, ...]], Callable[[int], Graph]]]]
 
     @staticmethod
     def exhaustive(n: int) -> "Scope":
         _check_exhaustive(n)
         _check_vertices(n)
         return Scope({"kind": "exhaustive", "n": n}, n,
-                     lambda lengths: _labeled_walks(n, lengths))
+                     lambda lengths: _labeled_blocks(n, lengths))
 
     @staticmethod
     def exhaustive_upto(n_max: int) -> "Scope":
@@ -249,7 +264,7 @@ class Scope:
         ns = range(1, n_max + 1)
         return Scope({"kind": "exhaustive-upto", "n_max": n_max}, n_max,
                      lambda lengths: chain.from_iterable(
-                         _labeled_walks(n, lengths) for n in ns))
+                         _labeled_blocks(n, lengths) for n in ns))
 
     @staticmethod
     def random(samples: int, n: int, edge_prob, seed: int) -> "Scope":
@@ -264,8 +279,8 @@ class Scope:
 
         def draw(lengths):
             rng = random.Random(seed)
-            return _graph_walks((random_graph(n, edge_prob, rng) for _ in range(samples)),
-                                lengths)
+            return _graph_blocks((random_graph(n, edge_prob, rng) for _ in range(samples)),
+                                 lengths)
 
         # as str() writes it ("1/2", "1", "0"), at any length
         prob = _rat(edge_prob) if edge_prob.denominator > 1 else _decimal(edge_prob.numerator)
@@ -280,7 +295,7 @@ class Scope:
             _check_vertices(G.n)
         n_max = max((G.n for G in items), default=0)
         return Scope({"kind": "explicit", "count": len(items)}, n_max,
-                     lambda lengths: _graph_walks(items, lengths))
+                     lambda lengths: _graph_blocks(items, lengths))
 
     def max_vertices(self) -> int:
         """The most vertices a graph of the scope can have."""
@@ -290,7 +305,8 @@ class Scope:
         return dict(self._description)
 
     def __iter__(self) -> Iterator[Graph]:
-        return (graph() for _, _, graph in self._draw(()))
+        for _, walks, graph_at in self._draw(()):
+            yield from map(graph_at, range(len(walks)))
 
 
 @dataclass(frozen=True)
@@ -329,40 +345,52 @@ def _rat(q: Fraction) -> str:
 
 
 def _scan(scope: Scope, check: str, lengths: tuple[int, ...]):
-    """(index from 1, (n, walk totals at each of ``lengths``, graph)) over
-    the scope's graphs, as ``Scope`` draws them; a scope that yields none
-    raises ``EmptyScope`` before any graph is checked."""
-    items = scope._draw(lengths)
-    first = next(items, None)
-    if first is None:
+    """(offset, block) over the blocks that ``Scope`` draws, with walk
+    tuples at ``lengths``, ``offset`` being the number of graphs before
+    the block; a scope that yields no graph raises ``EmptyScope``, so no
+    check reports on it."""
+    offset = 0
+    for block in scope._draw(lengths):
+        yield offset, block
+        offset += len(block[1])
+    if offset == 0:
         raise EmptyScope(f"{check} needs at least one graph")
-    return enumerate(chain((first,), items), 1)
 
 
 def _first_failure(name: str, params: dict, scope: Scope, check: str, failed: str,
                    lengths: tuple[int, ...], witness, needs_graph: bool = False) -> CheckReport:
     """The report of the first graph of the scope for which ``witness``,
-    given its vertex count, its walk totals at ``lengths`` and the
-    function that builds it, returns a witness, under the verdict
+    given its vertex count, its walk tuple at ``lengths`` and a function
+    of no arguments that builds it, returns a witness, under the verdict
     ``failed``, or "holds" once every graph passes.  Unless
     ``needs_graph`` says that ``witness`` reads the graph itself, it
-    decides a graph by its vertex count and walks alone, so a graph whose
-    (n, walks) passed before is skipped; every graph still counts as
-    checked."""
-    found = ()
-    passed = set()  # (n, *walks) that passed, kept unless needs_graph
-    for checked, (n, walks, graph) in _scan(scope, check, lengths):
-        key = (n, *walks)
-        if key in passed:
-            continue
-        w = witness(n, walks, graph)
-        if w is not None:
-            found = (w,)
+    decides a graph by its vertex count and walks alone: each block's
+    distinct walk tuples are decided in order of first appearance, a
+    tuple whose (n, walks) passed before is skipped, and a failing tuple
+    stands for its first graph.  Every graph up to the failure, or every
+    graph of the scope, counts as checked."""
+    found = None
+    passed = set()  # (n, walks) that passed, kept unless needs_graph
+    for offset, (n, walks, graph_at) in _scan(scope, check, lengths):
+        if needs_graph:
+            tried = enumerate(walks)
+        else:
+            tried = ((walks.index(w), w) for w in dict.fromkeys(walks) if (n, w) not in passed)
+        for index, w in tried:
+            found = witness(n, w, partial(graph_at, index))
+            if found is not None:
+                break
+            if not needs_graph:
+                passed.add((n, w))
+        if found is not None:
+            checked = offset + index + 1
             break
-        if not needs_graph:
-            passed.add(key)
+    else:
+        checked = offset + len(walks)
     params = {**params, "scope": scope.describe(), "checked": checked}
-    return CheckReport(name, params, failed if found else "holds", found)
+    if found is None:
+        return CheckReport(name, params, "holds", ())
+    return CheckReport(name, params, failed, (found,))
 
 
 def _witness(G: Graph, lhs: Fraction, rhs: Fraction, relation: str) -> dict:
@@ -397,25 +425,30 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     Margins stay integer pairs (numerator, denominator) compared by
     cross-multiplication; only the reported witness is built as a graph
     and gets Fraction sides.  A margin is a function of (n, W_k, W_t), so
-    each distinct triple is decided once per sweep: a repeat adds its
-    first verdict to the violations and, its margin being no smaller than
-    the worst so far, cannot be the witness.
+    each distinct triple is decided once per sweep, in order of first
+    appearance: a block's walk tuples are counted together, each count
+    whose triple is negative adds to the violations, and a triple seen
+    before, its margin being no smaller than the worst so far, cannot be
+    the witness.
     """
     _check_indices(t, k)
     violated = 0
     worst = None  # (numerator, denominator, n, W_k, W_t, graph)
     negative = {}  # (n, W_k, W_t) -> whether its margin is negative
-    for checked, (n, (wk, wt), graph) in _scan(scope, "sweep", (k, t)):
-        key = n, wk, wt
-        below = negative.get(key)
-        if below is None:
-            num, den = _margin(n, wk, wt, t, k)
-            below = negative[key] = num < 0
-            if worst is None or num * worst[1] < worst[0] * den:
-                worst = (num, den, n, wk, wt, graph)
-        violated += below
+    for offset, (n, walks, graph_at) in _scan(scope, "sweep", (k, t)):
+        for pair, count in Counter(walks).items():
+            key = n, *pair
+            below = negative.get(key)
+            if below is None:
+                wk, wt = pair
+                num, den = _margin(n, wk, wt, t, k)
+                below = negative[key] = num < 0
+                if worst is None or num * worst[1] < worst[0] * den:
+                    worst = (num, den, n, wk, wt, partial(graph_at, walks.index(pair)))
+            if below:
+                violated += count
     num, den, n, wk, wt, graph = worst
-    params = {"t": t, "k": k, "scope": scope.describe(), "checked": checked,
+    params = {"t": t, "k": k, "scope": scope.describe(), "checked": offset + len(walks),
               "violations": violated, "worst_margin": _rat(Fraction(num, den))}
     verdict = "holds" if violated == 0 else "violated"
     witnesses = (_witness(graph(), *_sides(n, wk, wt, t, k), "w_k^t >= w_t^k"),)

@@ -161,7 +161,7 @@ def walk_counts(G: Graph, lengths) -> dict[int, int]:
 
     Random and explicit scopes and ``homdom walks`` count every graph
     here.  An exhaustive scope counts a block of graphs at a time
-    (``checks._labeled_walks``) and comes here only at n <= 2, where a
+    (``checks._labeled_blocks``) and comes here only at n <= 2, where a
     block is one graph, and for lengths past its 64-bit lanes.
     """
     lengths = sorted(set(lengths))

@@ -8,7 +8,9 @@ brute-force maximal cliques and its maximum by listing every
 homomorphism, the polytope by one row for every pair of
 subsets with separation found by breadth-first search, a row at a point
 by its ``Fraction`` sum, walk counts by integer adjacency-matrix powers,
-labeled graphs by an edge list per edge bitmask, the integer simplex
+labeled graphs by an edge list per edge bitmask, the walk-inequality
+sweep and counterexample search by one ``Fraction`` margin a graph over
+those walk counts, the integer simplex
 core and the integer presolve by the ``Fraction`` ones they replaced, the
 presolved solve by the dual pivoted with no presolve, the walk
 inequality by its density form, and ``Graph`` validation by the row and
@@ -211,6 +213,47 @@ def matrix_walk_counts(n: int, edges, k_max: int) -> list[int]:
         power = [[sum(map(mul, row, col)) for col in columns] for row in power]
         sums.append(sum(map(sum, power)))
     return sums
+
+
+def walked_graphs(graphs, k_max: int) -> list:
+    """(G, [W_0, ..., W_k_max]) for each graph, its walks counted by
+    ``matrix_walk_counts``; with ``labeled_graphs_by_mask`` this is the
+    per-graph side of the walk-inequality checks, sharing no scan code."""
+    return [(G, matrix_walk_counts(G.n, G.edges(), k_max)) for G in graphs]
+
+
+def _walk_sides(G: Graph, W, t: int, k: int) -> tuple[Fraction, Fraction]:
+    return Fraction(W[k], G.n) ** t, Fraction(W[t], G.n) ** k
+
+
+def sweep_by_graph(t: int, k: int, walked, scope: dict) -> CheckReport:
+    """The report of ``checks.sweep(t, k, ...)`` over ``walked``, a graph
+    at a time: every violating graph counted, and the witness the first
+    graph with the smallest ``Fraction`` margin w_k^t - w_t^k."""
+    violations, worst = 0, None  # (margin, graph, lhs, rhs)
+    for G, W in walked:
+        lhs, rhs = _walk_sides(G, W, t, k)
+        violations += lhs < rhs
+        if worst is None or lhs - rhs < worst[0]:
+            worst = (lhs - rhs, G, lhs, rhs)
+    margin, G, lhs, rhs = worst
+    params = {"t": t, "k": k, "scope": scope, "checked": len(walked), "violations": violations,
+              "worst_margin": f"{margin.numerator}/{margin.denominator}"}
+    return CheckReport("sweep", params, "violated" if violations else "holds",
+                       (_witness(G, lhs, rhs, "w_k^t >= w_t^k"),))
+
+
+def counterexample_by_graph(t: int, k: int, walked, scope: dict) -> CheckReport:
+    """The report of ``checks.find_counterexample(t, k, ...)`` over
+    ``walked``: the first graph with w_k^t < w_t^k, ``checked`` its index
+    from 1, or "holds" over every graph."""
+    for checked, (G, W) in enumerate(walked, 1):
+        lhs, rhs = _walk_sides(G, W, t, k)
+        if lhs < rhs:
+            return CheckReport("counterexample", {"t": t, "k": k, "scope": scope, "checked": checked},
+                               "counterexample-found", (_witness(G, lhs, rhs, "w_k^t < w_t^k"),))
+    return CheckReport("counterexample", {"t": t, "k": k, "scope": scope, "checked": len(walked)},
+                       "holds", ())
 
 
 def _is_connected(G: Graph) -> bool:

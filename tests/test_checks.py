@@ -36,7 +36,8 @@ from homdom.checks import (
 )
 from homdom import checks
 from conftest import (
-    check_density_form, complete, fixed_value, labeled_graphs_by_mask, matrix_walk_counts,
+    check_density_form, complete, counterexample_by_graph, fixed_value, labeled_graphs_by_mask,
+    matrix_walk_counts, sweep_by_graph, walked_graphs,
 )
 
 
@@ -417,13 +418,21 @@ def test_labeled_graphs_follow_edge_bitmask_order():
     assert _same_sequence(Scope.exhaustive_upto(6), by_mask)
 
 
+def _level_items(n, lengths):
+    """(n, [W_l for l in lengths], a function that builds the graph) for
+    each graph of the exhaustive level n, read out of its blocks."""
+    for m, walks, graph_at in checks._labeled_blocks(n, lengths):
+        for index, graph_walks in enumerate(walks):
+            yield m, list(graph_walks), partial(graph_at, index)
+
+
 def test_level_walks_match_matrix_powers():
     # the block kernel, graph for graph, against entry sums of adjacency
     # powers over every labeled graph with n <= 6 at lengths 0 ... 7
     lengths = tuple(range(8))
     for n in range(1, 7):
         count = 0
-        for count, (_, walks, graph) in enumerate(checks._labeled_walks(n, lengths), 1):
+        for count, (_, walks, graph) in enumerate(_level_items(n, lengths), 1):
             G = graph()
             assert walks == matrix_walk_counts(n, G.edges(), 7), G
         assert count == 1 << n * (n - 1) // 2
@@ -442,7 +451,7 @@ def test_level_walks_at_the_edge_of_64_bit_lanes(monkeypatch):
         return walk_counts(G, lengths)
 
     monkeypatch.setattr(checks, "walk_counts", counted)
-    widest = list(checks._labeled_walks(6, (26, 25)))
+    widest = list(_level_items(6, (26, 25)))
     assert not per_graph
     for _, walks, graph in widest:
         G = graph()
@@ -453,7 +462,7 @@ def test_level_walks_at_the_edge_of_64_bit_lanes(monkeypatch):
         powers = matrix_walk_counts(6, G.edges(), 26)
         assert walks == [powers[26], powers[25]], G
     assert widest[-1][1][0] == 6 * 5**26
-    past = list(checks._labeled_walks(6, (27,)))
+    past = list(_level_items(6, (27,)))
     assert per_graph == {6: 1 << 15}
     assert [graph() for _, _, graph in past] == [graph() for _, _, graph in widest]
     assert past[-1][1] == [6 * 5**27]
@@ -492,6 +501,67 @@ def test_exhaustive_checks_match_the_per_graph_path():
         by_level, by_graph = run(exhaustive), run(per_graph)
         assert by_level.params["scope"] == exhaustive.describe()
         assert _without_scope(by_level) == _without_scope(by_graph), by_level
+
+
+def _counted_margins(monkeypatch):
+    """A Counter of the (n, W_k, W_t) that ``checks._margin`` is asked
+    to decide while the patch is in place."""
+    decided = Counter()
+    margin = checks._margin
+
+    def counted(n, wk, wt, t, k):
+        decided[n, wk, wt] += 1
+        return margin(n, wk, wt, t, k)
+
+    monkeypatch.setattr(checks, "_margin", counted)
+    return decided
+
+
+def _distinct(walked, t, k):
+    return {(G.n, W[k], W[t]) for G, W in walked}
+
+
+def test_block_checks_match_the_per_graph_oracle(monkeypatch):
+    # every field of every report against one Fraction margin a graph over
+    # matrix-power walk counts, sharing no scan code; each distinct
+    # (n, W_k, W_t) is decided once a scan, across blocks, up to the stop
+    by_mask = walked_graphs(chain.from_iterable(map(labeled_graphs_by_mask, range(1, 6))), 5)
+    scope = Scope.exhaustive_upto(5)
+    decided = _counted_margins(monkeypatch)
+    for t, k in ((1, 3), (3, 5), (2, 3), (2, 5), (4, 5)):
+        decided.clear()
+        assert sweep(t, k, scope) == sweep_by_graph(t, k, by_mask, scope.describe()), (t, k)
+        assert decided.keys() == _distinct(by_mask, t, k) and max(decided.values()) == 1
+    for t, k in ((2, 3), (2, 5)):
+        decided.clear()
+        expected = counterexample_by_graph(t, k, by_mask, scope.describe())
+        assert find_counterexample(t, k, scope) == expected, (t, k)
+        stop = expected.params["checked"]
+        assert 1 < stop < len(by_mask), (t, k)
+        assert decided.keys() == _distinct(by_mask[:stop], t, k) and max(decided.values()) == 1
+    six = walked_graphs(chain.from_iterable(map(labeled_graphs_by_mask, range(1, 7))), 3)
+    scope = Scope.exhaustive_upto(6)
+    assert sweep(2, 3, scope) == sweep_by_graph(2, 3, six, scope.describe())
+
+
+def test_mixed_vertex_counts_match_the_per_graph_oracle(monkeypatch):
+    # an explicit scope of runs n = 4, 3, 4: the worst (2, 3) tuple, on
+    # n = 4, recurs in the last block, after a block with fewer vertices;
+    # the witness stays its first graph, its repeats still count as
+    # violations, and no (n, walks) is decided twice
+    graphs = [*labeled_graphs_by_mask(4), *labeled_graphs_by_mask(3), *labeled_graphs_by_mask(4)]
+    walked = walked_graphs(graphs, 3)
+    scope = Scope.graphs(graphs)
+    decided = _counted_margins(monkeypatch)
+    for t, k in ((2, 3), (1, 3)):
+        decided.clear()
+        expected = sweep_by_graph(t, k, walked, scope.describe())
+        assert sweep(t, k, scope) == expected, (t, k)
+        assert decided.keys() == _distinct(walked, t, k) and max(decided.values()) == 1
+    worst = sweep_by_graph(2, 3, walked, scope.describe()).witnesses[0]["graph"]
+    assert worst.startswith("4 ") and [serialize_graph(G) for G in graphs].count(worst) == 2
+    assert find_counterexample(2, 3, scope) == counterexample_by_graph(2, 3, walked,
+                                                                       scope.describe())
 
 
 def test_exhaustive_checks_refuse_a_malformed_part(monkeypatch):

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -678,3 +681,36 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     for argv in commands:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def _cli_in_subprocess(argv, hash_seed):
+    """(exit code, stdout less its volatile lines, stderr) of ``homdom``
+    run in a fresh interpreter under the given ``PYTHONHASHSEED``."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from homdom.cli import main; sys.exit(main())", *argv],
+        env=env, capture_output=True, text=True, timeout=120)
+    kept = [line for line in done.stdout.splitlines(keepends=True)
+            if not line.startswith(('  "timestamp": ', '  "elapsed_s": '))]
+    return done.returncode, "".join(kept), done.stderr
+
+
+def test_checks_print_the_same_under_every_hash_seed():
+    # a check decides each block's distinct walk tuples in the order of a
+    # dict built from them; that order, and so every witness and count,
+    # must not depend on the interpreter's string hash seed
+    definition = next(argv for argv in _readme_commands() if "hde-definition" in argv)
+    runs = (
+        ["verify", "--mode", "walk-inequality", "--t", "2", "--k", "3", "--exhaustive-n", "5"],
+        ["verify", "--mode", "counterexample", "--t", "2", "--k", "5", "--exhaustive-n", "5"],
+        definition,
+    )
+    for argv in runs:
+        first, second = (_cli_in_subprocess(argv, seed) for seed in (0, 1))
+        assert first == second, argv
+        code, out, err = first
+        doc = json.loads(out)
+        assert code in (0, 1) and not err, argv
+        assert doc["result"] and not {"timestamp", "elapsed_s"} & doc.keys(), argv
