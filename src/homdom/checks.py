@@ -8,9 +8,14 @@ denominator, and every verdict comes with a witness from which the
 comparison can be reproduced.  Every check over a scope reads its graphs
 through one scan, which raises ``EmptyScope`` for a scope with no graphs
 instead of letting a check return a vacuous "holds".  The scan hands a
-check a block of graphs at a time: their vertex count, their walk tuples
-and a function that builds one of them.  The check decides each distinct
-(n, walks) once, and builds a graph only when it needs more.
+check a block of graphs at a time: the scope offset of its first graph,
+its weight, the graphs' vertex count, their walk tuples and a function
+that builds one of them.  The check decides each distinct (n, walks)
+once, counts each graph weight times, and builds a graph only when it
+needs more.  An exhaustive scope walks one star of each size of its last
+vertex, weighted by the number of stars of that size; the first graph in
+scope order with any walk tuple lies in one of those stars, so every
+report names the graph a walk over every labeled graph would name.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby, islice
+from math import comb
 from operator import attrgetter, or_
 
 from .errors import (
@@ -59,32 +65,38 @@ POWER_BITS = 1 << 20
 SAMPLE_BUDGET = 10**8
 
 
-def _add_vertex(graphs: list, m: int):
-    """Adjacency rows of every graph on m + 1 vertices, from the rows of
-    every graph on m vertices: vertex m's neighbourhood in the outer loop,
-    the graph on the first m vertices in the inner one."""
-    for nbhd in range(1 << m):
-        new_bit = [(nbhd >> u & 1) << m for u in range(m)]
-        for rows in graphs:
-            yield (*map(or_, rows, new_bit), nbhd)
+def _stars(m: int, nbhds) -> list[tuple[int, ...]]:
+    """The star of vertex m for each neighbourhood in ``nbhds``, a mask of
+    vertices below m: the m + 1 adjacency rows of the graph whose only
+    edges join m to its neighbourhood."""
+    return [(*((nbhd >> u & 1) << m for u in range(m)), nbhd) for nbhd in nbhds]
 
 
-def labeled_graphs(n: int):
-    """All 2^C(n,2) labeled graphs on n vertices, in edge-bitmask order.
+def _validated(n: int, stars: list) -> list:
+    """``stars``, each proven valid as a graph on n vertices, the rows of
+    the vertices past its own left empty."""
+    for star in stars:
+        Graph(n, (*star, *(0,) * (n - len(star))))
+    return stars
 
-    The edge slots run (u, v) for v in range(n), u < v, so the top n - 1
-    bits of a mask are vertex n - 1's neighbourhood and the low bits are a
-    graph on the first n - 1 vertices.  The graphs are therefore built one
-    vertex at a time: the rows of the graphs on n - 1 vertices are listed
-    once, and for each neighbourhood of the new vertex its bit is ORed into
-    them and the neighbourhood appended as the last row.  Each graph
-    yielded is a validated ``Graph``; only the smaller level is held.
-    """
-    if n == 0:
-        yield Graph(0, ())
-        return
-    for _, walks, graph_at in _labeled_blocks(n, ()):
-        yield from map(graph_at, range(len(walks)))
+
+def _inner_graphs(n: int) -> list[tuple[int, ...]]:
+    """The adjacency rows of every labeled graph on the first n - 1
+    vertices, in edge-bitmask order.
+
+    The edge slots run (u, v) for v in range(n - 1), u < v, so the top u
+    bits of a graph's mask on u + 1 vertices are vertex u's neighbourhood
+    and the low bits a graph on the first u.  The graphs are therefore
+    built one vertex at a time: for each star of vertex u, its rows are
+    ORed into every graph on u vertices.  Each of the 2^(n-1) - 1 stars
+    ORed in is validated once, and no graph built from them is: a graph
+    and a star that share no edge OR into a graph, since OR keeps every
+    row in range, loop-free and symmetric."""
+    level = [()]
+    for u in range(n - 1):
+        stars = _validated(n, _stars(u, range(1 << u)))
+        level = [(*map(or_, rows, star), star[u]) for star in stars for rows in level]
+    return level
 
 
 def _lane_width(n: int, k: int) -> int | None:
@@ -113,22 +125,23 @@ def _lanes(total: int, width: int, count: int) -> list[int]:
 
 
 # the most consecutive graphs with one vertex count that a random or an
-# explicit scope, or an exhaustive level counted a graph at a time, puts in
-# one block: as many as an exhaustive block at n = 6 (1,024 graphs on 63
-# vertices take about 3 MB)
+# explicit scope, or a star of an exhaustive level counted a graph at a
+# time, puts in one block: as many as a kernel block at n = 6 (1,024
+# graphs on 63 vertices take about 3 MB)
 _BLOCK_GRAPHS = 1024
 
 
-def _graph_blocks(graphs, lengths: tuple[int, ...]):
-    """The blocks of ``graphs``: (n, the walk tuples of the graphs, a
-    function from an index in the block to that graph) for each run of up
-    to ``_BLOCK_GRAPHS`` consecutive graphs with n vertices.  A graph's
-    walk tuple holds its number of walks with l edges for each l in
-    ``lengths``, from one ``walk_counts`` chain a graph."""
+def _graph_blocks(graphs, lengths: tuple[int, ...], weight: int = 1, offset: int = 0):
+    """The blocks of ``graphs``, the first at scope offset ``offset``, each
+    with ``weight``: one for each run of up to ``_BLOCK_GRAPHS``
+    consecutive graphs with n vertices, in the block shape of ``Scope``.
+    A graph's walk tuple holds its number of walks with l edges for each l
+    in ``lengths``, from one ``walk_counts`` chain a graph."""
     for n, run in groupby(graphs, attrgetter("n")):
         while block := list(islice(run, _BLOCK_GRAPHS)):
             walks = [tuple(map(walk_counts(G, lengths).__getitem__, lengths)) for G in block]
-            yield n, walks, block.__getitem__
+            yield offset, weight, n, walks, block.__getitem__
+            offset += len(block)
 
 
 def _joined(n: int, star: tuple[int, ...], inner: list, g: int) -> Graph:
@@ -138,45 +151,67 @@ def _joined(n: int, star: tuple[int, ...], inner: list, g: int) -> Graph:
     return Graph(n, (*map(or_, inner[g], star), star[-1]))
 
 
-def _labeled_blocks(n: int, lengths: tuple[int, ...]):
-    """The blocks of every labeled graph on n >= 1 vertices, in the order
-    of ``labeled_graphs``: (n, the walk tuples of the block's graphs, a
-    function from an index in the block to that graph as a validated
-    ``Graph``), a walk tuple holding the number of walks with l edges for
-    each l in ``lengths``.
+def _labeled_blocks(n: int, lengths: tuple[int, ...], start: int = 0):
+    """The blocks of an exhaustive level: one per size s of vertex
+    n - 1's star, for the labeled graphs on n >= 1 vertices that follow
+    ``start`` graphs in scope order.
 
-    The graphs under one neighbourhood N of vertex n - 1 form a block, one
-    graph per graph g on the first n - 1 vertices, and a block's walks are
-    counted together, bit-sliced (Biham, FSE 1997).  An entry of the walk
-    vector v_a is one int with a lane of w bits per g, g's lane at bit
-    g * w; E_ij is all ones in the lanes whose g has the edge {i, j}.  So
-    v_0 = 1 and each step v_{a+1}[i] = sum_j (v_a[j] & E_ij) + [i in N] *
-    v_a[n - 1], v_{a+1}[n - 1] = sum_{j in N} v_a[j], is a few whole-int
-    operations, and W_a = sum_i v_a[i] is read out a lane at a time.
-    w is the narrowest lane that holds n * (n - 1)^k for the longest
-    length k, so no lane carries into the next.  Past 64 bits, and at
-    n <= 2, where a block is one graph and the chain takes half the steps,
-    each graph is built and gets its own ``walk_counts`` chain, in the
-    blocks of ``_graph_blocks``.  At n = 6 a block has 1,024 graphs and
-    each of its ints w/8 KB; nothing outlives the level.
+    A level's graphs fall into 2^(n-1) stars N of vertex n - 1, each with
+    one graph per graph on the first n - 1 vertices, in edge-bitmask
+    order.  A permutation of vertices 0 ... n - 2 that takes N to N' maps
+    N's graphs onto N''s one to one, keeping every walk count and hom
+    count, since the two graphs are isomorphic.  So the multiset of walk
+    tuples of N's graphs depends only on s = |N|, and the level's is the
+    sum over s of C(n - 1, s) times that of the canonical star
+    N_s = {0, ..., s - 1}, the int 2^s - 1.  Only the canonical stars are
+    walked, each weighted by C(n - 1, s), at its real offset, ``start``
+    plus (2^s - 1) * 2^C(n-1,2).  As N_s is the first star with s bits in
+    scope order, and every star before it has fewer, the first graph in
+    scope order with a given walk tuple, or of any isomorphism-closed
+    set, lies in a canonical star at its own index: a check's witness and
+    its first failure stand in scope order.
+    """
+    return _star_blocks(n, lengths, start, [((1 << s) - 1, comb(n - 1, s)) for s in range(n)])
 
-    A block's graph is not built unless asked for.  It is proven valid by
-    its two parts: each graph g is validated once as ``Graph(n - 1, g)``,
-    and each block's star, the edges of vertex n - 1, once as a graph on
-    n vertices.  A block's graph is the OR of g and the star, which share
-    no edge, and OR keeps every row in range, loop-free and symmetric.
+
+def _star_blocks(n: int, lengths: tuple[int, ...], start: int, stars: list):
+    """The blocks of the labeled graphs on n >= 1 vertices whose vertex
+    n - 1 has the neighbourhood N, for each (N, weight) in ``stars``, in
+    the block shape of ``Scope``: N's graphs, one per graph g on the first
+    n - 1 vertices, at scope offset ``start`` + N * 2^C(n-1,2), each
+    standing for ``weight`` graphs.  A walk tuple holds the number of
+    walks with l edges for each l in ``lengths``.
+
+    A star's walks are counted together, bit-sliced (Biham, FSE 1997).
+    An entry of the walk vector v_a is one int with a lane of w bits per
+    g, g's lane at bit g * w; E_ij is all ones in the lanes whose g has
+    the edge {i, j}.  So v_0 = 1 and each step v_{a+1}[i] = sum_j
+    (v_a[j] & E_ij) + [i in N] * v_a[n - 1], v_{a+1}[n - 1] =
+    sum_{j in N} v_a[j], is a few whole-int operations, and W_a = sum_i
+    v_a[i] is read out a lane at a time.  w is the narrowest lane that
+    holds n * (n - 1)^k for the longest length k, so no lane carries into
+    the next.  Past 64 bits, and at n <= 2, where a star has one graph
+    and the chain takes half the steps, each graph is built and gets its
+    own ``walk_counts`` chain, in the blocks of ``_graph_blocks``.  At
+    n = 6 a star has 1,024 graphs and each of its ints w/8 KB; nothing
+    outlives the level but the inner graphs, held while it is walked.
+
+    A star's graph is not built unless asked for.  It is proven valid by
+    its parts: the stars that ``_inner_graphs`` ORs into g, and the star
+    of vertex n - 1, each validated once as a graph on n vertices.  A
+    star's graph is the OR of g and the star, which share no edge.
     """
     m = n - 1
-    inner = [()]
-    for u in range(m):
-        inner = list(_add_vertex(inner, u))
+    inner = _inner_graphs(n)
+    nbhds, weights = zip(*stars)
+    joins = list(zip(_validated(n, _stars(m, nbhds)), weights))
     count, top = len(inner), max(lengths, default=0)
     width = _lane_width(n, top)
     if width is None or count == 1:
-        yield from _graph_blocks((Graph(n, rows) for rows in _add_vertex(inner, m)), lengths)
+        for star, weight in joins:
+            graphs = map(partial(_joined, n, star, inner), range(count))
+            yield from _graph_blocks(graphs, lengths, weight, start + star[m] * count)
         return
-    for rows in inner:
-        Graph(m, rows)
     bits = width * count
     ones = _repeat(1, width, bits)
     terms = [[] for _ in range(m)]  # (j, E_ij) for each j != i
@@ -187,10 +222,7 @@ def _labeled_blocks(n: int, lengths: tuple[int, ...]):
         terms[i].append((j, mask))
         terms[j].append((i, mask))
     wanted = set(lengths)
-    # the stars of vertex m, one per neighbourhood: the graphs that
-    # _add_vertex builds on the edgeless graph of m vertices
-    for star in _add_vertex([(0,) * m], m):
-        Graph(n, star)
+    for star, weight in joins:
         nbhd = star[m]
         joined = [nbhd >> i & 1 for i in range(m)]
         neighbours = [j for j in range(m) if joined[j]]
@@ -204,7 +236,7 @@ def _labeled_blocks(n: int, lengths: tuple[int, ...]):
                 totals[a] = sum(v)
         unpacked = {k: _lanes(totals[k], width, count) for k in wanted}
         walks = list(zip(*(unpacked[k] for k in lengths))) if lengths else [()] * count
-        yield n, walks, partial(_joined, n, star, inner)
+        yield start + nbhd * count, weight, n, walks, partial(_joined, n, star, inner)
 
 
 def random_graph(n: int, edge_prob: Fraction, rng: random.Random) -> Graph:
@@ -234,22 +266,27 @@ def _check_vertices(n: int) -> None:
 class Scope:
     """A reproducible collection of graphs to check, equal only to itself.
     It holds its description, the most vertices a graph of it can have,
-    and a function that draws its graphs afresh on every iteration,
-    re-seeding a random scope.  The graphs are drawn a block at a time,
-    a block being consecutive graphs with one vertex count n, as (n, the
-    walk tuples of its graphs at the lengths asked for, in scope order, a
-    function from an index in the block to that graph as a validated
-    ``Graph``).  An exhaustive scope's blocks are the graphs under one star
-    of vertex n - 1, whose walks it counts together and whose graphs it
-    builds only when asked; a random or an explicit scope groups runs of
-    graphs with the same n as it draws them, and counts their walks one
-    graph at a time.  Iterating a scope yields its graphs.  Every refusal
-    is made when it is built."""
+    and a function that draws its graphs afresh on every draw, re-seeding
+    a random scope.  The graphs are drawn a block at a time, a block being
+    consecutive graphs with one vertex count n, as (the scope offset of
+    its first graph, its weight, n, the walk tuples of its graphs at the
+    lengths asked for, in scope order, a function from an index in the
+    block to that graph as a validated ``Graph``).  Each graph of a block
+    stands for ``weight`` graphs of the scope with its walk tuple, so the
+    scope has the sum of weight * size graphs.  An exhaustive scope's
+    blocks are the graphs under one canonical star of each size of vertex
+    n - 1, weighted by the number of stars of that size (see
+    ``_labeled_blocks``), whose walks it counts together and whose graphs
+    it builds only when asked; a random or an explicit scope groups runs
+    of graphs with the same n as it draws them, with weight 1, and counts
+    their walks one graph at a time.  Every refusal is made when it is
+    built."""
 
     _description: dict
     _max_vertices: int
     _draw: Callable[[tuple[int, ...]],
-                    Iterator[tuple[int, Sequence[tuple[int, ...]], Callable[[int], Graph]]]]
+                    Iterator[tuple[int, int, int, Sequence[tuple[int, ...]],
+                                   Callable[[int], Graph]]]]
 
     @staticmethod
     def exhaustive(n: int) -> "Scope":
@@ -261,10 +298,11 @@ class Scope:
     @staticmethod
     def exhaustive_upto(n_max: int) -> "Scope":
         _check_exhaustive(n_max)
-        ns = range(1, n_max + 1)
+        # each level n follows the 2^C(j,2) graphs of every level j < n
+        starts = {n: sum(1 << j * (j - 1) // 2 for j in range(1, n)) for n in range(1, n_max + 1)}
         return Scope({"kind": "exhaustive-upto", "n_max": n_max}, n_max,
                      lambda lengths: chain.from_iterable(
-                         _labeled_blocks(n, lengths) for n in ns))
+                         _labeled_blocks(n, lengths, start) for n, start in starts.items()))
 
     @staticmethod
     def random(samples: int, n: int, edge_prob, seed: int) -> "Scope":
@@ -304,10 +342,6 @@ class Scope:
     def describe(self) -> dict:
         return dict(self._description)
 
-    def __iter__(self) -> Iterator[Graph]:
-        for _, walks, graph_at in self._draw(()):
-            yield from map(graph_at, range(len(walks)))
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -345,15 +379,14 @@ def _rat(q: Fraction) -> str:
 
 
 def _scan(scope: Scope, check: str, lengths: tuple[int, ...]):
-    """(offset, block) over the blocks that ``Scope`` draws, with walk
-    tuples at ``lengths``, ``offset`` being the number of graphs before
-    the block; a scope that yields no graph raises ``EmptyScope``, so no
-    check reports on it."""
-    offset = 0
+    """The blocks that ``Scope`` draws, with walk tuples at ``lengths``; a
+    scope that yields no block, and so no graph, raises ``EmptyScope``, so
+    no check reports on it."""
+    drawn = 0
     for block in scope._draw(lengths):
-        yield offset, block
-        offset += len(block[1])
-    if offset == 0:
+        yield block
+        drawn += 1
+    if not drawn:
         raise EmptyScope(f"{check} needs at least one graph")
 
 
@@ -367,11 +400,13 @@ def _first_failure(name: str, params: dict, scope: Scope, check: str, failed: st
     decides a graph by its vertex count and walks alone: each block's
     distinct walk tuples are decided in order of first appearance, a
     tuple whose (n, walks) passed before is skipped, and a failing tuple
-    stands for its first graph.  Every graph up to the failure, or every
-    graph of the scope, counts as checked."""
-    found = None
+    stands for its first graph.  Every graph up to the failure, at the
+    block's scope offset, or every graph of the scope, each block's
+    weight times its size, counts as checked."""
+    params = {**params, "scope": scope.describe()}
+    checked = 0
     passed = set()  # (n, walks) that passed, kept unless needs_graph
-    for offset, (n, walks, graph_at) in _scan(scope, check, lengths):
+    for offset, weight, n, walks, graph_at in _scan(scope, check, lengths):
         if needs_graph:
             tried = enumerate(walks)
         else:
@@ -379,18 +414,12 @@ def _first_failure(name: str, params: dict, scope: Scope, check: str, failed: st
         for index, w in tried:
             found = witness(n, w, partial(graph_at, index))
             if found is not None:
-                break
+                return CheckReport(name, {**params, "checked": offset + index + 1}, failed,
+                                   (found,))
             if not needs_graph:
                 passed.add((n, w))
-        if found is not None:
-            checked = offset + index + 1
-            break
-    else:
-        checked = offset + len(walks)
-    params = {**params, "scope": scope.describe(), "checked": checked}
-    if found is None:
-        return CheckReport(name, params, "holds", ())
-    return CheckReport(name, params, failed, (found,))
+        checked += weight * len(walks)
+    return CheckReport(name, {**params, "checked": checked}, "holds", ())
 
 
 def _witness(G: Graph, lhs: Fraction, rhs: Fraction, relation: str) -> dict:
@@ -426,16 +455,17 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     cross-multiplication; only the reported witness is built as a graph
     and gets Fraction sides.  A margin is a function of (n, W_k, W_t), so
     each distinct triple is decided once per sweep, in order of first
-    appearance: a block's walk tuples are counted together, each count
-    whose triple is negative adds to the violations, and a triple seen
-    before, its margin being no smaller than the worst so far, cannot be
-    the witness.
+    appearance: a block's walk tuples are counted together, each count,
+    times the block's weight, whose triple is negative adds to the
+    violations, and a triple seen before, its margin being no smaller
+    than the worst so far, cannot be the witness.
     """
     _check_indices(t, k)
-    violated = 0
+    checked = violated = 0
     worst = None  # (numerator, denominator, n, W_k, W_t, graph)
     negative = {}  # (n, W_k, W_t) -> whether its margin is negative
-    for offset, (n, walks, graph_at) in _scan(scope, "sweep", (k, t)):
+    for _, weight, n, walks, graph_at in _scan(scope, "sweep", (k, t)):
+        checked += weight * len(walks)
         for pair, count in Counter(walks).items():
             key = n, *pair
             below = negative.get(key)
@@ -446,9 +476,9 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
                 if worst is None or num * worst[1] < worst[0] * den:
                     worst = (num, den, n, wk, wt, partial(graph_at, walks.index(pair)))
             if below:
-                violated += count
+                violated += count * weight
     num, den, n, wk, wt, graph = worst
-    params = {"t": t, "k": k, "scope": scope.describe(), "checked": offset + len(walks),
+    params = {"t": t, "k": k, "scope": scope.describe(), "checked": checked,
               "violations": violated, "worst_margin": _rat(Fraction(num, den))}
     verdict = "holds" if violated == 0 else "violated"
     witnesses = (_witness(graph(), *_sides(n, wk, wt, t, k), "w_k^t >= w_t^k"),)

@@ -160,9 +160,11 @@ def walk_counts(G: Graph, lengths) -> dict[int, int]:
     memory quadratic in the longest length.
 
     Random and explicit scopes and ``homdom walks`` count every graph
-    here.  An exhaustive scope counts a block of graphs at a time
-    (``checks._labeled_blocks``) and comes here only at n <= 2, where a
-    block is one graph, and for lengths past its 64-bit lanes.
+    here.  An exhaustive scope counts the graphs under one canonical star
+    of each size of its last vertex a block at a time, each standing for
+    every star of that size (``checks._labeled_blocks``), and comes here
+    only at n <= 2, where a block is one graph, and for lengths past its
+    64-bit lanes, for the canonical stars' graphs alone.
     """
     lengths = sorted(set(lengths))
     if lengths and lengths[0] < 0:

@@ -8,9 +8,9 @@ brute-force maximal cliques and its maximum by listing every
 homomorphism, the polytope by one row for every pair of
 subsets with separation found by breadth-first search, a row at a point
 by its ``Fraction`` sum, walk counts by integer adjacency-matrix powers,
-labeled graphs by an edge list per edge bitmask, the walk-inequality
-sweep and counterexample search by one ``Fraction`` margin a graph over
-those walk counts, the integer simplex
+labeled graphs by an edge list per edge bitmask, the
+walk-inequality sweep and counterexample search by one ``Fraction``
+margin a graph over those walk counts, the integer simplex
 core and the integer presolve by the ``Fraction`` ones they replaced, the
 presolved solve by the dual pivoted with no presolve, the walk
 inequality by its density form, and ``Graph`` validation by the row and
@@ -19,8 +19,12 @@ polytope's ``=`` rows, ``fixed_value``, is the oracle for the chain-row
 proofs of the path identity and of the walk certificates.  The maps
 behind those certificates are built here as homomorphisms, each read by
 the clique-tree form: ψ's folds, ψ itself as one homomorphism from the
-whole union, and the walks of ``walk_form``.  The small graph helpers
-that only the tests use live here too.
+whole union, and the walks of ``walk_form``.  One oracle shares the
+block kernel it checks: the labeled draw over every star of each
+level's last vertex, to which an exhaustive scope's star orbits (one
+star of each size, weighted by the number of stars of that size) are
+held.  The matrix powers check that kernel graph for graph.  The small
+graph helpers that only the tests use live here too.
 """
 
 import random
@@ -31,7 +35,8 @@ from itertools import chain, combinations
 from operator import mul
 from types import SimpleNamespace
 
-from homdom.checks import CheckReport, _witness
+from homdom import checks
+from homdom.checks import CheckReport, Scope, _witness
 from homdom.errors import BadIndex, EmptyGraph, RatlpError
 from homdom.graphs import (
     CliqueTree, Graph, bits_of, clique_tree, disjoint_union, from_edges, path,
@@ -198,6 +203,50 @@ def labeled_graphs_by_mask(n: int):
     slots = [(u, v) for v in range(n) for u in range(v)]
     for mask in range(1 << len(slots)):
         yield from_edges(n, [slots[b] for b in range(len(slots)) if mask >> b & 1])
+
+
+def labeled_blocks(n: int, lengths, start: int = 0):
+    """The blocks of every labeled graph on n >= 1 vertices that follows
+    ``start`` graphs in scope order, in the block shape of ``Scope``: one
+    per star of vertex n - 1, each graph of weight 1 at its real offset.
+    This is the loop over every star that the orbit scan of
+    ``checks._labeled_blocks`` replaced."""
+    return checks._star_blocks(n, lengths, start, [(nbhd, 1) for nbhd in range(1 << n - 1)])
+
+
+def labeled_scope(scope: Scope) -> Scope:
+    """The exhaustive ``scope`` with the same description, drawn as
+    ``labeled_blocks``: every labeled graph of each level, one at a time
+    by weight, so that a check over it reports field for field what the
+    orbit scan must."""
+    description = scope.describe()
+    if description["kind"] == "exhaustive":
+        levels = [(description["n"], 0)]
+    else:
+        levels, start = [], 0
+        for n in range(1, description["n_max"] + 1):
+            levels.append((n, start))
+            start += 1 << n * (n - 1) // 2
+    return Scope(description, scope.max_vertices(), lambda lengths: chain.from_iterable(
+        labeled_blocks(n, lengths, start) for n, start in levels))
+
+
+def scope_graphs(scope: Scope):
+    """The graphs of the blocks that ``scope`` draws, in scope order: every
+    graph of a random or an explicit scope, and of an exhaustive one only
+    those its blocks hold, unless it is a ``labeled_scope``."""
+    for _, _, _, walks, graph_at in scope._draw(()):
+        yield from map(graph_at, range(len(walks)))
+
+
+def labeled_graphs(n: int):
+    """All 2^C(n,2) labeled graphs on n vertices, in edge-bitmask order,
+    from ``labeled_blocks``: each a validated ``Graph``."""
+    if n == 0:
+        yield Graph(0, ())
+        return
+    for _, _, _, walks, graph_at in labeled_blocks(n, ()):
+        yield from map(graph_at, range(len(walks)))
 
 
 def matrix_walk_counts(n: int, edges, k_max: int) -> list[int]:

@@ -23,11 +23,12 @@ from homdom.checks import (
     check_hde_definition,
     check_lemma_identity,
     find_counterexample,
-    labeled_graphs,
     prove_path_identity,
     sweep,
 )
-from conftest import brute_force_lp, objective_clique_tree_form, objective_subset_form, walk_parts
+from conftest import (
+    brute_force_lp, labeled_graphs, objective_clique_tree_form, objective_subset_form, walk_parts,
+)
 
 VERTEX_SEEDS = range(100)
 SANDWICH_SEEDS = range(25)

@@ -29,15 +29,15 @@ from homdom.checks import (
     check_hde_definition,
     check_lemma_identity,
     find_counterexample,
-    labeled_graphs,
     path_form,
     prove_path_identity,
     sweep,
 )
 from homdom import checks
 from conftest import (
-    check_density_form, complete, counterexample_by_graph, fixed_value, labeled_graphs_by_mask,
-    matrix_walk_counts, sweep_by_graph, walked_graphs,
+    check_density_form, complete, counterexample_by_graph, fixed_value, labeled_blocks,
+    labeled_graphs, labeled_graphs_by_mask, labeled_scope, matrix_walk_counts, scope_graphs,
+    sweep_by_graph, walked_graphs,
 )
 
 
@@ -77,7 +77,7 @@ def test_density_form_agrees_with_walk_form():
     # the two forms must give the same verdict
     for t, k in ((1, 3), (2, 3), (3, 5), (2, 4)):
         verdicts = Counter()
-        for G in Scope.exhaustive_upto(5):
+        for G in scope_graphs(labeled_scope(Scope.exhaustive_upto(5))):
             verdict = check_density_form(G, t, k).verdict
             assert verdict == sweep(t, k, Scope.graphs([G])).verdict, (t, k, G)
             verdicts[verdict] += 1
@@ -127,8 +127,8 @@ def test_every_scope_kind_draws_the_same_graphs_on_every_iteration():
         7: Scope.graphs(g for g in [path(1), star(3), complete(7), path(0)]),
     }
     for n_max, scope in scopes.items():
-        first = list(scope)
-        assert first and _same_sequence(first, scope), scope.describe()
+        first = list(scope_graphs(scope))
+        assert first and _same_sequence(first, scope_graphs(scope)), scope.describe()
         assert scope.max_vertices() == max(G.n for G in first) == n_max
 
 
@@ -137,7 +137,7 @@ def test_integer_margin_sweep_matches_fraction_sides():
     # Fraction sides over matrix-power walk counts, keeping the first graph
     # with the smallest margin.  The sweep over each graph alone must give
     # that graph's verdict and sides
-    graphs = list(Scope.exhaustive_upto(5))
+    graphs = list(scope_graphs(labeled_scope(Scope.exhaustive_upto(5))))
     walks = [matrix_walk_counts(G.n, G.edges(), 5) for G in graphs]
     first_violation = None
     for t, k in ((1, 3), (3, 5), (1, 5), (2, 3), (2, 5), (4, 5)):
@@ -172,7 +172,7 @@ def test_integer_margin_sweep_matches_fraction_sides():
 def test_scope_graphs_accepts_a_generator():
     scope = Scope.graphs(g for g in [path(1), path(2)])
     assert scope.describe() == {"kind": "explicit", "count": 2}
-    assert list(scope) == [path(1), path(2)]
+    assert list(scope_graphs(scope)) == [path(1), path(2)]
     assert sweep(1, 3, scope).params["checked"] == 2
 
 
@@ -267,8 +267,8 @@ def test_random_scope_edge_probability_range():
         with pytest.raises(MalformedInput):
             Scope.random(3, 5, bad, seed=0)
     # the ends of the range are valid: no edges, and the complete graph
-    assert [G.edge_count for G in Scope.random(3, 5, 0, seed=0)] == [0, 0, 0]
-    assert [G.edge_count for G in Scope.random(3, 5, 1, seed=0)] == [10, 10, 10]
+    assert [G.edge_count for G in scope_graphs(Scope.random(3, 5, 0, seed=0))] == [0, 0, 0]
+    assert [G.edge_count for G in scope_graphs(Scope.random(3, 5, 1, seed=0))] == [10, 10, 10]
 
 
 def test_find_counterexample():
@@ -347,7 +347,7 @@ def test_hde_definition_check():
     f2 = disjoint_union([(star(3), 1), (path(1), 1)])
     for c in (Fraction(1), Fraction(3, 2)):
         verdicts = Counter()
-        for G in Scope.exhaustive_upto(4):
+        for G in scope_graphs(labeled_scope(Scope.exhaustive_upto(4))):
             rep = check_hde_definition(f1, f2, c, Scope.graphs([G]))
             h1, h2 = count_homs(f1, G), count_homs(f2, G)
             holds = h1**c.denominator >= h2**c.numerator
@@ -415,20 +415,31 @@ def test_labeled_graphs_follow_edge_bitmask_order():
     for n in range(7):
         assert _same_sequence(labeled_graphs(n), labeled_graphs_by_mask(n)), n
     by_mask = chain.from_iterable(labeled_graphs_by_mask(n) for n in range(1, 7))
-    assert _same_sequence(Scope.exhaustive_upto(6), by_mask)
+    assert _same_sequence(scope_graphs(labeled_scope(Scope.exhaustive_upto(6))), by_mask)
 
 
 def _level_items(n, lengths):
     """(n, [W_l for l in lengths], a function that builds the graph) for
-    each graph of the exhaustive level n, read out of its blocks."""
-    for m, walks, graph_at in checks._labeled_blocks(n, lengths):
+    each graph of the exhaustive level n, read out of its labeled draw."""
+    for _, _, m, walks, graph_at in labeled_blocks(n, lengths):
         for index, graph_walks in enumerate(walks):
             yield m, list(graph_walks), partial(graph_at, index)
 
 
+def _weighted(blocks):
+    """The Counter of (n, walk tuple) over ``blocks``, each graph counted
+    by its block's weight."""
+    counts = Counter()
+    for _, weight, n, walks, _ in blocks:
+        for walk, count in Counter(walks).items():
+            counts[n, walk] += weight * count
+    return counts
+
+
 def test_level_walks_match_matrix_powers():
     # the block kernel, graph for graph, against entry sums of adjacency
-    # powers over every labeled graph with n <= 6 at lengths 0 ... 7
+    # powers over every labeled graph with n <= 6 at lengths 0 ... 7; the
+    # orbit scan's weights times its block sizes count them all
     lengths = tuple(range(8))
     for n in range(1, 7):
         count = 0
@@ -436,6 +447,56 @@ def test_level_walks_match_matrix_powers():
             G = graph()
             assert walks == matrix_walk_counts(n, G.edges(), 7), G
         assert count == 1 << n * (n - 1) // 2
+        assert sum(_weighted(checks._labeled_blocks(n, lengths)).values()) == count
+
+
+def test_orbit_scan_counts_the_walk_tuples_of_every_labeled_graph():
+    # a level's walk tuples, counted by weight over one star of each size
+    # of vertex n - 1, against the labeled draw over every star; (27, 28)
+    # is past 64-bit lanes, so it takes the per-graph fallback
+    for lengths, n_max in (((5, 3), 7), ((1, 2, 3, 4), 7), ((27, 28), 6)):
+        for n in range(1, n_max + 1):
+            orbits = _weighted(checks._labeled_blocks(n, lengths))
+            assert orbits == _weighted(labeled_blocks(n, lengths)), (n, lengths)
+
+
+def test_orbit_blocks_hold_the_graphs_at_their_scope_offsets(monkeypatch):
+    # graph for graph against one from_edges call per bitmask: each block
+    # holds the labeled graphs from its offset on, the fallback's in blocks
+    # of _BLOCK_GRAPHS at lengths past 64-bit lanes; the weights times the
+    # block sizes are the scope's size
+    by_mask = list(chain.from_iterable(map(labeled_graphs_by_mask, range(1, 7))))
+    monkeypatch.setattr(checks, "_BLOCK_GRAPHS", 100)
+    for lengths in ((), (64,)):
+        size = 0
+        for offset, weight, n, walks, graph_at in Scope.exhaustive_upto(6)._draw(lengths):
+            graphs = list(map(graph_at, range(len(walks))))
+            assert graphs == by_mask[offset:offset + len(graphs)], (lengths, offset)
+            size += weight * len(graphs)
+        assert size == len(by_mask)
+
+
+def test_orbit_scan_reports_as_the_labeled_draw_at_n7(monkeypatch):
+    # through a private scope past the cap: every field of every report
+    # over one star of each size equals the report over every star
+    monkeypatch.setattr(checks, "EXHAUSTIVE_CAP", 7)
+    scope = Scope.exhaustive(7)
+    labeled = labeled_scope(scope)
+    for t, k in ((1, 3), (2, 3), (3, 5)):
+        assert sweep(t, k, scope) == sweep(t, k, labeled), (t, k)
+    for t, k in ((2, 3), (2, 5)):
+        assert find_counterexample(t, k, scope) == find_counterexample(t, k, labeled), (t, k)
+
+
+def test_a_source_with_no_path_component_reads_canonical_stars_only():
+    # with a component that is not a path the check builds every graph of
+    # a block it reads; hom counts are isomorphism invariants, so the
+    # canonical stars give the labeled draw's report
+    scope = Scope.exhaustive_upto(6)
+    labeled = labeled_scope(scope)
+    triangle_and_edge = disjoint_union([(complete(3), 1), (path(1), 1)])
+    for f1, f2 in ((cycle(3), cycle(3)), (triangle_and_edge, path(1))):
+        assert check_hde_definition(f1, f2, 1, scope) == check_hde_definition(f1, f2, 1, labeled)
 
 
 def test_level_walks_at_the_edge_of_64_bit_lanes(monkeypatch):
@@ -466,6 +527,11 @@ def test_level_walks_at_the_edge_of_64_bit_lanes(monkeypatch):
     assert per_graph == {6: 1 << 15}
     assert [graph() for _, _, graph in past] == [graph() for _, _, graph in widest]
     assert past[-1][1] == [6 * 5**27]
+    # the orbit scan's fallback counts the 1,024 graphs of each of the six
+    # canonical stars, which stand for all 2^15
+    per_graph.clear()
+    assert sum(_weighted(checks._labeled_blocks(6, (27,))).values()) == 1 << 15
+    assert per_graph == {6: 6 * 1024}
 
 
 def test_lanes_read_lane_g_at_bit_g_times_the_width():
@@ -565,14 +631,14 @@ def test_mixed_vertex_counts_match_the_per_graph_oracle(monkeypatch):
 
 
 def test_exhaustive_checks_refuse_a_malformed_part(monkeypatch):
-    # every graph of an exhaustive scope is proven valid, by its parts (the
-    # graph on vertices 0 ... n - 2 and the star of vertex n - 1) or in
-    # full; the first graph _add_vertex builds on n - 1 vertices, or the
-    # first it builds by adding vertex n - 1, is broken, and each check
-    # refuses it before it reports.  sweep(1, 64) is past 64-bit lanes at
-    # n = 4, so it builds and validates every graph in full
+    # every graph of an exhaustive scope is proven valid by its parts, the
+    # stars of vertices 0 ... n - 1 ORed into it; the first star the scan
+    # builds for vertex u, for each u < n, is broken, and each check
+    # refuses it before it reports, naming the fault of the first graph it
+    # is ORed into.  sweep(1, 64) is past 64-bit lanes at n = 4, so it
+    # also builds and validates each graph it reads in full
     n = 4
-    add_vertex = checks._add_vertex
+    stars = checks._stars
     faults = (
         (lambda row: row | 2, r"adjacency not symmetric at \{0,1\}"),
         (lambda row: row | 1, "self-loop at vertex 0"),
@@ -581,19 +647,22 @@ def test_exhaustive_checks_refuse_a_malformed_part(monkeypatch):
     F1 = disjoint_union([(path(0), 2), (path(3), 1)])
     runs = (partial(sweep, 1, 3), partial(sweep, 1, 64), partial(find_counterexample, 2, 3),
             partial(check_hde_definition, F1, path(1), Fraction(3)))
-    for vertex in (n - 2, n - 1):  # broken: the first graph that adds this vertex
+    for vertex in range(n):
         for corrupt, refusal in faults:
-            def broken(graphs, m, vertex=vertex, corrupt=corrupt):
-                built = add_vertex(graphs, m)
-                if m == vertex:
-                    first = next(built)
-                    yield (corrupt(first[0]), *first[1:])
-                yield from built
-
-            monkeypatch.setattr(checks, "_add_vertex", broken)
             for run in runs:
+                broken_stars = []  # the one star broken, in the first call for the vertex
+
+                def broken(m, nbhds, vertex=vertex, corrupt=corrupt, broken_stars=broken_stars):
+                    built = stars(m, nbhds)
+                    if m == vertex and not broken_stars:
+                        built[0] = (corrupt(built[0][0]), *built[0][1:])
+                        broken_stars.append(built[0])
+                    return built
+
+                monkeypatch.setattr(checks, "_stars", broken)
                 with pytest.raises(MalformedInput, match=refusal):
                     run(Scope.exhaustive(n))
+                assert broken_stars, (vertex, run)
 
 
 def test_a_source_with_no_path_component_reads_every_graph():
@@ -602,7 +671,8 @@ def test_a_source_with_no_path_component_reads_every_graph():
     for scope, checked in ((Scope.exhaustive_upto(4), 75), (Scope.exhaustive(5), 1024)):
         report = check_hde_definition(cycle(3), cycle(3), 1, scope)
         assert (report.verdict, report.params["checked"]) == ("holds", checked)
-        per_graph = check_hde_definition(cycle(3), cycle(3), 1, Scope.graphs(scope))
+        per_graph = check_hde_definition(cycle(3), cycle(3), 1,
+                                         Scope.graphs(scope_graphs(labeled_scope(scope))))
         assert _without_scope(report) == _without_scope(per_graph)
 
 

@@ -12,7 +12,7 @@ from homdom import cli, errors, hde
 from homdom.checks import SAMPLE_BUDGET, CheckReport, Scope, path_form, prove_path_identity
 from homdom.cli import main
 from homdom.graphs import from_edges, serialize_graph
-from conftest import _psi_parts, check_density_form, objective_of
+from conftest import _psi_parts, check_density_form, labeled_scope, objective_of, scope_graphs
 
 
 def run_cli(capsys, *argv):
@@ -612,7 +612,8 @@ def test_exit_codes_follow_the_error_base_class(capsys, monkeypatch):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_blakley_roy_matches_the_per_graph_check(capsys, k):
     # t(P_k;G) >= t(P_1;G)^k is w_k >= d^k divided through by n^k
-    reports = [check_density_form(G, 1, k) for G in Scope.exhaustive_upto(5)]
+    reports = [check_density_form(G, 1, k)
+               for G in scope_graphs(labeled_scope(Scope.exhaustive_upto(5)))]
     violations = sum(rep.verdict == "violated" for rep in reports)
     code, doc = run_json(
         capsys, "verify", "--mode", "blakley-roy", "--k", str(k), "--exhaustive-n", "5"

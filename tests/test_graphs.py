@@ -27,8 +27,8 @@ from homdom.graphs import (
     star,
 )
 from conftest import (
-    adjacency_fault, brute_force_chordal, brute_force_k4_minor, complete, has_edge, mask_of,
-    random_graph,
+    adjacency_fault, brute_force_chordal, brute_force_k4_minor, complete, has_edge,
+    labeled_graphs, mask_of, random_graph,
 )
 
 
@@ -133,8 +133,6 @@ def test_is_chordal_examples():
 
 
 def test_is_chordal_vs_brute_force_exhaustive_n5():
-    from homdom.checks import labeled_graphs
-
     for n in range(1, 6):
         for G in labeled_graphs(n):
             assert is_chordal(G)[0] == brute_force_chordal(G)
@@ -207,8 +205,6 @@ def test_an_imperfect_ordering_is_refused_by_the_forest_walk(monkeypatch):
 def test_max_cardinality_search_visits_the_most_visited_neighbours_exhaustive_n6():
     # every labeled graph with n <= 6: each step visits an unvisited vertex
     # with the most visited neighbours, the smallest such vertex on a tie
-    from homdom.checks import labeled_graphs
-
     for n in range(0, 7):
         for G in labeled_graphs(n):
             order = graphs.max_cardinality_search(G)
@@ -238,8 +234,6 @@ def test_clique_forest_is_parent_first_exhaustive_n6():
     # over a nonzero separator, each component is one tree, and the cliques
     # are the maximal ones with running intersection; every other graph is
     # refused by clique_tree as well
-    from homdom.checks import labeled_graphs
-
     chordal = 0
     for n in range(0, 7):
         for G in labeled_graphs(n):
@@ -275,8 +269,6 @@ def test_is_series_parallel_examples():
 
 
 def test_is_series_parallel_vs_brute_force():
-    from homdom.checks import labeled_graphs
-
     verdicts = Counter()
     for n in range(0, 6):  # every labeled graph with n <= 5: 1,100 graphs
         for G in labeled_graphs(n):

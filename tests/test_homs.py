@@ -16,8 +16,7 @@ from homdom.homs import (
     walk_count,
     walk_counts,
 )
-from homdom.checks import labeled_graphs
-from conftest import complete, hom_density, matrix_walk_counts, random_graph
+from conftest import complete, hom_density, labeled_graphs, matrix_walk_counts, random_graph
 
 
 def test_homomorphism_validation():
