@@ -22,6 +22,14 @@ eliminated variable's reduced cost must be 0, a square triangular system
 in the duals of the pivot rows; an equality row that became empty gets
 dual 0.  So ``verify`` checks the full program, while ``pivots`` counts
 the reduced one's run.
+
+The core keeps its prices Y = c_B binv across a pivot instead of
+recomputing them: when column j enters at row r with direction d and
+reduced cost rc (both times det), Y' = (d_r Y + rc binv_r) / det, with
+binv_r row r before the pivot.  The division is exact because Y' =
+c_B' binv' is an int vector, so these are the prices a recomputation
+would give, at O(m) per pivot instead of O(m^2).  The presolve takes a
+row given in ints as it is, with no rescaling.
 """
 
 from __future__ import annotations
@@ -49,6 +57,28 @@ def _over_common_denominator(values) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
+def _excesses(rows, X, d: int) -> list:
+    """Per row, in order, ``sum(a * X[j]) - rhs * d``: d times the row's
+    excess at the point X / d, an int on an int row and a ``Fraction``
+    otherwise.  The one reader of a row at a point."""
+    excesses = []
+    for row in rows:
+        excess = -row.rhs * d
+        for j, a in row.terms:
+            excess += a * X[j]
+        excesses.append(excess)
+    return excesses
+
+
+def _violated(rows, excesses) -> tuple[Row, ...]:
+    """The rows, in order, whose excess breaks their relation."""
+    return tuple(
+        row
+        for row, e in zip(rows, excesses)
+        if (e > 0 if row.rel == "<=" else e < 0 if row.rel == ">=" else e != 0)
+    )
+
+
 def violated_rows(rows, x) -> tuple[Row, ...]:
     """The rows that the point x violates, in row order.
 
@@ -57,7 +87,7 @@ def violated_rows(rows, x) -> tuple[Row, ...]:
     by the sign of its excess, a plain sum: in ints on an int row.
     """
     d, X = _over_common_denominator(x)
-    return tuple(row for row in rows if not row._holds_at(X, d))
+    return _violated(rows, _excesses(rows, X, d))
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,22 +101,9 @@ class Row:
     rhs: int | Fraction
     tag: str = ""
 
-    def _excess_at(self, X, d: int):
-        """``sum(a * X[j]) - rhs * d``, d times the row's excess at the
-        point X / d: an int for an int row, a ``Fraction`` otherwise."""
-        excess = -self.rhs * d
-        for j, a in self.terms:
-            excess += a * X[j]
-        return excess
-
     def _holds_at(self, X, d: int) -> bool:
         """Whether the row holds at the point X / d, for ints X and d > 0."""
-        excess = self._excess_at(X, d)
-        if self.rel == "<=":
-            return excess <= 0
-        if self.rel == ">=":
-            return excess >= 0
-        return excess == 0
+        return not _violated((self,), _excesses((self,), X, d))
 
 
 @dataclass(frozen=True)
@@ -152,10 +169,17 @@ class _Simplex:
 
     The state is fraction-free (Edmonds, J. Res. NBS 71B, 1967; Bareiss,
     Math. Comp. 1968): B^-1 = binv / det and x_B = xb / det, ints, with
-    det = |det B| > 0.  Prices are y * det = c_B binv, and a ratio test
-    cross-multiplies.  A pivot divides exactly by the old det, so entries
-    stay the size of the basis's minors.  The pivots are those of a
+    det = |det B| > 0.  Prices are Y = y * det = c_B binv, and a ratio
+    test cross-multiplies.  A pivot divides exactly by the old det, so
+    entries stay the size of the basis's minors.  The pivots are those of a
     ``Fraction`` B^-1.
+
+    ``_iterate`` computes Y once and then updates it in place: column j
+    entering at row r, with direction d and reduced cost
+    rc = c_j det - Y a_j, gives Y' = (d_r Y + rc binv_r) / det, binv_r being
+    row r before the pivot.  That is c_B' binv' written out with the pivot's
+    row rule and c_B d = Y a_j, so the division is exact: Y' is an int
+    vector, the prices of the new basis.
     """
 
     def __init__(self, m: int, cols, b):
@@ -181,9 +205,12 @@ class _Simplex:
         return y
 
     def _direction(self, j) -> list[int]:
-        """B^-1 a_j times det, for a real column j."""
-        col = self.cols[j]
-        return [sum(row[r] * v for r, v in col) for row in self.binv]
+        """B^-1 a_j times det, for a real column j: binv's columns at the
+        column's rows, summed one entry at a time."""
+        d = [0] * self.m
+        for r, v in self.cols[j]:
+            d = [di + row[r] * v for di, row in zip(d, self.binv)]
+        return d
 
     def _pivot(self, r, j, d):
         """Column j enters at row r, where d is its ``_direction``: row r
@@ -211,9 +238,11 @@ class _Simplex:
         self.pivots += 1
 
     def _iterate(self, cost) -> str:
-        """Pivot to optimality of the given cost; Bland's rule throughout."""
+        """Pivot to optimality of the given cost; Bland's rule throughout.
+        The prices are computed once and kept in ``prices`` across each
+        pivot; the ratio test only picks d_r > 0, so none changes sign."""
+        self.prices = y = self._prices(cost)
         while True:
-            y = self._prices(cost)
             det = self.det
             enter = -1
             for j in range(self.k):  # artificials never enter
@@ -240,6 +269,8 @@ class _Simplex:
                         leave = i
             if leave < 0:
                 return "unbounded"
+            dr = d[leave]
+            self.prices = y = [(dr * a + rc * p) // det for a, p in zip(y, self.binv[leave])]
             self._pivot(leave, enter, d)
 
     def solve_two_phase(self, costs) -> str:
@@ -270,7 +301,10 @@ class _Simplex:
 
 
 def _scaled(terms, rhs=0):
-    """``(s, terms * s, rhs * s)``, ints, for s the lcm of the denominators."""
+    """``(s, terms * s, rhs * s)``, ints, for s the lcm of the denominators:
+    the terms themselves and s = 1 when every value is an int already."""
+    if type(rhs) is int and all(type(a) is int for _, a in terms):
+        return 1, terms, rhs
     s = lcm(rhs.denominator, *[a.denominator for _, a in terms])
     ints = [(j, a.numerator * (s // a.denominator)) for j, a in terms]
     return s, ints, rhs.numerator * (s // rhs.denominator)
@@ -545,18 +579,18 @@ def verify(lp: LinearProgram, outcome: LpOutcome) -> bool:
     if len(outcome.point) != lp.n_vars or len(outcome.duals) != len(lp.rows):
         return False
     d, X = _over_common_denominator(outcome.point)
-
-    if not all(row._holds_at(X, d) for row in lp.rows):
+    excesses = _excesses(lp.rows, X, d)
+    if _violated(lp.rows, excesses):
         return False
     if sum(a * X[j] for j, a in lp.objective) != outcome.value * d:
         return False
 
     rc = _cost_vector(lp)
-    for row, y in zip(lp.rows, outcome.duals):
+    for row, y, excess in zip(lp.rows, outcome.duals, excesses):
         if (row.rel == "<=" and y > 0) or (row.rel == ">=" and y < 0):
             return False
         if y:
-            if row._excess_at(X, d):  # complementary slackness
+            if excess:  # complementary slackness
                 return False
             for j, a in row.terms:
                 rc[j] -= y * a

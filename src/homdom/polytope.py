@@ -10,6 +10,9 @@ It is written in Shannon's elemental basis (Yeung, IEEE Trans. IT 1997):
 p(V-i) <= p(V) for each vertex i, and p(C) + p(C+i+j) <= p(C+i) + p(C+j)
 for each pair i < j and each set C of the other vertices, an equality
 exactly when C separates i from j.  That is 2 + n + C(n,2) 2^(n-2) rows.
+The build decides separation once per C, not once per row: C separates
+i from j exactly when they lie in different components of F2 - C, so one
+labelling of those components serves every pair outside C.
 Every other monotone, submodular or modular row is a sum of these (chain
 rule), and when A & B separates A\\B from B\\A, each C between A & B and
 A | B that the sum uses separates its own i from its j; the test suite
@@ -79,23 +82,37 @@ class ConstraintSystem:
         return 1 << self.ground_size
 
 
+def _reach(F2: Graph, start: int, cut: int) -> int:
+    """The vertices that paths of F2 avoiding ``cut`` join to ``start``,
+    ``start`` included: breadth-first, one frontier mask at a time."""
+    reached = frontier = start
+    while frontier:
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= F2.adj[v]
+        frontier = nxt & ~cut & ~reached
+        reached |= frontier
+    return reached
+
+
 def separates(F2: Graph, A: int, B: int) -> bool:
     """True iff A & B separates A\\B from B\\A in F2: no path of F2 that
     avoids A & B joins the two differences (vacuously true when either
     difference is empty).  For disjoint A and B this asks that no path
     join them at all."""
-    cut = A & B
-    right = B & ~A
-    reached = frontier = A & ~B
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= F2.adj[v]
-        if nxt & right:
-            return False
-        frontier = nxt & ~cut & ~reached
-        reached |= frontier
-    return True
+    return not _reach(F2, A & ~B, A & B) & B & ~A
+
+
+def _components(F2: Graph, cut: int) -> list[int]:
+    """Per vertex outside ``cut``, its component of F2 - cut as a mask."""
+    component = [0] * F2.n
+    left = (1 << F2.n) - 1 & ~cut
+    while left:
+        reached = _reach(F2, left & -left, cut)
+        for v in _bits(reached):
+            component[v] = reached
+        left &= ~reached
+    return component
 
 
 def check_ground(F2: Graph) -> None:
@@ -110,7 +127,9 @@ def check_ground(F2: Graph) -> None:
 def build_polytope(F2: Graph) -> ConstraintSystem:
     """Constraint system of the polytope in the elemental basis, in
     deterministic order: normalization, p(V-i) <= p(V) per vertex i, then
-    one row per pair i < j and set C of the other vertices."""
+    one row per pair i < j and set C of the other vertices, C ascending.
+    Separation is decided once per C: C separates i from j exactly when
+    they lie in different components of F2 - C."""
     check_ground(F2)
     full = (1 << F2.n) - 1
     cons = [
@@ -119,17 +138,20 @@ def build_polytope(F2: Graph) -> ConstraintSystem:
     ]
     for i in range(F2.n):
         cons.append(Row(((full & ~(1 << i), 1), (full, -1)), "<=", 0, "monotone"))
+    components = [_components(F2, C) for C in range(full + 1)]
     for i, j in combinations(range(F2.n), 2):
         rest = full & ~(1 << i) & ~(1 << j)
-        for C in range(rest + 1):
-            if C & ~rest:
-                continue
+        C = 0
+        while True:  # the subsets of rest, ascending
             A, B = C | 1 << i, C | 1 << j
             terms = ((C, 1), (A | B, 1), (A, -1), (B, -1))
-            if separates(F2, A, B):
-                cons.append(Row(terms, "=", 0, "modular-separation"))
-            else:
+            if components[C][i] >> j & 1:
                 cons.append(Row(terms, "<=", 0, "submodular"))
+            else:
+                cons.append(Row(terms, "=", 0, "modular-separation"))
+            if C == rest:
+                break
+            C = (C - rest) & rest
     return ConstraintSystem(F2.n, tuple(cons))
 
 

@@ -6,7 +6,8 @@ explicit K4-minor search, LP solving by vertex enumeration over exact
 rational linear algebra, the HDE objective by its subset form over
 brute-force maximal cliques and its maximum by listing every
 homomorphism, the polytope by one row for every pair of
-subsets with separation found by breadth-first search, a row at a point
+subsets with separation found by breadth-first search, the elemental
+build's rows by one ``separates`` call per row, a row at a point
 by its ``Fraction`` sum, walk counts by integer adjacency-matrix powers,
 labeled graphs by an edge list per edge bitmask, the
 walk-inequality sweep and counterexample search by one ``Fraction``
@@ -46,7 +47,7 @@ from homdom.homs import Homomorphism, count_homs, enumerate_homs
 import homdom.lp
 from homdom import lp as ratlp
 from homdom.lp import LinearProgram, LpOutcome, Row, _cost_vector, _over_common_denominator, _scaled
-from homdom.polytope import ConstraintSystem, build_polytope
+from homdom.polytope import ConstraintSystem, build_polytope, check_ground, separates
 
 
 def has_edge(G: Graph, u: int, v: int) -> bool:
@@ -465,6 +466,32 @@ def build_polytope_unpruned(F2: Graph) -> ConstraintSystem:
                 cons.append(Row(terms, "=", zero, "modular-separation"))
             else:
                 cons.append(Row(terms, "<=", zero, "submodular"))
+    return ConstraintSystem(F2.n, tuple(cons))
+
+
+def build_polytope_by_rows(F2: Graph) -> ConstraintSystem:
+    """Oracle for ``build_polytope``'s rows and their order: the elemental
+    system with separation decided row by row, one ``separates`` call per
+    pair i < j and set C of the other vertices, C ascending."""
+    check_ground(F2)
+    full = (1 << F2.n) - 1
+    cons = [
+        Row(((0, 1),), "=", 0, "normalization"),
+        Row(((full, 1),), "=", 1, "normalization"),
+    ]
+    for i in range(F2.n):
+        cons.append(Row(((full & ~(1 << i), 1), (full, -1)), "<=", 0, "monotone"))
+    for i, j in combinations(range(F2.n), 2):
+        rest = full & ~(1 << i) & ~(1 << j)
+        for C in range(rest + 1):
+            if C & ~rest:
+                continue
+            A, B = C | 1 << i, C | 1 << j
+            terms = ((C, 1), (A | B, 1), (A, -1), (B, -1))
+            if separates(F2, A, B):
+                cons.append(Row(terms, "=", 0, "modular-separation"))
+            else:
+                cons.append(Row(terms, "<=", 0, "submodular"))
     return ConstraintSystem(F2.n, tuple(cons))
 
 

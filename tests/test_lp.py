@@ -505,6 +505,36 @@ def test_integer_core_matches_the_fraction_core(monkeypatch):
     assert statuses["optimal"] > 300 and statuses["unbounded"] > 100 and probes > 15
 
 
+def test_prices_kept_in_place_equal_fresh_prices(monkeypatch):
+    # after every pivot of a phase, the prices the core keeps in place equal
+    # a fresh ``_prices`` of the phase's cost, on the core-agreement corpus:
+    # its random and equality programs (presolved, and pivoted with no
+    # presolve), the flagship exponents t = 1, 3, 5 and the P_6 vertex LPs
+    checked = Counter()
+
+    class Gated(ratlp._Simplex):
+        cost = None
+
+        def _iterate(self, cost):
+            self.cost = cost
+            try:
+                return super()._iterate(cost)
+            finally:
+                self.cost = None
+
+        def _pivot(self, r, j, d):
+            super()._pivot(r, j, d)
+            if self.cost is not None:  # not a pivot that drives out an artificial
+                assert self.prices == self._prices(self.cost)
+                checked[self.m > 20] += 1
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ratlp, "_Simplex", Gated)
+        _core_corpus(also=pivot_dual)
+    # 2,255 pivots in all, 167 of them on programs of more than 20 lines
+    assert sum(checked.values()) > 2000 and checked[True] > 150
+
+
 def test_solve_hands_the_core_ints_and_one_column_per_reduced_row(monkeypatch):
     # every core run that ``solve`` alone makes over the core-agreement
     # corpus, zero-cost probes included: its columns, right-hand side and

@@ -6,8 +6,8 @@ from math import comb
 import pytest
 
 from conftest import (
-    build_polytope_unpruned, complete, fixed_value, fraction_violated_rows, holds, mask_of,
-    pivot_dual,
+    build_polytope_by_rows, build_polytope_unpruned, complete, fixed_value, fraction_violated_rows,
+    holds, labeled_graphs, mask_of, pivot_dual,
 )
 from homdom import lp as ratlp
 from homdom.errors import BadVertex, GroundMismatch, GroundTooLarge, MalformedInput
@@ -56,6 +56,18 @@ def test_elemental_row_count():
         n = F2.n
         assert len(build_polytope(F2).constraints) == 2 + n + comb(n, 2) * 2 ** (n - 2)
     assert len(build_polytope(path(6)).constraints) == 681
+
+
+def test_build_polytope_matches_the_per_row_oracle():
+    # separation decided once per C gives the rows of one separates call
+    # per row, in order, relation and tag: every graph on <= 5 vertices,
+    # P_1 ... P_7, C_4 ... C_6 and a 2-tree on 6 vertices
+    two_tree = from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (0, 5), (1, 5)])
+    graphs = [G for n in range(1, 6) for G in labeled_graphs(n)]
+    graphs += [path(t) for t in range(1, 8)] + [cycle(k) for k in (4, 5, 6)] + [two_tree]
+    for F2 in graphs:
+        assert build_polytope.__wrapped__(F2) == build_polytope_by_rows(F2), F2
+    assert len(graphs) == 1 + 2 + 8 + 64 + 1024 + 7 + 3 + 1
 
 
 def test_build_polytope_p3_has_the_separation_equality():
