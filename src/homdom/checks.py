@@ -12,10 +12,13 @@ check a block of graphs at a time: the scope offset of its first graph,
 its weight, the graphs' vertex count, their walk tuples and a function
 that builds one of them.  The check decides each distinct (n, walks)
 once, counts each graph weight times, and builds a graph only when it
-needs more.  An exhaustive scope walks one star of each size of its last
-vertex, weighted by the number of stars of that size; the first graph in
-scope order with any walk tuple lies in one of those stars, so every
-report names the graph a walk over every labeled graph would name.
+needs more.  Every scope counts a block's walks together, bit-sliced,
+in one kernel (``_walk_tuples``): a random or an explicit block's edge
+masks are read from its graphs' packed rows, an exhaustive block's from
+its edge slots.  An exhaustive scope walks one star of each size of its
+last vertex, weighted by the number of stars of that size; the first
+graph in scope order with any walk tuple lies in one of those stars, so
+every report names the graph a walk over every labeled graph would name.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .errors import (
 )
 from .graphs import (
     _ROW_CODES,
+    _layout,
     Graph,
     check_vertex_count,
     from_edges,
@@ -59,9 +63,10 @@ EXHAUSTIVE_CAP = 6
 # two powers of this size take 0.05 to 0.14 s (Python 3.11, one core)
 POWER_BITS = 1 << 20
 # the most samples * (n^2 + 20) a random scope may draw: a graph of n
-# vertices takes about n^2 + 20 half-microseconds to draw, validate and
-# sweep at t = 1, k = 3, and the largest such sweeps took 40 s at n = 1
-# (4,761,904 samples) and 57 s at n = 63 (25,068 samples; Python 3.11.7)
+# vertices takes about n^2 + 20 quarter-microseconds to draw, validate and
+# sweep at t = 1, k = 3, and the largest such sweeps took 16 s at n = 1
+# (4,761,904 samples) and 24 s at n = 63 (25,068 samples; 2 cores,
+# Python 3.11.7), most of it drawing the graphs
 SAMPLE_BUDGET = 10**8
 
 
@@ -125,10 +130,69 @@ def _lanes(total: int, width: int, count: int) -> list[int]:
 
 
 # the most consecutive graphs with one vertex count that a random or an
-# explicit scope, or a star of an exhaustive level counted a graph at a
-# time, puts in one block: as many as a kernel block at n = 6 (1,024
-# graphs on 63 vertices take about 3 MB)
+# explicit scope, or a star of an exhaustive level past 64-bit lanes, puts
+# in one block: as many as a star's block at n = 6.  1,024 graphs on 63
+# vertices take about 3 MB, and the edge masks of their 1,953 vertex pairs
+# 8 KB each at 64-bit lanes, 16 MB, held while the block is counted
 _BLOCK_GRAPHS = 1024
+
+# for each bit b, the byte table that maps a byte to its bit b
+_BIT_BYTES = tuple(bytes(x >> b & 1 for x in range(256)) for b in range(8))
+
+
+def _walk_tuples(lengths: tuple[int, ...], width: int, count: int, terms: list) -> list:
+    """The walk tuples of ``count`` graphs on n = len(terms) vertices,
+    counted together, bit-sliced (Biham, FSE 1997): each holds a graph's
+    number of walks with l edges for each l in ``lengths``.
+
+    An entry of the walk vector v_a is one int with a lane of ``width``
+    bits per graph, graph g's lane at bit g * width.  ``terms[i]`` lists
+    (j, E_ij) for each j that some graph joins to i, E_ij all ones in the
+    lanes whose graph has the edge {i, j}.  So v_0 = 1 and each step
+    v_{a+1}[i] = sum_j (v_a[j] & E_ij) is a few whole-int operations, and
+    W_a = sum_i v_a[i] is read out a lane at a time.  ``width`` must hold
+    n * (n - 1)^k for the longest length k (``_lane_width``), so no lane
+    carries into the next."""
+    ones = int.from_bytes((1).to_bytes(width // 8, "little") * count, "little")
+    v = [ones] * len(terms)
+    totals = {0: ones * len(terms)}
+    wanted = set(lengths)
+    for a in range(1, max(lengths, default=0) + 1):
+        v = [sum(v[j] & e for j, e in row) for row in terms]
+        if a in wanted:
+            totals[a] = sum(v)
+    unpacked = {k: _lanes(totals[k], width, count) for k in wanted}
+    return list(zip(*(unpacked[k] for k in lengths))) if lengths else [()] * count
+
+
+def _edge_terms(n: int, width: int, graphs: list) -> list:
+    """The terms of ``_walk_tuples`` for ``graphs``, each on n vertices:
+    for each pair {i, j} that one of them joins, E_ij with a lane of
+    ``width`` bits per graph, all ones where the graph has the edge.
+
+    The graphs' rows are packed at ``Graph``'s stride s, one after the
+    other, so the byte of row i that holds bit j recurs every n * s / 8
+    bytes: a strided slice reads it for every graph, and a table maps it
+    to bit j.  Strided assignment puts each graph's bit in the low byte of
+    its lane, and one product with 2^width - 1 fills every lane that holds
+    a 1.  All of it runs at C speed, with no step per graph; a pair that no
+    graph joins gets no term."""
+    pack, *_, stride = _layout(n)
+    packed = b"".join([pack(*G.adj) for G in graphs])
+    step, lane, count = n * stride // 8, width // 8, len(graphs)
+    none, spread, fill = bytes(count), bytearray(lane * count), (1 << width) - 1
+    terms = [[] for _ in range(n)]
+    for j in range(n):
+        table = _BIT_BYTES[j % 8]
+        for i in range(j):
+            column = packed[i * stride // 8 + j // 8::step].translate(table)
+            if column == none:
+                continue
+            spread[::lane] = column
+            mask = int.from_bytes(spread, "little") * fill
+            terms[i].append((j, mask))
+            terms[j].append((i, mask))
+    return terms
 
 
 def _graph_blocks(graphs, lengths: tuple[int, ...], weight: int = 1, offset: int = 0):
@@ -136,10 +200,16 @@ def _graph_blocks(graphs, lengths: tuple[int, ...], weight: int = 1, offset: int
     with ``weight``: one for each run of up to ``_BLOCK_GRAPHS``
     consecutive graphs with n vertices, in the block shape of ``Scope``.
     A graph's walk tuple holds its number of walks with l edges for each l
-    in ``lengths``, from one ``walk_counts`` chain a graph."""
+    in ``lengths``, counted a block at a time by ``_walk_tuples`` over the
+    block's ``_edge_terms``, or past 64-bit lanes by one ``walk_counts``
+    chain a graph."""
     for n, run in groupby(graphs, attrgetter("n")):
+        width = _lane_width(n, max(lengths, default=0))
         while block := list(islice(run, _BLOCK_GRAPHS)):
-            walks = [tuple(map(walk_counts(G, lengths).__getitem__, lengths)) for G in block]
+            if width is None:
+                walks = [tuple(map(walk_counts(G, lengths).__getitem__, lengths)) for G in block]
+            else:
+                walks = _walk_tuples(lengths, width, len(block), _edge_terms(n, width, block))
             yield offset, weight, n, walks, block.__getitem__
             offset += len(block)
 
@@ -182,19 +252,15 @@ def _star_blocks(n: int, lengths: tuple[int, ...], start: int, stars: list):
     standing for ``weight`` graphs.  A walk tuple holds the number of
     walks with l edges for each l in ``lengths``.
 
-    A star's walks are counted together, bit-sliced (Biham, FSE 1997).
-    An entry of the walk vector v_a is one int with a lane of w bits per
-    g, g's lane at bit g * w; E_ij is all ones in the lanes whose g has
-    the edge {i, j}.  So v_0 = 1 and each step v_{a+1}[i] = sum_j
-    (v_a[j] & E_ij) + [i in N] * v_a[n - 1], v_{a+1}[n - 1] =
-    sum_{j in N} v_a[j], is a few whole-int operations, and W_a = sum_i
-    v_a[i] is read out a lane at a time.  w is the narrowest lane that
-    holds n * (n - 1)^k for the longest length k, so no lane carries into
-    the next.  Past 64 bits, and at n <= 2, where a star has one graph
-    and the chain takes half the steps, each graph is built and gets its
-    own ``walk_counts`` chain, in the blocks of ``_graph_blocks``.  At
-    n = 6 a star has 1,024 graphs and each of its ints w/8 KB; nothing
-    outlives the level but the inner graphs, held while it is walked.
+    A star's walks are counted together by ``_walk_tuples``, graph g in
+    lane g, with no graph built.  Bit s of g is its edge slot s, so the
+    mask of slot s is 2^s lanes without the edge, then 2^s with it, over
+    and over; the edges of vertex n - 1 are the same in every lane, all
+    ones for a neighbour in N and no term for the rest.  Past 64 bits each
+    graph is built and gets its own ``walk_counts`` chain, in the blocks
+    of ``_graph_blocks``.  At n = 6 a star has 1,024 graphs and each of
+    its ints w/8 KB; nothing outlives the level but the inner graphs, held
+    while it is walked.
 
     A star's graph is not built unless asked for.  It is proven valid by
     its parts: the stars that ``_inner_graphs`` ORs into g, and the star
@@ -205,37 +271,26 @@ def _star_blocks(n: int, lengths: tuple[int, ...], start: int, stars: list):
     inner = _inner_graphs(n)
     nbhds, weights = zip(*stars)
     joins = list(zip(_validated(n, _stars(m, nbhds)), weights))
-    count, top = len(inner), max(lengths, default=0)
-    width = _lane_width(n, top)
-    if width is None or count == 1:
+    count = len(inner)
+    width = _lane_width(n, max(lengths, default=0))
+    if width is None:
         for star, weight in joins:
             graphs = map(partial(_joined, n, star, inner), range(count))
             yield from _graph_blocks(graphs, lengths, weight, start + star[m] * count)
         return
     bits = width * count
-    ones = _repeat(1, width, bits)
-    terms = [[] for _ in range(m)]  # (j, E_ij) for each j != i
-    # bit s of g is its edge slot s: 2^s lanes without it, then 2^s with it
+    every = _repeat((1 << width) - 1, width, bits)
+    slots = [[] for _ in range(m)]  # (j, E_ij) for each j != i below m
     for s, (i, j) in enumerate((i, j) for j in range(m) for i in range(j)):
         run = width << s
         mask = _repeat(((1 << run) - 1) << run, run << 1, bits)
-        terms[i].append((j, mask))
-        terms[j].append((i, mask))
-    wanted = set(lengths)
+        slots[i].append((j, mask))
+        slots[j].append((i, mask))
     for star, weight in joins:
         nbhd = star[m]
-        joined = [nbhd >> i & 1 for i in range(m)]
-        neighbours = [j for j in range(m) if joined[j]]
-        v = [ones] * n
-        totals = {0: ones * n}
-        for a in range(1, top + 1):
-            step = [sum(v[j] & e for j, e in terms[i]) + v[m] * joined[i] for i in range(m)]
-            step.append(sum(v[j] for j in neighbours))
-            v = step
-            if a in wanted:
-                totals[a] = sum(v)
-        unpacked = {k: _lanes(totals[k], width, count) for k in wanted}
-        walks = list(zip(*(unpacked[k] for k in lengths))) if lengths else [()] * count
+        terms = [[*row, (m, every)] if nbhd >> i & 1 else row for i, row in enumerate(slots)]
+        terms.append([(j, every) for j in range(m) if nbhd >> j & 1])
+        walks = _walk_tuples(lengths, width, count, terms)
         yield start + nbhd * count, weight, n, walks, partial(_joined, n, star, inner)
 
 
@@ -276,10 +331,11 @@ class Scope:
     scope has the sum of weight * size graphs.  An exhaustive scope's
     blocks are the graphs under one canonical star of each size of vertex
     n - 1, weighted by the number of stars of that size (see
-    ``_labeled_blocks``), whose walks it counts together and whose graphs
-    it builds only when asked; a random or an explicit scope groups runs
-    of graphs with the same n as it draws them, with weight 1, and counts
-    their walks one graph at a time.  Every refusal is made when it is
+    ``_labeled_blocks``), whose graphs it builds only when asked; a random
+    or an explicit scope groups runs of graphs with the same n as it draws
+    them, with weight 1, and packs each run's rows as it draws it.  Both
+    count a block's walks together in ``_walk_tuples``, and one graph at a
+    time only past 64-bit lanes.  Every refusal is made when it is
     built."""
 
     _description: dict
@@ -390,6 +446,16 @@ def _scan(scope: Scope, check: str, lengths: tuple[int, ...]):
         raise EmptyScope(f"{check} needs at least one graph")
 
 
+def _first_indices(walks: Sequence) -> dict:
+    """Each distinct walk tuple of ``walks`` with the index of its first
+    graph, in order of first appearance, in two passes at C speed: the
+    keys take their order from ``dict.fromkeys``, and the indices, written
+    from the last graph back, leave each tuple its first."""
+    first = dict.fromkeys(walks)
+    first.update(zip(reversed(walks), range(len(walks) - 1, -1, -1)))
+    return first
+
+
 def _first_failure(name: str, params: dict, scope: Scope, check: str, failed: str,
                    lengths: tuple[int, ...], witness, needs_graph: bool = False) -> CheckReport:
     """The report of the first graph of the scope for which ``witness``,
@@ -410,7 +476,7 @@ def _first_failure(name: str, params: dict, scope: Scope, check: str, failed: st
         if needs_graph:
             tried = enumerate(walks)
         else:
-            tried = ((walks.index(w), w) for w in dict.fromkeys(walks) if (n, w) not in passed)
+            tried = ((i, w) for w, i in _first_indices(walks).items() if (n, w) not in passed)
         for index, w in tried:
             found = witness(n, w, partial(graph_at, index))
             if found is not None:
@@ -466,6 +532,7 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
     negative = {}  # (n, W_k, W_t) -> whether its margin is negative
     for _, weight, n, walks, graph_at in _scan(scope, "sweep", (k, t)):
         checked += weight * len(walks)
+        first = None  # the block's _first_indices, built once its witness moves
         for pair, count in Counter(walks).items():
             key = n, *pair
             below = negative.get(key)
@@ -474,7 +541,8 @@ def sweep(t: int, k: int, scope: Scope) -> CheckReport:
                 num, den = _margin(n, wk, wt, t, k)
                 below = negative[key] = num < 0
                 if worst is None or num * worst[1] < worst[0] * den:
-                    worst = (num, den, n, wk, wt, partial(graph_at, walks.index(pair)))
+                    first = first or _first_indices(walks)
+                    worst = (num, den, n, wk, wt, partial(graph_at, first[pair]))
             if below:
                 violated += count * weight
     num, den, n, wk, wt, graph = worst

@@ -159,12 +159,12 @@ def walk_counts(G: Graph, lengths) -> dict[int, int]:
     an entry of v_a has about a bits, and keeping every vector would take
     memory quadratic in the longest length.
 
-    Random and explicit scopes and ``homdom walks`` count every graph
-    here.  An exhaustive scope counts the graphs under one canonical star
-    of each size of its last vertex a block at a time, each standing for
-    every star of that size (``checks._labeled_blocks``), and comes here
-    only at n <= 2, where a block is one graph, and for lengths past its
-    64-bit lanes, for the canonical stars' graphs alone.
+    ``homdom walks`` counts its graph here.  The checks over a scope count
+    a block of graphs at a time, bit-sliced (``checks._walk_tuples``): a
+    run of up to 1,024 graphs of a random or an explicit scope, or the
+    graphs under one canonical star of each size of an exhaustive level's
+    last vertex.  They come here, a graph at a time, only for lengths
+    past 64-bit lanes.
     """
     lengths = sorted(set(lengths))
     if lengths and lengths[0] < 0:

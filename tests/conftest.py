@@ -11,7 +11,8 @@ build's rows by one ``separates`` call per row, a row at a point
 by its ``Fraction`` sum, walk counts by integer adjacency-matrix powers,
 labeled graphs by an edge list per edge bitmask, the
 walk-inequality sweep and counterexample search by one ``Fraction``
-margin a graph over those walk counts, the integer simplex
+margin a graph over those walk counts, the definition check by one
+``count_homs`` pair a graph, the integer simplex
 core and the integer presolve by the ``Fraction`` ones they replaced, the
 presolved solve by the dual pivoted with no presolve, the walk
 inequality by its density form, and ``Graph`` validation by the row and
@@ -40,7 +41,7 @@ from homdom import checks
 from homdom.checks import CheckReport, Scope, _witness
 from homdom.errors import BadIndex, EmptyGraph, RatlpError
 from homdom.graphs import (
-    CliqueTree, Graph, bits_of, clique_tree, disjoint_union, from_edges, path,
+    CliqueTree, Graph, bits_of, clique_tree, disjoint_union, from_edges, path, serialize_graph,
 )
 from homdom.hde import _flagship_source
 from homdom.homs import Homomorphism, count_homs, enumerate_homs
@@ -303,6 +304,24 @@ def counterexample_by_graph(t: int, k: int, walked, scope: dict) -> CheckReport:
             return CheckReport("counterexample", {"t": t, "k": k, "scope": scope, "checked": checked},
                                "counterexample-found", (_witness(G, lhs, rhs, "w_k^t < w_t^k"),))
     return CheckReport("counterexample", {"t": t, "k": k, "scope": scope, "checked": len(walked)},
+                       "holds", ())
+
+
+def definition_by_graph(F1: Graph, F2: Graph, c: Fraction, graphs, scope: dict) -> CheckReport:
+    """The report of ``checks.check_hde_definition(F1, F2, c, ...)`` over
+    ``graphs``, one ``count_homs`` pair a graph: the first graph with
+    Hom(F1)^b < Hom(F2)^a for c = a/b, ``checked`` its index from 1, or
+    "holds" over every graph."""
+    a, b = c.numerator, c.denominator
+    checked = 0
+    for checked, G in enumerate(graphs, 1):
+        h1, h2 = count_homs(F1, G), count_homs(F2, G)
+        if h1**b < h2**a:
+            witness = {"graph": serialize_graph(G), "hom_f1": str(h1), "hom_f2": str(h2),
+                       "relation": f"hom_f1^{b} < hom_f2^{a}"}
+            return CheckReport("hde-definition", {"c": f"{a}/{b}", "scope": scope,
+                                                  "checked": checked}, "violated", (witness,))
+    return CheckReport("hde-definition", {"c": f"{a}/{b}", "scope": scope, "checked": checked},
                        "holds", ())
 
 

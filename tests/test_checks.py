@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -35,9 +36,9 @@ from homdom.checks import (
 )
 from homdom import checks
 from conftest import (
-    check_density_form, complete, counterexample_by_graph, fixed_value, labeled_blocks,
-    labeled_graphs, labeled_graphs_by_mask, labeled_scope, matrix_walk_counts, scope_graphs,
-    sweep_by_graph, walked_graphs,
+    check_density_form, complete, counterexample_by_graph, definition_by_graph, fixed_value,
+    labeled_blocks, labeled_graphs, labeled_graphs_by_mask, labeled_scope, matrix_walk_counts,
+    random_graph, scope_graphs, sweep_by_graph, walked_graphs,
 )
 
 
@@ -544,15 +545,117 @@ def test_lanes_read_lane_g_at_bit_g_times_the_width():
             assert checks._lanes(total, width, count) == values, (width, count)
 
 
+def _lane_lengths(n):
+    """The longest length at n that lands in each lane width, and the
+    first past 64-bit lanes (None), up to 65."""
+    lengths = {}
+    for k in range(66):
+        width = checks._lane_width(n, k)
+        if width is not None or None not in lengths:
+            lengths[width] = k
+    return lengths
+
+
+def _sample(n, count, seed):
+    """``count`` graphs on n vertices, each edge drawn with probability 1/2."""
+    rng = random.Random(seed)
+    return [random_graph(n, rng) for _ in range(count)]
+
+
+def test_block_walks_match_matrix_powers_and_walk_counts():
+    # the kernel over an explicit scope's blocks, graph for graph, at every
+    # Graph stride (8, 16, 32, 64 bits a row), at the longest length of
+    # each lane width and past 64-bit lanes, with length 0 and one length
+    # asked for twice (t = k); the edgeless and complete graphs take the
+    # least and the most walks a lane must hold, n * (n - 1)^k
+    assert _lane_lengths(3) == {8: 6, 16: 14, 32: 30, 64: 62, None: 63}
+    assert _lane_lengths(63) == {8: 0, 16: 1, 32: 4, 64: 9, None: 10}
+    for n in (1, 2, 3, 8, 9, 16, 17, 33, 63):
+        graphs = [from_edges(n, []), complete(n), *_sample(n, 5, n)]
+        scope = Scope.graphs(graphs)
+        for width, k in _lane_lengths(n).items():
+            for lengths in ((k, 0, k), (k,), ()):
+                blocks = list(scope._draw(lengths))
+                assert [block[:3] for block in blocks] == [(0, 1, n)], (n, lengths)
+                walks = blocks[0][3]
+                assert len(walks) == len(graphs)
+                for G, walk in zip(graphs, walks):
+                    chained = walk_counts(G, lengths)
+                    assert walk == tuple(map(chained.__getitem__, lengths)), (n, width, G)
+                assert walks[0] == tuple(n if l == 0 else 0 for l in lengths)
+                assert walks[1] == tuple(n * (n - 1) ** l for l in lengths), (n, width)
+        # matrix powers at lengths 0 ... 10, for every graph up to n = 17
+        # and beyond it for one
+        for G in graphs if n <= 17 else graphs[2:3]:
+            (walk,) = next(Scope.graphs([G])._draw(tuple(range(11))))[3]
+            assert list(walk) == matrix_walk_counts(n, G.edges(), 10), G
+
+
+def test_block_runs_follow_the_scope_order():
+    # an explicit scope of mixed n in runs, one run of _BLOCK_GRAPHS + 1
+    # graphs: a block per run of up to _BLOCK_GRAPHS graphs of one n, at
+    # its scope offset, its graphs and walk tuples in scope order
+    runs = [_sample(8, checks._BLOCK_GRAPHS + 1, 1), _sample(3, 5, 2), [complete(63)],
+            _sample(63, 3, 3), _sample(1, 2, 4), _sample(8, 2, 5)]
+    graphs = list(chain.from_iterable(runs))
+    lengths = (3, 5, 0)
+    blocks = list(Scope.graphs(graphs)._draw(lengths))
+    expected_shape = [(0, 1, 8, 1024), (1024, 1, 8, 1), (1025, 1, 3, 5), (1030, 1, 63, 4),
+                      (1034, 1, 1, 2), (1036, 1, 8, 2)]
+    assert [(o, w, n, len(walks)) for o, w, n, walks, _ in blocks] == expected_shape
+    drawn, walked = [], []
+    for _, _, _, walks, graph_at in blocks:
+        drawn += map(graph_at, range(len(walks)))
+        walked += walks
+    assert drawn == graphs
+    for G, walk in zip(graphs, walked):
+        chained = walk_counts(G, lengths)
+        assert walk == tuple(map(chained.__getitem__, lengths)), G
+
+
+def test_random_and_explicit_checks_match_the_per_graph_oracles():
+    # every field of every report over a random scope (across a block
+    # boundary, at 16- and 64-bit strides) and an explicit scope of mixed
+    # n, against one Fraction margin or one count_homs pair a graph over
+    # matrix-power walk counts, sharing no scan code
+    random_scopes = [(checks._BLOCK_GRAPHS + 76, 5, Fraction(1, 2), 7),
+                     (150, 12, Fraction(1, 3), 8), (10, 33, Fraction(1, 2), 9)]
+    cases = []
+    for samples, n, edge_prob, seed in random_scopes:
+        rng = random.Random(seed)
+        graphs = [random_graph(n, rng, edge_prob) for _ in range(samples)]
+        cases.append((Scope.random(samples, n, edge_prob, seed), graphs))
+    mixed = [*_sample(5, 40, 10), *labeled_graphs_by_mask(3), path(2), *_sample(9, 30, 11),
+             *_sample(5, 40, 12), complete(17)]
+    cases.append((Scope.graphs(mixed), mixed))
+    F1 = disjoint_union([(path(0), 2), (path(3), 1)])
+    found = Counter()
+    for scope, graphs in cases:
+        walked = walked_graphs(graphs, 5)
+        description = scope.describe()
+        for t, k in ((1, 3), (2, 3), (3, 5), (2, 5), (5, 5)):
+            assert sweep(t, k, scope) == sweep_by_graph(t, k, walked, description), (t, k)
+        for t, k in ((2, 3), (2, 5)):
+            report = find_counterexample(t, k, scope)
+            assert report == counterexample_by_graph(t, k, walked, description), (t, k)
+            found[report.verdict] += 1
+        for c in (Fraction(3), Fraction(31, 10)):
+            report = check_hde_definition(F1, path(1), c, scope)
+            assert report == definition_by_graph(F1, path(1), c, graphs, description), c
+            found[report.verdict] += 1
+    assert found["counterexample-found"] and found["violated"] and found["holds"]
+
+
 def _without_scope(report):
     return replace(report, params={**report.params, "scope": None})
 
 
 def test_exhaustive_checks_match_the_per_graph_path():
-    # the block kernel against one walk_counts chain a graph: the same
-    # graphs in an explicit scope give every field of every report but the
-    # scope's description; sweep(5, 5) asks for one length twice, and
-    # sweep(2, 3) is violated
+    # the star blocks against the same graphs in an explicit scope, whose
+    # edge masks the kernel reads from their packed rows and whose blocks
+    # break at other graphs: every field of every report but the scope's
+    # description; sweep(5, 5) asks for one length twice, and sweep(2, 3)
+    # is violated
     exhaustive = Scope.exhaustive_upto(6)
     per_graph = Scope.graphs(chain.from_iterable(map(labeled_graphs, range(1, 7))))
     F1 = disjoint_union([(path(0), 2), (path(3), 1)])
