@@ -19,6 +19,9 @@ its edge slots.  An exhaustive scope walks one star of each size of its
 last vertex, weighted by the number of stars of that size; the first
 graph in scope order with any walk tuple lies in one of those stars, so
 every report names the graph a walk over every labeled graph would name.
+A star's graph g is held as its edge-slot index alone, bit s of g its
+edge slot s, and built from those bits and its vertices' validated stars
+only when a check asks for it (``_joined``).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby, islice
 from math import comb
-from operator import attrgetter, or_
+from operator import attrgetter
 
 from .errors import (
     BadIndex,
@@ -77,31 +80,17 @@ def _stars(m: int, nbhds) -> list[tuple[int, ...]]:
     return [(*((nbhd >> u & 1) << m for u in range(m)), nbhd) for nbhd in nbhds]
 
 
-def _validated(n: int, stars: list) -> list:
+def _validated(n: int, stars: list) -> list[int]:
     """``stars``, each proven valid as a graph on n vertices, the rows of
-    the vertices past its own left empty."""
+    the vertices past its own left empty, and packed as ``Graph`` packs
+    them: row v at bit v * s of one int, for ``Graph``'s stride s."""
+    pack = _layout(n)[0]
+    packed = []
     for star in stars:
-        Graph(n, (*star, *(0,) * (n - len(star))))
-    return stars
-
-
-def _inner_graphs(n: int) -> list[tuple[int, ...]]:
-    """The adjacency rows of every labeled graph on the first n - 1
-    vertices, in edge-bitmask order.
-
-    The edge slots run (u, v) for v in range(n - 1), u < v, so the top u
-    bits of a graph's mask on u + 1 vertices are vertex u's neighbourhood
-    and the low bits a graph on the first u.  The graphs are therefore
-    built one vertex at a time: for each star of vertex u, its rows are
-    ORed into every graph on u vertices.  Each of the 2^(n-1) - 1 stars
-    ORed in is validated once, and no graph built from them is: a graph
-    and a star that share no edge OR into a graph, since OR keeps every
-    row in range, loop-free and symmetric."""
-    level = [()]
-    for u in range(n - 1):
-        stars = _validated(n, _stars(u, range(1 << u)))
-        level = [(*map(or_, rows, star), star[u]) for star in stars for rows in level]
-    return level
+        rows = (*star, *(0,) * (n - len(star)))
+        Graph(n, rows)
+        packed.append(int.from_bytes(pack(*rows), "little"))
+    return packed
 
 
 def _lane_width(n: int, k: int) -> int | None:
@@ -214,11 +203,18 @@ def _graph_blocks(graphs, lengths: tuple[int, ...], weight: int = 1, offset: int
             offset += len(block)
 
 
-def _joined(n: int, star: tuple[int, ...], inner: list, g: int) -> Graph:
-    """The graph on n vertices that is the graph ``inner[g]`` on the first
-    n - 1 ORed with ``star``, the edges of vertex n - 1, as a validated
-    ``Graph``."""
-    return Graph(n, (*map(or_, inner[g], star), star[-1]))
+def _joined(n: int, star: int, inner: list, g: int) -> Graph:
+    """The graph on n vertices whose edge slots below vertex n - 1 are the
+    bits of g, and whose vertex n - 1 has the packed ``star``, as a
+    validated ``Graph``.  ``inner`` holds (C(u, 2), 2^u - 1, the packed
+    stars of u) for each vertex u < n - 1: u's neighbourhood below u is
+    the field of g at bit C(u, 2), u bits wide, in the kernel's slot
+    order.  The stars share no edge, so the graph's packed rows are the
+    OR of ``star`` and the star that each field picks."""
+    packed = star
+    for shift, mask, stars in inner:
+        packed |= stars[g >> shift & mask]
+    return Graph(n, tuple(_lanes(packed, _layout(n)[-1], n)))
 
 
 def _labeled_blocks(n: int, lengths: tuple[int, ...], start: int = 0):
@@ -259,24 +255,27 @@ def _star_blocks(n: int, lengths: tuple[int, ...], start: int, stars: list):
     ones for a neighbour in N and no term for the rest.  Past 64 bits each
     graph is built and gets its own ``walk_counts`` chain, in the blocks
     of ``_graph_blocks``.  At n = 6 a star has 1,024 graphs and each of
-    its ints w/8 KB; nothing outlives the level but the inner graphs, held
-    while it is walked.
+    its ints w/8 KB.
 
-    A star's graph is not built unless asked for.  It is proven valid by
-    its parts: the stars that ``_inner_graphs`` ORs into g, and the star
-    of vertex n - 1, each validated once as a graph on n vertices.  A
-    star's graph is the OR of g and the star, which share no edge.
+    A star's graph g is not built unless asked for, and then from g
+    itself by ``_joined``.  It is proven valid by its parts: the star of
+    each vertex u < n - 1 that g's field picks, and the star of vertex
+    n - 1, each of the 2^(n-1) - 1 inner stars and each of ``stars``
+    validated once as a graph on n vertices; graphs that share no edge OR
+    into a graph, since OR keeps every row in range, loop-free and
+    symmetric.
     """
     m = n - 1
-    inner = _inner_graphs(n)
+    inner = [(comb(u, 2), (1 << u) - 1, _validated(n, _stars(u, range(1 << u))))
+             for u in range(m)]
     nbhds, weights = zip(*stars)
-    joins = list(zip(_validated(n, _stars(m, nbhds)), weights))
-    count = len(inner)
+    joins = list(zip(nbhds, _validated(n, _stars(m, nbhds)), weights))
+    count = 1 << comb(m, 2)
     width = _lane_width(n, max(lengths, default=0))
     if width is None:
-        for star, weight in joins:
+        for nbhd, star, weight in joins:
             graphs = map(partial(_joined, n, star, inner), range(count))
-            yield from _graph_blocks(graphs, lengths, weight, start + star[m] * count)
+            yield from _graph_blocks(graphs, lengths, weight, start + nbhd * count)
         return
     bits = width * count
     every = _repeat((1 << width) - 1, width, bits)
@@ -286,8 +285,7 @@ def _star_blocks(n: int, lengths: tuple[int, ...], start: int, stars: list):
         mask = _repeat(((1 << run) - 1) << run, run << 1, bits)
         slots[i].append((j, mask))
         slots[j].append((i, mask))
-    for star, weight in joins:
-        nbhd = star[m]
+    for nbhd, star, weight in joins:
         terms = [[*row, (m, every)] if nbhd >> i & 1 else row for i, row in enumerate(slots)]
         terms.append([(j, every) for j in range(m) if nbhd >> j & 1])
         walks = _walk_tuples(lengths, width, count, terms)

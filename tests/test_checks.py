@@ -477,6 +477,44 @@ def test_orbit_blocks_hold_the_graphs_at_their_scope_offsets(monkeypatch):
         assert size == len(by_mask)
 
 
+def test_star_graphs_decode_their_slot_bits_at_n7():
+    # past the cap, each canonical star's graph g against one from_edges
+    # call of g's edge slots and the star's edges, for the empty and the
+    # full inner graph, each single slot, and each vertex's field all ones
+    n, m = 7, 6
+    slots = [(u, v) for v in range(m) for u in range(v)]
+    fields = [((1 << u) - 1) << u * (u - 1) // 2 for u in range(1, m)]
+    indices = [0, (1 << len(slots)) - 1, *(1 << s for s in range(len(slots))), *fields]
+    blocks = list(checks._labeled_blocks(n, ()))
+    assert [offset >> len(slots) for offset, *_ in blocks] == [(1 << s) - 1 for s in range(n)]
+    for offset, _, _, walks, graph_at in blocks:
+        nbhd = offset >> len(slots)
+        assert len(walks) == 1 << len(slots)
+        for g in indices:
+            edges = [slots[s] for s in range(len(slots)) if g >> s & 1]
+            edges += [(j, m) for j in range(m) if nbhd >> j & 1]
+            assert graph_at(g) == from_edges(n, edges), (nbhd, g)
+
+
+def test_a_draw_builds_only_its_parts_and_the_graphs_asked_for(monkeypatch):
+    # draining an n = 7 level validates the 2^6 - 1 inner stars and the 7
+    # canonical stars, one Graph each, and builds no graph of a block;
+    # reading one graph builds just that one
+    built = Counter()
+
+    def counted(n, rows):
+        built[n] += 1
+        return Graph(n, rows)
+
+    monkeypatch.setattr(checks, "Graph", counted)
+    blocks = list(checks._labeled_blocks(7, (5, 3)))
+    assert built == {7: 2**6 - 1 + 7}
+    built.clear()
+    _, _, _, walks, graph_at = blocks[3]
+    graph_at(len(walks) - 1)
+    assert built == {7: 1}
+
+
 def test_orbit_scan_reports_as_the_labeled_draw_at_n7(monkeypatch):
     # through a private scope past the cap: every field of every report
     # over one star of each size equals the report over every star
