@@ -20,8 +20,9 @@ last vertex, weighted by the number of stars of that size; the first
 graph in scope order with any walk tuple lies in one of those stars, so
 every report names the graph a walk over every labeled graph would name.
 A star's graph g is held as its edge-slot index alone, bit s of g its
-edge slot s, and built from those bits and its vertices' validated stars
-only when a check asks for it (``_joined``).
+edge slot s, and decoded from the star and those bits only when a check
+asks for it (``_slot_graph``); ``Graph`` validates it once, as it is
+built.
 """
 
 from __future__ import annotations
@@ -71,26 +72,6 @@ POWER_BITS = 1 << 20
 # (4,761,904 samples) and 24 s at n = 63 (25,068 samples; 2 cores,
 # Python 3.11.7), most of it drawing the graphs
 SAMPLE_BUDGET = 10**8
-
-
-def _stars(m: int, nbhds) -> list[tuple[int, ...]]:
-    """The star of vertex m for each neighbourhood in ``nbhds``, a mask of
-    vertices below m: the m + 1 adjacency rows of the graph whose only
-    edges join m to its neighbourhood."""
-    return [(*((nbhd >> u & 1) << m for u in range(m)), nbhd) for nbhd in nbhds]
-
-
-def _validated(n: int, stars: list) -> list[int]:
-    """``stars``, each proven valid as a graph on n vertices, the rows of
-    the vertices past its own left empty, and packed as ``Graph`` packs
-    them: row v at bit v * s of one int, for ``Graph``'s stride s."""
-    pack = _layout(n)[0]
-    packed = []
-    for star in stars:
-        rows = (*star, *(0,) * (n - len(star)))
-        Graph(n, rows)
-        packed.append(int.from_bytes(pack(*rows), "little"))
-    return packed
 
 
 def _lane_width(n: int, k: int) -> int | None:
@@ -203,18 +184,23 @@ def _graph_blocks(graphs, lengths: tuple[int, ...], weight: int = 1, offset: int
             offset += len(block)
 
 
-def _joined(n: int, star: int, inner: list, g: int) -> Graph:
+def _slot_graph(n: int, nbhd: int, g: int) -> Graph:
     """The graph on n vertices whose edge slots below vertex n - 1 are the
-    bits of g, and whose vertex n - 1 has the packed ``star``, as a
-    validated ``Graph``.  ``inner`` holds (C(u, 2), 2^u - 1, the packed
-    stars of u) for each vertex u < n - 1: u's neighbourhood below u is
-    the field of g at bit C(u, 2), u bits wide, in the kernel's slot
-    order.  The stars share no edge, so the graph's packed rows are the
-    OR of ``star`` and the star that each field picks."""
-    packed = star
-    for shift, mask, stars in inner:
-        packed |= stars[g >> shift & mask]
-    return Graph(n, tuple(_lanes(packed, _layout(n)[-1], n)))
+    set bits of g, in the kernel's slot order, and whose vertex n - 1 is
+    joined to the vertices of ``nbhd``, validated by ``Graph``.  Slot
+    C(j, 2) + i is the pair {i, j}, so bits C(j, 2) ... C(j + 1, 2) - 1 of
+    g are the neighbours of j below j."""
+    m = n - 1
+    rows = [0] * m + [nbhd]
+    for j in range(m):
+        below = g & ((1 << j) - 1)
+        g >>= j
+        rows[j] |= below | (nbhd >> j & 1) << m
+        while below:
+            low = below & -below
+            rows[low.bit_length() - 1] |= 1 << j
+            below ^= low
+    return Graph(n, tuple(rows))
 
 
 def _labeled_blocks(n: int, lengths: tuple[int, ...], start: int = 0):
@@ -257,24 +243,15 @@ def _star_blocks(n: int, lengths: tuple[int, ...], start: int, stars: list):
     of ``_graph_blocks``.  At n = 6 a star has 1,024 graphs and each of
     its ints w/8 KB.
 
-    A star's graph g is not built unless asked for, and then from g
-    itself by ``_joined``.  It is proven valid by its parts: the star of
-    each vertex u < n - 1 that g's field picks, and the star of vertex
-    n - 1, each of the 2^(n-1) - 1 inner stars and each of ``stars``
-    validated once as a graph on n vertices; graphs that share no edge OR
-    into a graph, since OR keeps every row in range, loop-free and
-    symmetric.
+    A star's graph g is not built unless asked for, and then decoded from
+    (N, g) by ``_slot_graph``, which ``Graph`` validates as it is built.
     """
     m = n - 1
-    inner = [(comb(u, 2), (1 << u) - 1, _validated(n, _stars(u, range(1 << u))))
-             for u in range(m)]
-    nbhds, weights = zip(*stars)
-    joins = list(zip(nbhds, _validated(n, _stars(m, nbhds)), weights))
     count = 1 << comb(m, 2)
     width = _lane_width(n, max(lengths, default=0))
     if width is None:
-        for nbhd, star, weight in joins:
-            graphs = map(partial(_joined, n, star, inner), range(count))
+        for nbhd, weight in stars:
+            graphs = map(partial(_slot_graph, n, nbhd), range(count))
             yield from _graph_blocks(graphs, lengths, weight, start + nbhd * count)
         return
     bits = width * count
@@ -285,11 +262,11 @@ def _star_blocks(n: int, lengths: tuple[int, ...], start: int, stars: list):
         mask = _repeat(((1 << run) - 1) << run, run << 1, bits)
         slots[i].append((j, mask))
         slots[j].append((i, mask))
-    for nbhd, star, weight in joins:
+    for nbhd, weight in stars:
         terms = [[*row, (m, every)] if nbhd >> i & 1 else row for i, row in enumerate(slots)]
         terms.append([(j, every) for j in range(m) if nbhd >> j & 1])
         walks = _walk_tuples(lengths, width, count, terms)
-        yield start + nbhd * count, weight, n, walks, partial(_joined, n, star, inner)
+        yield start + nbhd * count, weight, n, walks, partial(_slot_graph, n, nbhd)
 
 
 def random_graph(n: int, edge_prob: Fraction, rng: random.Random) -> Graph:
@@ -329,9 +306,10 @@ class Scope:
     scope has the sum of weight * size graphs.  An exhaustive scope's
     blocks are the graphs under one canonical star of each size of vertex
     n - 1, weighted by the number of stars of that size (see
-    ``_labeled_blocks``), whose graphs it builds only when asked; a random
-    or an explicit scope groups runs of graphs with the same n as it draws
-    them, with weight 1, and packs each run's rows as it draws it.  Both
+    ``_labeled_blocks``), each graph decoded from its star and edge-slot
+    index, and validated, only when asked for; a random or an explicit
+    scope groups runs of graphs with the same n as it draws them, with
+    weight 1, and packs each run's rows as it draws it.  Both
     count a block's walks together in ``_walk_tuples``, and one graph at a
     time only past 64-bit lanes.  Every refusal is made when it is
     built."""

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -496,10 +497,9 @@ def test_star_graphs_decode_their_slot_bits_at_n7():
             assert graph_at(g) == from_edges(n, edges), (nbhd, g)
 
 
-def test_a_draw_builds_only_its_parts_and_the_graphs_asked_for(monkeypatch):
-    # draining an n = 7 level validates the 2^6 - 1 inner stars and the 7
-    # canonical stars, one Graph each, and builds no graph of a block;
-    # reading one graph builds just that one
+def test_a_draw_builds_only_the_graphs_asked_for(monkeypatch):
+    # draining an n = 7 level constructs no Graph at all, its walks
+    # counted from slot masks alone; reading one graph builds just that one
     built = Counter()
 
     def counted(n, rows):
@@ -508,8 +508,7 @@ def test_a_draw_builds_only_its_parts_and_the_graphs_asked_for(monkeypatch):
 
     monkeypatch.setattr(checks, "Graph", counted)
     blocks = list(checks._labeled_blocks(7, (5, 3)))
-    assert built == {7: 2**6 - 1 + 7}
-    built.clear()
+    assert built == {}
     _, _, _, walks, graph_at = blocks[3]
     graph_at(len(walks) - 1)
     assert built == {7: 1}
@@ -771,39 +770,39 @@ def test_mixed_vertex_counts_match_the_per_graph_oracle(monkeypatch):
                                                                        scope.describe())
 
 
-def test_exhaustive_checks_refuse_a_malformed_part(monkeypatch):
-    # every graph of an exhaustive scope is proven valid by its parts, the
-    # stars of vertices 0 ... n - 1 ORed into it; the first star the scan
-    # builds for vertex u, for each u < n, is broken, and each check
-    # refuses it before it reports, naming the fault of the first graph it
-    # is ORed into.  sweep(1, 64) is past 64-bit lanes at n = 4, so it
-    # also builds and validates each graph it reads in full
+def test_exhaustive_checks_refuse_a_malformed_graph(monkeypatch):
+    # every graph of an exhaustive scope that a check reads is decoded and
+    # handed to Graph, which validates it in full: the rows of the first
+    # graph decoded are broken at vertex v, for each v < n, and each check
+    # refuses it before it reports, naming the fault.  sweep(1, 3) and the
+    # counterexample search read a witness only, sweep(1, 64) is past
+    # 64-bit lanes at n = 4 and the cycle:3 check reads every graph
     n = 4
-    stars = checks._stars
-    faults = (
-        (lambda row: row | 2, r"adjacency not symmetric at \{0,1\}"),
-        (lambda row: row | 1, "self-loop at vertex 0"),
-        (lambda row: row | 1 << 62, "adjacency row 0 references missing vertices"),
-    )
-    F1 = disjoint_union([(path(0), 2), (path(3), 1)])
+
+    def faults(v):  # (the bits flipped in row v, the refusal)
+        u = (v + 1) % n
+        yield 1 << u, f"adjacency not symmetric at {{{min(u, v)},{max(u, v)}}}"
+        yield 1 << v, f"self-loop at vertex {v}"
+        yield 1 << 62, f"adjacency row {v} references missing vertices"
+
     runs = (partial(sweep, 1, 3), partial(sweep, 1, 64), partial(find_counterexample, 2, 3),
-            partial(check_hde_definition, F1, path(1), Fraction(3)))
+            partial(check_hde_definition, cycle(3), cycle(3), 1))
     for vertex in range(n):
-        for corrupt, refusal in faults:
+        for flip, refusal in faults(vertex):
             for run in runs:
-                broken_stars = []  # the one star broken, in the first call for the vertex
+                broken = []  # the rows of the one graph broken, the first decoded
 
-                def broken(m, nbhds, vertex=vertex, corrupt=corrupt, broken_stars=broken_stars):
-                    built = stars(m, nbhds)
-                    if m == vertex and not broken_stars:
-                        built[0] = (corrupt(built[0][0]), *built[0][1:])
-                        broken_stars.append(built[0])
-                    return built
+                def corrupted(n, rows, vertex=vertex, flip=flip, broken=broken):
+                    if not broken:
+                        rows = list(rows)
+                        rows[vertex] ^= flip
+                        broken.append(rows)
+                    return Graph(n, tuple(rows))
 
-                monkeypatch.setattr(checks, "_stars", broken)
-                with pytest.raises(MalformedInput, match=refusal):
+                monkeypatch.setattr(checks, "Graph", corrupted)
+                with pytest.raises(MalformedInput, match=re.escape(refusal)):
                     run(Scope.exhaustive(n))
-                assert broken_stars, (vertex, run)
+                assert broken, (vertex, run)
 
 
 def test_a_source_with_no_path_component_reads_every_graph():
